@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import PreconditionViolation
+from .errors import IndexOutOfRange, PreconditionViolation
 from .instance import Instance, convexity_report
 from .mechanism import (
     CommonLottery,
@@ -28,10 +28,14 @@ from .mechanism import (
     feasibility_report,
     position_masses,
 )
-from .optimizer import lottery_from_masses, optimal_lottery_fill, optimal_masses
+from .optimizer import (
+    lottery_from_masses,
+    masses_from_lottery,
+    optimal_lottery_fill,
+    optimal_masses,
+)
 
 ZERO = Fraction(0)
-ONE = Fraction(1)
 
 
 def find_violation(inst: Instance):
@@ -41,9 +45,10 @@ def find_violation(inst: Instance):
 
 
 def second_difference(inst: Instance, k: int) -> Fraction:
-    return (
-        ONE / inst.cdf(k - 1) - 2 * (ONE / inst.cdf(k)) + ONE / inst.cdf(k + 1)
-    )
+    """1/F_{k-1} - 2/F_k + 1/F_{k+1} at an interior index k."""
+    if not 1 <= k <= inst.n - 2:
+        raise IndexOutOfRange(f"index {k} is not interior for N={inst.n}")
+    return convexity_report(inst).second_differences[k - 1]
 
 
 def _require(cond: bool, message: str):
@@ -192,10 +197,12 @@ def _improve_at(inst: Instance, obj: Objective, k: int):
     i = 0  # the lowest type always accepts all three rows of the triple
     if isinstance(obj, Fill):
         base = optimal_lottery_fill(inst).lottery
-        base_value = evaluate_objective(Fill(), masses_of(inst, base))
+        s = masses_from_lottery(inst, base)
+        base_value = s.total()
     else:
         sol = optimal_masses(inst, obj)
         base = lottery_from_masses(inst, sol.masses)
+        s = sol.masses
         base_value = sol.value
     c = base.c
     total = base.total()
@@ -214,7 +221,6 @@ def _improve_at(inst: Instance, obj: Objective, k: int):
     # lowest position with spare capacity among those every offered-to type
     # accepts with certainty (all types below the lottery's support)
     support_start = next(kk for kk in range(inst.n) if c[kk] > 0)
-    s = masses_of(inst, base)
     fill_index = next(
         (kk for kk in range(support_start + 1) if s.s[kk] < inst.g[kk]), None
     )
@@ -239,10 +245,6 @@ def _improve_at(inst: Instance, obj: Objective, k: int):
         ),
         "improved",
     )
-
-
-def masses_of(inst: Instance, cl: CommonLottery):
-    return position_masses(inst, expand_common_lottery(inst, cl))
 
 
 def _max_epsilon(inst: Instance, c, k: int, i: int) -> Fraction:

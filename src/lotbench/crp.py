@@ -19,6 +19,7 @@ import numpy as np
 from .errors import BadQuota, CapsInfeasible
 from .instance import Instance
 from .mechanism import CommonLottery, DirectMechanism, PositionMasses, expand_common_lottery
+from .optimizer import masses_from_lottery
 
 ZERO = Fraction(0)
 
@@ -94,9 +95,7 @@ def continuum_crp(inst: Instance, caps: PositionMasses) -> CrpResult:
 def caps_from_lottery(inst: Instance, cl: CommonLottery) -> PositionMasses:
     """Caps under which the priority scan reproduces the lottery exactly."""
     expand_common_lottery(inst, cl)  # validates feasibility
-    return PositionMasses(
-        s=tuple(inst.d * cl.c[k] * inst.cdf(k) for k in range(inst.n))
-    )
+    return masses_from_lottery(inst, cl)
 
 
 @dataclass(frozen=True)

@@ -21,8 +21,6 @@ from .errors import (
 )
 from .rationals import format_rational, parse_rational, parse_rational_vector
 
-ONE = Fraction(1)
-
 
 @dataclass(frozen=True)
 class Instance:
@@ -122,8 +120,10 @@ def uniform_instance(n: int, d=1) -> Instance:
 class ConvexityReport:
     """Discrete second differences of 1/F at the interior grid points.
 
-    Entry i (for interior index i+1... indexed by violation lists below)
-    is 1/F(theta_i-1) - 2/F(theta_i) + 1/F(theta_i+1) for i = 1..N-2.
+    Entry i-1 belongs to interior index i (i = 1..N-2).  On the integer
+    grid it is 1/F(theta_i-1) - 2/F(theta_i) + 1/F(theta_i+1); on any
+    other grid it is the same second difference multiplied by the two
+    spacings around theta_i.
     """
 
     second_differences: tuple[Fraction, ...]
@@ -137,20 +137,30 @@ def convexity_report(inst: Instance) -> ConvexityReport:
 
     For N=2 there is no interior point and the report is vacuously convex.
     """
-    diffs = []
-    violations = []
-    for i in range(1, inst.n - 1):
-        d2 = (
-            ONE / inst.cdf(i - 1)
-            - 2 * (ONE / inst.cdf(i))
-            + ONE / inst.cdf(i + 1)
-        )
-        diffs.append(d2)
-        if d2 < 0:
-            violations.append(i)
+    return _grid_convexity(*_integer_grid(inst))
+
+
+def _integer_grid(inst: Instance):
+    """The even grid scaled by (N-1): points 0..N-1 with the type cdf.
+
+    Every even-grid formula is its grid formula evaluated here, which
+    turns the utility gaps (x_k - theta_i) into the integers (k - i).
+    """
+    return tuple(range(inst.n)), inst._cdf
+
+
+def _grid_convexity(x, F) -> ConvexityReport:
+    """Convexity of 1/F along an increasing grid x with cdf F."""
+    diffs = tuple(
+        (x[i + 1] - x[i]) / F[i - 1]
+        - (x[i + 1] - x[i - 1]) / F[i]
+        + (x[i] - x[i - 1]) / F[i + 1]
+        for i in range(1, len(x) - 1)
+    )
+    violations = tuple(i for i, d2 in enumerate(diffs, start=1) if d2 < 0)
     return ConvexityReport(
-        second_differences=tuple(diffs),
+        second_differences=diffs,
         is_convex=not violations,
         is_strictly_convex=all(d > 0 for d in diffs),
-        violation_indices=tuple(violations),
+        violation_indices=violations,
     )

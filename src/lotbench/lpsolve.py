@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .errors import NotOptimal, UnsupportedObjective
+from .errors import DimensionMismatch, NotOptimal, UnsupportedObjective
 from .instance import Instance
 from .mechanism import (
     DirectMechanism,
@@ -53,10 +53,14 @@ class LinearProgram:
             self.lower = [ZERO] * nv
         if not self.upper:
             self.upper = [None] * nv
-        assert len(self.c) == nv
-        assert len(self.rows) == len(self.rels) == len(self.rhs) == len(self.con_names)
-        for row in self.rows:
-            assert len(row) == nv
+        if len(self.c) != nv:
+            raise DimensionMismatch(f"objective has {len(self.c)} entries, need {nv}")
+        if not len(self.rows) == len(self.rels) == len(self.rhs) == len(self.con_names):
+            raise DimensionMismatch(
+                "rows, relations, right-hand sides and names must align"
+            )
+        if any(len(row) != nv for row in self.rows):
+            raise DimensionMismatch(f"every constraint row needs {nv} entries")
         for lo, up in zip(self.lower, self.upper):
             if lo is not None and up is not None and lo > up:
                 raise ValueError("variable lower bound exceeds upper bound")
@@ -276,7 +280,8 @@ def simplex_solve(lp: LinearProgram) -> LpSolution:
     if artificials:
         phase1 = [ZERO] * n_real + [ONE] * len(artificials)
         status = tab.run(phase1, allowed=range(len(tab.cols)))
-        assert status == "optimal"  # phase 1 is always bounded below by 0
+        if status != "optimal":  # phase 1 is always bounded below by 0
+            raise AssertionError(f"phase 1 ended {status!r}")
         infeas = sum(
             (tab.b[r] for r in range(m) if tab.basis[r] in art_set), ZERO
         )

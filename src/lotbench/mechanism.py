@@ -249,12 +249,8 @@ def feasibility_report(inst: Instance, mech: DirectMechanism) -> FeasibilityRepo
     )
 
 
-def classify_binding(inst: Instance, mech: DirectMechanism, zero_tolerance: Rat = Fraction(0)):
-    """Partition all ordered IC pairs into binding / slack / redundant.
-
-    With exact-rational mechanisms the tolerance should stay 0; a positive
-    tolerance only makes sense for matrices imported from floating point.
-    """
+def classify_binding(inst: Instance, mech: DirectMechanism):
+    """Partition all ordered IC pairs into binding / slack / redundant."""
     report = feasibility_report(inst, mech)
     if not report.is_feasible:
         raise InfeasibleInput("classify_binding requires a feasible mechanism")
@@ -265,7 +261,7 @@ def classify_binding(inst: Instance, mech: DirectMechanism, zero_tolerance: Rat 
         for j in range(n):
             if i == j or (i, j) in redundant:
                 continue
-            if abs(report.ic_slack[i][j]) <= zero_tolerance:
+            if report.ic_slack[i][j] == 0:
                 binding.add((i, j))
             else:
                 slack.add((i, j))

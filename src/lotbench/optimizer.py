@@ -17,7 +17,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import InfeasibleMasses
+from .errors import DimensionMismatch, InfeasibleMasses
 from .instance import Instance, convexity_report
 from .mechanism import (
     CommonLottery,
@@ -30,7 +30,6 @@ from .mechanism import (
 )
 
 ZERO = Fraction(0)
-ONE = Fraction(1)
 
 
 @dataclass(frozen=True)
@@ -51,16 +50,11 @@ class FillLottery:
 def optimal_lottery_fill(inst: Instance) -> FillLottery:
     """Mass-maximizing common lottery: fill positions from the top down."""
     n = inst.n
+    s = _greedy(inst, order=range(n - 1, -1, -1))
+    lottery = lottery_from_masses(inst, PositionMasses(s=tuple(s)))
     q = tuple(inst.g[k] / (inst.d * inst.cdf(k)) for k in range(n))
-    c = []
-    tail = ZERO  # sum of q above the current position
-    for k in range(n - 1, -1, -1):
-        qcap = min(ONE, tail)
-        c.append(min(q[k], 1 - qcap))
-        tail += q[k]
-    c.reverse()
-    cutoff = next((k for k in range(n) if c[k] > 0), n)
-    return FillLottery(lottery=CommonLottery(c=tuple(c)), q=q, cutoff=cutoff)
+    cutoff = next((k for k in range(n) if lottery.c[k] > 0), n)
+    return FillLottery(lottery=lottery, q=q, cutoff=cutoff)
 
 
 @dataclass(frozen=True)
@@ -93,9 +87,13 @@ def optimal_masses(inst: Instance, obj: Objective) -> BudgetSolution:
     The convexity_warning flag signals that 1/F is not convex, in which
     case a non-common mechanism may do strictly better.
     """
+    if isinstance(obj, (Linear, SeparableConcave)) and len(obj.weights) != inst.n:
+        raise DimensionMismatch(
+            f"objective has {len(obj.weights)} weights, instance has N={inst.n}"
+        )
     warning = not convexity_report(inst).is_convex
     if isinstance(obj, Fill):
-        s = _greedy(inst, order=list(range(inst.n - 1, -1, -1)))
+        s = _greedy(inst, order=range(inst.n - 1, -1, -1))
     elif isinstance(obj, Linear):
         ranked = sorted(
             (k for k in range(inst.n) if obj.weights[k] > 0),
@@ -127,7 +125,7 @@ def _greedy(inst: Instance, order):
     return s
 
 
-def _water_fill(inst: Instance, obj: SeparableConcave, capped: bool = True):
+def _water_fill(inst: Instance, obj: SeparableConcave):
     """Bisection on the budget multiplier for sum_k alpha_k s_k**rho."""
     n = inst.n
     alpha = [float(w) for w in obj.weights]
@@ -140,15 +138,13 @@ def _water_fill(inst: Instance, obj: SeparableConcave, capped: bool = True):
         out = []
         for k in range(n):
             v = (alpha[k] * rho * cdf[k] / lam) ** (1 / (1 - rho))
-            if capped:
-                v = min(v, g[k])
-            out.append(v)
+            out.append(min(v, g[k]))
         return out
 
     def spend(lam):
         return sum(v / cdf[k] for k, v in enumerate(masses_at(lam)))
 
-    if capped and sum(g[k] / cdf[k] for k in range(n)) <= d:
+    if sum(g[k] / cdf[k] for k in range(n)) <= d:
         return [Fraction(gk) for gk in inst.g]  # budget slack: lambda = 0
     lo, hi = 1e-12, 1.0
     while spend(hi) > d:

@@ -23,9 +23,9 @@ from .errors import (
     PmfNotNormalized,
     UnknownGamma,
 )
-from .instance import ConvexityReport, Instance
+from .instance import ConvexityReport, Instance, _grid_convexity
 from .mechanism import CommonLottery, Fill, Linear, PositionMasses
-from .optimizer import lottery_from_masses, optimal_masses
+from .optimizer import lottery_from_masses, masses_from_lottery, optimal_masses
 from .rationals import (
     format_rational,
     format_rational_matrix,
@@ -33,10 +33,9 @@ from .rationals import (
     parse_rational,
     parse_rational_vector,
 )
-from .transform import Multipliers
+from .transform import Multipliers, _grid_multipliers, _grid_mu
 
 ZERO = Fraction(0)
-ONE = Fraction(1)
 
 
 @dataclass(frozen=True)
@@ -162,23 +161,7 @@ def even_grid_view(inst: Instance) -> UnevenGridView:
 
 def uneven_convexity(view: UnevenGridView) -> ConvexityReport:
     """Discrete convexity of 1/F along the (possibly uneven) utility grid."""
-    diffs = []
-    violations = []
-    for i in range(1, view.n - 1):
-        d2 = (
-            (view.x[i + 1] - view.x[i]) / view.F[i - 1]
-            - (view.x[i + 1] - view.x[i - 1]) / view.F[i]
-            + (view.x[i] - view.x[i - 1]) / view.F[i + 1]
-        )
-        diffs.append(d2)
-        if d2 < 0:
-            violations.append(i)
-    return ConvexityReport(
-        second_differences=tuple(diffs),
-        is_convex=not violations,
-        is_strictly_convex=all(d > 0 for d in diffs),
-        violation_indices=tuple(violations),
-    )
+    return _grid_convexity(view.x, view.F)
 
 
 def uneven_multipliers(view: UnevenGridView) -> Multipliers:
@@ -188,58 +171,13 @@ def uneven_multipliers(view: UnevenGridView) -> Multipliers:
     multipliers times (N - 1), matching the integer-gap scaling used
     there.
     """
-    n = view.n
-    local_up = tuple(
-        view.pmf(i + 1) / view.F[i + 1] / (view.x[i + 1] - view.x[i])
-        for i in range(n - 1)
-    )
-    down = []
-    for i in range(n):
-        row = []
-        for j in range(i):
-            if 1 <= i <= n - 2:
-                bracket = (
-                    (view.x[i + 1] - view.x[i]) / view.F[i - 1]
-                    - (view.x[i + 1] - view.x[i - 1]) / view.F[i]
-                    + (view.x[i] - view.x[i - 1]) / view.F[i + 1]
-                )
-                row.append(
-                    view.pmf(j) * bracket
-                    / ((view.x[i + 1] - view.x[i]) * (view.x[i] - view.x[i - 1]))
-                )
-            else:
-                row.append(ZERO)
-        down.append(tuple(row))
-    return Multipliers(local_up=local_up, down=tuple(down))
+    return _grid_multipliers(view.x, view.F)
 
 
 def uneven_mu_coefficients(view: UnevenGridView) -> tuple[tuple[Fraction, ...], ...]:
     """Cell coefficients of the multiplier-weighted constraint sum on an
-    uneven grid, asserted against the same closed forms as the baseline."""
-    n = view.n
-    mult = uneven_multipliers(view)
-
-    def lu(i):
-        return mult.local_up[i] if 0 <= i <= n - 2 else ZERO
-
-    mu = [[ZERO] * n for _ in range(n)]
-    for k in range(n):
-        for i in range(k + 1):
-            val = (view.x[k] - view.x[i]) * lu(i)
-            if i >= 1:
-                val -= (view.x[k] - view.x[i - 1]) * lu(i - 1)
-                val += sum(
-                    ((view.x[k] - view.x[i]) * mult.down[i][j] for j in range(i)),
-                    ZERO,
-                )
-            for jp in range(i + 1, k + 1):
-                val -= (view.x[k] - view.x[jp]) * mult.down[jp][i]
-            mu[k][i] = val
-    for k in range(n):
-        assert mu[k][0] == 1 - view.pmf(0) / view.F[k]
-        for i in range(1, k + 1):
-            assert mu[k][i] == -view.pmf(i) / view.F[k]
-    return tuple(tuple(row) for row in mu)
+    uneven grid, checked against the same closed forms as the baseline."""
+    return _grid_mu(view.x, view.F, uneven_multipliers(view))
 
 
 def optimal_common_lottery_ordinal(oi: OrdinalInstance, obj) -> CommonLottery:
@@ -290,6 +228,4 @@ def aggregate_per_gamma(oi: OrdinalInstance, per_gamma: dict) -> CommonLottery:
 
 def masses_over_qualities(oi: OrdinalInstance, cl: CommonLottery) -> PositionMasses:
     """Position masses a lottery induces given the shared cdf."""
-    return PositionMasses(
-        s=tuple(oi.d * cl.c[k] * oi.cdf(k) for k in range(oi.n))
-    )
+    return masses_from_lottery(Instance(n=oi.n, f=oi.outside_pmf, g=oi.g, d=oi.d), cl)

@@ -23,7 +23,7 @@ from .errors import (
     InfeasibleInput,
     InsufficientMass,
 )
-from .instance import Instance
+from .instance import Instance, _grid_convexity, _integer_grid
 from .mechanism import (
     CommonLottery,
     DirectMechanism,
@@ -33,7 +33,6 @@ from .mechanism import (
 from .rationals import format_rational
 
 ZERO = Fraction(0)
-ONE = Fraction(1)
 
 
 @dataclass(frozen=True)
@@ -45,37 +44,37 @@ class Multipliers:
     and equals f_j times the second difference of 1/F at i.  The downward
     weights are all nonnegative exactly when 1/F is discretely convex.
     Rows of down with no defined value are zero, which is harmless: the
-    scaled expressions they would multiply vanish identically.
+    scaled expressions they would multiply vanish identically.  On an
+    uneven grid both are divided by the spacings around the pair.
     """
 
     local_up: tuple[Fraction, ...]
     down: tuple[tuple[Fraction, ...], ...]
 
-    def down_entry(self, i: int, j: int) -> Fraction:
-        if not 0 <= j < i < len(self.down) + 1:
-            raise BadIndices(f"down multiplier needs j < i, got ({i}, {j})")
-        return self.down[i][j]
-
 
 def multipliers(inst: Instance) -> Multipliers:
-    n = inst.n
-    local_up = tuple(inst.f[i + 1] / inst.cdf(i + 1) for i in range(n - 1))
-    down = []
-    for i in range(n):
-        row = []
-        for j in range(i):
-            if 1 <= i <= n - 2:
-                bracket = (
-                    ONE / inst.cdf(i - 1)
-                    - 2 * (ONE / inst.cdf(i))
-                    + ONE / inst.cdf(i + 1)
-                )
-                row.append(inst.f[j] * bracket)
-            else:
-                # the scaled constraint this would weight is identically
-                # zero (the only surviving index has integer gap 0)
-                row.append(ZERO)
-        down.append(tuple(row))
+    return _grid_multipliers(*_integer_grid(inst))
+
+
+def _grid_pmf(F) -> list[Fraction]:
+    return [F[0]] + [F[i] - F[i - 1] for i in range(1, len(F))]
+
+
+def _grid_multipliers(x, F) -> Multipliers:
+    """Constraint weights on an increasing grid x with cdf F."""
+    n = len(x)
+    f = _grid_pmf(F)
+    d2 = _grid_convexity(x, F).second_differences
+    local_up = tuple(f[i + 1] / F[i + 1] / (x[i + 1] - x[i]) for i in range(n - 1))
+    down = [()]
+    for i in range(1, n):
+        if i <= n - 2:
+            w = d2[i - 1] / ((x[i + 1] - x[i]) * (x[i] - x[i - 1]))
+            down.append(tuple(f[j] * w for j in range(i)))
+        else:
+            # the scaled constraint this would weight is identically
+            # zero (the only surviving index has gap 0)
+            down.append((ZERO,) * i)
     return Multipliers(local_up=local_up, down=tuple(down))
 
 
@@ -158,30 +157,34 @@ def mu_coefficients(inst: Instance) -> tuple[tuple[Fraction, ...], ...]:
     """Coefficient of each matrix cell in the information term.
 
     Built by aggregating the multiplier-weighted constraint rows, then
-    asserted against the closed forms: mu[k][0] = 1 - f_0/F_k and
+    checked against the closed forms: mu[k][0] = 1 - f_0/F_k and
     mu[k][i] = -f_i/F_k for i >= 1.  Cells with k < i never appear and
     are reported as zero.
     """
-    n = inst.n
-    mult = multipliers(inst)
+    x, F = _integer_grid(inst)
+    return _grid_mu(x, F, multipliers(inst))
 
-    def lu(i):
-        return mult.local_up[i] if 0 <= i <= n - 2 else ZERO
 
+def _grid_mu(x, F, mult: Multipliers) -> tuple[tuple[Fraction, ...], ...]:
+    """mu on an increasing grid x with cdf F from its multipliers; raises
+    AssertionError when a coefficient differs from its closed form."""
+    n = len(x)
+    lu = mult.local_up + (ZERO,)
+    down_sum = [sum(row, ZERO) for row in mult.down]
     mu = [[ZERO] * n for _ in range(n)]
     for k in range(n):
         for i in range(k + 1):
-            val = (k - i) * lu(i)
+            val = (x[k] - x[i]) * (lu[i] + down_sum[i])
             if i >= 1:
-                val -= (k - i + 1) * lu(i - 1)
-                val += sum(((k - i) * mult.down[i][j] for j in range(i)), ZERO)
+                val -= (x[k] - x[i - 1]) * lu[i - 1]
             for jp in range(i + 1, k + 1):
-                val -= (k - jp) * mult.down[jp][i]
+                val -= (x[k] - x[jp]) * mult.down[jp][i]
             mu[k][i] = val
+    f = _grid_pmf(F)
     for k in range(n):
-        assert mu[k][0] == 1 - inst.f[0] / inst.cdf(k)
-        for i in range(1, k + 1):
-            assert mu[k][i] == -inst.f[i] / inst.cdf(k)
+        closed = [1 - f[0] / F[k]] + [-f[i] / F[k] for i in range(1, k + 1)]
+        if mu[k][: k + 1] != closed:
+            raise AssertionError(f"mu row {k} differs from its closed form")
     return tuple(tuple(row) for row in mu)
 
 
@@ -197,7 +200,7 @@ def equalize_position(inst: Instance, mech: DirectMechanism, k: int) -> DirectMe
     if mech.n != inst.n:
         raise DimensionMismatch("mechanism size must match the instance")
     inst._check_index(k)
-    avg = sum((mech.a[k][j] * inst.f[j] for j in range(k + 1)), ZERO) / inst.cdf(k)
+    avg = _row_averages(inst, mech)[k]
     rows = [list(row) for row in mech.a]
     rows[k] = [avg if i <= k else ZERO for i in range(inst.n)]
     return DirectMechanism(a=tuple(tuple(r) for r in rows))

@@ -112,6 +112,24 @@ def test_optimal_lottery_with_objective(files, capsys):
     assert code == 0 and json.loads(out)["value"] == "17/24"
 
 
+@pytest.mark.parametrize(
+    "obj",
+    [
+        {"kind": "linear", "weights": ["1", "1"]},
+        {"kind": "concave", "weights": ["1", "1"], "rho": "1/2"},
+    ],
+)
+def test_optimal_lottery_rejects_short_weights(files, capsys, obj):
+    code, out, err = run(
+        capsys,
+        "optimal-lottery",
+        files("j.json", FIG4),
+        "--objective",
+        files("o.json", obj),
+    )
+    assert code == 2 and out == "" and err.startswith("error:")
+
+
 def test_solve_lp_json_and_csv(files, capsys):
     inst = files("i.json", UNIFORM4)
     code, out, _ = run(capsys, "solve-lp", inst)

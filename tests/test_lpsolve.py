@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 from lotbench import (
+    DimensionMismatch,
     Fill,
     Linear,
     LinearProgram,
@@ -33,6 +34,13 @@ def test_single_constraint_max():
     assert sol.objective == 3
     assert sol.primal["x"] == 3
     assert sol.duals["cap"] == 1
+
+
+def test_wrong_length_row_rejected():
+    with pytest.raises(DimensionMismatch):
+        LinearProgram(
+            "max", [F(1), F(1)], [[F(1)]], ["<="], [F(3)], ["x", "y"], ["cap"]
+        )
 
 
 def test_mixed_relations_and_duals():

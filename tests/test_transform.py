@@ -1,10 +1,16 @@
 import json
+import os
 import random
+import subprocess
+import sys
+import textwrap
 from fractions import Fraction
 from importlib import resources
+from pathlib import Path
 
 import pytest
 
+import lotbench
 from lotbench import (
     BadIndices,
     CommonLottery,
@@ -135,6 +141,39 @@ def test_mu_closed_forms_randomized():
     rng = random.Random(13)
     for _ in range(60):
         mu_coefficients(random_instance(rng, n_min=2, n_max=8))
+
+
+def test_mu_closed_form_check_survives_optimize_flag():
+    # a wrong multiplier must still be caught when -O strips asserts
+    script = textwrap.dedent(
+        """
+        from fractions import Fraction
+        from lotbench import transform, uniform_instance
+
+        exact = transform.multipliers
+
+        def bent(inst):
+            m = exact(inst)
+            up = (m.local_up[0] + Fraction(1, 7),) + m.local_up[1:]
+            return transform.Multipliers(local_up=up, down=m.down)
+
+        transform.multipliers = bent
+        try:
+            transform.mu_coefficients(uniform_instance(4))
+        except AssertionError:
+            print("caught")
+        """
+    )
+    src = str(Path(lotbench.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p
+    )}
+    out = subprocess.run(
+        [sys.executable, "-O", "-c", script],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "caught"
 
 
 def test_vertex_collapse_preserves_masses():
