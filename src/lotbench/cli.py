@@ -44,23 +44,30 @@ from .transform import to_common_lottery, verify_decomposition
 OK, NEGATIVE, MALFORMED = 0, 1, 2
 
 
-def _load_json(path: str) -> dict:
+def _load_json(path: str):
     with open(path, "r", encoding="utf-8") as fh:
         return json.load(fh)
 
 
+def _load_object(path: str) -> dict:
+    data = _load_json(path)
+    if not isinstance(data, dict):
+        raise ValueError(f"{path}: expected a JSON object")
+    return data
+
+
 def _load_instance(path: str) -> Instance:
-    return Instance.from_json_dict(_load_json(path))
+    return Instance.from_json_dict(_load_object(path))
 
 
 def _load_mechanism(path: str) -> DirectMechanism:
-    return DirectMechanism.from_json_dict(_load_json(path))
+    return DirectMechanism.from_json_dict(_load_object(path))
 
 
 def _load_objective(path: str | None):
     if path is None:
         return Fill()
-    data = _load_json(path)
+    data = _load_object(path)
     kind = data.get("kind")
     if kind == "fill":
         return Fill()

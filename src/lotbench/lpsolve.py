@@ -95,9 +95,9 @@ class _Tableau:
     """Dense simplex tableau over Fractions with Bland pivoting."""
 
     def __init__(self, a_cols, b, m):
-        # a_cols: list of columns (each list of m Fractions)
+        # a_cols: list of columns (each list of m Fractions), pivoted in place
         self.m = m
-        self.cols = [list(col) for col in a_cols]
+        self.cols = a_cols
         self.b = list(b)
         self.basis = [-1] * m
 
@@ -137,11 +137,7 @@ class _Tableau:
         """Minimize costs over allowed entering columns; returns status."""
         while True:
             red = self.reduced_costs(costs)
-            enter = -1
-            for j in allowed:
-                if red[j] < 0:
-                    enter = j
-                    break
+            enter = next((j for j in allowed if red[j] < 0), -1)
             if enter < 0:
                 return "optimal"
             col = self.cols[enter]
@@ -160,109 +156,81 @@ class _Tableau:
             self.pivot(leave, enter)
 
 
-def _solve_square(mat, rhs):
-    """Gaussian elimination over Fractions; mat is a list of rows."""
-    n = len(rhs)
-    aug = [list(mat[r]) + [rhs[r]] for r in range(n)]
-    for col in range(n):
-        piv = next((r for r in range(col, n) if aug[r][col] != 0), None)
-        if piv is None:
-            raise ZeroDivisionError("singular basis matrix")
-        aug[col], aug[piv] = aug[piv], aug[col]
-        inv = ONE / aug[col][col]
-        aug[col] = [v * inv for v in aug[col]]
-        for r in range(n):
-            if r != col and aug[r][col] != 0:
-                factor = aug[r][col]
-                aug[r] = [v - factor * p for v, p in zip(aug[r], aug[col])]
-    return [aug[r][n] for r in range(n)]
-
-
 def simplex_solve(lp: LinearProgram) -> LpSolution:
     """Exact optimum of a general LP; status encodes infeasible/unbounded."""
     nv = len(lp.var_names)
     minimize = lp.sense == "min"
 
     # Normalize variables to x' >= 0: shift finite lower bounds, split free
-    # variables, and turn upper bounds into extra <= rows.
-    col_map = []  # per original var: ("shift", col, lo) or ("split", cp, cm)
-    cols_c = []
-    shift_const = ZERO
-    rows = [list(r) for r in lp.rows]
+    # variables, and turn upper bounds into extra <= rows.  Variable j is
+    # column plus[j] (minus column minus[j] when free) shifted by shift[j];
+    # var_of_col maps each normalized column back to its variable.
+    plus, minus, shift, var_of_col = [], [], [], []
+    costs = []
+    rows = list(lp.rows)
     rhs = list(lp.rhs)
     rels = list(lp.rels)
-    con_names = list(lp.con_names)
     n_user_rows = len(rows)
 
-    ncols = 0
     for j in range(nv):
         cj = lp.c[j] if minimize else -lp.c[j]
         lo, up = lp.lower[j], lp.upper[j]
+        plus.append(len(costs))
+        var_of_col.append(j)
+        costs.append(cj)
         if lo is None:
-            col_map.append(("split", ncols, ncols + 1))
-            cols_c.extend([cj, -cj])
-            ncols += 2
-        else:
-            if lo != 0:
-                for r in range(n_user_rows):
-                    rhs[r] -= rows[r][j] * lo
-                shift_const += cj * lo
-            col_map.append(("shift", ncols, lo))
-            cols_c.append(cj)
-            ncols += 1
-            if up is not None:
-                rows.append([ONE if jj == j else ZERO for jj in range(nv)])
-                rels.append(LE)
-                rhs.append(up - lo)
-                con_names.append(f"_ub[{lp.var_names[j]}]")
+            minus.append(len(costs))
+            var_of_col.append(j)
+            costs.append(-cj)
+            shift.append(ZERO)
+            continue
+        minus.append(None)
+        shift.append(lo)
+        if lo != 0:
+            for r in range(n_user_rows):
+                rhs[r] -= rows[r][j] * lo
+        if up is not None:
+            rows.append([ONE if jj == j else ZERO for jj in range(nv)])
+            rels.append(LE)
+            rhs.append(up - lo)
 
     m = len(rows)
+    ncols = len(costs)
     # Expand user rows into normalized columns.
     a_cols = [[ZERO] * m for _ in range(ncols)]
     for r, row in enumerate(rows):
-        for j in range(nv):
-            v = row[j]
+        for j, v in enumerate(row):
             if v == 0:
                 continue
-            kind = col_map[j]
-            if kind[0] == "shift":
-                a_cols[kind[1]][r] += v
-            else:
-                a_cols[kind[1]][r] += v
-                a_cols[kind[2]][r] -= v
-    costs = list(cols_c)
+            a_cols[plus[j]][r] += v
+            if minus[j] is not None:
+                a_cols[minus[j]][r] -= v
 
     # Slack/surplus columns.
     slack_of_row = [-1] * m
     for r in range(m):
-        if rels[r] == LE:
+        if rels[r] in (LE, GE):
             col = [ZERO] * m
-            col[r] = ONE
-        elif rels[r] == GE:
-            col = [ZERO] * m
-            col[r] = -ONE
-        else:
-            continue
-        slack_of_row[r] = len(a_cols)
-        a_cols.append(col)
-        costs.append(ZERO)
+            col[r] = ONE if rels[r] == LE else -ONE
+            slack_of_row[r] = len(a_cols)
+            a_cols.append(col)
+            costs.append(ZERO)
 
     # Make rhs nonnegative.
     negated = [False] * m
-    b = list(rhs)
     for r in range(m):
-        if b[r] < 0:
+        if rhs[r] < 0:
             negated[r] = True
-            b[r] = -b[r]
+            rhs[r] = -rhs[r]
             for col in a_cols:
                 col[r] = -col[r]
 
     n_real = len(a_cols)
-    tab = _Tableau(a_cols, b, m)
+    tab = _Tableau(a_cols, rhs, m)
 
-    # Initial basis: positive slacks where possible, artificials elsewhere.
-    artificials = []
-    art_row = {}  # artificial column index -> its defining row
+    # Initial basis: positive slacks where possible, artificials (the columns
+    # from n_real on) elsewhere.  Either way row r starts on the unit column
+    # e_r, recorded in unit[r].
     for r in range(m):
         sc = slack_of_row[r]
         if sc >= 0 and tab.cols[sc][r] == ONE:
@@ -271,25 +239,21 @@ def simplex_solve(lp: LinearProgram) -> LpSolution:
             col = [ZERO] * m
             col[r] = ONE
             tab.basis[r] = len(tab.cols)
-            artificials.append(len(tab.cols))
-            art_row[len(tab.cols)] = r
             tab.cols.append(col)
             costs.append(ZERO)
+    unit = list(tab.basis)
 
-    art_set = set(artificials)
-    if artificials:
-        phase1 = [ZERO] * n_real + [ONE] * len(artificials)
+    if len(tab.cols) > n_real:
+        phase1 = [ZERO] * n_real + [ONE] * (len(tab.cols) - n_real)
         status = tab.run(phase1, allowed=range(len(tab.cols)))
         if status != "optimal":  # phase 1 is always bounded below by 0
             raise AssertionError(f"phase 1 ended {status!r}")
-        infeas = sum(
-            (tab.b[r] for r in range(m) if tab.basis[r] in art_set), ZERO
-        )
+        infeas = sum((tab.b[r] for r in range(m) if tab.basis[r] >= n_real), ZERO)
         if infeas != 0:
             return LpSolution("infeasible", None, {}, {}, ())
         # Pivot artificials out of the basis where a real column allows it.
         for r in range(m):
-            if tab.basis[r] in art_set:
+            if tab.basis[r] >= n_real:
                 enter = next(
                     (j for j in range(n_real) if tab.cols[j][r] != 0), None
                 )
@@ -306,54 +270,25 @@ def simplex_solve(lp: LinearProgram) -> LpSolution:
         xnorm[tab.basis[r]] = tab.b[r]
     primal = {}
     for j, name in enumerate(lp.var_names):
-        kind = col_map[j]
-        if kind[0] == "shift":
-            primal[name] = xnorm[kind[1]] + kind[2]
-        else:
-            primal[name] = xnorm[kind[1]] - xnorm[kind[2]]
+        value = xnorm[plus[j]] + shift[j]
+        if minus[j] is not None:
+            value -= xnorm[minus[j]]
+        primal[name] = value
+    objective = sum((cj * primal[name] for cj, name in zip(lp.c, lp.var_names)), ZERO)
 
-    value_int = shift_const + sum(
-        (costs[jj] * xnorm[jj] for jj in range(n_real) if costs[jj] != 0), ZERO
-    )
-    objective = value_int if minimize else -value_int
-
-    # Duals from the final basis: solve B^T y = c_B exactly.  A leftover
-    # basic artificial (degenerate redundant row) contributes a unit column.
-    basis_cols = []
-    for r in range(m):
-        j = tab.basis[r]
-        if j < len(a_cols):
-            basis_cols.append(a_cols[j])
-        else:
-            col = [ZERO] * m
-            col[art_row[j]] = ONE
-            basis_cols.append(col)
-    # B's column r is basis_cols[r], so row r of B^T is basis_cols[r] itself.
-    btt = [list(bc) for bc in basis_cols]
-    cb = [costs[tab.basis[r]] for r in range(m)]
-    y = _solve_square(btt, cb)
+    # Duals y = c_B B^-1 straight from the final tableau: unit[r] started as
+    # e_r and costs 0, so its reduced cost is -y_r.
+    red = tab.reduced_costs(costs)
     sense_sign = ONE if minimize else -ONE
-    duals = {}
-    for r in range(n_user_rows):
-        sign = -ONE if negated[r] else ONE
-        duals[lp.con_names[r]] = sense_sign * sign * y[r]
+    duals = {
+        lp.con_names[r]: sense_sign * (ONE if negated[r] else -ONE) * red[unit[r]]
+        for r in range(n_user_rows)
+    }
 
     basis_names = tuple(
-        lp.var_names[_norm_to_var(col_map, tab.basis[r])]
-        if _norm_to_var(col_map, tab.basis[r]) is not None
-        else f"_col{tab.basis[r]}"
-        for r in range(m)
+        lp.var_names[var_of_col[j]] if j < ncols else f"_col{j}" for j in tab.basis
     )
     return LpSolution("optimal", objective, primal, duals, basis_names)
-
-
-def _norm_to_var(col_map, norm_col):
-    for j, kind in enumerate(col_map):
-        if kind[0] == "shift" and kind[1] == norm_col:
-            return j
-        if kind[0] == "split" and norm_col in (kind[1], kind[2]):
-            return j
-    return None
 
 
 # --- designer problem builders ----------------------------------------------
@@ -369,60 +304,60 @@ def _linear_weights(inst: Instance, obj: Objective):
     raise UnsupportedObjective("the designer LP requires a linear objective")
 
 
-def _cells(n: int):
-    return [(k, i) for k in range(n) for i in range(k + 1)]
+def _mechanism_rows(inst: Instance, pos_scale: Fraction):
+    """The constraint family both programs share, over the cells k >= i
+    (ex-post IR is imposed structurally: only those cells are variables).
 
-
-def _ic_row(inst: Instance, cells, index_of, i, j):
-    """Row for the (i, j) truth-telling constraint in cell variables."""
-    row = [ZERO] * len(cells)
-    for k in range(i, inst.n):
-        gain = inst.x(k) - inst.theta(i)
-        if k >= i:
-            row[index_of[(k, i)]] += gain
-        if k >= j:
-            row[index_of[(k, j)]] -= gain
-    return row
-
-
-def build_designer_lp(inst: Instance, obj: Objective) -> LinearProgram:
-    """The full direct-mechanism program with ex-post IR imposed structurally:
-    only cells with k >= i are variables."""
-    weights = _linear_weights(inst, obj)
+    Returns the cells and the named rows in order: IC[i,j] (truth-telling,
+    read as >= 0), POS[k] (cell (k, i) weighted by pos_scale * f_i), then
+    AGE[i] (type i's total offer probability).
+    """
     n = inst.n
-    cells = _cells(n)
+    cells = [(k, i) for k in range(n) for i in range(k + 1)]
     index_of = {cell: t for t, cell in enumerate(cells)}
-    var_names = [f"a[{k}][{i}]" for k, i in cells]
-
-    c = [weights[k] * inst.d * inst.f[i] for k, i in cells]
-    rows, rels, rhs, names = [], [], [], []
+    rows, names = [], []
     for i in range(n):
         for j in range(n):
             if i == j:
                 continue
-            rows.append(_ic_row(inst, cells, index_of, i, j))
-            rels.append(GE)
-            rhs.append(ZERO)
+            row = [ZERO] * len(cells)
+            for k in range(i, n):
+                gain = inst.x(k) - inst.theta(i)
+                row[index_of[(k, i)]] += gain
+                if k >= j:
+                    row[index_of[(k, j)]] -= gain
+            rows.append(row)
             names.append(f"IC[{i},{j}]")
     for k in range(n):
         row = [ZERO] * len(cells)
         for i in range(k + 1):
-            row[index_of[(k, i)]] = inst.d * inst.f[i]
+            row[index_of[(k, i)]] = pos_scale * inst.f[i]
         rows.append(row)
-        rels.append(LE)
-        rhs.append(inst.g[k])
         names.append(f"POS[{k}]")
     for i in range(n):
         row = [ZERO] * len(cells)
         for k in range(i, n):
             row[index_of[(k, i)]] = ONE
         rows.append(row)
-        rels.append(LE)
-        rhs.append(ONE)
         names.append(f"AGE[{i}]")
+    return cells, rows, names
+
+
+def build_designer_lp(inst: Instance, obj: Objective) -> LinearProgram:
+    """The full direct-mechanism program: IC >= 0, POS[k] <= g_k with cell
+    weights D * f_i, AGE[i] <= 1."""
+    weights = _linear_weights(inst, obj)
+    n = inst.n
+    cells, rows, names = _mechanism_rows(inst, inst.d)
+    n_ic = n * (n - 1)
     return LinearProgram(
-        sense="max", c=c, rows=rows, rels=rels, rhs=rhs,
-        var_names=var_names, con_names=names,
+        sense="max",
+        c=[weights[k] * inst.d * inst.f[i] for k, i in cells],
+        rows=rows,
+        rels=[GE] * n_ic + [LE] * (2 * n),
+        rhs=[ZERO] * n_ic + list(inst.g) + [ONE] * n,
+        var_names=[f"a[{k}][{i}]" for k, i in cells],
+        con_names=names,
     )
 
 
@@ -431,49 +366,33 @@ def build_min_mass_lp(inst: Instance, targets: PositionMasses) -> LinearProgram:
 
     The program is linearized with y[k][i] = D * a(x_k; theta_i), which is
     valid because the IC system is positively homogeneous: scaling a whole
-    mechanism by a constant scales both sides of every IC constraint.
+    mechanism by a constant scales both sides of every IC constraint.  The
+    mass D is the last variable: IC >= 0, POS[k] >= s_k, AGE[i] - D <= 0.
     """
+    n = inst.n
+    if len(targets.s) != n:
+        raise DimensionMismatch(f"need {n} target masses, got {len(targets.s)}")
     if any(sk < 0 for sk in targets.s):
         raise ValueError("targets must be nonnegative")
-    n = inst.n
-    cells = _cells(n)
-    index_of = {cell: t for t, cell in enumerate(cells)}
-    var_names = [f"y[{k}][{i}]" for k, i in cells] + ["D"]
-    nv = len(var_names)
-    d_col = nv - 1
-
-    c = [ZERO] * nv
-    c[d_col] = ONE
-    rows, rels, rhs, names = [], [], [], []
-    for i in range(n):
-        for j in range(n):
-            if i == j:
-                continue
-            row = _ic_row(inst, cells, index_of, i, j) + [ZERO]
-            rows.append(row)
-            rels.append(GE)
-            rhs.append(ZERO)
-            names.append(f"IC[{i},{j}]")
-    for k in range(n):
-        row = [ZERO] * nv
-        for i in range(k + 1):
-            row[index_of[(k, i)]] = inst.f[i]
-        rows.append(row)
-        rels.append(GE)
-        rhs.append(targets.s[k])
-        names.append(f"POS[{k}]")
-    for i in range(n):
-        row = [ZERO] * nv
-        for k in range(i, n):
-            row[index_of[(k, i)]] = ONE
-        row[d_col] = -ONE
-        rows.append(row)
-        rels.append(LE)
-        rhs.append(ZERO)
-        names.append(f"AGE[{i}]")
+    cells, rows, names = _mechanism_rows(inst, ONE)
+    n_ic = n * (n - 1)
+    d_col = [ZERO] * (n_ic + n) + [-ONE] * n
     return LinearProgram(
-        sense="min", c=c, rows=rows, rels=rels, rhs=rhs,
-        var_names=var_names, con_names=names,
+        sense="min",
+        c=[ZERO] * len(cells) + [ONE],
+        rows=[row + [v] for row, v in zip(rows, d_col)],
+        rels=[GE] * (n_ic + n) + [LE] * n,
+        rhs=[ZERO] * n_ic + list(targets.s) + [ZERO] * n,
+        var_names=[f"y[{k}][{i}]" for k, i in cells] + ["D"],
+        con_names=names,
+    )
+
+
+def _cell_matrix(sol: LpSolution, var: str, n: int, scale: Fraction):
+    """The N x N matrix scale * var[k][i] read from the solution's cells."""
+    return tuple(
+        tuple(sol.primal.get(f"{var}[{k}][{i}]", ZERO) * scale for i in range(n))
+        for k in range(n)
     )
 
 
@@ -483,12 +402,7 @@ def solve_designer(inst: Instance, obj: Objective):
     sol = simplex_solve(lp)
     if sol.status != "optimal":
         raise NotOptimal(f"designer LP ended with status {sol.status}")
-    n = inst.n
-    rows = tuple(
-        tuple(sol.primal.get(f"a[{k}][{i}]", ZERO) for i in range(n))
-        for k in range(n)
-    )
-    return DirectMechanism(a=rows), sol.objective
+    return DirectMechanism(a=_cell_matrix(sol, "a", inst.n, ONE)), sol.objective
 
 
 @dataclass(frozen=True)
@@ -515,14 +429,8 @@ def solve_min_mass(inst: Instance, targets: PositionMasses) -> MinMassSolution:
     if sol.status != "optimal":
         return MinMassSolution(sol.status, None, None, None, sol)
     d_star = sol.objective
-    n = inst.n
-    if d_star == 0:
-        rows = tuple((ZERO,) * n for _ in range(n))
-    else:
-        rows = tuple(
-            tuple(sol.primal.get(f"y[{k}][{i}]", ZERO) / d_star for i in range(n))
-            for k in range(n)
-        )
+    # a = y / D; at D = 0 every y is 0 and so is the mechanism.
+    rows = _cell_matrix(sol, "y", inst.n, ZERO if d_star == 0 else ONE / d_star)
     raw = dual_certificate(inst, sol)
     mult = {
         "POS": {k: d_star * v for k, v in raw["POS"].items()},

@@ -194,10 +194,11 @@ def kkt_check(
     """Stationarity certificate for the concave budget problem.
 
     Finds a budget multiplier such that every position satisfies its
-    marginal condition within tol: interior positions have marginal value
-    exactly the multiplier-weighted price, zero positions at most it, and
-    capacity-capped positions at least it.  Raises InfeasibleMasses when
-    the input is not even feasible for the budget set.
+    marginal condition within tol: interior positions (0 < s_k < g_k - tol,
+    however small s_k is) have marginal value exactly the multiplier-weighted
+    price, zero positions (s_k <= 0) at most it, and capacity-capped
+    positions at least it.  Raises InfeasibleMasses when the input is not
+    even feasible for the budget set.
     """
     n = inst.n
     s = [float(v) for v in masses.s]
@@ -216,7 +217,7 @@ def kkt_check(
             return math.inf
         return float(obj.weights[k]) * float(obj.rho) * s[k] ** (float(obj.rho) - 1)
 
-    interior = [k for k in range(n) if tol < s[k] < g[k] - tol]
+    interior = [k for k in range(n) if 0 < s[k] < g[k] - tol]
     if slack > tol:
         lam = 0.0
     elif interior:
@@ -237,7 +238,7 @@ def kkt_check(
             resid = price_val - marginal(k)
             if resid > tol:
                 violations.append((k, "capped", resid))
-        elif s[k] <= tol:
+        elif s[k] <= 0:
             # with positive weight and rho < 1 the marginal blows up at 0,
             # so a zero position with spare capacity is never stationary
             violations.append((k, "zero", math.inf))

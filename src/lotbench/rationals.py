@@ -23,7 +23,10 @@ def parse_rational(value) -> Fraction:
     if isinstance(value, int):
         return Fraction(value)
     if isinstance(value, str):
-        return Fraction(value.strip())
+        try:
+            return Fraction(value.strip())
+        except ZeroDivisionError:
+            raise ValueError(f"zero denominator: {value!r}") from None
     raise ValueError(f"not a rational: {value!r}")
 
 
@@ -36,6 +39,8 @@ def format_rational(value: Fraction) -> str:
 
 
 def parse_rational_vector(values) -> tuple[Fraction, ...]:
+    if not isinstance(values, (list, tuple)):
+        raise ValueError(f"not a list of rationals: {values!r}")
     return tuple(parse_rational(v) for v in values)
 
 

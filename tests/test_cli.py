@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import lotbench
 from lotbench.cli import main
 
 
@@ -257,3 +262,42 @@ def test_reproduce_targets(capsys):
     assert values["-1/10"] == ("2/3", "19/27")
     assert values["0"] == ("2/3", "2/3")
     assert values["1/10"] == ("2/3", "3/5")
+
+
+def test_min_mass_rejects_wrong_length_targets(files, capsys):
+    code, out, err = run(
+        capsys,
+        "min-mass",
+        files("j.json", FIG4),
+        "--targets",
+        files("t.json", ["1/6", "1/6"]),
+    )
+    assert code == 2 and out == "" and err.startswith("error:")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("validate", {"n": 3, "f": ["1/3", "1/3", "1/0"], "g": ["1/3"] * 3, "D": "1"}),
+        ("validate", ["1/3", "1/3", "1/3"]),
+        ("convexity", ["1/3", "1/3", "1/3"]),
+        ("validate", {"n": 3, "f": 5, "g": ["1/3"] * 3, "D": "1"}),
+        ("optimal-lottery", FIG4, "--objective", ["1", "1", "1"]),
+    ],
+    ids=["zero-denominator", "validate-list", "convexity-list", "scalar-pmf", "objective-list"],
+)
+def test_malformed_json_exits_2_without_traceback(files, argv):
+    command, instance, *rest = argv
+    args = [command, files("i.json", instance)]
+    if rest:
+        args += [rest[0], files("o.json", rest[1])]
+    src = str(Path(lotbench.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p
+    )}
+    out = subprocess.run(
+        [sys.executable, "-m", "lotbench.cli", *args],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert out.returncode == 2 and out.stdout == ""
+    assert out.stderr.startswith("error:") and "Traceback" not in out.stderr

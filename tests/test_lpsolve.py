@@ -1,4 +1,5 @@
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -187,3 +188,51 @@ def test_lp_text_dump():
     lp = build_designer_lp(uniform_instance(3), Fill())
     text = lp.to_text()
     assert "POS[0]" in text and "IC[0,1]" in text and "max" in text
+
+
+def _random_lp(rng):
+    """Small general LP: free, shifted and bounded variables, any relation,
+    right-hand sides of either sign."""
+    nv, m = rng.randint(1, 3), rng.randint(1, 4)
+    lower, upper = [], []
+    for _ in range(nv):
+        lo = rng.choice([None, F(0), F(rng.randint(-3, 3))])
+        up = lo + rng.randint(0, 4) if lo is not None and rng.random() < 0.4 else None
+        lower.append(lo)
+        upper.append(up)
+    return LinearProgram(
+        rng.choice(["min", "max"]),
+        [F(rng.randint(-3, 3)) for _ in range(nv)],
+        [[F(rng.randint(-3, 3)) for _ in range(nv)] for _ in range(m)],
+        [rng.choice(["<=", "=", ">="]) for _ in range(m)],
+        [F(rng.randint(-4, 4)) for _ in range(m)],
+        [f"x{j}" for j in range(nv)],
+        [f"r{r}" for r in range(m)],
+        lower=lower,
+        upper=upper,
+    )
+
+
+def test_duals_are_shadow_prices():
+    """Where the optimum is differentiable in a row's right-hand side, the
+    reported dual is that derivative exactly."""
+    rng = random.Random(2024)
+    eps = F(1, 10**6)
+    checked = 0
+    for _ in range(500):
+        lp = _random_lp(rng)
+        base = simplex_solve(lp)
+        if base.status != "optimal":
+            continue
+        for r, name in enumerate(lp.con_names):
+            sides = []
+            for step in (eps, -eps):
+                rhs = list(lp.rhs)
+                rhs[r] += step
+                moved = simplex_solve(replace(lp, rhs=rhs))
+                if moved.status == "optimal":
+                    sides.append((moved.objective - base.objective) / step)
+            if len(sides) == 2 and sides[0] == sides[1]:
+                assert base.duals[name] == sides[0], (lp, name)
+                checked += 1
+    assert checked >= 200

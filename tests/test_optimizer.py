@@ -162,3 +162,17 @@ def test_kkt_flags_perturbed_solution():
 def test_optimal_masses_rejects_unknown_objective():
     with pytest.raises(TypeError):
         optimal_masses(U4, object())
+
+
+def test_kkt_accepts_tiny_positive_optimal_mass():
+    # the water-filling optimum puts s_0 ~ 4.6e-11 on position 0, below the
+    # tolerance but positive: it is interior, not a "zero" position
+    f = [1, 4, 5, 9, 5, 8, 5, 2, 4, 7, 2, 8, 6, 3, 8, 5, 2, 6, 8, 9]
+    g = [3, 8, 1, 4, 3, 1, 7, 0, 0, 4, 3, 1, 6, 4, 7, 1, 8, 4, 2, 5]
+    weights = [1, 4, 2, 5, 7, 3, 4, 2, 1, 7, 6, 6, 2, 2, 4, 6, 4, 7, 7, 3]
+    inst = new_instance(20, [F(v, 107) for v in f], [F(v, 72) for v in g], 1)
+    obj = SeparableConcave(weights=tuple(F(w) for w in weights), rho=F(3, 4))
+    sol = optimal_masses(inst, obj)
+    assert 0 < sol.masses.s[0] < 1e-10
+    report = kkt_check(inst, obj, sol.masses)
+    assert report.ok, report.violations
