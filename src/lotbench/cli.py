@@ -104,15 +104,7 @@ def _cmd_check(args) -> int:
     inst = _load_instance(args.instance)
     mech = _load_mechanism(args.mechanism)
     report = feasibility_report(inst, mech)
-    violated = [f"IC[{i},{j}]" for i, j in report.ic_violations()]
-    violated += [
-        f"POS[{k}]" for k, ps in enumerate(report.position_slack) if ps < 0
-    ]
-    violated += [
-        f"AGE[{i}]" for i, asl in enumerate(report.agent_slack) if asl < 0
-    ]
-    if not report.ex_post_ir_ok:
-        violated.append("acceptance-support")
+    violated = report.violations()
     doc = {
         "feasible": report.is_feasible,
         "violated": violated,

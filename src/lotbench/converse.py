@@ -111,27 +111,10 @@ def perturb(
     result = DirectMechanism(a=tuple(tuple(r) for r in rows))
     report = feasibility_report(inst, result)
     if not report.is_feasible:
-        _describe_infeasibility(report)
+        raise PreconditionViolation(
+            "perturbed mechanism violates " + ", ".join(report.violations())
+        )
     return result
-
-
-def _describe_infeasibility(report):
-    n = len(report.participation)
-    for k in range(n):
-        for i in range(n):
-            if report.ic_slack[k][i] < 0:
-                raise PreconditionViolation(
-                    f"truth-telling ({k} vs {i}) fails by {-report.ic_slack[k][i]}"
-                )
-    for k, ps in enumerate(report.position_slack):
-        if ps < 0:
-            raise PreconditionViolation(f"position {k} overfilled by {-ps}")
-    for i, asl in enumerate(report.agent_slack):
-        if asl < 0:
-            raise PreconditionViolation(
-                f"type {i} offer probability exceeds 1 by {-asl}"
-            )
-    raise PreconditionViolation("a cell left [0, 1] or ex-post acceptance failed")
 
 
 @dataclass(frozen=True)

@@ -83,7 +83,9 @@ class Instance:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "Instance":
-        n = int(data["n"])
+        n = data["n"]
+        if not isinstance(n, int) or isinstance(n, bool):
+            raise ValueError(f"n must be an integer, got {n!r}")
         return cls(
             n=n,
             f=parse_rational_vector(data["f"]),

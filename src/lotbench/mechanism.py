@@ -18,6 +18,7 @@ from .instance import Instance
 from .rationals import format_rational_matrix, parse_rational_vector
 
 Rat = Fraction
+ZERO = Fraction(0)
 
 
 @dataclass(frozen=True)
@@ -50,6 +51,8 @@ class DirectMechanism:
 
     @classmethod
     def from_rows(cls, rows) -> "DirectMechanism":
+        if not isinstance(rows, (list, tuple)):
+            raise ValueError(f"mechanism rows must be a list, got {rows!r}")
         return cls(a=tuple(parse_rational_vector(row) for row in rows))
 
     @classmethod
@@ -145,6 +148,19 @@ def _check_dims(inst: Instance, mech: DirectMechanism):
         raise DimensionMismatch(f"mechanism is {mech.n}x{mech.n}, instance has N={inst.n}")
 
 
+def _scaled_ic(a, i: int, j: int) -> Rat:
+    """(N-1) times the truth-telling slack of type i against report j:
+    sum_{k>=i} (k-i) * (a[k][i] - a[k][j]), with the integer gaps of the
+    scaled grid.  Indices are not checked."""
+    return sum(((k - i) * (a[k][i] - a[k][j]) for k in range(i + 1, len(a))), ZERO)
+
+
+def _row_mass(a, f, k: int) -> Rat:
+    """sum_{i<=k} a[k][i] f_i: row k's offers weighted by the types that
+    accept them (offers below the outside option are never counted)."""
+    return sum((a[k][i] * f[i] for i in range(k + 1)), ZERO)
+
+
 def ic_slack(inst: Instance, mech: DirectMechanism, i: int, j: int) -> Rat:
     """LHS - RHS of the truth-telling constraint for type i against report j.
 
@@ -154,23 +170,14 @@ def ic_slack(inst: Instance, mech: DirectMechanism, i: int, j: int) -> Rat:
     _check_dims(inst, mech)
     inst._check_index(i)
     inst._check_index(j)
-    own = Fraction(0)
-    mimic = Fraction(0)
-    for k in range(i, inst.n):
-        gain = inst.x(k) - inst.theta(i)
-        own += gain * mech.a[k][i]
-        mimic += gain * mech.a[k][j]
-    return own - mimic
+    return _scaled_ic(mech.a, i, j) / (inst.n - 1)
 
 
 def position_masses(inst: Instance, mech: DirectMechanism) -> PositionMasses:
-    """s_k = D * sum_{i<=k} a[k][i] f_i (offers below the outside option
-    are rejected and never counted)."""
+    """s_k = D * sum_{i<=k} a[k][i] f_i."""
     _check_dims(inst, mech)
-    s = []
-    for k in range(inst.n):
-        s.append(inst.d * sum((mech.a[k][i] * inst.f[i] for i in range(k + 1)), Fraction(0)))
-    return PositionMasses(s=tuple(s))
+    s = tuple(inst.d * _row_mass(mech.a, inst.f, k) for k in range(inst.n))
+    return PositionMasses(s=s)
 
 
 def mon_profile(inst: Instance, mech: DirectMechanism):
@@ -192,13 +199,12 @@ def redundant_ic_pairs(n: int) -> frozenset[tuple[int, int]]:
 class FeasibilityReport:
     ic_slack: tuple[tuple[Rat, ...], ...]
     participation: tuple[Rat, ...]
-    mon_ok: bool
     position_slack: tuple[Rat, ...]
     agent_slack: tuple[Rat, ...]
     ex_post_ir_ok: bool
+    negative_cells: tuple[tuple[int, int], ...]
     is_feasible: bool
     binding_ics: frozenset[tuple[int, int]]
-    redundant_ics: frozenset[tuple[int, int]]
 
     def ic_violations(self) -> list[tuple[int, int]]:
         n = len(self.participation)
@@ -209,25 +215,36 @@ class FeasibilityReport:
             if i != j and self.ic_slack[i][j] < 0
         ]
 
+    def violations(self) -> list[str]:
+        """Names of the violated constraints: IC[i,j], POS[k], AGE[i],
+        acceptance-support, then NONNEG[k,i] for each negative cell."""
+        names = [f"IC[{i},{j}]" for i, j in self.ic_violations()]
+        names += [f"POS[{k}]" for k, ps in enumerate(self.position_slack) if ps < 0]
+        names += [f"AGE[{i}]" for i, asl in enumerate(self.agent_slack) if asl < 0]
+        if not self.ex_post_ir_ok:
+            names.append("acceptance-support")
+        names += [f"NONNEG[{k},{i}]" for k, i in self.negative_cells]
+        return names
+
 
 def feasibility_report(inst: Instance, mech: DirectMechanism) -> FeasibilityReport:
     """Evaluate every constraint of the direct-mechanism program exactly."""
     _check_dims(inst, mech)
     n = inst.n
-    slack = [[Fraction(0)] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(n):
-            if i != j:
-                slack[i][j] = ic_slack(inst, mech, i, j)
-    participation, mon_ok = mon_profile(inst, mech)
+    a = mech.a
+    slack = tuple(
+        tuple(_scaled_ic(a, i, j) / (n - 1) if i != j else ZERO for j in range(n))
+        for i in range(n)
+    )
+    participation = tuple(mech.participation(i) for i in range(n))
     s = position_masses(inst, mech)
     position_slack = tuple(gk - sk for gk, sk in zip(inst.g, s.s))
     agent_slack = tuple(1 - p for p in participation)
     ex_post_ir_ok = mech.is_lower_triangular()
-    nonneg = all(mech.a[k][i] >= 0 for k in range(n) for i in range(n))
+    negative = tuple((k, i) for k in range(n) for i in range(n) if a[k][i] < 0)
     ics_ok = all(slack[i][j] >= 0 for i in range(n) for j in range(n) if i != j)
     is_feasible = (
-        nonneg
+        not negative
         and ics_ok
         and all(ps >= 0 for ps in position_slack)
         and all(asl >= 0 for asl in agent_slack)
@@ -237,15 +254,14 @@ def feasibility_report(inst: Instance, mech: DirectMechanism) -> FeasibilityRepo
         (i, j) for i in range(n) for j in range(n) if i != j and slack[i][j] == 0
     )
     return FeasibilityReport(
-        ic_slack=tuple(tuple(row) for row in slack),
+        ic_slack=slack,
         participation=participation,
-        mon_ok=mon_ok,
         position_slack=position_slack,
         agent_slack=agent_slack,
         ex_post_ir_ok=ex_post_ir_ok,
+        negative_cells=negative,
         is_feasible=is_feasible,
         binding_ics=binding,
-        redundant_ics=redundant_ic_pairs(n),
     )
 
 
@@ -255,19 +271,11 @@ def classify_binding(inst: Instance, mech: DirectMechanism):
     if not report.is_feasible:
         raise InfeasibleInput("classify_binding requires a feasible mechanism")
     n = inst.n
-    redundant = report.redundant_ics
-    binding, slack = set(), set()
-    for i in range(n):
-        for j in range(n):
-            if i == j or (i, j) in redundant:
-                continue
-            if report.ic_slack[i][j] == 0:
-                binding.add((i, j))
-            else:
-                slack.add((i, j))
+    redundant = redundant_ic_pairs(n)
+    pairs = frozenset((i, j) for i in range(n) for j in range(n) if i != j)
     return {
-        "binding": frozenset(binding),
-        "slack": frozenset(slack),
+        "binding": report.binding_ics - redundant,
+        "slack": pairs - report.binding_ics - redundant,
         "redundant": redundant,
     }
 

@@ -17,18 +17,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import (
-    BadIndices,
-    DimensionMismatch,
-    InfeasibleInput,
-    InsufficientMass,
-)
+from .errors import BadIndices, InfeasibleInput, InsufficientMass
 from .instance import Instance, _grid_convexity, _integer_grid
 from .mechanism import (
     CommonLottery,
     DirectMechanism,
+    _check_dims,
+    _row_mass,
+    _scaled_ic,
     feasibility_report,
-    ic_slack,
 )
 from .rationals import format_rational
 
@@ -78,11 +75,6 @@ def _grid_multipliers(x, F) -> Multipliers:
     return Multipliers(local_up=local_up, down=tuple(down))
 
 
-def scaled_ic(inst: Instance, mech: DirectMechanism, i: int, j: int) -> Fraction:
-    """Truth-telling slack with integer gap weights (k - i)."""
-    return (inst.n - 1) * ic_slack(inst, mech, i, j)
-
-
 def to_common_lottery(inst: Instance, mech: DirectMechanism):
     """Average each row over acceptable types; returns (lottery, overflow).
 
@@ -100,11 +92,7 @@ def to_common_lottery(inst: Instance, mech: DirectMechanism):
 
 
 def _row_averages(inst: Instance, mech: DirectMechanism) -> tuple[Fraction, ...]:
-    n = inst.n
-    return tuple(
-        sum((mech.a[k][j] * inst.f[j] for j in range(k + 1)), ZERO) / inst.cdf(k)
-        for k in range(n)
-    )
+    return tuple(_row_mass(mech.a, inst.f, k) / inst.cdf(k) for k in range(inst.n))
 
 
 @dataclass(frozen=True)
@@ -131,19 +119,18 @@ class DecompositionReport:
 
 
 def verify_decomposition(inst: Instance, mech: DirectMechanism) -> DecompositionReport:
-    if mech.n != inst.n:
-        raise DimensionMismatch("mechanism size must match the instance")
+    _check_dims(inst, mech)
     n = inst.n
     mult = multipliers(inst)
     common = sum(_row_averages(inst, mech), ZERO)
     info = ZERO
     for i in range(n - 1):
-        info += mult.local_up[i] * scaled_ic(inst, mech, i, i + 1)
+        info += mult.local_up[i] * _scaled_ic(mech.a, i, i + 1)
     for i in range(1, n):
         for j in range(i):
             lam = mult.down[i][j]
             if lam != 0:
-                info += lam * scaled_ic(inst, mech, i, j)
+                info += lam * _scaled_ic(mech.a, i, j)
     p0 = mech.participation(0)
     return DecompositionReport(
         common_term=common,
@@ -197,10 +184,9 @@ def equalize_position(inst: Instance, mech: DirectMechanism, k: int) -> DirectMe
     Position masses are unchanged; the row becomes constant on its
     acceptable types and zero elsewhere.
     """
-    if mech.n != inst.n:
-        raise DimensionMismatch("mechanism size must match the instance")
+    _check_dims(inst, mech)
     inst._check_index(k)
-    avg = _row_averages(inst, mech)[k]
+    avg = _row_mass(mech.a, inst.f, k) / inst.cdf(k)
     rows = [list(row) for row in mech.a]
     rows[k] = [avg if i <= k else ZERO for i in range(inst.n)]
     return DirectMechanism(a=tuple(tuple(r) for r in rows))
@@ -215,8 +201,7 @@ def allocation_upgrade(
     mass: Fraction,
 ) -> DirectMechanism:
     """Move offer probability of type i from a worse position to a better one."""
-    if mech.n != inst.n:
-        raise DimensionMismatch("mechanism size must match the instance")
+    _check_dims(inst, mech)
     if not 0 <= i <= from_k < to_k < inst.n:
         raise BadIndices(
             f"need i <= from_k < to_k within the grid, got i={i}, "
@@ -251,7 +236,7 @@ def maximal_upgrade(inst: Instance, mech: DirectMechanism) -> DirectMechanism:
     rows = [list(row) for row in mech.a]
 
     def mass_at(k):
-        return inst.d * sum((rows[k][i] * inst.f[i] for i in range(k + 1)), ZERO)
+        return inst.d * _row_mass(rows, inst.f, k)
 
     kt = n - 1
     while kt >= 0:

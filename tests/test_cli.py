@@ -39,6 +39,10 @@ BAD = {
     ]
 }
 
+UNIFORM2 = {"n": 2, "f": ["1/2"] * 2, "g": ["1/2"] * 2, "D": "1"}
+# every constraint holds except the sign of cell (0, 0)
+NEGATIVE_CELL = {"a": [["-1/2", "0"], ["1/2", "1/2"]]}
+
 
 def run(capsys, *argv):
     code = main(list(argv))
@@ -72,15 +76,23 @@ def test_check_feasible(files, capsys):
     assert json.loads(out)["feasible"] is True
 
 
-def test_check_infeasible(files, capsys):
+@pytest.mark.parametrize(
+    "mech, inst, name",
+    [
+        (BAD, UNIFORM4, "IC[2,0]"),
+        (NEGATIVE_CELL, UNIFORM2, "NONNEG[0,0]"),
+    ],
+    ids=["ic", "negative-cell"],
+)
+def test_check_infeasible(files, capsys, mech, inst, name):
     code, out, err = run(
-        capsys, "check", files("m.json", BAD), "--instance", files("i.json", UNIFORM4)
+        capsys, "check", files("m.json", mech), "--instance", files("i.json", inst)
     )
     assert code == 1
     doc = json.loads(out)
     assert doc["feasible"] is False
-    assert "IC[2,0]" in doc["violated"]
-    assert "IC[2,0]" in err
+    assert name in doc["violated"]
+    assert name in err
 
 
 def test_convexity_codes(files, capsys):
@@ -283,8 +295,14 @@ def test_min_mass_rejects_wrong_length_targets(files, capsys):
         ("convexity", ["1/3", "1/3", "1/3"]),
         ("validate", {"n": 3, "f": 5, "g": ["1/3"] * 3, "D": "1"}),
         ("optimal-lottery", FIG4, "--objective", ["1", "1", "1"]),
+        ("validate", {**FIG4, "n": [3]}),
+        ("validate", {**FIG4, "n": 3.7}),
+        ("check", {"a": 5}, "--instance", FIG4),
     ],
-    ids=["zero-denominator", "validate-list", "convexity-list", "scalar-pmf", "objective-list"],
+    ids=[
+        "zero-denominator", "validate-list", "convexity-list", "scalar-pmf",
+        "objective-list", "list-n", "float-n", "scalar-rows",
+    ],
 )
 def test_malformed_json_exits_2_without_traceback(files, argv):
     command, instance, *rest = argv

@@ -73,7 +73,7 @@ def test_perturb_precondition_messages():
     empty = CommonLottery.from_values(["0", "1/2", "1/4"])
     with pytest.raises(PreconditionViolation, match="offer position 0"):
         perturb(FIG4_D32, empty, 1, 0, F(1, 6), F(0), 0)
-    with pytest.raises(PreconditionViolation):
+    with pytest.raises(PreconditionViolation, match=r"NONNEG\[2,0\]"):
         # spread too large: a cell leaves [0, 1]
         perturb(FIG4_D32, base, 1, 0, F(2), F(0), 0)
 

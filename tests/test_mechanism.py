@@ -1,4 +1,5 @@
 import json
+import random
 from fractions import Fraction
 from importlib import resources
 
@@ -25,6 +26,8 @@ from lotbench import (
     new_instance,
     uniform_instance,
 )
+
+from util import random_instance
 
 
 def load_fixture(name):
@@ -58,6 +61,32 @@ def test_position_masses_ceei():
 
 def test_ic_slack_violation_value():
     assert ic_slack(U4, BAD, 2, 0) == Fraction(-1, 15)
+
+
+def _reference_ic_slack(inst, a, i, j):
+    """The definition: sum_{k>=i} (x_k - theta_i) (a[k][i] - a[k][j])."""
+    x = [Fraction(k, inst.n - 1) for k in range(inst.n)]
+    return sum(
+        ((x[k] - x[i]) * (a[k][i] - a[k][j]) for k in range(i, inst.n)), Fraction(0)
+    )
+
+
+def test_ic_slack_matrix_matches_definition():
+    rng = random.Random(20260418)
+    for _ in range(240):
+        inst = random_instance(rng, 2, 8)
+        n = inst.n
+        # raw cells in [-1, 1] everywhere, above the diagonal included
+        a = tuple(
+            tuple(Fraction(rng.randint(-12, 12), 12) for _ in range(n)) for _ in range(n)
+        )
+        mech = DirectMechanism(a=a)
+        report = feasibility_report(inst, mech)
+        for i in range(n):
+            for j in range(n):
+                want = _reference_ic_slack(inst, a, i, j)
+                assert report.ic_slack[i][j] == want
+                assert ic_slack(inst, mech, i, j) == want
 
 
 def test_feasibility_menu_and_ceei():
