@@ -6,28 +6,7 @@ improving perturbations when the convexity condition fails, and
 simulates capped random priority markets.
 """
 
-from .errors import (
-    BadIndices,
-    BadMass,
-    BadQuota,
-    CapsInfeasible,
-    ConvexityHypothesisFailed,
-    DimensionMismatch,
-    GridTooSmall,
-    IndexOutOfRange,
-    InfeasibleInput,
-    InfeasibleMasses,
-    InsufficientMass,
-    LotbenchError,
-    LotteryOverflow,
-    NegativeCapacity,
-    NonPositiveTypeMass,
-    NotOptimal,
-    PmfNotNormalized,
-    PreconditionViolation,
-    UnknownGamma,
-    UnsupportedObjective,
-)
+from .errors import ConvexityHypothesisFailed, LotbenchError, PreconditionViolation
 from .instance import (
     ConvexityReport,
     Instance,

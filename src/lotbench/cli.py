@@ -16,7 +16,6 @@ from importlib import resources
 
 from .converse import auto_improve
 from .crp import caps_from_lottery, continuum_crp, simulate_finite
-from .errors import LotbenchError
 from .instance import Instance, convexity_report
 from .lpsolve import solve_designer, solve_min_mass
 from .mechanism import (
@@ -424,7 +423,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (LotbenchError, ValueError, KeyError, OSError, json.JSONDecodeError) as exc:
+    except (ValueError, KeyError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return MALFORMED
 

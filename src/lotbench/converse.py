@@ -12,10 +12,11 @@ strictly raises the filled mass.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import IndexOutOfRange, PreconditionViolation
+from .errors import LotbenchError, PreconditionViolation
 from .instance import Instance, convexity_report
 from .mechanism import (
     CommonLottery,
@@ -47,7 +48,7 @@ def find_violation(inst: Instance):
 def second_difference(inst: Instance, k: int) -> Fraction:
     """1/F_{k-1} - 2/F_k + 1/F_{k+1} at an interior index k."""
     if not 1 <= k <= inst.n - 2:
-        raise IndexOutOfRange(f"index {k} is not interior for N={inst.n}")
+        raise LotbenchError(f"index {k} is not interior for N={inst.n}")
     return convexity_report(inst).second_differences[k - 1]
 
 
@@ -163,16 +164,25 @@ def auto_improve(inst: Instance, obj: Objective = Fill(), search_d: bool = True)
 
 
 def _d_grid(inst: Instance, points: int = 32):
-    """Geometric grid of agent masses spanning scarce to abundant."""
-    lo = float(inst.g[inst.n - 1] / inst.cdf(inst.n - 1))
-    hi = float(sum(gk / inst.cdf(kk) for kk, gk in enumerate(inst.g)))
+    """Geometric grid of agent masses spanning scarce to abundant; points
+    beyond the float range are skipped."""
+    lo = _float_or_inf(inst.g[inst.n - 1] / inst.cdf(inst.n - 1))
+    hi = _float_or_inf(sum(gk / inst.cdf(kk) for kk, gk in enumerate(inst.g)))
     if lo <= 0:
         lo = hi / 1024 if hi > 0 else 1.0
     out = []
     for t in range(points):
         v = lo * (hi / lo) ** (t / (points - 1)) if hi > lo else lo
-        out.append(Fraction(v).limit_denominator(10**6))
+        if math.isfinite(v):
+            out.append(Fraction(v).limit_denominator(10**6))
     return [v for v in out if v > 0]
+
+
+def _float_or_inf(value: Fraction) -> float:
+    try:
+        return float(value)
+    except OverflowError:
+        return math.inf
 
 
 def _improve_at(inst: Instance, obj: Objective, k: int):

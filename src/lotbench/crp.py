@@ -16,7 +16,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import BadQuota, CapsInfeasible
+from .errors import LotbenchError
 from .instance import Instance
 from .mechanism import CommonLottery, DirectMechanism, PositionMasses, expand_common_lottery
 from .optimizer import masses_from_lottery
@@ -41,6 +41,19 @@ class CrpResult:
     caps: PositionMasses
 
 
+def _check_caps(inst: Instance, caps: PositionMasses):
+    """One cap per position, each within 0 <= s_k <= g_k."""
+    if len(caps.s) != inst.n:
+        raise LotbenchError("caps length must equal N")
+    for k, sk in enumerate(caps.s):
+        if sk < 0:
+            raise LotbenchError(f"cap at position {k} is negative")
+        if sk > inst.g[k]:
+            raise LotbenchError(
+                f"cap {sk} at position {k} exceeds capacity {inst.g[k]}"
+            )
+
+
 def continuum_crp(inst: Instance, caps: PositionMasses) -> CrpResult:
     """Exact limit allocation of capped random priority.
 
@@ -50,15 +63,7 @@ def continuum_crp(inst: Instance, caps: PositionMasses) -> CrpResult:
     position and the scan stops.  An exact tie counts as the position
     being exhausted.
     """
-    if len(caps.s) != inst.n:
-        raise CapsInfeasible("caps length must equal N")
-    for k, sk in enumerate(caps.s):
-        if sk < 0:
-            raise CapsInfeasible(f"cap at position {k} is negative")
-        if sk > inst.g[k]:
-            raise CapsInfeasible(
-                f"cap {sk} at position {k} exceeds capacity {inst.g[k]}"
-            )
+    _check_caps(inst, caps)
     n = inst.n
     rows = [[ZERO] * n for _ in range(n)]
     thresholds = []
@@ -129,11 +134,10 @@ def simulate_finite(
     agent takes the best open position at or above its outside option.
     """
     if n_agents < 1:
-        raise BadQuota(f"need at least one agent, got {n_agents}")
+        raise LotbenchError(f"need at least one agent, got {n_agents}")
     if replications < 1:
-        raise BadQuota(f"need at least one replication, got {replications}")
-    if any(sk < 0 for sk in caps.s):
-        raise BadQuota("caps must be nonnegative")
+        raise LotbenchError(f"need at least one replication, got {replications}")
+    _check_caps(inst, caps)
     n = inst.n
     quotas = tuple(int(n_agents * sk / inst.d) for sk in caps.s)
     cdf = np.array([float(inst.cdf(i)) for i in range(n)])

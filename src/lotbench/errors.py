@@ -1,94 +1,17 @@
-"""Exception hierarchy shared by all lotbench modules."""
+"""The errors lotbench raises for malformed input.
+
+Every input error is a `LotbenchError`, which is a `ValueError`: the input
+is malformed and the CLI exits 2.  The two subclasses exist because callers
+tell them apart.
+"""
 
 
-class LotbenchError(Exception):
-    """Base class for all lotbench errors."""
+class LotbenchError(ValueError):
+    """Malformed input; the message names the failed check."""
 
-
-# --- instance validation ---
-
-class GridTooSmall(LotbenchError):
-    pass
-
-
-class NonPositiveTypeMass(LotbenchError):
-    pass
-
-
-class PmfNotNormalized(LotbenchError):
-    pass
-
-
-class NegativeCapacity(LotbenchError):
-    pass
-
-
-class BadMass(LotbenchError):
-    pass
-
-
-class IndexOutOfRange(LotbenchError):
-    pass
-
-
-# --- mechanisms and transforms ---
-
-class DimensionMismatch(LotbenchError):
-    pass
-
-
-class LotteryOverflow(LotbenchError):
-    pass
-
-
-class InfeasibleInput(LotbenchError):
-    pass
-
-
-class InsufficientMass(LotbenchError):
-    pass
-
-
-class BadIndices(LotbenchError):
-    pass
-
-
-# --- LP layer ---
-
-class UnsupportedObjective(LotbenchError):
-    pass
-
-
-class NotOptimal(LotbenchError):
-    pass
-
-
-# --- converse ---
 
 class PreconditionViolation(LotbenchError):
     """Raised with a message naming the specific failed inequality."""
-
-
-# --- CRP ---
-
-class CapsInfeasible(LotbenchError):
-    pass
-
-
-class BadQuota(LotbenchError):
-    pass
-
-
-# --- optimizer / KKT ---
-
-class InfeasibleMasses(LotbenchError):
-    pass
-
-
-# --- ordinal extension ---
-
-class UnknownGamma(LotbenchError):
-    pass
 
 
 class ConvexityHypothesisFailed(LotbenchError):

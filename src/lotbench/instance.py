@@ -11,14 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .errors import (
-    BadMass,
-    GridTooSmall,
-    IndexOutOfRange,
-    NegativeCapacity,
-    NonPositiveTypeMass,
-    PmfNotNormalized,
-)
+from .errors import LotbenchError
 from .rationals import format_rational, parse_rational, parse_rational_vector
 
 
@@ -40,20 +33,22 @@ class Instance:
     _cdf: tuple[Fraction, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        if not isinstance(self.n, int) or isinstance(self.n, bool):
+            raise LotbenchError(f"n must be an integer, got {self.n!r}")
         if self.n < 2:
-            raise GridTooSmall(f"need N >= 2, got {self.n}")
+            raise LotbenchError(f"need N >= 2, got {self.n}")
         if len(self.f) != self.n or len(self.g) != self.n:
-            raise PmfNotNormalized(
+            raise LotbenchError(
                 f"f and g must have length {self.n}, got {len(self.f)} and {len(self.g)}"
             )
         if any(fi <= 0 for fi in self.f):
-            raise NonPositiveTypeMass("type pmf must have full support")
+            raise LotbenchError("type pmf must have full support")
         if any(gk < 0 for gk in self.g):
-            raise NegativeCapacity("position capacities must be >= 0")
+            raise LotbenchError("position capacities must be >= 0")
         if sum(self.f) != 1 or sum(self.g) != 1:
-            raise PmfNotNormalized("f and g must each sum to 1")
+            raise LotbenchError("f and g must each sum to 1")
         if self.d <= 0:
-            raise BadMass(f"agent mass must be positive, got {self.d}")
+            raise LotbenchError(f"agent mass must be positive, got {self.d}")
         acc = Fraction(0)
         cdf = []
         for fi in self.f:
@@ -77,17 +72,14 @@ class Instance:
 
     def _check_index(self, i: int):
         if not 0 <= i < self.n:
-            raise IndexOutOfRange(f"index {i} out of range for N={self.n}")
+            raise LotbenchError(f"index {i} out of range for N={self.n}")
 
     # -- serialization ------------------------------------------------
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "Instance":
-        n = data["n"]
-        if not isinstance(n, int) or isinstance(n, bool):
-            raise ValueError(f"n must be an integer, got {n!r}")
         return cls(
-            n=n,
+            n=data["n"],
             f=parse_rational_vector(data["f"]),
             g=parse_rational_vector(data["g"]),
             d=parse_rational(data["D"]),
@@ -105,7 +97,7 @@ class Instance:
 def new_instance(n, f, g, d) -> Instance:
     """Validated constructor accepting any rational-like entries."""
     return Instance(
-        n=int(n),
+        n=n,
         f=parse_rational_vector(f),
         g=parse_rational_vector(g),
         d=parse_rational(d),

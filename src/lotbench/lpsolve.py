@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .errors import DimensionMismatch, NotOptimal, UnsupportedObjective
+from .errors import LotbenchError
 from .instance import Instance
 from .mechanism import (
     DirectMechanism,
@@ -54,16 +54,16 @@ class LinearProgram:
         if not self.upper:
             self.upper = [None] * nv
         if len(self.c) != nv:
-            raise DimensionMismatch(f"objective has {len(self.c)} entries, need {nv}")
+            raise LotbenchError(f"objective has {len(self.c)} entries, need {nv}")
         if not len(self.rows) == len(self.rels) == len(self.rhs) == len(self.con_names):
-            raise DimensionMismatch(
+            raise LotbenchError(
                 "rows, relations, right-hand sides and names must align"
             )
         if any(len(row) != nv for row in self.rows):
-            raise DimensionMismatch(f"every constraint row needs {nv} entries")
+            raise LotbenchError(f"every constraint row needs {nv} entries")
         for lo, up in zip(self.lower, self.upper):
             if lo is not None and up is not None and lo > up:
-                raise ValueError("variable lower bound exceeds upper bound")
+                raise LotbenchError("variable lower bound exceeds upper bound")
 
     def to_text(self) -> str:
         """Free-form MPS-like dump for debugging (not bit-standardized)."""
@@ -299,9 +299,9 @@ def _linear_weights(inst: Instance, obj: Objective):
         return [ONE] * inst.n
     if isinstance(obj, Linear):
         if len(obj.weights) != inst.n:
-            raise UnsupportedObjective("weight vector length must equal N")
+            raise LotbenchError("weight vector length must equal N")
         return list(obj.weights)
-    raise UnsupportedObjective("the designer LP requires a linear objective")
+    raise LotbenchError("the designer LP requires a linear objective")
 
 
 def _mechanism_rows(inst: Instance, pos_scale: Fraction):
@@ -371,9 +371,9 @@ def build_min_mass_lp(inst: Instance, targets: PositionMasses) -> LinearProgram:
     """
     n = inst.n
     if len(targets.s) != n:
-        raise DimensionMismatch(f"need {n} target masses, got {len(targets.s)}")
+        raise LotbenchError(f"need {n} target masses, got {len(targets.s)}")
     if any(sk < 0 for sk in targets.s):
-        raise ValueError("targets must be nonnegative")
+        raise LotbenchError("targets must be nonnegative")
     cells, rows, names = _mechanism_rows(inst, ONE)
     n_ic = n * (n - 1)
     d_col = [ZERO] * (n_ic + n) + [-ONE] * n
@@ -401,7 +401,7 @@ def solve_designer(inst: Instance, obj: Objective):
     lp = build_designer_lp(inst, obj)
     sol = simplex_solve(lp)
     if sol.status != "optimal":
-        raise NotOptimal(f"designer LP ended with status {sol.status}")
+        raise LotbenchError(f"designer LP ended with status {sol.status}")
     return DirectMechanism(a=_cell_matrix(sol, "a", inst.n, ONE)), sol.objective
 
 
@@ -443,7 +443,7 @@ def solve_min_mass(inst: Instance, targets: PositionMasses) -> MinMassSolution:
 def dual_certificate(inst: Instance, solution: LpSolution) -> dict:
     """Multiplier report keyed by constraint family for an optimal solution."""
     if solution.status != "optimal":
-        raise NotOptimal(f"cannot certify a solution with status {solution.status}")
+        raise LotbenchError(f"cannot certify a solution with status {solution.status}")
     report = {"POS": {}, "AGE": {}, "IC": {}, "other": {}}
     for name, value in solution.duals.items():
         if name.startswith("POS["):

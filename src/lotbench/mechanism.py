@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Union
 
-from .errors import DimensionMismatch, InfeasibleInput, LotteryOverflow
+from .errors import LotbenchError
 from .instance import Instance
 from .rationals import format_rational_matrix, parse_rational_vector
 
@@ -30,7 +30,7 @@ class DirectMechanism:
     def __post_init__(self):
         n = len(self.a)
         if any(len(row) != n for row in self.a):
-            raise DimensionMismatch("mechanism matrix must be square")
+            raise LotbenchError("mechanism matrix must be square")
 
     @property
     def n(self) -> int:
@@ -52,7 +52,7 @@ class DirectMechanism:
     @classmethod
     def from_rows(cls, rows) -> "DirectMechanism":
         if not isinstance(rows, (list, tuple)):
-            raise ValueError(f"mechanism rows must be a list, got {rows!r}")
+            raise LotbenchError(f"mechanism rows must be a list, got {rows!r}")
         return cls(a=tuple(parse_rational_vector(row) for row in rows))
 
     @classmethod
@@ -115,9 +115,9 @@ class SeparableConcave:
 
     def __post_init__(self):
         if not 0 < self.rho < 1:
-            raise ValueError("exponent must lie strictly in (0, 1)")
+            raise LotbenchError("exponent must lie strictly in (0, 1)")
         if any(w <= 0 for w in self.weights):
-            raise ValueError("concave objective weights must be positive")
+            raise LotbenchError("concave objective weights must be positive")
 
 
 Objective = Union[Fill, Linear, SeparableConcave]
@@ -129,11 +129,11 @@ def evaluate_objective(obj: Objective, masses: PositionMasses):
         return masses.total()
     if isinstance(obj, Linear):
         if len(obj.weights) != len(masses.s):
-            raise DimensionMismatch("weight vector length mismatch")
+            raise LotbenchError("weight vector length mismatch")
         return sum((w * s for w, s in zip(obj.weights, masses.s)), Fraction(0))
     if isinstance(obj, SeparableConcave):
         if len(obj.weights) != len(masses.s):
-            raise DimensionMismatch("weight vector length mismatch")
+            raise LotbenchError("weight vector length mismatch")
         return sum(
             float(w) * float(s) ** float(obj.rho) for w, s in zip(obj.weights, masses.s)
         )
@@ -145,7 +145,7 @@ def evaluate_objective(obj: Objective, masses: PositionMasses):
 
 def _check_dims(inst: Instance, mech: DirectMechanism):
     if mech.n != inst.n:
-        raise DimensionMismatch(f"mechanism is {mech.n}x{mech.n}, instance has N={inst.n}")
+        raise LotbenchError(f"mechanism is {mech.n}x{mech.n}, instance has N={inst.n}")
 
 
 def _scaled_ic(a, i: int, j: int) -> Rat:
@@ -269,7 +269,7 @@ def classify_binding(inst: Instance, mech: DirectMechanism):
     """Partition all ordered IC pairs into binding / slack / redundant."""
     report = feasibility_report(inst, mech)
     if not report.is_feasible:
-        raise InfeasibleInput("classify_binding requires a feasible mechanism")
+        raise LotbenchError("classify_binding requires a feasible mechanism")
     n = inst.n
     redundant = redundant_ic_pairs(n)
     pairs = frozenset((i, j) for i in range(n) for j in range(n) if i != j)
@@ -280,15 +280,21 @@ def classify_binding(inst: Instance, mech: DirectMechanism):
     }
 
 
+def _check_lottery(cl: CommonLottery, n: int, what: str = "lottery"):
+    """A valid offer distribution over N positions: length N, total at
+    most 1, nonnegative entries."""
+    if len(cl.c) != n:
+        raise LotbenchError(f"{what} has length {len(cl.c)}, need {n}")
+    if cl.total() > 1:
+        raise LotbenchError(f"{what}: offer probabilities total {cl.total()} > 1")
+    if any(ck < 0 for ck in cl.c):
+        raise LotbenchError(f"{what}: offer probabilities must be nonnegative")
+
+
 def expand_common_lottery(inst: Instance, cl: CommonLottery) -> DirectMechanism:
     """Direct representation: each type sees the lottery truncated below its
     outside option.  The result is IC and ex-post IR by construction."""
-    if len(cl.c) != inst.n:
-        raise DimensionMismatch("lottery length must equal N")
-    if cl.total() > 1:
-        raise LotteryOverflow(f"offer probabilities total {cl.total()} > 1")
-    if any(ck < 0 for ck in cl.c):
-        raise LotteryOverflow("offer probabilities must be nonnegative")
+    _check_lottery(cl, inst.n)
     n = inst.n
     rows = tuple(
         tuple(cl.c[k] if i <= k else Fraction(0) for i in range(n)) for k in range(n)

@@ -17,7 +17,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import DimensionMismatch, InfeasibleMasses
+from .errors import LotbenchError
 from .instance import Instance, convexity_report
 from .mechanism import (
     CommonLottery,
@@ -88,7 +88,7 @@ def optimal_masses(inst: Instance, obj: Objective) -> BudgetSolution:
     case a non-common mechanism may do strictly better.
     """
     if isinstance(obj, (Linear, SeparableConcave)) and len(obj.weights) != inst.n:
-        raise DimensionMismatch(
+        raise LotbenchError(
             f"objective has {len(obj.weights)} weights, instance has N={inst.n}"
         )
     warning = not convexity_report(inst).is_convex
@@ -125,19 +125,42 @@ def _greedy(inst: Instance, order):
     return s
 
 
+def _floats(values, what: str) -> list[float]:
+    """The float images of exact values for the float solvers; raises
+    LotbenchError when a value lies outside the float range (too large,
+    or positive but rounding to 0.0)."""
+    try:
+        out = [float(v) for v in values]
+    except OverflowError:
+        out = None
+    if out is None or any(v > 0 and x == 0.0 for v, x in zip(values, out)):
+        raise LotbenchError(f"{what} lies outside the float range")
+    return out
+
+
+def _float_exponent(obj: SeparableConcave) -> float:
+    rho = float(obj.rho)
+    if not 0.0 < rho < 1.0:
+        raise LotbenchError(f"exponent {obj.rho} lies outside the float range")
+    return rho
+
+
 def _water_fill(inst: Instance, obj: SeparableConcave):
     """Bisection on the budget multiplier for sum_k alpha_k s_k**rho."""
     n = inst.n
-    alpha = [float(w) for w in obj.weights]
-    rho = float(obj.rho)
-    cdf = [float(inst.cdf(k)) for k in range(n)]
-    g = [float(gk) for gk in inst.g]
-    d = float(inst.d)
+    alpha = _floats(obj.weights, "an objective weight")
+    rho = _float_exponent(obj)
+    cdf = _floats([inst.cdf(k) for k in range(n)], "a type cdf value")
+    g = _floats(inst.g, "a capacity")
+    d = _floats([inst.d], "the agent mass")[0]
 
     def masses_at(lam):
         out = []
         for k in range(n):
-            v = (alpha[k] * rho * cdf[k] / lam) ** (1 / (1 - rho))
+            try:
+                v = (alpha[k] * rho * cdf[k] / lam) ** (1 / (1 - rho))
+            except OverflowError:
+                v = math.inf  # beyond every capacity
             out.append(min(v, g[k]))
         return out
 
@@ -167,13 +190,13 @@ def optimal_masses_flexible(inst: Instance, obj: SeparableConcave) -> PositionMa
     scaled so the budget holds with equality; no bisection is needed.
     """
     n = inst.n
-    rho = float(obj.rho)
+    rho = _float_exponent(obj)
     power = 1 / (1 - rho)
-    base = [
-        (float(obj.weights[k]) * rho * float(inst.cdf(k))) ** power
-        for k in range(n)
-    ]
-    scale = float(inst.d) / sum(base[k] / float(inst.cdf(k)) for k in range(n))
+    alpha = _floats(obj.weights, "an objective weight")
+    cdf = _floats([inst.cdf(k) for k in range(n)], "a type cdf value")
+    d = _floats([inst.d], "the agent mass")[0]
+    base = [(alpha[k] * rho * cdf[k]) ** power for k in range(n)]
+    scale = d / sum(base[k] / cdf[k] for k in range(n))
     return PositionMasses(s=tuple(Fraction(scale * base[k]) for k in range(n)))
 
 
@@ -197,25 +220,29 @@ def kkt_check(
     marginal condition within tol: interior positions (0 < s_k < g_k - tol,
     however small s_k is) have marginal value exactly the multiplier-weighted
     price, zero positions (s_k <= 0) at most it, and capacity-capped
-    positions at least it.  Raises InfeasibleMasses when the input is not
-    even feasible for the budget set.
+    positions at least it.  Raises LotbenchError when the input is not
+    even feasible for the budget set or lies outside the float range.
     """
     n = inst.n
-    s = [float(v) for v in masses.s]
-    g = [float(v) for v in inst.g]
-    cdf = [float(inst.cdf(k)) for k in range(n)]
+    s = _floats(masses.s, "a position mass")
+    g = _floats(inst.g, "a capacity")
+    cdf = _floats([inst.cdf(k) for k in range(n)], "a type cdf value")
     spend = sum(s[k] / cdf[k] for k in range(n))
-    slack = float(inst.d) - spend
+    d = _floats([inst.d], "the agent mass")[0]
+    slack = d - spend
     if slack < -tol:
-        raise InfeasibleMasses(f"budget exceeded by {-slack}")
+        raise LotbenchError(f"budget exceeded by {-slack}")
     for k in range(n):
         if s[k] < -tol or s[k] > g[k] + tol:
-            raise InfeasibleMasses(f"mass at position {k} outside [0, g_{k}]")
+            raise LotbenchError(f"mass at position {k} outside [0, g_{k}]")
+
+    alpha = _floats(obj.weights, "an objective weight")
+    rho = _float_exponent(obj)
 
     def marginal(k):
         if s[k] <= 0:
             return math.inf
-        return float(obj.weights[k]) * float(obj.rho) * s[k] ** (float(obj.rho) - 1)
+        return alpha[k] * rho * s[k] ** (rho - 1)
 
     interior = [k for k in range(n) if 0 < s[k] < g[k] - tol]
     if slack > tol:

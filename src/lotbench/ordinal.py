@@ -14,17 +14,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .errors import (
-    BadMass,
-    ConvexityHypothesisFailed,
-    DimensionMismatch,
-    GridTooSmall,
-    NonPositiveTypeMass,
-    PmfNotNormalized,
-    UnknownGamma,
-)
+from .errors import ConvexityHypothesisFailed, LotbenchError
 from .instance import ConvexityReport, Instance, _grid_convexity
-from .mechanism import CommonLottery, Fill, Linear, PositionMasses
+from .mechanism import CommonLottery, Fill, Linear, PositionMasses, _check_lottery
 from .optimizer import lottery_from_masses, masses_from_lottery, optimal_masses
 from .rationals import (
     format_rational,
@@ -54,41 +46,36 @@ class OrdinalInstance:
     utility: tuple[tuple[Fraction, ...], ...]  # rows indexed like gamma_labels
     g: tuple[Fraction, ...]
     d: Fraction
+    # the baseline instance on the outside-option pmf; building it checks
+    # N >= 2, the outside-option and capacity pmfs and the agent mass
+    _baseline: Instance = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         n = len(self.qualities)
-        if n < 2:
-            raise GridTooSmall(f"need at least 2 qualities, got {n}")
+        baseline = Instance(n=n, f=self.outside_pmf, g=self.g, d=self.d)
         if any(self.qualities[k] >= self.qualities[k + 1] for k in range(n - 1)):
-            raise PmfNotNormalized("qualities must be strictly increasing")
+            raise LotbenchError("qualities must be strictly increasing")
         if len(self.gamma_labels) != len(self.gamma_pmf) or not self.gamma_labels:
-            raise DimensionMismatch("taste labels and pmf must align and be nonempty")
+            raise LotbenchError("taste labels and pmf must align and be nonempty")
         if len(set(self.gamma_labels)) != len(self.gamma_labels):
-            raise DimensionMismatch("taste labels must be distinct")
+            raise LotbenchError("taste labels must be distinct")
         if sum(self.gamma_pmf) != 1 or any(h < 0 for h in self.gamma_pmf):
-            raise PmfNotNormalized("taste pmf must be nonnegative and sum to 1")
-        if len(self.outside_pmf) != n or sum(self.outside_pmf) != 1:
-            raise PmfNotNormalized("outside-option pmf must have length N and sum to 1")
-        if any(h <= 0 for h in self.outside_pmf):
-            raise NonPositiveTypeMass("outside-option pmf must have full support")
+            raise LotbenchError("taste pmf must be nonnegative and sum to 1")
         if len(self.utility) != len(self.gamma_labels):
-            raise DimensionMismatch("one utility row per taste is required")
+            raise LotbenchError("one utility row per taste is required")
         for row in self.utility:
             if len(row) != n:
-                raise DimensionMismatch("utility rows must have length N")
+                raise LotbenchError("utility rows must have length N")
             if any(row[k] >= row[k + 1] for k in range(n - 1)):
-                raise PmfNotNormalized("utility rows must be strictly increasing")
-        if len(self.g) != n or sum(self.g) != 1 or any(gk < 0 for gk in self.g):
-            raise PmfNotNormalized("capacity pmf must be nonnegative and sum to 1")
-        if self.d <= 0:
-            raise BadMass(f"agent mass must be positive, got {self.d}")
+                raise LotbenchError("utility rows must be strictly increasing")
+        object.__setattr__(self, "_baseline", baseline)
 
     @property
     def n(self) -> int:
         return len(self.qualities)
 
     def cdf(self, k: int) -> Fraction:
-        return sum(self.outside_pmf[: k + 1], ZERO)
+        return self._baseline.cdf(k)
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "OrdinalInstance":
@@ -124,13 +111,13 @@ class UnevenGridView:
     def __post_init__(self):
         n = len(self.x)
         if len(self.F) != n:
-            raise DimensionMismatch("grid and cdf must have the same length")
+            raise LotbenchError("grid and cdf must have the same length")
         if any(self.x[k] >= self.x[k + 1] for k in range(n - 1)):
-            raise PmfNotNormalized("grid must be strictly increasing")
+            raise LotbenchError("grid must be strictly increasing")
         if self.F[-1] != 1 or any(
             self.F[k] >= self.F[k + 1] for k in range(n - 1)
         ) or self.F[0] <= 0:
-            raise PmfNotNormalized("cdf must be strictly increasing to 1")
+            raise LotbenchError("cdf must be strictly increasing to 1")
 
     @property
     def n(self) -> int:
@@ -143,12 +130,9 @@ class UnevenGridView:
 def normalize_gamma(oi: OrdinalInstance, gamma: str) -> UnevenGridView:
     """Utility-space view for one taste: grid u(q; gamma), cdf H(q)."""
     if gamma not in oi.gamma_labels:
-        raise UnknownGamma(f"unknown taste label {gamma!r}")
+        raise LotbenchError(f"unknown taste label {gamma!r}")
     row = oi.utility[oi.gamma_labels.index(gamma)]
-    return UnevenGridView(
-        x=tuple(row),
-        F=tuple(oi.cdf(k) for k in range(oi.n)),
-    )
+    return UnevenGridView(x=tuple(row), F=tuple(oi.cdf(k) for k in range(oi.n)))
 
 
 def even_grid_view(inst: Instance) -> UnevenGridView:
@@ -196,9 +180,8 @@ def optimal_common_lottery_ordinal(oi: OrdinalInstance, obj) -> CommonLottery:
     ]
     if failing:
         raise ConvexityHypothesisFailed(failing)
-    inst = Instance(n=oi.n, f=oi.outside_pmf, g=oi.g, d=oi.d)
-    solution = optimal_masses(inst, obj)
-    return lottery_from_masses(inst, solution.masses)
+    solution = optimal_masses(oi._baseline, obj)
+    return lottery_from_masses(oi._baseline, solution.masses)
 
 
 def aggregate_per_gamma(oi: OrdinalInstance, per_gamma: dict) -> CommonLottery:
@@ -211,16 +194,9 @@ def aggregate_per_gamma(oi: OrdinalInstance, per_gamma: dict) -> CommonLottery:
     c = [ZERO] * oi.n
     for label, weight in zip(oi.gamma_labels, oi.gamma_pmf):
         if label not in per_gamma:
-            raise UnknownGamma(f"missing lottery for taste {label!r}")
+            raise LotbenchError(f"missing lottery for taste {label!r}")
         lot = per_gamma[label]
-        if len(lot.c) != oi.n:
-            raise DimensionMismatch(
-                f"lottery for taste {label!r} has length {len(lot.c)}, need {oi.n}"
-            )
-        if lot.total() > 1 or any(ck < 0 for ck in lot.c):
-            raise DimensionMismatch(
-                f"lottery for taste {label!r} is not a valid offer distribution"
-            )
+        _check_lottery(lot, oi.n, f"lottery for taste {label!r}")
         for k in range(oi.n):
             c[k] += weight * lot.c[k]
     return CommonLottery(c=tuple(c))
@@ -228,4 +204,4 @@ def aggregate_per_gamma(oi: OrdinalInstance, per_gamma: dict) -> CommonLottery:
 
 def masses_over_qualities(oi: OrdinalInstance, cl: CommonLottery) -> PositionMasses:
     """Position masses a lottery induces given the shared cdf."""
-    return masses_from_lottery(Instance(n=oi.n, f=oi.outside_pmf, g=oi.g, d=oi.d), cl)
+    return masses_from_lottery(oi._baseline, cl)

@@ -9,6 +9,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 
+from .errors import LotbenchError
+
 
 def parse_rational(value) -> Fraction:
     """Parse a JSON-level value ("p/q" string, int, or Fraction) exactly.
@@ -19,15 +21,17 @@ def parse_rational(value) -> Fraction:
     if isinstance(value, Fraction):
         return value
     if isinstance(value, bool):
-        raise ValueError(f"not a rational: {value!r}")
+        raise LotbenchError(f"not a rational: {value!r}")
     if isinstance(value, int):
         return Fraction(value)
     if isinstance(value, str):
         try:
             return Fraction(value.strip())
         except ZeroDivisionError:
-            raise ValueError(f"zero denominator: {value!r}") from None
-    raise ValueError(f"not a rational: {value!r}")
+            raise LotbenchError(f"zero denominator: {value!r}") from None
+        except ValueError as exc:
+            raise LotbenchError(str(exc)) from None
+    raise LotbenchError(f"not a rational: {value!r}")
 
 
 def format_rational(value: Fraction) -> str:
@@ -40,7 +44,7 @@ def format_rational(value: Fraction) -> str:
 
 def parse_rational_vector(values) -> tuple[Fraction, ...]:
     if not isinstance(values, (list, tuple)):
-        raise ValueError(f"not a list of rationals: {values!r}")
+        raise LotbenchError(f"not a list of rationals: {values!r}")
     return tuple(parse_rational(v) for v in values)
 
 

@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import BadIndices, InfeasibleInput, InsufficientMass
+from .errors import LotbenchError
 from .instance import Instance, _grid_convexity, _integer_grid
 from .mechanism import (
     CommonLottery,
@@ -85,7 +85,7 @@ def to_common_lottery(inst: Instance, mech: DirectMechanism):
     """
     report = feasibility_report(inst, mech)
     if not report.is_feasible:
-        raise InfeasibleInput("the collapse guarantee is stated for feasible input")
+        raise LotbenchError("the collapse guarantee is stated for feasible input")
     c = _row_averages(inst, mech)
     lottery = CommonLottery(c=c)
     return lottery, lottery.total() > 1
@@ -203,14 +203,14 @@ def allocation_upgrade(
     """Move offer probability of type i from a worse position to a better one."""
     _check_dims(inst, mech)
     if not 0 <= i <= from_k < to_k < inst.n:
-        raise BadIndices(
+        raise LotbenchError(
             f"need i <= from_k < to_k within the grid, got i={i}, "
             f"from_k={from_k}, to_k={to_k}"
         )
     if mass < 0:
-        raise InsufficientMass("cannot move a negative amount")
+        raise LotbenchError("cannot move a negative amount")
     if mass > mech.a[from_k][i]:
-        raise InsufficientMass(
+        raise LotbenchError(
             f"cell ({from_k}, {i}) holds {mech.a[from_k][i]}, cannot move {mass}"
         )
     rows = [list(row) for row in mech.a]
@@ -231,7 +231,7 @@ def maximal_upgrade(inst: Instance, mech: DirectMechanism) -> DirectMechanism:
     """
     report = feasibility_report(inst, mech)
     if not report.is_feasible:
-        raise InfeasibleInput("upgrading is defined for feasible input")
+        raise LotbenchError("upgrading is defined for feasible input")
     n = inst.n
     rows = [list(row) for row in mech.a]
 

@@ -305,17 +305,59 @@ def test_min_mass_rejects_wrong_length_targets(files, capsys):
     ],
 )
 def test_malformed_json_exits_2_without_traceback(files, argv):
-    command, instance, *rest = argv
+    out = run_subprocess(*file_args(files, *argv))
+    assert out.returncode == 2 and out.stdout == ""
+    assert out.stderr.startswith("error:") and "Traceback" not in out.stderr
+
+
+def file_args(files, command, instance, *rest):
+    """Command line with the instance and an optional second JSON file."""
     args = [command, files("i.json", instance)]
     if rest:
         args += [rest[0], files("o.json", rest[1])]
+    return args
+
+
+def run_subprocess(*args):
+    """Run `python -m lotbench.cli` on this checkout's sources."""
     src = str(Path(lotbench.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p
     )}
-    out = subprocess.run(
+    return subprocess.run(
         [sys.executable, "-m", "lotbench.cli", *args],
         env=env, capture_output=True, text=True, timeout=60,
     )
-    assert out.returncode == 2 and out.stdout == ""
-    assert out.stderr.startswith("error:") and "Traceback" not in out.stderr
+
+
+# F_0 = 10^-400 is exact here but rounds to 0.0 as a float
+TINY = 10**400
+TINY3 = {
+    "n": 3,
+    "f": [f"1/{TINY}", f"{TINY - 1}/{2 * TINY}", f"{TINY - 1}/{2 * TINY}"],
+    "g": ["1/3"] * 3,
+    "D": "1",
+}
+TINY4 = {
+    "n": 4,
+    "f": [f"1/{TINY}", f"{TINY // 2 - 1}/{TINY}", "1/20", "9/20"],
+    "g": ["1/4"] * 4,
+    "D": "1",
+}
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("optimal-lottery", TINY3, "--objective",
+         {"kind": "concave", "weights": ["1", "1", "1"], "rho": "1/2"}),
+        ("perturb", TINY4),
+    ],
+    ids=["concave-water-fill", "perturb-d-grid"],
+)
+def test_beyond_float_range_exits_without_traceback(files, argv):
+    out = run_subprocess(*file_args(files, *argv))
+    assert out.returncode in (0, 1, 2)
+    assert "Traceback" not in out.stderr
+    if out.returncode == 2:
+        assert out.stderr.startswith("error:")

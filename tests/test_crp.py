@@ -5,9 +5,8 @@ import numpy as np
 import pytest
 
 from lotbench import (
-    BadQuota,
-    CapsInfeasible,
     CommonLottery,
+    LotbenchError,
     PositionMasses,
     caps_from_lottery,
     continuum_crp,
@@ -67,20 +66,37 @@ def test_exact_tie_counts_as_exhausted():
 
 
 def test_caps_validation():
-    with pytest.raises(CapsInfeasible):
+    with pytest.raises(LotbenchError, match="caps length must equal N"):
         continuum_crp(U4, PositionMasses.from_values(["0", "0", "0"]))
-    with pytest.raises(CapsInfeasible):
+    with pytest.raises(LotbenchError, match="cap at position 1 is negative"):
         continuum_crp(U4, PositionMasses.from_values(["0", "-1/8", "0", "0"]))
-    with pytest.raises(CapsInfeasible):
+    with pytest.raises(LotbenchError, match="cap 1/2 at position 1 exceeds capacity 1/4"):
         continuum_crp(U4, PositionMasses.from_values(["0", "1/2", "0", "0"]))
 
 
 def test_simulation_validation():
     caps = caps_from_lottery(U4, OPT)
-    with pytest.raises(BadQuota):
+    with pytest.raises(LotbenchError, match="need at least one agent, got 0"):
         simulate_finite(U4, caps, 0, 5, 1)
-    with pytest.raises(BadQuota):
+    with pytest.raises(LotbenchError, match="need at least one replication, got 0"):
         simulate_finite(U4, caps, 100, 0, 1)
+
+
+@pytest.mark.parametrize(
+    "caps, message",
+    [
+        (["0", "1/8", "1/8"], "caps length must equal N"),
+        (["0", "1/8", "1/8", "1/8", "1/8"], "caps length must equal N"),
+        (["0", "1/2", "0", "0"], "cap 1/2 at position 1 exceeds capacity 1/4"),
+    ],
+    ids=["short", "long", "above-capacity"],
+)
+def test_simulation_checks_caps_like_the_scan(caps, message):
+    caps = PositionMasses.from_values(caps)
+    with pytest.raises(LotbenchError, match=message):
+        continuum_crp(U4, caps)
+    with pytest.raises(LotbenchError, match=message):
+        simulate_finite(U4, caps, 100, 1, 1)
 
 
 def test_simulation_reproducible_and_close():

@@ -5,13 +5,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 from lotbench import (
-    BadMass,
-    GridTooSmall,
-    IndexOutOfRange,
     Instance,
-    NegativeCapacity,
-    NonPositiveTypeMass,
-    PmfNotNormalized,
+    LotbenchError,
     convexity_report,
     new_instance,
     uniform_instance,
@@ -35,31 +30,37 @@ def test_cdf_values():
 
 def test_index_bounds():
     inst = uniform_instance(3)
-    with pytest.raises(IndexOutOfRange):
+    with pytest.raises(LotbenchError, match="index 3 out of range for N=3"):
         inst.x(3)
-    with pytest.raises(IndexOutOfRange):
+    with pytest.raises(LotbenchError, match="index -1 out of range for N=3"):
         inst.cdf(-1)
 
 
 def test_validation_errors():
     q = Fraction(1, 4)
-    with pytest.raises(GridTooSmall):
+    with pytest.raises(LotbenchError, match="need N >= 2, got 1"):
         Instance(n=1, f=(Fraction(1),), g=(Fraction(1),), d=Fraction(1))
-    with pytest.raises(NonPositiveTypeMass):
+    with pytest.raises(LotbenchError, match="type pmf must have full support"):
         Instance(n=2, f=(Fraction(0), Fraction(1)), g=(q * 2, q * 2), d=Fraction(1))
-    with pytest.raises(PmfNotNormalized):
+    with pytest.raises(LotbenchError, match="f and g must each sum to 1"):
         Instance(n=2, f=(q, q), g=(q * 2, q * 2), d=Fraction(1))
-    with pytest.raises(NegativeCapacity):
+    with pytest.raises(LotbenchError, match="position capacities must be >= 0"):
         Instance(n=2, f=(q * 2, q * 2), g=(Fraction(-1, 2), Fraction(3, 2)), d=Fraction(1))
-    with pytest.raises(BadMass):
+    with pytest.raises(LotbenchError, match="agent mass must be positive, got 0"):
         uniform_instance(3, 0)
-    with pytest.raises(PmfNotNormalized):
+    with pytest.raises(LotbenchError, match="f and g must have length 3, got 2 and 3"):
         new_instance(3, ["1/2", "1/2"], ["1/2", "1/2", "0"], 1)
 
 
 def test_floats_rejected():
     with pytest.raises(ValueError):
         new_instance(2, [0.5, 0.5], ["1/2", "1/2"], 1)
+
+
+@pytest.mark.parametrize("n", [2.9, True, "2"])
+def test_non_integer_n_rejected(n):
+    with pytest.raises(LotbenchError, match="n must be an integer"):
+        new_instance(n, ["1/2", "1/2"], ["1/2", "1/2"], 1)
 
 
 def test_json_round_trip():

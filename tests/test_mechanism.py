@@ -7,12 +7,10 @@ import pytest
 
 from lotbench import (
     CommonLottery,
-    DimensionMismatch,
     DirectMechanism,
     Fill,
-    InfeasibleInput,
     Linear,
-    LotteryOverflow,
+    LotbenchError,
     PositionMasses,
     SeparableConcave,
     classify_binding,
@@ -44,7 +42,7 @@ BAD = DirectMechanism.from_json_dict(FIG3["mechanism"])
 
 
 def test_matrix_must_be_square():
-    with pytest.raises(DimensionMismatch):
+    with pytest.raises(LotbenchError, match="mechanism matrix must be square"):
         DirectMechanism.from_rows([["1/2", "1/2"], ["0"]])
 
 
@@ -121,7 +119,7 @@ def test_redundant_pairs():
 
 
 def test_classify_binding_requires_feasible():
-    with pytest.raises(InfeasibleInput):
+    with pytest.raises(LotbenchError, match="classify_binding requires a feasible mechanism"):
         classify_binding(U4, BAD)
 
 
@@ -140,9 +138,9 @@ def test_expand_common_lottery():
 
 
 def test_expand_rejects_overflow():
-    with pytest.raises(LotteryOverflow):
+    with pytest.raises(LotbenchError, match="offer probabilities total 2 > 1"):
         expand_common_lottery(U4, CommonLottery.from_values(["1/2"] * 4))
-    with pytest.raises(LotteryOverflow):
+    with pytest.raises(LotbenchError, match="offer probabilities must be nonnegative"):
         expand_common_lottery(U4, CommonLottery.from_values(["-1/4", "0", "0", "0"]))
 
 

@@ -5,8 +5,8 @@ import pytest
 
 from lotbench import (
     Fill,
-    InfeasibleMasses,
     Linear,
+    LotbenchError,
     PositionMasses,
     SeparableConcave,
     expand_common_lottery,
@@ -139,9 +139,9 @@ def test_flexible_water_fill_closed_form():
 
 def test_kkt_rejects_infeasible_masses():
     obj = SeparableConcave(weights=(F(1),) * 4, rho=F(1, 2))
-    with pytest.raises(InfeasibleMasses):
+    with pytest.raises(LotbenchError, match="budget exceeded by"):
         kkt_check(U4, obj, PositionMasses.from_values(["1", "1", "1", "1"]))
-    with pytest.raises(InfeasibleMasses):
+    with pytest.raises(LotbenchError, match=r"mass at position 0 outside \[0, g_0\]"):
         kkt_check(U4, obj, PositionMasses.from_values(["-1/8", "0", "0", "0"]))
 
 

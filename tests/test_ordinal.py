@@ -6,11 +6,10 @@ import pytest
 from lotbench import (
     CommonLottery,
     ConvexityHypothesisFailed,
-    DimensionMismatch,
     Fill,
+    LotbenchError,
     OrdinalInstance,
     UnevenGridView,
-    UnknownGamma,
     aggregate_per_gamma,
     convexity_report,
     even_grid_view,
@@ -54,12 +53,12 @@ LINEAR4 = make_ordinal(
 
 
 def test_validation():
-    with pytest.raises(Exception):
+    with pytest.raises(LotbenchError, match="qualities must be strictly increasing"):
         make_ordinal([0, 0], ["a"], [1], [F(1, 2)] * 2, [[0, 1]], [F(1, 2)] * 2, 1)
-    with pytest.raises(DimensionMismatch):
+    with pytest.raises(LotbenchError, match="taste labels must be distinct"):
         make_ordinal([0, 1], ["a", "a"], [F(1, 2)] * 2, [F(1, 2)] * 2,
                      [[0, 1], [0, 2]], [F(1, 2)] * 2, 1)
-    with pytest.raises(Exception):
+    with pytest.raises(LotbenchError, match="utility rows must be strictly increasing"):
         # utility row not strictly increasing
         make_ordinal([0, 1], ["a"], [1], [F(1, 2)] * 2, [[1, 0]], [F(1, 2)] * 2, 1)
 
@@ -124,7 +123,7 @@ def test_normalize_gamma():
     view = normalize_gamma(LINEAR4, "lin")
     assert view.x == LINEAR4.utility[0]
     assert view.F == tuple(LINEAR4.cdf(k) for k in range(4))
-    with pytest.raises(UnknownGamma):
+    with pytest.raises(LotbenchError, match="unknown taste label 'nope'"):
         normalize_gamma(LINEAR4, "nope")
 
 
@@ -198,9 +197,9 @@ def test_aggregate_per_gamma():
     assert mm.s == tuple(
         F(1, 4) * sa + F(3, 4) * sb for sa, sb in zip(ma.s, mb.s)
     )
-    with pytest.raises(UnknownGamma):
+    with pytest.raises(LotbenchError, match="missing lottery for taste 'b'"):
         aggregate_per_gamma(oi, {"a": la})
-    with pytest.raises(DimensionMismatch):
+    with pytest.raises(LotbenchError, match="lottery for taste 'b' has length 2, need 3"):
         aggregate_per_gamma(oi, {"a": la, "b": CommonLottery.from_values(["1", "1"])})
 
 
