@@ -6,6 +6,8 @@ improving perturbations when the convexity condition fails, and
 simulates capped random priority markets.
 """
 
+from types import ModuleType as _ModuleType
+
 from .errors import ConvexityHypothesisFailed, LotbenchError, PreconditionViolation
 from .instance import (
     ConvexityReport,
@@ -28,7 +30,6 @@ from .mechanism import (
     expand_common_lottery,
     feasibility_report,
     ic_slack,
-    mon_profile,
     position_masses,
     redundant_ic_pairs,
 )
@@ -68,9 +69,7 @@ from .optimizer import (
 from .converse import (
     Improvement,
     auto_improve,
-    find_violation,
     perturb,
-    second_difference,
 )
 from .crp import (
     CrpResult,
@@ -93,6 +92,11 @@ from .ordinal import (
     uneven_multipliers,
 )
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+# the public names, not the submodules that importing them binds here
+__all__ = sorted(
+    name
+    for name, value in globals().items()
+    if not name.startswith("_") and not isinstance(value, _ModuleType)
+)
 
 __version__ = "1.0.0"

@@ -15,7 +15,7 @@ from fractions import Fraction
 from importlib import resources
 
 from .converse import auto_improve
-from .crp import caps_from_lottery, continuum_crp, simulate_finite
+from .crp import continuum_crp, simulate_finite
 from .instance import Instance, convexity_report
 from .lpsolve import solve_designer, solve_min_mass
 from .mechanism import (
@@ -25,7 +25,6 @@ from .mechanism import (
     Linear,
     PositionMasses,
     SeparableConcave,
-    evaluate_objective,
     expand_common_lottery,
     feasibility_report,
     position_masses,
@@ -214,9 +213,7 @@ def _cmd_perturb(args) -> int:
     inst = _load_instance(args.instance)
     if args.d is not None:
         inst = Instance(n=inst.n, f=inst.f, g=inst.g, d=parse_rational(args.d))
-        improvement, diagnostic = auto_improve(inst, Fill(), search_d=False)
-    else:
-        improvement, diagnostic = auto_improve(inst, Fill(), search_d=True)
+    improvement, diagnostic = auto_improve(inst, Fill(), search_d=args.d is None)
     if improvement is None:
         _emit({"improved": False, "diagnostic": diagnostic})
         print(f"no improvement: {diagnostic}", file=sys.stderr)

@@ -16,7 +16,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import LotbenchError, PreconditionViolation
+from .errors import PreconditionViolation
 from .instance import Instance, convexity_report
 from .mechanism import (
     CommonLottery,
@@ -29,27 +29,9 @@ from .mechanism import (
     feasibility_report,
     position_masses,
 )
-from .optimizer import (
-    lottery_from_masses,
-    masses_from_lottery,
-    optimal_lottery_fill,
-    optimal_masses,
-)
+from .optimizer import _budget_masses, lottery_from_masses
 
 ZERO = Fraction(0)
-
-
-def find_violation(inst: Instance):
-    """Smallest interior index where 1/F has a negative second difference."""
-    report = convexity_report(inst)
-    return report.violation_indices[0] if report.violation_indices else None
-
-
-def second_difference(inst: Instance, k: int) -> Fraction:
-    """1/F_{k-1} - 2/F_k + 1/F_{k+1} at an interior index k."""
-    if not 1 <= k <= inst.n - 2:
-        raise LotbenchError(f"index {k} is not interior for N={inst.n}")
-    return convexity_report(inst).second_differences[k - 1]
 
 
 def _require(cond: bool, message: str):
@@ -83,7 +65,7 @@ def perturb(
     _require(len(c) == n, "lottery length must equal N")
     for r in (k - 1, k, k + 1):
         _require(c[r] > 0, f"base lottery must offer position {r}: c_{r} = {c[r]}")
-    eps_prime = -epsilon * inst.f[i] * second_difference(inst, k)
+    eps_prime = -epsilon * inst.f[i] * convexity_report(inst).second_differences[k - 1]
     _require(
         delta <= eps_prime,
         f"delta = {delta} exceeds the released slack eps_prime = {eps_prime}",
@@ -147,6 +129,7 @@ def auto_improve(inst: Instance, obj: Objective = Fill(), search_d: bool = True)
     if report.is_convex:
         return None, "convex"
     k = report.violation_indices[0]
+    d2 = report.second_differences[k - 1]  # F alone: the same at every D
 
     candidates = [inst.d]
     if search_d:
@@ -154,7 +137,7 @@ def auto_improve(inst: Instance, obj: Objective = Fill(), search_d: bool = True)
     diagnostics = set()
     for d in candidates:
         trial = Instance(n=inst.n, f=inst.f, g=inst.g, d=d)
-        found, why = _improve_at(trial, obj, k)
+        found, why = _improve_at(trial, obj, k, d2)
         if found is not None:
             return found, "improved"
         diagnostics.add(why)
@@ -185,18 +168,12 @@ def _float_or_inf(value: Fraction) -> float:
         return math.inf
 
 
-def _improve_at(inst: Instance, obj: Objective, k: int):
-    """Try the construction at one agent mass; returns (Improvement|None, why)."""
+def _improve_at(inst: Instance, obj: Objective, k: int, d2: Fraction):
+    """Try the construction at one agent mass, given the second difference
+    d2 of 1/F at k; returns (Improvement|None, why)."""
     i = 0  # the lowest type always accepts all three rows of the triple
-    if isinstance(obj, Fill):
-        base = optimal_lottery_fill(inst).lottery
-        s = masses_from_lottery(inst, base)
-        base_value = s.total()
-    else:
-        sol = optimal_masses(inst, obj)
-        base = lottery_from_masses(inst, sol.masses)
-        s = sol.masses
-        base_value = sol.value
+    s = _budget_masses(inst, obj)
+    base = lottery_from_masses(inst, s)
     c = base.c
     total = base.total()
     if total < 1:
@@ -207,7 +184,7 @@ def _improve_at(inst: Instance, obj: Objective, k: int):
     epsilon = _max_epsilon(inst, c, k, i) / 2
     if epsilon <= 0:
         return None, "no supported window"
-    eps_prime = -epsilon * inst.f[i] * second_difference(inst, k)
+    eps_prime = -epsilon * inst.f[i] * d2
     if eps_prime <= 0:
         return None, "no supported window"
 
@@ -228,7 +205,8 @@ def _improve_at(inst: Instance, obj: Objective, k: int):
         mech = perturb(inst, base, k, i, epsilon, delta, fill_index)
     except PreconditionViolation:
         return None, "no supported window"
-    gain = evaluate_objective(obj, position_masses(inst, mech)) - base_value
+    value = evaluate_objective(obj, position_masses(inst, mech))
+    gain = value - evaluate_objective(obj, s)
     if gain <= 0:
         return None, "no supported window"
     return (

@@ -132,11 +132,17 @@ def simulate_finite(
     """Monte Carlo of the finite market: i.i.d. types, uniform priorities,
     integer quotas floor(n_agents * s_k / D), serial dictatorship where an
     agent takes the best open position at or above its outside option.
+    Sizes are bounded before anything is allocated: at most 10^6 agents
+    and 10^4 replications.
     """
     if n_agents < 1:
         raise LotbenchError(f"need at least one agent, got {n_agents}")
+    if n_agents > 10**6:
+        raise LotbenchError(f"need at most {10**6} agents, got {n_agents}")
     if replications < 1:
         raise LotbenchError(f"need at least one replication, got {replications}")
+    if replications > 10**4:
+        raise LotbenchError(f"need at most {10**4} replications, got {replications}")
     _check_caps(inst, caps)
     n = inst.n
     quotas = tuple(int(n_agents * sk / inst.d) for sk in caps.s)

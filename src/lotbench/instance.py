@@ -63,8 +63,6 @@ class Instance:
         self._check_index(k)
         return Fraction(k, self.n - 1)
 
-    theta = x
-
     def cdf(self, i: int) -> Fraction:
         """F(theta_i) = sum of f over types 0..i."""
         self._check_index(i)

@@ -23,9 +23,8 @@ from .mechanism import (
     Linear,
     Objective,
     PositionMasses,
-    SeparableConcave,
+    _check_weights,
 )
-from .rationals import format_rational, parse_rational
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -64,22 +63,6 @@ class LinearProgram:
         for lo, up in zip(self.lower, self.upper):
             if lo is not None and up is not None and lo > up:
                 raise LotbenchError("variable lower bound exceeds upper bound")
-
-    def to_text(self) -> str:
-        """Free-form MPS-like dump for debugging (not bit-standardized)."""
-        out = [f"{self.sense} " + " + ".join(
-            f"{format_rational(cj)}*{name}" for cj, name in zip(self.c, self.var_names) if cj
-        )]
-        for name, row, rel, b in zip(self.con_names, self.rows, self.rels, self.rhs):
-            terms = " + ".join(
-                f"{format_rational(v)}*{vn}" for v, vn in zip(row, self.var_names) if v
-            )
-            out.append(f"{name}: {terms or '0'} {rel} {format_rational(b)}")
-        for name, lo, up in zip(self.var_names, self.lower, self.upper):
-            lo_s = "-inf" if lo is None else format_rational(lo)
-            up_s = "+inf" if up is None else format_rational(up)
-            out.append(f"bound {lo_s} <= {name} <= {up_s}")
-        return "\n".join(out)
 
 
 @dataclass(frozen=True)
@@ -298,8 +281,7 @@ def _linear_weights(inst: Instance, obj: Objective):
     if isinstance(obj, Fill):
         return [ONE] * inst.n
     if isinstance(obj, Linear):
-        if len(obj.weights) != inst.n:
-            raise LotbenchError("weight vector length must equal N")
+        _check_weights(obj, inst.n)
         return list(obj.weights)
     raise LotbenchError("the designer LP requires a linear objective")
 
@@ -322,7 +304,7 @@ def _mechanism_rows(inst: Instance, pos_scale: Fraction):
                 continue
             row = [ZERO] * len(cells)
             for k in range(i, n):
-                gain = inst.x(k) - inst.theta(i)
+                gain = inst.x(k) - inst.x(i)
                 row[index_of[(k, i)]] += gain
                 if k >= j:
                     row[index_of[(k, j)]] -= gain

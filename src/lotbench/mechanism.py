@@ -36,9 +36,6 @@ class DirectMechanism:
     def n(self) -> int:
         return len(self.a)
 
-    def entry(self, k: int, i: int) -> Rat:
-        return self.a[k][i]
-
     def participation(self, i: int) -> Rat:
         """Total offer probability for type i (only rows k >= i can count)."""
         return sum((self.a[k][i] for k in range(self.n)), Fraction(0))
@@ -123,17 +120,22 @@ class SeparableConcave:
 Objective = Union[Fill, Linear, SeparableConcave]
 
 
+def _check_weights(obj: Objective, n: int):
+    """A weighted objective needs one weight per position."""
+    if isinstance(obj, (Linear, SeparableConcave)) and len(obj.weights) != n:
+        raise LotbenchError(
+            f"objective has {len(obj.weights)} weights, instance has N={n}"
+        )
+
+
 def evaluate_objective(obj: Objective, masses: PositionMasses):
     """Objective value at a mass vector; exact for Fill/Linear, float otherwise."""
+    _check_weights(obj, len(masses.s))
     if isinstance(obj, Fill):
         return masses.total()
     if isinstance(obj, Linear):
-        if len(obj.weights) != len(masses.s):
-            raise LotbenchError("weight vector length mismatch")
         return sum((w * s for w, s in zip(obj.weights, masses.s)), Fraction(0))
     if isinstance(obj, SeparableConcave):
-        if len(obj.weights) != len(masses.s):
-            raise LotbenchError("weight vector length mismatch")
         return sum(
             float(w) * float(s) ** float(obj.rho) for w, s in zip(obj.weights, masses.s)
         )
@@ -178,14 +180,6 @@ def position_masses(inst: Instance, mech: DirectMechanism) -> PositionMasses:
     _check_dims(inst, mech)
     s = tuple(inst.d * _row_mass(mech.a, inst.f, k) for k in range(inst.n))
     return PositionMasses(s=s)
-
-
-def mon_profile(inst: Instance, mech: DirectMechanism):
-    """Participation probabilities P(theta_i) and whether they are non-increasing."""
-    _check_dims(inst, mech)
-    p = tuple(mech.participation(i) for i in range(inst.n))
-    flag = all(p[i] >= p[i + 1] for i in range(inst.n - 1))
-    return p, flag
 
 
 def redundant_ic_pairs(n: int) -> frozenset[tuple[int, int]]:

@@ -26,6 +26,7 @@ from .mechanism import (
     Objective,
     PositionMasses,
     SeparableConcave,
+    _check_weights,
     evaluate_objective,
 )
 
@@ -87,11 +88,17 @@ def optimal_masses(inst: Instance, obj: Objective) -> BudgetSolution:
     The convexity_warning flag signals that 1/F is not convex, in which
     case a non-common mechanism may do strictly better.
     """
-    if isinstance(obj, (Linear, SeparableConcave)) and len(obj.weights) != inst.n:
-        raise LotbenchError(
-            f"objective has {len(obj.weights)} weights, instance has N={inst.n}"
-        )
-    warning = not convexity_report(inst).is_convex
+    masses = _budget_masses(inst, obj)
+    return BudgetSolution(
+        masses=masses,
+        value=evaluate_objective(obj, masses),
+        convexity_warning=not convexity_report(inst).is_convex,
+    )
+
+
+def _budget_masses(inst: Instance, obj: Objective) -> PositionMasses:
+    """The masses of optimal_masses, without its convexity flag."""
+    _check_weights(obj, inst.n)
     if isinstance(obj, Fill):
         s = _greedy(inst, order=range(inst.n - 1, -1, -1))
     elif isinstance(obj, Linear):
@@ -104,12 +111,7 @@ def optimal_masses(inst: Instance, obj: Objective) -> BudgetSolution:
         s = _water_fill(inst, obj)
     else:
         raise TypeError(f"unknown objective {obj!r}")
-    masses = PositionMasses(s=tuple(s))
-    return BudgetSolution(
-        masses=masses,
-        value=evaluate_objective(obj, masses),
-        convexity_warning=warning,
-    )
+    return PositionMasses(s=tuple(s))
 
 
 def _greedy(inst: Instance, order):

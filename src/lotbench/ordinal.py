@@ -79,9 +79,12 @@ class OrdinalInstance:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "OrdinalInstance":
+        labels = data["Gamma"]
+        if not isinstance(labels, (list, tuple)):
+            raise LotbenchError(f"not a list of taste labels: {labels!r}")
         return cls(
             qualities=parse_rational_vector(data["Q"]),
-            gamma_labels=tuple(str(s) for s in data["Gamma"]),
+            gamma_labels=tuple(str(s) for s in labels),
             gamma_pmf=parse_rational_vector(data["hGamma"]),
             outside_pmf=parse_rational_vector(data["hQ"]),
             utility=tuple(parse_rational_vector(row) for row in data["u"]),

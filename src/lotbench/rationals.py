@@ -7,16 +7,21 @@ rationals as strings like "5/24"; plain integers are accepted as shorthand.
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 
 from .errors import LotbenchError
+
+# no exponents: Fraction("1e999999999") would build a 10^9-digit integer
+_RATIONAL = re.compile(r"([+-]?[0-9]+)(?:/([0-9]+))?")
 
 
 def parse_rational(value) -> Fraction:
     """Parse a JSON-level value ("p/q" string, int, or Fraction) exactly.
 
     Floats are rejected: they would silently break the exact-arithmetic
-    contract of every identity checked downstream.
+    contract of every identity checked downstream.  A string must be "p"
+    or "p/q" in ASCII digits, with an optional sign and surrounding spaces.
     """
     if isinstance(value, Fraction):
         return value
@@ -25,8 +30,12 @@ def parse_rational(value) -> Fraction:
     if isinstance(value, int):
         return Fraction(value)
     if isinstance(value, str):
+        text = value.strip()
+        match = _RATIONAL.fullmatch(text)
+        if match is None:
+            raise LotbenchError(f"Invalid literal for Fraction: {text!r}")
         try:
-            return Fraction(value.strip())
+            return Fraction(int(match[1]), int(match[2] or 1))
         except ZeroDivisionError:
             raise LotbenchError(f"zero denominator: {value!r}") from None
         except ValueError as exc:

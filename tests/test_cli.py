@@ -63,6 +63,14 @@ def test_validate_malformed(files, capsys):
     assert code == 2 and "error" in err
 
 
+@pytest.mark.parametrize("d", ["1e100000", "1.5", "1_000"])
+def test_validate_rejects_rationals_not_written_p_over_q(files, capsys, d):
+    # an exponent string is rejected before Fraction builds its integer
+    code, out, err = run(capsys, "validate", files("i.json", {**FIG4, "D": d}))
+    assert code == 2 and out == ""
+    assert err == f"error: Invalid literal for Fraction: {d!r}\n"
+
+
 def test_validate_missing_file(capsys):
     code, _, err = run(capsys, "validate", "/nonexistent.json")
     assert code == 2 and "error" in err
@@ -130,16 +138,18 @@ def test_optimal_lottery_with_objective(files, capsys):
 
 
 @pytest.mark.parametrize(
-    "obj",
+    "command, obj",
     [
-        {"kind": "linear", "weights": ["1", "1"]},
-        {"kind": "concave", "weights": ["1", "1"], "rho": "1/2"},
+        ("optimal-lottery", {"kind": "linear", "weights": ["1", "1"]}),
+        ("optimal-lottery", {"kind": "concave", "weights": ["1", "1"], "rho": "1/2"}),
+        ("solve-lp", {"kind": "linear", "weights": ["1", "1"]}),
     ],
+    ids=["linear", "concave", "solve-lp"],
 )
-def test_optimal_lottery_rejects_short_weights(files, capsys, obj):
+def test_optimal_lottery_rejects_short_weights(files, capsys, command, obj):
     code, out, err = run(
         capsys,
-        "optimal-lottery",
+        command,
         files("j.json", FIG4),
         "--objective",
         files("o.json", obj),

