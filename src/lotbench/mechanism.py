@@ -11,11 +11,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Union
+from operator import add, mul
+from typing import NamedTuple, Union
 
 from .errors import LotbenchError
 from .instance import Instance
-from .rationals import format_rational_matrix, parse_rational_vector
+from .rationals import format_rational_matrix, parse_rational_vector, to_common_denominator
 
 Rat = Fraction
 ZERO = Fraction(0)
@@ -35,16 +36,6 @@ class DirectMechanism:
     @property
     def n(self) -> int:
         return len(self.a)
-
-    def participation(self, i: int) -> Rat:
-        """Total offer probability for type i (only rows k >= i can count)."""
-        return sum((self.a[k][i] for k in range(self.n)), Fraction(0))
-
-    def is_lower_triangular(self) -> bool:
-        """True when every cell below a type's outside option is zero."""
-        return all(
-            self.a[k][i] == 0 for k in range(self.n) for i in range(k + 1, self.n)
-        )
 
     @classmethod
     def from_rows(cls, rows) -> "DirectMechanism":
@@ -150,17 +141,74 @@ def _check_dims(inst: Instance, mech: DirectMechanism):
         raise LotbenchError(f"mechanism is {mech.n}x{mech.n}, instance has N={inst.n}")
 
 
-def _scaled_ic(a, i: int, j: int) -> Rat:
-    """(N-1) times the truth-telling slack of type i against report j:
-    sum_{k>=i} (k-i) * (a[k][i] - a[k][j]), with the integer gaps of the
-    scaled grid.  Indices are not checked."""
-    return sum(((k - i) * (a[k][i] - a[k][j]) for k in range(i + 1, len(a))), ZERO)
+def _row_mass(row, f, k: int):
+    """sum_{i<=k} row[i] f_i: row k's offers weighted by the types that
+    accept them (offers below the outside option are never counted).
+    Exact for Fractions and for ints alike."""
+    return sum(map(mul, row[:k + 1], f))
 
 
-def _row_mass(a, f, k: int) -> Rat:
-    """sum_{i<=k} a[k][i] f_i: row k's offers weighted by the types that
-    accept them (offers below the outside option are never counted)."""
-    return sum((a[k][i] * f[i] for i in range(k + 1)), ZERO)
+class _ConstraintSums(NamedTuple):
+    """The constraint sums of a matrix a, in ints over common denominators.
+
+    With L = scale: slack[i][j] = L * (N-1) * (IC slack of type i against
+    report j), participation[i] = L * sum_k a[k][i], and
+    row_mass[k] = mass_scale * sum_{i<=k} a[k][i] f_i.  negative[k] lists
+    the columns of row k's negative cells.
+    """
+
+    scale: int
+    slack: list[list[int]]
+    participation: list[int]
+    row_mass: list[int]
+    mass_scale: int
+    negative: list[tuple[int, ...]]
+    lower_triangular: bool
+
+
+def _constraint_sums(a, f) -> _ConstraintSums:
+    """Every IC slack, participation and row mass of a in one O(N^2) sweep.
+
+    The (N-1)-scaled slack of type i against report j is
+    sum_{k>i} (k-i) (a[k][i] - a[k][j]) = G_i[i] - G_i[j] with
+    G_i[c] = sum_{k>i} (k-i) a[k][c], which is S1 - i*S0 over the column
+    suffix sums S0 = sum_{k>=i} a[k][c] and S1 = sum_{k>=i} k a[k][c].
+    Sweeping i down from N-1, G_i = G_{i+1} + (column sums of the rows
+    below i), so each row costs O(N) integer additions.
+    """
+    n = len(a)
+    scale, rows = to_common_denominator(a[::-1])
+    fscale, (fs,) = to_common_denominator([f])
+    below = [0] * n  # column sums of the rows k > i
+    gap = [0] * n  # G_i
+    slack = [None] * n
+    row_mass = [0] * n
+    negative = [()] * n
+    lower_triangular = True
+    for i, row in zip(range(n - 1, -1, -1), rows):
+        gap = list(map(add, gap, below))
+        own = gap[i]
+        slack[i] = [own - g for g in gap]
+        below = list(map(add, below, row))
+        row_mass[i] = _row_mass(row, fs, i)
+        negative[i] = tuple(c for c, v in enumerate(row) if v < 0)
+        lower_triangular = lower_triangular and not any(row[i + 1:])
+    return _ConstraintSums(
+        scale, slack, below, row_mass, scale * fscale, negative, lower_triangular
+    )
+
+
+def _is_feasible(inst: Instance, sums: _ConstraintSums) -> bool:
+    """Every constraint of the direct-mechanism program holds."""
+    return (
+        sums.lower_triangular
+        and not any(sums.negative)
+        and all(v >= 0 for row in sums.slack for v in row)
+        and all(p <= sums.scale for p in sums.participation)
+        and all(
+            inst.d * m <= gk * sums.mass_scale for gk, m in zip(inst.g, sums.row_mass)
+        )
+    )
 
 
 def ic_slack(inst: Instance, mech: DirectMechanism, i: int, j: int) -> Rat:
@@ -172,13 +220,14 @@ def ic_slack(inst: Instance, mech: DirectMechanism, i: int, j: int) -> Rat:
     _check_dims(inst, mech)
     inst._check_index(i)
     inst._check_index(j)
-    return _scaled_ic(mech.a, i, j) / (inst.n - 1)
+    sums = _constraint_sums(mech.a, inst.f)
+    return Fraction(sums.slack[i][j], sums.scale * (inst.n - 1))
 
 
 def position_masses(inst: Instance, mech: DirectMechanism) -> PositionMasses:
     """s_k = D * sum_{i<=k} a[k][i] f_i."""
     _check_dims(inst, mech)
-    s = tuple(inst.d * _row_mass(mech.a, inst.f, k) for k in range(inst.n))
+    s = tuple(inst.d * _row_mass(row, inst.f, k) for k, row in enumerate(mech.a))
     return PositionMasses(s=s)
 
 
@@ -222,39 +271,33 @@ class FeasibilityReport:
 
 
 def feasibility_report(inst: Instance, mech: DirectMechanism) -> FeasibilityReport:
-    """Evaluate every constraint of the direct-mechanism program exactly."""
+    """Evaluate every constraint of the direct-mechanism program exactly,
+    in O(N^2) integer operations; each reported value is divided once."""
     _check_dims(inst, mech)
-    n = inst.n
-    a = mech.a
+    sums = _constraint_sums(mech.a, inst.f)
+    den = sums.scale * (inst.n - 1)
     slack = tuple(
-        tuple(_scaled_ic(a, i, j) / (n - 1) if i != j else ZERO for j in range(n))
-        for i in range(n)
+        tuple(Fraction(v, den) if v else ZERO for v in row) for row in sums.slack
     )
-    participation = tuple(mech.participation(i) for i in range(n))
-    s = position_masses(inst, mech)
-    position_slack = tuple(gk - sk for gk, sk in zip(inst.g, s.s))
-    agent_slack = tuple(1 - p for p in participation)
-    ex_post_ir_ok = mech.is_lower_triangular()
-    negative = tuple((k, i) for k in range(n) for i in range(n) if a[k][i] < 0)
-    ics_ok = all(slack[i][j] >= 0 for i in range(n) for j in range(n) if i != j)
-    is_feasible = (
-        not negative
-        and ics_ok
-        and all(ps >= 0 for ps in position_slack)
-        and all(asl >= 0 for asl in agent_slack)
-        and ex_post_ir_ok
+    participation = tuple(Fraction(p, sums.scale) for p in sums.participation)
+    position_slack = tuple(
+        gk - inst.d * Fraction(m, sums.mass_scale)
+        for gk, m in zip(inst.g, sums.row_mass)
     )
     binding = frozenset(
-        (i, j) for i in range(n) for j in range(n) if i != j and slack[i][j] == 0
+        (i, j)
+        for i, row in enumerate(sums.slack)
+        for j, v in enumerate(row)
+        if v == 0 and i != j
     )
     return FeasibilityReport(
         ic_slack=slack,
         participation=participation,
         position_slack=position_slack,
-        agent_slack=agent_slack,
-        ex_post_ir_ok=ex_post_ir_ok,
-        negative_cells=negative,
-        is_feasible=is_feasible,
+        agent_slack=tuple(1 - p for p in participation),
+        ex_post_ir_ok=sums.lower_triangular,
+        negative_cells=tuple((k, i) for k, cols in enumerate(sums.negative) for i in cols),
+        is_feasible=_is_feasible(inst, sums),
         binding_ics=binding,
     )
 

@@ -82,12 +82,15 @@ class OrdinalInstance:
         labels = data["Gamma"]
         if not isinstance(labels, (list, tuple)):
             raise LotbenchError(f"not a list of taste labels: {labels!r}")
+        utility = data["u"]
+        if not isinstance(utility, (list, tuple)):
+            raise LotbenchError(f"not a list of utility rows: {utility!r}")
         return cls(
             qualities=parse_rational_vector(data["Q"]),
             gamma_labels=tuple(str(s) for s in labels),
             gamma_pmf=parse_rational_vector(data["hGamma"]),
             outside_pmf=parse_rational_vector(data["hQ"]),
-            utility=tuple(parse_rational_vector(row) for row in data["u"]),
+            utility=tuple(parse_rational_vector(row) for row in utility),
             g=parse_rational_vector(data["g"]),
             d=parse_rational(data["D"]),
         )

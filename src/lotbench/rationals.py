@@ -7,6 +7,7 @@ rationals as strings like "5/24"; plain integers are accepted as shorthand.
 
 from __future__ import annotations
 
+import math
 import re
 from fractions import Fraction
 
@@ -55,6 +56,16 @@ def parse_rational_vector(values) -> tuple[Fraction, ...]:
     if not isinstance(values, (list, tuple)):
         raise LotbenchError(f"not a list of rationals: {values!r}")
     return tuple(parse_rational(v) for v in values)
+
+
+def to_common_denominator(rows):
+    """(L, the rows times L as lists of ints, one row at a time), with L the
+    lcm of every entry's denominator, so that exact sums over the rows can
+    run in Python ints and be divided once.  rows must be a sequence."""
+    factor = dict.fromkeys(v.denominator for row in rows for v in row)
+    scale = math.lcm(*factor)
+    factor = {d: scale // d for d in factor}
+    return scale, ([v.numerator * factor[v.denominator] for v in row] for row in rows)
 
 
 def format_rational_vector(values) -> list[str]:

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 
 from .errors import LotbenchError
 from .instance import Instance, _grid_convexity, _integer_grid
@@ -23,11 +24,13 @@ from .mechanism import (
     CommonLottery,
     DirectMechanism,
     _check_dims,
+    _ConstraintSums,
+    _constraint_sums,
+    _is_feasible,
     _row_mass,
-    _scaled_ic,
     feasibility_report,
 )
-from .rationals import format_rational
+from .rationals import format_rational, to_common_denominator
 
 ZERO = Fraction(0)
 
@@ -63,11 +66,14 @@ def _grid_multipliers(x, F) -> Multipliers:
     f = _grid_pmf(F)
     d2 = _grid_convexity(x, F).second_differences
     local_up = tuple(f[i + 1] / F[i + 1] / (x[i + 1] - x[i]) for i in range(n - 1))
+    fscale, (pmf,) = to_common_denominator([f])
     down = [()]
     for i in range(1, n):
         if i <= n - 2:
             w = d2[i - 1] / ((x[i + 1] - x[i]) * (x[i] - x[i - 1]))
-            down.append(tuple(f[j] * w for j in range(i)))
+            # f_j * w from ints, normalized once per entry
+            num, den = w.numerator, w.denominator * fscale
+            down.append(tuple(Fraction(p * num, den) for p in pmf[:i]))
         else:
             # the scaled constraint this would weight is identically
             # zero (the only surviving index has gap 0)
@@ -83,16 +89,26 @@ def to_common_lottery(inst: Instance, mech: DirectMechanism):
     is not a valid lottery; with convex 1/F this never happens for
     feasible input.
     """
-    report = feasibility_report(inst, mech)
-    if not report.is_feasible:
+    _check_dims(inst, mech)
+    sums = _constraint_sums(mech.a, inst.f)
+    if not _is_feasible(inst, sums):
         raise LotbenchError("the collapse guarantee is stated for feasible input")
-    c = _row_averages(inst, mech)
-    lottery = CommonLottery(c=c)
+    lottery = CommonLottery(c=_row_averages(inst, sums))
     return lottery, lottery.total() > 1
 
 
-def _row_averages(inst: Instance, mech: DirectMechanism) -> tuple[Fraction, ...]:
-    return tuple(_row_mass(mech.a, inst.f, k) / inst.cdf(k) for k in range(inst.n))
+def _row_averages(inst: Instance, sums: _ConstraintSums) -> tuple[Fraction, ...]:
+    """Row mass over F_k, read from the kernel's integer row masses."""
+    return tuple(
+        Fraction(m, sums.mass_scale) / inst.cdf(k) for k, m in enumerate(sums.row_mass)
+    )
+
+
+def _weighted_sum(weights, values) -> Fraction:
+    """sum_j weights[j] * values[j] for rational weights and int values,
+    over as many terms as the shorter has, divided once."""
+    scale, (w,) = to_common_denominator([weights])
+    return Fraction(sum(map(mul, w, values)), scale)
 
 
 @dataclass(frozen=True)
@@ -120,18 +136,15 @@ class DecompositionReport:
 
 def verify_decomposition(inst: Instance, mech: DirectMechanism) -> DecompositionReport:
     _check_dims(inst, mech)
-    n = inst.n
+    sums = _constraint_sums(mech.a, inst.f)
     mult = multipliers(inst)
-    common = sum(_row_averages(inst, mech), ZERO)
-    info = ZERO
-    for i in range(n - 1):
-        info += mult.local_up[i] * _scaled_ic(mech.a, i, i + 1)
-    for i in range(1, n):
-        for j in range(i):
-            lam = mult.down[i][j]
-            if lam != 0:
-                info += lam * _scaled_ic(mech.a, i, j)
-    p0 = mech.participation(0)
+    scaled = sums.slack  # scale * (the (N-1)-scaled slacks)
+    info = _weighted_sum(mult.local_up, [row[i + 1] for i, row in enumerate(scaled[:-1])])
+    for weights, row in zip(mult.down, scaled):
+        info += _weighted_sum(weights, row)
+    info /= sums.scale
+    common = sum(_row_averages(inst, sums), ZERO)
+    p0 = Fraction(sums.participation[0], sums.scale)
     return DecompositionReport(
         common_term=common,
         info_term=info,
@@ -154,25 +167,44 @@ def mu_coefficients(inst: Instance) -> tuple[tuple[Fraction, ...], ...]:
 
 def _grid_mu(x, F, mult: Multipliers) -> tuple[tuple[Fraction, ...], ...]:
     """mu on an increasing grid x with cdf F from its multipliers; raises
-    AssertionError when a coefficient differs from its closed form."""
+    AssertionError when a coefficient differs from its closed form.
+
+    The aggregated coefficient of cell (k, i), i <= k, is
+        (x_k - x_i)(up_i + sum_j down[i][j]) - (x_k - x_{i-1}) up_{i-1}
+        - sum_{i<j<=k} (x_k - x_j) down[j][i]  =  x_k A_k[i] - B_k[i],
+    where, as k rises, A takes off down[k][i] and B takes off
+    x_k down[k][i]: running sums, O(N^2) in all.  The sums run in ints
+    over one common denominator for the multipliers and one for the grid,
+    and each row is compared with its closed form times F_k; the closed
+    forms, equal to the aggregate once checked, are what is returned.
+    """
     n = len(x)
-    lu = mult.local_up + (ZERO,)
-    down_sum = [sum(row, ZERO) for row in mult.down]
-    mu = [[ZERO] * n for _ in range(n)]
-    for k in range(n):
-        for i in range(k + 1):
-            val = (x[k] - x[i]) * (lu[i] + down_sum[i])
-            if i >= 1:
-                val -= (x[k] - x[i - 1]) * lu[i - 1]
-            for jp in range(i + 1, k + 1):
-                val -= (x[k] - x[jp]) * mult.down[jp][i]
-            mu[k][i] = val
-    f = _grid_pmf(F)
-    for k in range(n):
-        closed = [1 - f[0] / F[k]] + [-f[i] / F[k] for i in range(1, k + 1)]
-        if mu[k][: k + 1] != closed:
+    wscale, weights = to_common_denominator([mult.local_up, *mult.down])
+    up = next(weights) + [0]  # up[N-1] = 0, and up[-1] = 0 stands for up_{-1}
+    xscale, (xs,) = to_common_denominator([x])
+    _, (cdf,) = to_common_denominator([F])
+    pmf = _grid_pmf(cdf)
+    unit = wscale * xscale
+    target = [-p * unit for p in pmf]  # unit * F_k * mu[k][i] for i >= 1
+    a, b = [], []
+    mu = []
+    for k, down in enumerate(weights):
+        xk = xs[k]
+        own = up[k] + sum(down)
+        a = [v - d for v, d in zip(a, down)]
+        b = [v - xk * d for v, d in zip(b, down)]
+        a.append(own - up[k - 1])
+        b.append(xk * own - xs[k - 1] * up[k - 1])
+        fk = cdf[k]
+        got = [(xk * va - vb) * fk for va, vb in zip(a, b)]
+        if got != [target[0] + fk * unit] + target[1:k + 1]:
             raise AssertionError(f"mu row {k} differs from its closed form")
-    return tuple(tuple(row) for row in mu)
+        mu.append(
+            (Fraction(fk - pmf[0], fk),)
+            + tuple(Fraction(-p, fk) for p in pmf[1:k + 1])
+            + (ZERO,) * (n - k - 1)
+        )
+    return tuple(mu)
 
 
 # --- row and cell surgery ----------------------------------------------------
@@ -186,7 +218,7 @@ def equalize_position(inst: Instance, mech: DirectMechanism, k: int) -> DirectMe
     """
     _check_dims(inst, mech)
     inst._check_index(k)
-    avg = _row_mass(mech.a, inst.f, k) / inst.cdf(k)
+    avg = _row_mass(mech.a[k], inst.f, k) / inst.cdf(k)
     rows = [list(row) for row in mech.a]
     rows[k] = [avg if i <= k else ZERO for i in range(inst.n)]
     return DirectMechanism(a=tuple(tuple(r) for r in rows))
@@ -236,7 +268,7 @@ def maximal_upgrade(inst: Instance, mech: DirectMechanism) -> DirectMechanism:
     rows = [list(row) for row in mech.a]
 
     def mass_at(k):
-        return inst.d * _row_mass(rows, inst.f, k)
+        return inst.d * _row_mass(rows[k], inst.f, k)
 
     kt = n - 1
     while kt >= 0:

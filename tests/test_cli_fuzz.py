@@ -5,14 +5,18 @@ with a few faults: wrong types, wrong lengths, zero or negative entries,
 missing keys, pmfs whose denominators leave the float range and Monte
 Carlo sizes past their bounds.  Whatever the input, `main` returns 0, 1
 or 2, never lets an exception escape, and says `error:` when it returns 2.
+A second test holds `simulate-crp` to the same contract on inputs that are
+mostly valid, so that most of its examples run the Monte Carlo itself.
 """
 
 import contextlib
 import io
 import json
+from fractions import Fraction
 
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+from lotbench import cli
 from lotbench.cli import main
 
 JUNK = st.one_of(
@@ -190,3 +194,53 @@ def cli_case(draw):
 def test_every_subcommand_keeps_the_exit_code_contract(tmp_path, case):
     argv, docs = case
     run_cli(tmp_path, argv, docs)
+
+
+@st.composite
+def crp_case(draw):
+    """simulate-crp on a valid instance with N <= 4, caps that are 0 or a
+    share of g_k, and in-range sizes; one example in five gets the usual
+    one or two faults in the instance or in the caps."""
+    n = draw(st.integers(2, 4))
+    inst = {
+        "n": n,
+        "f": draw(pmf(n, True)),
+        "g": draw(pmf(n, False)),
+        "D": draw(st.sampled_from(["1", "1/2", "3/2", "2", "1/10"])),
+    }
+    share = st.sampled_from([Fraction(0), Fraction(0), Fraction(1, 4), Fraction(1, 2), Fraction(1)])
+    caps = [Fraction(gk) * draw(share) for gk in inst["g"]]
+    docs = {"i.json": inst, "c.json": [f"{c.numerator}/{c.denominator}" for c in caps]}
+    if draw(st.integers(0, 4)) == 0:
+        name = draw(st.sampled_from(sorted(docs)))
+        faulty = draw(mutate({"doc": docs[name]}))
+        docs[name] = faulty.get("doc") if isinstance(faulty, dict) else faulty
+    argv = [
+        "simulate-crp", "i.json", "--caps", "c.json",
+        "--agents", str(draw(st.integers(1, 1000))),
+        "--reps", str(draw(st.integers(1, 3))),
+        "--seed", str(draw(st.integers(0, 5))),
+        "--format", draw(st.sampled_from(["json", "csv"])),
+    ]
+    return argv, docs
+
+
+def test_simulate_crp_keeps_the_exit_code_contract_in_range(tmp_path, monkeypatch):
+    examples, reached = [], []
+    simulate = cli.simulate_finite
+
+    def counted(*args):
+        reached.append(args)
+        return simulate(*args)
+
+    monkeypatch.setattr(cli, "simulate_finite", counted)
+
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @given(case=crp_case())
+    def run(case):
+        examples.append(case)
+        run_cli(tmp_path, *case)
+
+    run()
+    # the Monte Carlo path itself is what this test is for
+    assert len(reached) > len(examples) // 2

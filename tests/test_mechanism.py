@@ -24,7 +24,7 @@ from lotbench import (
     uniform_instance,
 )
 
-from util import random_instance
+from util import random_instance, random_raw_matrix
 
 
 def load_fixture(name):
@@ -84,6 +84,28 @@ def test_ic_slack_matrix_matches_definition():
                 want = _reference_ic_slack(inst, a, i, j)
                 assert report.ic_slack[i][j] == want
                 assert ic_slack(inst, mech, i, j) == want
+
+
+def test_report_sums_match_definition():
+    # participation sums every row of a column; position slack is
+    # g_k - D * sum_{i<=k} a[k][i] f_i, so cells above the diagonal never count
+    rng = random.Random(20261018)
+    for _ in range(120):
+        inst = random_instance(rng, 2, 12)
+        n = inst.n
+        a = random_raw_matrix(rng, n).a
+        report = feasibility_report(inst, DirectMechanism(a=a))
+        for i in range(n):
+            assert report.participation[i] == sum((a[k][i] for k in range(n)), Fraction(0))
+        for k in range(n):
+            mass = sum((a[k][i] * inst.f[i] for i in range(k + 1)), Fraction(0))
+            assert report.position_slack[k] == inst.g[k] - inst.d * mass
+        for i in range(n):
+            for j in range(n):
+                assert report.ic_slack[i][j] == _reference_ic_slack(inst, a, i, j)
+        assert report.negative_cells == tuple(
+            (k, i) for k in range(n) for i in range(n) if a[k][i] < 0
+        )
 
 
 def test_feasibility_menu_and_ceei():

@@ -78,6 +78,17 @@ def test_json_taste_labels_must_be_a_list():
         OrdinalInstance.from_json_dict({**doc, "Gamma": "ab"})
 
 
+def test_json_utility_must_be_a_list_of_lists():
+    doc = LINEAR4.to_json_dict()
+    for bad in (5, None, "01"):
+        with pytest.raises(LotbenchError, match="not a list of utility rows"):
+            OrdinalInstance.from_json_dict({**doc, "u": bad})
+    # each row is a vector of rationals too
+    for row in (5, None):
+        with pytest.raises(LotbenchError, match="not a list of rationals"):
+            OrdinalInstance.from_json_dict({**doc, "u": [row] + doc["u"][1:]})
+
+
 def test_even_grid_view_matches_baseline():
     inst = uniform_instance(4)
     view = even_grid_view(inst)

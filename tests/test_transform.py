@@ -16,6 +16,7 @@ from lotbench import (
     DirectMechanism,
     Fill,
     LotbenchError,
+    OrdinalInstance,
     allocation_upgrade,
     convexity_report,
     equalize_position,
@@ -25,14 +26,23 @@ from lotbench import (
     mu_coefficients,
     multipliers,
     new_instance,
+    normalize_gamma,
     position_masses,
     solve_designer,
     to_common_lottery,
+    uneven_mu_coefficients,
+    uneven_multipliers,
     uniform_instance,
     verify_decomposition,
 )
 
-from util import random_convex_instance, random_instance, random_supported_matrix
+from util import (
+    random_convex_instance,
+    random_instance,
+    random_pmf,
+    random_raw_matrix,
+    random_supported_matrix,
+)
 
 F = Fraction
 U4 = uniform_instance(4)
@@ -125,6 +135,74 @@ def test_decomposition_residual_zero_randomized():
         inst = random_instance(rng, n_min=2, n_max=8)
         mech = random_supported_matrix(rng, inst.n)
         assert verify_decomposition(inst, mech).residual == 0
+
+
+def _reference_scaled_ic(a, i, j):
+    """(N-1) times the IC slack of type i against report j, by definition."""
+    return sum(((k - i) * (a[k][i] - a[k][j]) for k in range(i, len(a))), F(0))
+
+
+def test_decomposition_terms_match_definition():
+    # O(N^3) reference: the multiplier-weighted slacks and the row averages
+    rng = random.Random(20261018)
+    for t in range(80):
+        inst = random_instance(rng, n_min=2, n_max=12)
+        n = inst.n
+        mech = random_raw_matrix(rng, n) if t % 2 else random_supported_matrix(rng, n)
+        a = mech.a
+        m = multipliers(inst)
+        info = sum((m.local_up[i] * _reference_scaled_ic(a, i, i + 1) for i in range(n - 1)), F(0))
+        info += sum(
+            (m.down[i][j] * _reference_scaled_ic(a, i, j) for i in range(n) for j in range(i)),
+            F(0),
+        )
+        common = sum(
+            (sum((a[k][i] * inst.f[i] for i in range(k + 1)), F(0)) / inst.cdf(k)
+             for k in range(n)),
+            F(0),
+        )
+        report = verify_decomposition(inst, mech)
+        assert report.info_term == info
+        assert report.common_term == common
+        assert report.p_theta0 == sum((a[k][0] for k in range(n)), F(0))
+
+
+def _reference_mu(x, mult):
+    """O(N^3) aggregation of the multiplier-weighted constraint rows."""
+    n = len(x)
+    up = mult.local_up + (F(0),)
+    mu = [[F(0)] * n for _ in range(n)]
+    for k in range(n):
+        for i in range(k + 1):
+            val = (x[k] - x[i]) * (up[i] + sum(mult.down[i], F(0)))
+            if i >= 1:
+                val -= (x[k] - x[i - 1]) * up[i - 1]
+            for j in range(i + 1, k + 1):
+                val -= (x[k] - x[j]) * mult.down[j][i]
+            mu[k][i] = val
+    return tuple(tuple(row) for row in mu)
+
+
+def test_mu_matches_the_aggregation():
+    rng = random.Random(20261019)
+    for _ in range(40):
+        inst = random_instance(rng, n_min=2, n_max=12)
+        n = inst.n
+        assert mu_coefficients(inst) == _reference_mu(range(n), multipliers(inst))
+        # a taste whose utilities are an uneven, rational-spaced grid
+        steps = [F(rng.randint(1, 9), rng.choice((1, 2, 3, 7, 10))) for _ in range(n - 1)]
+        utility = tuple(sum(steps[:k], F(0)) for k in range(n))
+        oi = OrdinalInstance(
+            qualities=tuple(F(k) for k in range(n)),
+            gamma_labels=("lin", "bent"),
+            gamma_pmf=random_pmf(rng, 2),
+            outside_pmf=inst.f,
+            utility=(tuple(F(k) for k in range(n)), utility),
+            g=inst.g,
+            d=inst.d,
+        )
+        view = normalize_gamma(oi, "bent")
+        assert uneven_mu_coefficients(view) == _reference_mu(view.x, uneven_multipliers(view))
 
 
 def test_mu_closed_forms():

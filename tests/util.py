@@ -50,6 +50,17 @@ def random_supported_matrix(rng: random.Random, n: int) -> DirectMechanism:
     return DirectMechanism(a=rows)
 
 
+def random_raw_matrix(rng: random.Random, n: int) -> DirectMechanism:
+    """Cells in [-1, 1] everywhere, above the diagonal included, over
+    denominators chosen per cell, so that their common denominator is
+    large."""
+    dens = (1, 2, 3, 7, 12, 25, 97, 101, 128, 1009)
+    return DirectMechanism(a=tuple(
+        tuple(Fraction(rng.randint(-d, d), d) for d in (rng.choice(dens) for _ in range(n)))
+        for _ in range(n)
+    ))
+
+
 def random_feasible_lottery(rng: random.Random, n: int):
     """Nonnegative offer vector with total at most one."""
     raw = [Fraction(rng.randint(0, 9)) for _ in range(n)]
