@@ -52,6 +52,15 @@ class LinearProgram:
             self.lower = [ZERO] * nv
         if not self.upper:
             self.upper = [None] * nv
+        if self.sense not in ("min", "max"):
+            raise LotbenchError(f"sense must be 'min' or 'max', got {self.sense!r}")
+        if any(rel not in (LE, EQ, GE) for rel in self.rels):
+            raise LotbenchError("every relation must be '<=', '=' or '>='")
+        if len(self.lower) != nv or len(self.upper) != nv:
+            raise LotbenchError(f"lower and upper bounds need {nv} entries each")
+        names = (self.var_names, self.con_names)
+        if any(len(set(group)) != len(group) for group in names):
+            raise LotbenchError("variable and constraint names must be unique")
         if len(self.c) != nv:
             raise LotbenchError(f"objective has {len(self.c)} entries, need {nv}")
         if not len(self.rows) == len(self.rels) == len(self.rhs) == len(self.con_names):
@@ -71,64 +80,50 @@ class LpSolution:
     objective: Fraction | None
     primal: dict[str, Fraction]
     duals: dict[str, Fraction]
-    basis: tuple[str, ...]
 
 
 class _Tableau:
-    """Dense simplex tableau over Fractions with Bland pivoting."""
+    """Dense simplex tableau over Fractions with Bland pivoting.
 
-    def __init__(self, a_cols, b, m):
-        # a_cols: list of columns (each list of m Fractions), pivoted in place
+    Each column holds its m constraint entries, then its phase-2 reduced
+    cost (row m) and its phase-1 reduced cost (row m + 1).  The right-hand
+    side is one more column, whose last two entries are -z of each phase.
+    One pivot updates all of it, so no reduced cost is ever recomputed.
+    """
+
+    def __init__(self, cols, rhs, m):
         self.m = m
-        self.cols = a_cols
-        self.b = list(b)
+        self.cols = cols
+        self.rhs = rhs
         self.basis = [-1] * m
 
     def pivot(self, row: int, col: int):
-        cols, b, m = self.cols, self.b, self.m
-        piv = cols[col][row]
-        inv = ONE / piv
-        for c in cols:
-            c[row] *= inv
-        b[row] *= inv
-        pivot_col = cols[col]
-        for r in range(m):
-            if r == row:
+        pivot_col = self.cols[col]
+        inv = ONE / pivot_col[row]
+        factors = [(r, f) for r, f in enumerate(pivot_col) if f != 0 and r != row]
+        for c in (*self.cols, self.rhs):
+            v = c[row]
+            if v == 0:
                 continue
-            factor = pivot_col[r]
-            if factor == 0:
-                continue
-            for c in cols:
-                if c[row] != 0:
-                    c[r] -= factor * c[row]
-            b[r] -= factor * b[row]
+            v *= inv
+            c[row] = v
+            for r, f in factors:
+                c[r] -= f * v
         self.basis[row] = col
 
-    def reduced_costs(self, costs):
-        """r_j = c_j - c_B . column_j for the current (eliminated) tableau."""
-        cb = [costs[self.basis[r]] for r in range(self.m)]
-        red = []
-        for j, col in enumerate(self.cols):
-            rj = costs[j]
-            for r in range(self.m):
-                if cb[r] != 0 and col[r] != 0:
-                    rj -= cb[r] * col[r]
-            red.append(rj)
-        return red
-
-    def run(self, costs, allowed):
-        """Minimize costs over allowed entering columns; returns status."""
+    def run(self, obj_row: int, allowed):
+        """Minimize the objective row over allowed entering columns."""
+        cols, rhs, m = self.cols, self.rhs, self.m
         while True:
-            red = self.reduced_costs(costs)
-            enter = next((j for j in allowed if red[j] < 0), -1)
+            enter = next((j for j in allowed if cols[j][obj_row] < 0), -1)
             if enter < 0:
                 return "optimal"
-            col = self.cols[enter]
+            col = cols[enter]
             leave = -1
             best = None
-            for r in range(self.m):
+            for r in range(m):
                 if col[r] > 0:
-                    ratio = self.b[r] / col[r]
+                    ratio = rhs[r] / col[r]
                     if best is None or ratio < best or (
                         ratio == best and self.basis[r] < self.basis[leave]
                     ):
@@ -146,25 +141,21 @@ def simplex_solve(lp: LinearProgram) -> LpSolution:
 
     # Normalize variables to x' >= 0: shift finite lower bounds, split free
     # variables, and turn upper bounds into extra <= rows.  Variable j is
-    # column plus[j] (minus column minus[j] when free) shifted by shift[j];
-    # var_of_col maps each normalized column back to its variable.
-    plus, minus, shift, var_of_col = [], [], [], []
-    costs = []
+    # column plus[j] (minus column minus[j] when free) shifted by shift[j].
+    plus, minus, shift = [], [], []
+    ncols = 0
     rows = list(lp.rows)
     rhs = list(lp.rhs)
     rels = list(lp.rels)
     n_user_rows = len(rows)
 
     for j in range(nv):
-        cj = lp.c[j] if minimize else -lp.c[j]
         lo, up = lp.lower[j], lp.upper[j]
-        plus.append(len(costs))
-        var_of_col.append(j)
-        costs.append(cj)
+        plus.append(ncols)
+        ncols += 1
         if lo is None:
-            minus.append(len(costs))
-            var_of_col.append(j)
-            costs.append(-cj)
+            minus.append(ncols)
+            ncols += 1
             shift.append(ZERO)
             continue
         minus.append(None)
@@ -178,10 +169,11 @@ def simplex_solve(lp: LinearProgram) -> LpSolution:
             rhs.append(up - lo)
 
     m = len(rows)
-    ncols = len(costs)
-    # Expand user rows into normalized columns.
-    a_cols = [[ZERO] * m for _ in range(ncols)]
-    for r, row in enumerate(rows):
+    # Expand the rows into normalized columns.  The objective, in the min
+    # sense, is row m; the phase-1 row m + 1 starts at zero.
+    cost_row = lp.c if minimize else [-cj for cj in lp.c]
+    a_cols = [[ZERO] * (m + 2) for _ in range(ncols)]
+    for r, row in enumerate(rows + [cost_row]):
         for j, v in enumerate(row):
             if v == 0:
                 continue
@@ -193,11 +185,10 @@ def simplex_solve(lp: LinearProgram) -> LpSolution:
     slack_of_row = [-1] * m
     for r in range(m):
         if rels[r] in (LE, GE):
-            col = [ZERO] * m
+            col = [ZERO] * (m + 2)
             col[r] = ONE if rels[r] == LE else -ONE
             slack_of_row[r] = len(a_cols)
             a_cols.append(col)
-            costs.append(ZERO)
 
     # Make rhs nonnegative.
     negated = [False] * m
@@ -209,31 +200,32 @@ def simplex_solve(lp: LinearProgram) -> LpSolution:
                 col[r] = -col[r]
 
     n_real = len(a_cols)
-    tab = _Tableau(a_cols, rhs, m)
+    tab = _Tableau(a_cols, rhs + [ZERO, ZERO], m)
 
     # Initial basis: positive slacks where possible, artificials (the columns
     # from n_real on) elsewhere.  Either way row r starts on the unit column
-    # e_r, recorded in unit[r].
+    # e_r, recorded in unit[r].  Phase 1 minimizes the sum of the
+    # artificials, so its row starts priced out: minus each column's sum
+    # over the rows that start on an artificial.
     for r in range(m):
         sc = slack_of_row[r]
         if sc >= 0 and tab.cols[sc][r] == ONE:
             tab.basis[r] = sc
-        else:
-            col = [ZERO] * m
-            col[r] = ONE
-            tab.basis[r] = len(tab.cols)
-            tab.cols.append(col)
-            costs.append(ZERO)
+            continue
+        for c in (*tab.cols, tab.rhs):
+            c[m + 1] -= c[r]
+        col = [ZERO] * (m + 2)
+        col[r] = ONE
+        tab.basis[r] = len(tab.cols)
+        tab.cols.append(col)
     unit = list(tab.basis)
 
     if len(tab.cols) > n_real:
-        phase1 = [ZERO] * n_real + [ONE] * (len(tab.cols) - n_real)
-        status = tab.run(phase1, allowed=range(len(tab.cols)))
+        status = tab.run(m + 1, allowed=range(len(tab.cols)))
         if status != "optimal":  # phase 1 is always bounded below by 0
             raise AssertionError(f"phase 1 ended {status!r}")
-        infeas = sum((tab.b[r] for r in range(m) if tab.basis[r] >= n_real), ZERO)
-        if infeas != 0:
-            return LpSolution("infeasible", None, {}, {}, ())
+        if tab.rhs[m + 1] != 0:
+            return LpSolution("infeasible", None, {}, {})
         # Pivot artificials out of the basis where a real column allows it.
         for r in range(m):
             if tab.basis[r] >= n_real:
@@ -243,14 +235,14 @@ def simplex_solve(lp: LinearProgram) -> LpSolution:
                 if enter is not None:
                     tab.pivot(r, enter)
 
-    status = tab.run(costs, allowed=range(n_real))
+    status = tab.run(m, allowed=range(n_real))
     if status == "unbounded":
-        return LpSolution("unbounded", None, {}, {}, ())
+        return LpSolution("unbounded", None, {}, {})
 
     # Primal values in normalized space.
     xnorm = [ZERO] * len(tab.cols)
     for r in range(m):
-        xnorm[tab.basis[r]] = tab.b[r]
+        xnorm[tab.basis[r]] = tab.rhs[r]
     primal = {}
     for j, name in enumerate(lp.var_names):
         value = xnorm[plus[j]] + shift[j]
@@ -259,19 +251,14 @@ def simplex_solve(lp: LinearProgram) -> LpSolution:
         primal[name] = value
     objective = sum((cj * primal[name] for cj, name in zip(lp.c, lp.var_names)), ZERO)
 
-    # Duals y = c_B B^-1 straight from the final tableau: unit[r] started as
+    # Duals y = c_B B^-1 straight from the phase-2 row: unit[r] started as
     # e_r and costs 0, so its reduced cost is -y_r.
-    red = tab.reduced_costs(costs)
-    sense_sign = ONE if minimize else -ONE
+    sign = ONE if minimize else -ONE
     duals = {
-        lp.con_names[r]: sense_sign * (ONE if negated[r] else -ONE) * red[unit[r]]
+        lp.con_names[r]: sign * (ONE if negated[r] else -ONE) * tab.cols[unit[r]][m]
         for r in range(n_user_rows)
     }
-
-    basis_names = tuple(
-        lp.var_names[var_of_col[j]] if j < ncols else f"_col{j}" for j in tab.basis
-    )
-    return LpSolution("optimal", objective, primal, duals, basis_names)
+    return LpSolution("optimal", objective, primal, duals)
 
 
 # --- designer problem builders ----------------------------------------------

@@ -147,14 +147,23 @@ def _float_exponent(obj: SeparableConcave) -> float:
     return rho
 
 
+def _float_problem(inst: Instance, obj: SeparableConcave):
+    """The float images (alpha, rho, cdf, g, D) of a concave budget
+    problem, once its weights are checked against N."""
+    _check_weights(obj, inst.n)
+    return (
+        _floats(obj.weights, "an objective weight"),
+        _float_exponent(obj),
+        _floats([inst.cdf(k) for k in range(inst.n)], "a type cdf value"),
+        _floats(inst.g, "a capacity"),
+        _floats([inst.d], "the agent mass")[0],
+    )
+
+
 def _water_fill(inst: Instance, obj: SeparableConcave):
     """Bisection on the budget multiplier for sum_k alpha_k s_k**rho."""
     n = inst.n
-    alpha = _floats(obj.weights, "an objective weight")
-    rho = _float_exponent(obj)
-    cdf = _floats([inst.cdf(k) for k in range(n)], "a type cdf value")
-    g = _floats(inst.g, "a capacity")
-    d = _floats([inst.d], "the agent mass")[0]
+    alpha, rho, cdf, g, d = _float_problem(inst, obj)
 
     def masses_at(lam):
         out = []
@@ -192,11 +201,8 @@ def optimal_masses_flexible(inst: Instance, obj: SeparableConcave) -> PositionMa
     scaled so the budget holds with equality; no bisection is needed.
     """
     n = inst.n
-    rho = _float_exponent(obj)
+    alpha, rho, cdf, _, d = _float_problem(inst, obj)
     power = 1 / (1 - rho)
-    alpha = _floats(obj.weights, "an objective weight")
-    cdf = _floats([inst.cdf(k) for k in range(n)], "a type cdf value")
-    d = _floats([inst.d], "the agent mass")[0]
     base = [(alpha[k] * rho * cdf[k]) ** power for k in range(n)]
     scale = d / sum(base[k] / cdf[k] for k in range(n))
     return PositionMasses(s=tuple(Fraction(scale * base[k]) for k in range(n)))
@@ -226,20 +232,17 @@ def kkt_check(
     even feasible for the budget set or lies outside the float range.
     """
     n = inst.n
+    alpha, rho, cdf, g, d = _float_problem(inst, obj)
+    if len(masses.s) != n:
+        raise LotbenchError(f"need {n} position masses, got {len(masses.s)}")
     s = _floats(masses.s, "a position mass")
-    g = _floats(inst.g, "a capacity")
-    cdf = _floats([inst.cdf(k) for k in range(n)], "a type cdf value")
     spend = sum(s[k] / cdf[k] for k in range(n))
-    d = _floats([inst.d], "the agent mass")[0]
     slack = d - spend
     if slack < -tol:
         raise LotbenchError(f"budget exceeded by {-slack}")
     for k in range(n):
         if s[k] < -tol or s[k] > g[k] + tol:
             raise LotbenchError(f"mass at position {k} outside [0, g_{k}]")
-
-    alpha = _floats(obj.weights, "an objective weight")
-    rho = _float_exponent(obj)
 
     def marginal(k):
         if s[k] <= 0:

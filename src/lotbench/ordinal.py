@@ -116,6 +116,8 @@ class UnevenGridView:
 
     def __post_init__(self):
         n = len(self.x)
+        if n == 0:
+            raise LotbenchError("grid must have at least one point")
         if len(self.F) != n:
             raise LotbenchError("grid and cdf must have the same length")
         if any(self.x[k] >= self.x[k + 1] for k in range(n - 1)):

@@ -6,6 +6,7 @@ import pytest
 
 from lotbench import (
     Fill,
+    Instance,
     Linear,
     LinearProgram,
     LotbenchError,
@@ -22,6 +23,8 @@ from lotbench import (
     solve_min_mass,
     uniform_instance,
 )
+
+from util import random_pmf
 
 F = Fraction
 
@@ -233,3 +236,86 @@ def test_duals_are_shadow_prices():
                 assert base.duals[name] == sides[0], (lp, name)
                 checked += 1
     assert checked >= 200
+
+
+def _one_var_lp(**changes):
+    lp = dict(
+        sense="max", c=[F(1)], rows=[[F(1)]], rels=["<="], rhs=[F(3)],
+        var_names=["x"], con_names=["cap"],
+    )
+    lp.update(changes)
+    return LinearProgram(**lp)
+
+
+def test_unknown_sense_rejected():
+    with pytest.raises(LotbenchError, match="sense must be 'min' or 'max'"):
+        _one_var_lp(sense="minimize")
+
+
+@pytest.mark.parametrize("rel", ["<", "=<", "=="])
+def test_unknown_relation_rejected(rel):
+    with pytest.raises(LotbenchError, match="every relation must be"):
+        _one_var_lp(rels=[rel])
+
+
+@pytest.mark.parametrize("bound", ["lower", "upper"])
+def test_short_bounds_rejected(bound):
+    two = dict(c=[F(1), F(1)], rows=[[F(1), F(1)]], var_names=["x", "y"])
+    with pytest.raises(LotbenchError, match="lower and upper bounds need 2 entries"):
+        _one_var_lp(**two, **{bound: [F(0)]})
+
+
+def test_duplicate_names_rejected():
+    with pytest.raises(LotbenchError, match="names must be unique"):
+        _one_var_lp(c=[F(1), F(1)], rows=[[F(1), F(1)]], var_names=["x", "x"])
+    with pytest.raises(LotbenchError, match="names must be unique"):
+        _one_var_lp(
+            rows=[[F(1)], [F(1)]], rels=["<=", "<="], rhs=[F(3), F(4)],
+            con_names=["cap", "cap"],
+        )
+
+
+def _designer_and_min_mass_lps(program):
+    rng = random.Random(8)
+    for t in range(16):
+        n = 2 + t % 4
+        inst = Instance(
+            n=n,
+            f=random_pmf(rng, n),
+            g=random_pmf(rng, n, full_support=False),
+            d=F(rng.randint(1, 8), rng.randint(1, 4)),
+        )
+        if program == "min_mass":
+            s = [F(rng.randint(0, 6), rng.randint(8, 40)) for _ in range(n)]
+            yield build_min_mass_lp(inst, PositionMasses(s=tuple(s)))
+        elif t % 2 == 0:
+            yield build_designer_lp(inst, Fill())
+        else:
+            yield build_designer_lp(
+                inst, Linear(weights=tuple(F(rng.randint(0, 5)) for _ in range(n)))
+            )
+
+
+@pytest.mark.parametrize("program", ["designer", "min_mass"])
+def test_dual_certificate_of_mechanism_lps(program):
+    """The reported duals certify optimality exactly: sign, dual
+    feasibility, complementary slackness and strong duality."""
+    for lp in _designer_and_min_mass_lps(program):
+        sol = simplex_solve(lp)
+        assert sol.status == "optimal"
+        # Read in the min sense (these programs have no = rows): a >= row
+        # prices nonnegative, a <= row nonpositive, and every reduced cost
+        # is nonnegative.
+        sign = 1 if lp.sense == "min" else -1
+        y = [sol.duals[name] for name in lp.con_names]
+        x = [sol.primal[v] for v in lp.var_names]
+        for name, yr, row, rel, rhs in zip(lp.con_names, y, lp.rows, lp.rels, lp.rhs):
+            assert sign * yr >= 0 if rel == ">=" else sign * yr <= 0, name
+            if yr != 0:
+                assert sum(a * xj for a, xj in zip(row, x)) == rhs, name
+        for j, name in enumerate(lp.var_names):
+            reduced = lp.c[j] - sum(yr * row[j] for yr, row in zip(y, lp.rows))
+            assert sign * reduced >= 0, name
+            if x[j] != 0:
+                assert reduced == 0, name
+        assert sum(yr * rhs for yr, rhs in zip(y, lp.rhs)) == sol.objective

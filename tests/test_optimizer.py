@@ -26,6 +26,7 @@ from lotbench import (
 from util import random_convex_instance
 
 F = Fraction
+U3 = uniform_instance(3)
 U4 = uniform_instance(4)
 FIG4 = new_instance(3, ["1/3", "1/12", "7/12"], ["1/3", "1/3", "1/3"], 1)
 
@@ -176,3 +177,21 @@ def test_kkt_accepts_tiny_positive_optimal_mass():
     assert 0 < sol.masses.s[0] < 1e-10
     report = kkt_check(inst, obj, sol.masses)
     assert report.ok, report.violations
+
+
+@pytest.mark.parametrize("n_weights", [2, 5])
+def test_concave_solvers_reject_wrong_weight_count(n_weights):
+    obj = SeparableConcave(weights=(F(1),) * n_weights, rho=F(1, 2))
+    masses = PositionMasses.from_values(["1/8", "1/8", "1/8"])
+    match = f"objective has {n_weights} weights, instance has N=3"
+    with pytest.raises(LotbenchError, match=match):
+        kkt_check(U3, obj, masses)
+    with pytest.raises(LotbenchError, match=match):
+        optimal_masses_flexible(U3, obj)
+
+
+def test_kkt_rejects_wrong_mass_count():
+    obj = SeparableConcave(weights=(F(1),) * 3, rho=F(1, 2))
+    masses = PositionMasses.from_values(["1/8", "1/8", "1/8", "1/8"])
+    with pytest.raises(LotbenchError, match="need 3 position masses, got 4"):
+        kkt_check(U3, obj, masses)

@@ -255,3 +255,8 @@ def test_aggregation_mass_preservation_randomized():
             for k in range(n):
                 expected[k] += w * s[k]
         assert mm.s == tuple(expected)
+
+
+def test_empty_grid_rejected():
+    with pytest.raises(LotbenchError, match="grid must have at least one point"):
+        UnevenGridView(x=(), F=())
