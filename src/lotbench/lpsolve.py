@@ -4,6 +4,8 @@ Everything here runs on `fractions.Fraction`: pivots never round, optimal
 values and dual prices are exact, and strong duality / complementary
 slackness can be asserted with equality.  Bland's smallest-index rule is
 used throughout, so the solver terminates even on degenerate inputs.
+The mechanism solvers do not trust the tableau: each optimum they return
+passes an exact certificate check first (`_check_certificate`).
 
 Reported dual prices follow the shadow-price convention: the dual of a
 constraint is the exact derivative of the optimal value (in the LP's own
@@ -12,8 +14,9 @@ sense) with respect to that constraint's right-hand side.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
+from itertools import chain
 
 from .errors import LotbenchError
 from .instance import Instance
@@ -25,6 +28,7 @@ from .mechanism import (
     PositionMasses,
     _check_weights,
 )
+from .transform import multipliers
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -69,6 +73,12 @@ class LinearProgram:
             )
         if any(len(row) != nv for row in self.rows):
             raise LotbenchError(f"every constraint row needs {nv} entries")
+        bounds = (b for b in chain(self.lower, self.upper) if b is not None)
+        for v in chain(self.c, self.rhs, chain.from_iterable(self.rows), bounds):
+            # a Fraction or a non-bool int, as parse_rational accepts: a
+            # float would round every pivot and every test against 0
+            if not isinstance(v, (Fraction, int)) or isinstance(v, bool):
+                raise LotbenchError(f"LP entries must be Fraction or int, got {v!r}")
         for lo, up in zip(self.lower, self.upper):
             if lo is not None and up is not None and lo > up:
                 raise LotbenchError("variable lower bound exceeds upper bound")
@@ -80,6 +90,8 @@ class LpSolution:
     objective: Fraction | None
     primal: dict[str, Fraction]
     duals: dict[str, Fraction]
+    # pivots made in phase 1 (driving artificials out included) and phase 2
+    pivots: tuple[int, int] = (0, 0)
 
 
 class _Tableau:
@@ -96,6 +108,7 @@ class _Tableau:
         self.cols = cols
         self.rhs = rhs
         self.basis = [-1] * m
+        self.pivots = 0
 
     def pivot(self, row: int, col: int):
         pivot_col = self.cols[col]
@@ -110,6 +123,7 @@ class _Tableau:
             for r, f in factors:
                 c[r] -= f * v
         self.basis[row] = col
+        self.pivots += 1
 
     def run(self, obj_row: int, allowed):
         """Minimize the objective row over allowed entering columns."""
@@ -190,10 +204,12 @@ def simplex_solve(lp: LinearProgram) -> LpSolution:
             slack_of_row[r] = len(a_cols)
             a_cols.append(col)
 
-    # Make rhs nonnegative.
+    # Make rhs nonnegative, and turn each >= 0 row into <= 0, whose slack
+    # can start basic at 0: the IC rows of the mechanism LPs then need no
+    # artificial, and the designer LP no phase 1 at all.
     negated = [False] * m
     for r in range(m):
-        if rhs[r] < 0:
+        if rhs[r] < 0 or (rhs[r] == 0 and rels[r] == GE):
             negated[r] = True
             rhs[r] = -rhs[r]
             for col in a_cols:
@@ -225,7 +241,7 @@ def simplex_solve(lp: LinearProgram) -> LpSolution:
         if status != "optimal":  # phase 1 is always bounded below by 0
             raise AssertionError(f"phase 1 ended {status!r}")
         if tab.rhs[m + 1] != 0:
-            return LpSolution("infeasible", None, {}, {})
+            return LpSolution("infeasible", None, {}, {}, (tab.pivots, 0))
         # Pivot artificials out of the basis where a real column allows it.
         for r in range(m):
             if tab.basis[r] >= n_real:
@@ -234,10 +250,12 @@ def simplex_solve(lp: LinearProgram) -> LpSolution:
                 )
                 if enter is not None:
                     tab.pivot(r, enter)
+    phase1 = tab.pivots
 
     status = tab.run(m, allowed=range(n_real))
+    pivots = (phase1, tab.pivots - phase1)
     if status == "unbounded":
-        return LpSolution("unbounded", None, {}, {})
+        return LpSolution("unbounded", None, {}, {}, pivots)
 
     # Primal values in normalized space.
     xnorm = [ZERO] * len(tab.cols)
@@ -258,7 +276,56 @@ def simplex_solve(lp: LinearProgram) -> LpSolution:
         lp.con_names[r]: sign * (ONE if negated[r] else -ONE) * tab.cols[unit[r]][m]
         for r in range(n_user_rows)
     }
-    return LpSolution("optimal", objective, primal, duals)
+    return LpSolution("optimal", objective, primal, duals, pivots)
+
+
+def _certificate_fault(lp: LinearProgram, sol: LpSolution) -> str | None:
+    """The first condition of sol's optimality certificate that fails, or
+    None when sol is proved optimal.
+
+    Checked exactly against the LP's own data, not the tableau: every row
+    and bound at the primal point; the sign of every dual (read in the min
+    sense, a >= row prices >= 0 and a <= row <= 0); every reduced cost
+    d_j = c_j - y.A_j, which may be nonzero only on a variable sitting at
+    the bound its sign points to; c.x = objective; and the dual objective
+    y.b + d.x = objective (d.x is the bound terms, 0 for bounds at 0).
+    """
+    if sol.status != "optimal":
+        return f"status is {sol.status}"
+    sign = ONE if lp.sense == "min" else -ONE
+    x = [sol.primal[v] for v in lp.var_names]
+    reduced = list(lp.c)
+    dual_value = ZERO
+    for name, row, rel, b in zip(lp.con_names, lp.rows, lp.rels, lp.rhs):
+        lhs = sum((a * xj for a, xj in zip(row, x) if a and xj), ZERO)
+        if (rel != LE and lhs < b) or (rel != GE and lhs > b):
+            return f"row {name} is violated"
+        yr = sol.duals[name]
+        if (rel == GE and sign * yr < 0) or (rel == LE and sign * yr > 0):
+            return f"the dual of {name} has the wrong sign"
+        if yr:
+            dual_value += yr * b
+            for j, a in enumerate(row):
+                if a:
+                    reduced[j] -= yr * a
+    for name, xj, lo, up, d in zip(lp.var_names, x, lp.lower, lp.upper, reduced):
+        if (lo is not None and xj < lo) or (up is not None and xj > up):
+            return f"{name} is outside its bounds"
+        if (sign * d > 0 and xj != lo) or (sign * d < 0 and xj != up):
+            return f"the reduced cost of {name} has the wrong sign"
+        dual_value += d * xj
+    if sum((cj * xj for cj, xj in zip(lp.c, x) if cj and xj), ZERO) != sol.objective:
+        return "c.x differs from the objective"
+    if dual_value != sol.objective:
+        return "the dual objective differs from the objective"
+    return None
+
+
+def _check_certificate(lp: LinearProgram, sol: LpSolution):
+    """Raise unless sol is a proved optimum of lp (see _certificate_fault)."""
+    fault = _certificate_fault(lp, sol)
+    if fault is not None:
+        raise AssertionError(f"LP optimum fails its exact certificate: {fault}")
 
 
 # --- designer problem builders ----------------------------------------------
@@ -371,6 +438,7 @@ def solve_designer(inst: Instance, obj: Objective):
     sol = simplex_solve(lp)
     if sol.status != "optimal":
         raise LotbenchError(f"designer LP ended with status {sol.status}")
+    _check_certificate(lp, sol)
     return DirectMechanism(a=_cell_matrix(sol, "a", inst.n, ONE)), sol.objective
 
 
@@ -382,7 +450,10 @@ class MinMassSolution:
     mechanism is recovered by dividing out the optimal mass.  multipliers
     holds the normalized shadow prices: each raw dual is multiplied by the
     optimal mass so that the position-target prices read D/F(theta_k) and
-    the agent-budget price reads D, with all entries nonnegative.
+    the agent-budget price reads D, with all entries nonnegative.  They are
+    the closed form of `_closed_form_duals` whenever it certifies the
+    optimum (always when 1/F is convex), so they do not depend on which
+    optimal vertex the pivots reach; otherwise they are the vertex's duals.
     """
 
     status: str
@@ -397,6 +468,11 @@ def solve_min_mass(inst: Instance, targets: PositionMasses) -> MinMassSolution:
     sol = simplex_solve(lp)
     if sol.status != "optimal":
         return MinMassSolution(sol.status, None, None, None, sol)
+    closed = replace(sol, duals=_closed_form_duals(inst, lp))
+    if _certificate_fault(lp, closed) is None:
+        sol = closed
+    else:
+        _check_certificate(lp, sol)
     d_star = sol.objective
     # a = y / D; at D = 0 every y is 0 and so is the mechanism.
     rows = _cell_matrix(sol, "y", inst.n, ZERO if d_star == 0 else ONE / d_star)
@@ -407,6 +483,31 @@ def solve_min_mass(inst: Instance, targets: PositionMasses) -> MinMassSolution:
         "IC": {pair: d_star * v for pair, v in raw["IC"].items()},
     }
     return MinMassSolution("optimal", d_star, DirectMechanism(a=rows), mult, sol)
+
+
+def _closed_form_duals(inst: Instance, lp: LinearProgram) -> dict[str, Fraction]:
+    """The min-mass LP's dual read off the participation decomposition.
+
+    POS[k] prices 1/F_k and AGE[0] prices -1; IC[i,i+1] and IC[i,j], j < i,
+    carry the multipliers of `transform.multipliers` times N - 1 (the LP's
+    IC rows are the transform's scaled ones over N - 1); every other row
+    prices 0.  Every reduced cost is then 0, the decomposition identity, so
+    this dual is feasible exactly when the downward multipliers are
+    nonnegative, and its value sum_k s_k/F_k is the optimum when a common
+    lottery is optimal.
+    """
+    n = inst.n
+    mult = multipliers(inst)
+    duals = dict.fromkeys(lp.con_names, ZERO)
+    for i, w in enumerate(mult.local_up):
+        duals[f"IC[{i},{i + 1}]"] = (n - 1) * w
+    for i, row in enumerate(mult.down):
+        for j, w in enumerate(row):
+            duals[f"IC[{i},{j}]"] = (n - 1) * w
+    for k in range(n):
+        duals[f"POS[{k}]"] = ONE / inst.cdf(k)
+    duals["AGE[0]"] = -ONE
+    return duals
 
 
 def dual_certificate(inst: Instance, solution: LpSolution) -> dict:

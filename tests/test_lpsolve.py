@@ -14,8 +14,10 @@ from lotbench import (
     SeparableConcave,
     build_designer_lp,
     build_min_mass_lp,
+    convexity_report,
     dual_certificate,
     feasibility_report,
+    multipliers,
     new_instance,
     position_masses,
     simplex_solve,
@@ -24,9 +26,11 @@ from lotbench import (
     uniform_instance,
 )
 
-from util import random_pmf
+from lotbench.lpsolve import _check_certificate
+from util import random_convex_instance, random_pmf
 
 F = Fraction
+ZERO = F(0)
 
 
 def test_single_constraint_max():
@@ -319,3 +323,159 @@ def test_dual_certificate_of_mechanism_lps(program):
             if x[j] != 0:
                 assert reduced == 0, name
         assert sum(yr * rhs for yr, rhs in zip(y, lp.rhs)) == sol.objective
+
+
+@pytest.mark.parametrize(
+    "changes",
+    [
+        dict(c=[0.1]),
+        dict(rows=[[3.0]]),
+        dict(rhs=[1.0]),
+        dict(rhs=[True]),
+        dict(lower=[0.5], upper=[None]),
+        dict(lower=[F(0)], upper=[2.5]),
+        dict(rows=[["3"]]),
+    ],
+)
+def test_inexact_entries_rejected(changes):
+    with pytest.raises(LotbenchError, match="LP entries must be Fraction or int"):
+        _one_var_lp(**changes)
+
+
+def test_int_entries_accepted():
+    sol = simplex_solve(_one_var_lp(c=[2], rows=[[3]], rhs=[1]))
+    assert sol.objective == F(2, 3) and sol.duals["cap"] == F(2, 3)
+
+
+def test_general_optima_pass_the_certificate():
+    """Free, shifted and upper-bounded variables: the reduced cost of a
+    variable at a nonzero bound enters the dual objective."""
+    rng = random.Random(77)
+    certified = 0
+    for _ in range(600):
+        lp = _random_lp(rng)
+        sol = simplex_solve(lp)
+        if sol.status == "optimal":
+            _check_certificate(lp, sol)
+            certified += 1
+    assert certified >= 150
+
+
+def test_mechanism_lps_start_on_a_feasible_basis():
+    """The all-zero mechanism is feasible, so a designer LP, and a min-mass
+    LP with all-zero targets, make no phase-1 pivot."""
+    rng = random.Random(9)
+    for t in range(30):
+        n = 2 + t % 5
+        inst = Instance(
+            n=n,
+            f=random_pmf(rng, n),
+            g=random_pmf(rng, n, full_support=False),
+            d=F(rng.randint(1, 8), rng.randint(1, 4)),
+        )
+        if t % 2 == 0:
+            obj = Fill()
+        else:
+            obj = Linear(weights=tuple(F(rng.randint(0, 5)) for _ in range(n)))
+        sol = simplex_solve(build_designer_lp(inst, obj))
+        assert sol.status == "optimal" and sol.pivots[0] == 0, (inst, obj)
+        if n >= 3:
+            assert sol.pivots[1] > 0
+    zero = PositionMasses.from_values(["0"] * 4)
+    sol = simplex_solve(build_min_mass_lp(uniform_instance(4), zero))
+    assert sol.status == "optimal" and sol.objective == 0 and sol.pivots[0] == 0
+    # a positive target still needs phase 1
+    mm = solve_min_mass(uniform_instance(4), PositionMasses.from_values(["1/8"] * 4))
+    assert mm.solution.pivots[0] > 0
+
+
+def _optimal_mechanism_lps():
+    inst = new_instance(4, ["2/5", "3/10", "1/5", "1/10"], ["1/4", "1/4", "1/4", "1/4"], "3/2")
+    designer = build_designer_lp(inst, Fill())
+    min_mass = build_min_mass_lp(inst, PositionMasses.from_values(["1/16", "1/8", "0", "1/8"]))
+    return [(lp, simplex_solve(lp)) for lp in (designer, min_mass)]
+
+
+def _nudged_off_a_row(lp, sol):
+    """Move one variable so that a tight row it appears in breaks."""
+    for row, rel, b in zip(lp.rows, lp.rels, lp.rhs):
+        if sum(a * sol.primal[v] for a, v in zip(row, lp.var_names)) != b:
+            continue
+        for a, v in zip(row, lp.var_names):
+            if a != 0 and rel != "=":
+                step = F(1, 1000) if (rel == "<=") == (a > 0) else F(-1, 1000)
+                return replace(sol, primal={**sol.primal, v: sol.primal[v] + step})
+    raise AssertionError("no tight row")
+
+
+def _one_dual_flipped(lp, sol):
+    name = next(n for n, r in zip(lp.con_names, lp.rels) if sol.duals[n] != 0 and r != "=")
+    return replace(sol, duals={**sol.duals, name: -sol.duals[name]})
+
+
+def _one_reduced_cost_broken(lp, sol):
+    """Raise one dual further in its allowed direction on a row that
+    holds a variable away from its bound: its reduced cost turns nonzero."""
+    sign = 1 if lp.sense == "min" else -1
+    for name, row, rel in zip(lp.con_names, lp.rows, lp.rels):
+        if rel == "=" or not any(a and sol.primal[v] for a, v in zip(row, lp.var_names)):
+            continue
+        step = sign * (1 if rel == ">=" else -1)
+        return replace(sol, duals={**sol.duals, name: sol.duals[name] + step})
+    raise AssertionError("no row holds a positive variable")
+
+
+@pytest.mark.parametrize(
+    "corrupt, fault",
+    [
+        (_nudged_off_a_row, "row .* is violated"),
+        (_one_dual_flipped, "the dual of .* has the wrong sign"),
+        (_one_reduced_cost_broken, "the reduced cost of .* has the wrong sign"),
+        (lambda lp, sol: replace(sol, objective=sol.objective + F(1, 1000)),
+         "c.x differs from the objective"),
+    ],
+)
+def test_certificate_rejects_a_broken_optimum(corrupt, fault):
+    for lp, sol in _optimal_mechanism_lps():
+        _check_certificate(lp, sol)
+        with pytest.raises(AssertionError, match=fault):
+            _check_certificate(lp, corrupt(lp, sol))
+
+
+def _closed_form_multipliers(inst, d_star):
+    n = inst.n
+    mult = multipliers(inst)
+    ic = {(i, j): ZERO for i in range(n) for j in range(n) if i != j}
+    for i, w in enumerate(mult.local_up):
+        ic[(i, i + 1)] = (n - 1) * w
+    for i, row in enumerate(mult.down):
+        for j, w in enumerate(row):
+            ic[(i, j)] = (n - 1) * w
+    return {
+        "POS": {k: d_star / inst.cdf(k) for k in range(n)},
+        "AGE": {i: d_star if i == 0 else ZERO for i in range(n)},
+        "IC": {pair: d_star * w for pair, w in ic.items()},
+    }
+
+
+def test_min_mass_multipliers_are_the_closed_form_on_convex_instances():
+    rng = random.Random(31)
+    for t in range(100):
+        inst = random_convex_instance(rng, 2 + t % 5, 2 + t % 5)
+        shares = [F(rng.randint(0, 3), 4) for _ in range(inst.n)]
+        targets = PositionMasses(s=tuple(g * c for g, c in zip(inst.g, shares)))
+        mm = solve_min_mass(inst, targets)
+        assert mm.status == "optimal"
+        assert mm.multipliers == _closed_form_multipliers(inst, mm.d_star), (inst, targets)
+
+
+def test_min_mass_multipliers_certify_on_a_nonconvex_instance():
+    inst = new_instance(3, ["1/3", "1/12", "7/12"], ["1/3", "1/3", "1/3"], 1)
+    assert not convexity_report(inst).is_convex
+    lp = build_min_mass_lp(inst, PositionMasses.from_values(["1/6", "1/3", "1/3"]))
+    mm = solve_min_mass(inst, PositionMasses.from_values(["1/6", "1/3", "1/3"]))
+    assert mm.multipliers != _closed_form_multipliers(inst, mm.d_star)
+    raw = {f"POS[{k}]": v / mm.d_star for k, v in mm.multipliers["POS"].items()}
+    raw |= {f"AGE[{i}]": -v / mm.d_star for i, v in mm.multipliers["AGE"].items()}
+    raw |= {f"IC[{i},{j}]": v / mm.d_star for (i, j), v in mm.multipliers["IC"].items()}
+    _check_certificate(lp, replace(mm.solution, duals=raw))
