@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import LotbenchError
 from .instance import Instance
-from .mechanism import CommonLottery, DirectMechanism, PositionMasses, expand_common_lottery
+from .mechanism import CommonLottery, DirectMechanism, PositionMasses, _check_lottery
 from .optimizer import masses_from_lottery
 
 ZERO = Fraction(0)
@@ -99,7 +99,7 @@ def continuum_crp(inst: Instance, caps: PositionMasses) -> CrpResult:
 
 def caps_from_lottery(inst: Instance, cl: CommonLottery) -> PositionMasses:
     """Caps under which the priority scan reproduces the lottery exactly."""
-    expand_common_lottery(inst, cl)  # validates feasibility
+    _check_lottery(cl, inst.n)
     return masses_from_lottery(inst, cl)
 
 

@@ -14,20 +14,13 @@ sense) with respect to that constraint's right-hand side.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from itertools import chain
 
 from .errors import LotbenchError
 from .instance import Instance
-from .mechanism import (
-    DirectMechanism,
-    Fill,
-    Linear,
-    Objective,
-    PositionMasses,
-    _check_weights,
-)
+from .mechanism import DirectMechanism, Objective, PositionMasses, _linear_weights
 from .transform import multipliers
 
 ZERO = Fraction(0)
@@ -38,7 +31,12 @@ LE, EQ, GE = "<=", "=", ">="
 
 @dataclass
 class LinearProgram:
-    """A general LP over named variables with row-wise relations."""
+    """An LP over named nonnegative variables with row-wise relations.
+
+    Every variable is >= 0, the standard form of both mechanism programs.
+    A bound other than 0 is a row: x <= 7/3 is the row [1] "<=" 7/3, and
+    a variable of either sign is the difference of two variables.
+    """
 
     sense: str  # "min" or "max"
     c: list[Fraction]
@@ -47,21 +45,13 @@ class LinearProgram:
     rhs: list[Fraction]
     var_names: list[str]
     con_names: list[str]
-    lower: list[Fraction | None] = field(default_factory=list)  # None = free
-    upper: list[Fraction | None] = field(default_factory=list)  # None = +inf
 
     def __post_init__(self):
         nv = len(self.var_names)
-        if not self.lower:
-            self.lower = [ZERO] * nv
-        if not self.upper:
-            self.upper = [None] * nv
         if self.sense not in ("min", "max"):
             raise LotbenchError(f"sense must be 'min' or 'max', got {self.sense!r}")
         if any(rel not in (LE, EQ, GE) for rel in self.rels):
             raise LotbenchError("every relation must be '<=', '=' or '>='")
-        if len(self.lower) != nv or len(self.upper) != nv:
-            raise LotbenchError(f"lower and upper bounds need {nv} entries each")
         names = (self.var_names, self.con_names)
         if any(len(set(group)) != len(group) for group in names):
             raise LotbenchError("variable and constraint names must be unique")
@@ -73,15 +63,11 @@ class LinearProgram:
             )
         if any(len(row) != nv for row in self.rows):
             raise LotbenchError(f"every constraint row needs {nv} entries")
-        bounds = (b for b in chain(self.lower, self.upper) if b is not None)
-        for v in chain(self.c, self.rhs, chain.from_iterable(self.rows), bounds):
+        for v in chain(self.c, self.rhs, chain.from_iterable(self.rows)):
             # a Fraction or a non-bool int, as parse_rational accepts: a
             # float would round every pivot and every test against 0
             if not isinstance(v, (Fraction, int)) or isinstance(v, bool):
                 raise LotbenchError(f"LP entries must be Fraction or int, got {v!r}")
-        for lo, up in zip(self.lower, self.upper):
-            if lo is not None and up is not None and lo > up:
-                raise LotbenchError("variable lower bound exceeds upper bound")
 
 
 @dataclass(frozen=True)
@@ -149,51 +135,21 @@ class _Tableau:
 
 
 def simplex_solve(lp: LinearProgram) -> LpSolution:
-    """Exact optimum of a general LP; status encodes infeasible/unbounded."""
+    """Exact optimum of an LP over x >= 0; status encodes infeasible/unbounded."""
     nv = len(lp.var_names)
     minimize = lp.sense == "min"
+    rels = lp.rels
+    rhs = [Fraction(b) for b in lp.rhs]
+    m = len(lp.rows)
 
-    # Normalize variables to x' >= 0: shift finite lower bounds, split free
-    # variables, and turn upper bounds into extra <= rows.  Variable j is
-    # column plus[j] (minus column minus[j] when free) shifted by shift[j].
-    plus, minus, shift = [], [], []
-    ncols = 0
-    rows = list(lp.rows)
-    rhs = list(lp.rhs)
-    rels = list(lp.rels)
-    n_user_rows = len(rows)
-
-    for j in range(nv):
-        lo, up = lp.lower[j], lp.upper[j]
-        plus.append(ncols)
-        ncols += 1
-        if lo is None:
-            minus.append(ncols)
-            ncols += 1
-            shift.append(ZERO)
-            continue
-        minus.append(None)
-        shift.append(lo)
-        if lo != 0:
-            for r in range(n_user_rows):
-                rhs[r] -= rows[r][j] * lo
-        if up is not None:
-            rows.append([ONE if jj == j else ZERO for jj in range(nv)])
-            rels.append(LE)
-            rhs.append(up - lo)
-
-    m = len(rows)
-    # Expand the rows into normalized columns.  The objective, in the min
-    # sense, is row m; the phase-1 row m + 1 starts at zero.
+    # Variable j is column j.  The objective, in the min sense, is row m;
+    # the phase-1 row m + 1 starts at zero.
     cost_row = lp.c if minimize else [-cj for cj in lp.c]
-    a_cols = [[ZERO] * (m + 2) for _ in range(ncols)]
-    for r, row in enumerate(rows + [cost_row]):
+    a_cols = [[ZERO] * (m + 2) for _ in range(nv)]
+    for r, row in enumerate(chain(lp.rows, [cost_row])):
         for j, v in enumerate(row):
-            if v == 0:
-                continue
-            a_cols[plus[j]][r] += v
-            if minus[j] is not None:
-                a_cols[minus[j]][r] -= v
+            if v != 0:
+                a_cols[j][r] = Fraction(v)
 
     # Slack/surplus columns.
     slack_of_row = [-1] * m
@@ -257,16 +213,10 @@ def simplex_solve(lp: LinearProgram) -> LpSolution:
     if status == "unbounded":
         return LpSolution("unbounded", None, {}, {}, pivots)
 
-    # Primal values in normalized space.
-    xnorm = [ZERO] * len(tab.cols)
+    xs = [ZERO] * len(tab.cols)
     for r in range(m):
-        xnorm[tab.basis[r]] = tab.rhs[r]
-    primal = {}
-    for j, name in enumerate(lp.var_names):
-        value = xnorm[plus[j]] + shift[j]
-        if minus[j] is not None:
-            value -= xnorm[minus[j]]
-        primal[name] = value
+        xs[tab.basis[r]] = tab.rhs[r]
+    primal = dict(zip(lp.var_names, xs))
     objective = sum((cj * primal[name] for cj, name in zip(lp.c, lp.var_names)), ZERO)
 
     # Duals y = c_B B^-1 straight from the phase-2 row: unit[r] started as
@@ -274,7 +224,7 @@ def simplex_solve(lp: LinearProgram) -> LpSolution:
     sign = ONE if minimize else -ONE
     duals = {
         lp.con_names[r]: sign * (ONE if negated[r] else -ONE) * tab.cols[unit[r]][m]
-        for r in range(n_user_rows)
+        for r in range(m)
     }
     return LpSolution("optimal", objective, primal, duals, pivots)
 
@@ -284,11 +234,10 @@ def _certificate_fault(lp: LinearProgram, sol: LpSolution) -> str | None:
     None when sol is proved optimal.
 
     Checked exactly against the LP's own data, not the tableau: every row
-    and bound at the primal point; the sign of every dual (read in the min
+    at the primal point and x >= 0; the sign of every dual (read in the min
     sense, a >= row prices >= 0 and a <= row <= 0); every reduced cost
-    d_j = c_j - y.A_j, which may be nonzero only on a variable sitting at
-    the bound its sign points to; c.x = objective; and the dual objective
-    y.b + d.x = objective (d.x is the bound terms, 0 for bounds at 0).
+    d_j = c_j - y.A_j, which in the min sense is >= 0 and is 0 wherever
+    x_j > 0; c.x = objective; and the dual objective y.b = objective.
     """
     if sol.status != "optimal":
         return f"status is {sol.status}"
@@ -308,12 +257,11 @@ def _certificate_fault(lp: LinearProgram, sol: LpSolution) -> str | None:
             for j, a in enumerate(row):
                 if a:
                     reduced[j] -= yr * a
-    for name, xj, lo, up, d in zip(lp.var_names, x, lp.lower, lp.upper, reduced):
-        if (lo is not None and xj < lo) or (up is not None and xj > up):
-            return f"{name} is outside its bounds"
-        if (sign * d > 0 and xj != lo) or (sign * d < 0 and xj != up):
+    for name, xj, d in zip(lp.var_names, x, reduced):
+        if xj < 0:
+            return f"{name} is negative"
+        if sign * d < 0 or (d and xj):
             return f"the reduced cost of {name} has the wrong sign"
-        dual_value += d * xj
     if sum((cj * xj for cj, xj in zip(lp.c, x) if cj and xj), ZERO) != sol.objective:
         return "c.x differs from the objective"
     if dual_value != sol.objective:
@@ -329,15 +277,6 @@ def _check_certificate(lp: LinearProgram, sol: LpSolution):
 
 
 # --- designer problem builders ----------------------------------------------
-
-
-def _linear_weights(inst: Instance, obj: Objective):
-    if isinstance(obj, Fill):
-        return [ONE] * inst.n
-    if isinstance(obj, Linear):
-        _check_weights(obj, inst.n)
-        return list(obj.weights)
-    raise LotbenchError("the designer LP requires a linear objective")
 
 
 def _mechanism_rows(inst: Instance, pos_scale: Fraction):
@@ -382,7 +321,9 @@ def _mechanism_rows(inst: Instance, pos_scale: Fraction):
 def build_designer_lp(inst: Instance, obj: Objective) -> LinearProgram:
     """The full direct-mechanism program: IC >= 0, POS[k] <= g_k with cell
     weights D * f_i, AGE[i] <= 1."""
-    weights = _linear_weights(inst, obj)
+    weights = _linear_weights(obj, inst.n)
+    if weights is None:
+        raise LotbenchError("the designer LP requires a linear objective")
     n = inst.n
     cells, rows, names = _mechanism_rows(inst, inst.d)
     n_ic = n * (n - 1)
@@ -476,7 +417,7 @@ def solve_min_mass(inst: Instance, targets: PositionMasses) -> MinMassSolution:
     d_star = sol.objective
     # a = y / D; at D = 0 every y is 0 and so is the mechanism.
     rows = _cell_matrix(sol, "y", inst.n, ZERO if d_star == 0 else ONE / d_star)
-    raw = dual_certificate(inst, sol)
+    raw = dual_certificate(sol)
     mult = {
         "POS": {k: d_star * v for k, v in raw["POS"].items()},
         "AGE": {i: -d_star * v for i, v in raw["AGE"].items()},
@@ -510,7 +451,7 @@ def _closed_form_duals(inst: Instance, lp: LinearProgram) -> dict[str, Fraction]
     return duals
 
 
-def dual_certificate(inst: Instance, solution: LpSolution) -> dict:
+def dual_certificate(solution: LpSolution) -> dict:
     """Multiplier report keyed by constraint family for an optimal solution."""
     if solution.status != "optimal":
         raise LotbenchError(f"cannot certify a solution with status {solution.status}")

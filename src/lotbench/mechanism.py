@@ -119,14 +119,24 @@ def _check_weights(obj: Objective, n: int):
         )
 
 
+def _linear_weights(obj: Objective, n: int):
+    """The position weights of a linear objective, checked against N, or
+    None for any other.  Fill is the linear objective with unit weights."""
+    if isinstance(obj, Fill):
+        return (1,) * n
+    if isinstance(obj, Linear):
+        _check_weights(obj, n)
+        return obj.weights
+    return None
+
+
 def evaluate_objective(obj: Objective, masses: PositionMasses):
     """Objective value at a mass vector; exact for Fill/Linear, float otherwise."""
-    _check_weights(obj, len(masses.s))
-    if isinstance(obj, Fill):
-        return masses.total()
-    if isinstance(obj, Linear):
-        return sum((w * s for w, s in zip(obj.weights, masses.s)), Fraction(0))
+    weights = _linear_weights(obj, len(masses.s))
+    if weights is not None:
+        return sum(map(mul, masses.s, weights), ZERO)
     if isinstance(obj, SeparableConcave):
+        _check_weights(obj, len(masses.s))
         return sum(
             float(w) * float(s) ** float(obj.rho) for w, s in zip(obj.weights, masses.s)
         )

@@ -21,12 +21,11 @@ from .errors import LotbenchError
 from .instance import Instance, convexity_report
 from .mechanism import (
     CommonLottery,
-    Fill,
-    Linear,
     Objective,
     PositionMasses,
     SeparableConcave,
     _check_weights,
+    _linear_weights,
     evaluate_objective,
 )
 
@@ -98,13 +97,13 @@ def optimal_masses(inst: Instance, obj: Objective) -> BudgetSolution:
 
 def _budget_masses(inst: Instance, obj: Objective) -> PositionMasses:
     """The masses of optimal_masses, without its convexity flag."""
-    _check_weights(obj, inst.n)
-    if isinstance(obj, Fill):
-        s = _greedy(inst, order=range(inst.n - 1, -1, -1))
-    elif isinstance(obj, Linear):
+    weights = _linear_weights(obj, inst.n)
+    if weights is not None:
+        # best price first; the sort is stable, so ties keep ascending k
         ranked = sorted(
-            (k for k in range(inst.n) if obj.weights[k] > 0),
-            key=lambda k: (-obj.weights[k] * inst.cdf(k), k),
+            (k for k in range(inst.n) if weights[k] > 0),
+            key=lambda k: inst.cdf(k) * weights[k],
+            reverse=True,
         )
         s = _greedy(inst, order=ranked)
     elif isinstance(obj, SeparableConcave):

@@ -1,4 +1,5 @@
 import random
+import re
 from dataclasses import replace
 from fractions import Fraction
 
@@ -77,20 +78,24 @@ def test_infeasible_and_unbounded():
 
 
 def test_free_variable_and_negative_rhs():
+    # a variable of either sign is the difference x = xp - xm of two >= 0
     lp = LinearProgram(
-        "min", [F(1)], [[F(1)]], ["="], [F(-5)], ["x"], ["eq"],
-        lower=[None], upper=[None],
+        "min", [F(1), F(-1)], [[F(1), F(-1)]], ["="], [F(-5)], ["xp", "xm"], ["eq"]
     )
     sol = simplex_solve(lp)
-    assert sol.primal["x"] == -5 and sol.objective == -5
+    assert sol.primal["xp"] - sol.primal["xm"] == -5 and sol.objective == -5
+    assert sol.duals["eq"] == 1
 
 
 def test_variable_bounds():
+    # bounds other than x >= 0 are rows
     lp = LinearProgram(
-        "max", [F(1)], [], [], [], ["x"], [], lower=[F(1, 2)], upper=[F(7, 3)]
+        "max", [F(1)], [[F(1)], [F(1)]], [">=", "<="], [F(1, 2), F(7, 3)],
+        ["x"], ["lo", "up"],
     )
     sol = simplex_solve(lp)
     assert sol.primal["x"] == F(7, 3)
+    assert (sol.duals["lo"], sol.duals["up"]) == (0, 1)
 
 
 def test_degenerate_cycling_instance_terminates():
@@ -138,7 +143,7 @@ def test_dual_certificate_requires_optimal():
     lp = LinearProgram("max", [F(1)], [[F(1)]], [">="], [F(0)], ["x"], ["a"])
     sol = simplex_solve(lp)
     with pytest.raises(LotbenchError, match="cannot certify a solution with status unbounded"):
-        dual_certificate(uniform_instance(2), sol)
+        dual_certificate(sol)
 
 
 def test_min_mass_uniform_targets():
@@ -195,15 +200,8 @@ def test_lp_text_dump():
 
 
 def _random_lp(rng):
-    """Small general LP: free, shifted and bounded variables, any relation,
-    right-hand sides of either sign."""
+    """Small LP over x >= 0: any relation, right-hand sides of either sign."""
     nv, m = rng.randint(1, 3), rng.randint(1, 4)
-    lower, upper = [], []
-    for _ in range(nv):
-        lo = rng.choice([None, F(0), F(rng.randint(-3, 3))])
-        up = lo + rng.randint(0, 4) if lo is not None and rng.random() < 0.4 else None
-        lower.append(lo)
-        upper.append(up)
     return LinearProgram(
         rng.choice(["min", "max"]),
         [F(rng.randint(-3, 3)) for _ in range(nv)],
@@ -212,8 +210,6 @@ def _random_lp(rng):
         [F(rng.randint(-4, 4)) for _ in range(m)],
         [f"x{j}" for j in range(nv)],
         [f"r{r}" for r in range(m)],
-        lower=lower,
-        upper=upper,
     )
 
 
@@ -263,10 +259,10 @@ def test_unknown_relation_rejected(rel):
 
 
 @pytest.mark.parametrize("bound", ["lower", "upper"])
-def test_short_bounds_rejected(bound):
-    two = dict(c=[F(1), F(1)], rows=[[F(1), F(1)]], var_names=["x", "y"])
-    with pytest.raises(LotbenchError, match="lower and upper bounds need 2 entries"):
-        _one_var_lp(**two, **{bound: [F(0)]})
+def test_bound_keywords_are_refused(bound):
+    # every variable is >= 0; any other bound is written as a row
+    with pytest.raises(TypeError, match=bound):
+        _one_var_lp(**{bound: [F(0)]})
 
 
 def test_duplicate_names_rejected():
@@ -332,8 +328,11 @@ def test_dual_certificate_of_mechanism_lps(program):
         dict(rows=[[3.0]]),
         dict(rhs=[1.0]),
         dict(rhs=[True]),
-        dict(lower=[0.5], upper=[None]),
-        dict(lower=[F(0)], upper=[2.5]),
+        # bounds are rows: x >= 0.5, then x <= 2.5
+        dict(rows=[[F(1)], [F(1)]], rels=["<=", ">="], rhs=[F(3), 0.5],
+             con_names=["cap", "lo"]),
+        dict(rows=[[F(1)], [F(1)]], rels=["<=", "<="], rhs=[F(3), 2.5],
+             con_names=["cap", "up"]),
         dict(rows=[["3"]]),
     ],
 )
@@ -348,8 +347,8 @@ def test_int_entries_accepted():
 
 
 def test_general_optima_pass_the_certificate():
-    """Free, shifted and upper-bounded variables: the reduced cost of a
-    variable at a nonzero bound enters the dual objective."""
+    """Random LPs over x >= 0, with every relation and right-hand sides of
+    either sign, beyond the mechanism programs' shape."""
     rng = random.Random(77)
     certified = 0
     for _ in range(600):
@@ -440,6 +439,28 @@ def test_certificate_rejects_a_broken_optimum(corrupt, fault):
         _check_certificate(lp, sol)
         with pytest.raises(AssertionError, match=fault):
             _check_certificate(lp, corrupt(lp, sol))
+
+
+def _one_variable_negative(lp, sol):
+    """Set to -1 a variable that no row holds back from going down: its
+    coefficient is >= 0 in every <= row, <= 0 in every >= row, 0 in every
+    = row, so every row still holds."""
+    safe = {"<=": lambda a: a >= 0, ">=": lambda a: a <= 0, "=": lambda a: a == 0}
+    for j, v in enumerate(lp.var_names):
+        if all(safe[rel](row[j]) for row, rel in zip(lp.rows, lp.rels)):
+            return v, replace(sol, primal={**sol.primal, v: F(-1)})
+    raise AssertionError("every variable is held back by a row")
+
+
+def test_certificate_rejects_a_negative_variable():
+    one_var = _one_var_lp()
+    designer, _ = _optimal_mechanism_lps()
+    for lp, sol in [(one_var, simplex_solve(one_var)), designer]:
+        _check_certificate(lp, sol)
+        name, broken = _one_variable_negative(lp, sol)
+        # rows are checked first, so this fault also shows that they hold
+        with pytest.raises(AssertionError, match=rf"{re.escape(name)} is negative"):
+            _check_certificate(lp, broken)
 
 
 def _closed_form_multipliers(inst, d_star):

@@ -1,5 +1,6 @@
 """The public surface: the names `from lotbench import *` binds."""
 
+import dataclasses
 import types
 
 import lotbench
@@ -85,3 +86,9 @@ def test_public_surface_is_pinned():
     namespace.pop("__builtins__")
     assert sorted(namespace) == SURFACE
     assert not any(isinstance(v, types.ModuleType) for v in namespace.values())
+
+
+def test_linear_program_fields_are_pinned():
+    # one standard form: every variable is >= 0, so no bound field
+    fields = [f.name for f in dataclasses.fields(lotbench.LinearProgram)]
+    assert fields == ["sense", "c", "rows", "rels", "rhs", "var_names", "con_names"]
