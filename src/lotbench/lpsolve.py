@@ -1,9 +1,12 @@
 """Exact-rational two-phase simplex and builders for the designer's LPs.
 
-Everything here runs on `fractions.Fraction`: pivots never round, optimal
-values and dual prices are exact, and strong duality / complementary
-slackness can be asserted with equality.  Bland's smallest-index rule is
-used throughout, so the solver terminates even on degenerate inputs.
+The simplex tableau holds each column as Python ints over one positive
+denominator, built straight from the LP's rows; `fractions.Fraction`
+appears only at the boundary, in the LP's data and in the primal values,
+duals and objective of a solution.  Pivots never round, optimal values and
+dual prices are exact, and strong duality / complementary slackness can be
+asserted with equality.  Bland's smallest-index rule is used throughout, so
+the solver terminates even on degenerate inputs.
 The mechanism solvers do not trust the tableau: each optimum they return
 passes an exact certificate check first (`_check_certificate`).
 
@@ -17,6 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from itertools import chain
+from math import gcd, lcm
 
 from .errors import LotbenchError
 from .instance import Instance
@@ -81,129 +85,169 @@ class LpSolution:
 
 
 class _Tableau:
-    """Dense simplex tableau over Fractions with Bland pivoting.
+    """Dense simplex tableau in integer columns, with Bland pivoting.
 
-    Each column holds its m constraint entries, then its phase-2 reduced
-    cost (row m) and its phase-1 reduced cost (row m + 1).  The right-hand
-    side is one more column, whose last two entries are -z of each phase.
-    One pivot updates all of it, so no reduced cost is ever recomputed.
+    Column j is the Python ints num[j] over one denominator den[j] > 0:
+    its m constraint entries, then its phase-2 reduced cost (row m) and its
+    phase-1 reduced cost (row m + 1).  The right-hand side is the last
+    column, whose last two entries are -z of each phase.  One pivot updates
+    all of it, so no reduced cost is ever recomputed.  A positive column
+    scale changes no sign and no ratio order, so the pivots are those of
+    the same tableau over Fractions.
     """
 
-    def __init__(self, cols, rhs, m):
-        self.m = m
-        self.cols = cols
-        self.rhs = rhs
-        self.basis = [-1] * m
+    def __init__(self, num, den, basis):
+        self.num = num
+        self.den = den
+        self.m = len(basis)
+        self.basis = basis
         self.pivots = 0
 
     def pivot(self, row: int, col: int):
-        pivot_col = self.cols[col]
-        inv = ONE / pivot_col[row]
-        factors = [(r, f) for r, f in enumerate(pivot_col) if f != 0 and r != row]
-        for c in (*self.cols, self.rhs):
+        num, den = self.num, self.den
+        pivot_col = num[col]
+        # Over the pivot column's denominator: entry p in the pivot row,
+        # signs flipped so that p > 0 and every new denominator stays > 0.
+        p, dp = pivot_col[row], den[col]
+        sign = 1 if p > 0 else -1
+        p *= sign
+        dp *= sign
+        factors = [
+            (r, sign * f) for r, f in enumerate(pivot_col) if f and r != row
+        ]
+        for j, c in enumerate(num):
             v = c[row]
-            if v == 0:
+            if not v or j == col:
                 continue
-            v *= inv
-            c[row] = v
+            # Over den[j]·p, row r becomes c_r·p − f_r·v and the pivot row
+            # v·dp.  gcd(p, v) is divided out first and the column's gcd
+            # last, so each column is stored in lowest terms.
+            k = gcd(p, v)
+            pk, v = p // k, v // k
+            if pk != 1:
+                c = [x * pk for x in c]
             for r, f in factors:
                 c[r] -= f * v
+            c[row] = v * dp
+            d = den[j] * pk
+            g = gcd(d, *c)
+            if g != 1:
+                c = [x // g for x in c]
+                d //= g
+            num[j] = c
+            den[j] = d
+        unit = [0] * len(pivot_col)
+        unit[row] = 1
+        num[col] = unit
+        den[col] = 1
         self.basis[row] = col
         self.pivots += 1
 
     def run(self, obj_row: int, allowed):
         """Minimize the objective row over allowed entering columns."""
-        cols, rhs, m = self.cols, self.rhs, self.m
+        num, m, basis = self.num, self.m, self.basis
         while True:
-            enter = next((j for j in allowed if cols[j][obj_row] < 0), -1)
+            enter = next((j for j in allowed if num[j][obj_row] < 0), -1)
             if enter < 0:
                 return "optimal"
-            col = cols[enter]
+            col, rhs = num[enter], num[-1]
+            # Bland's ratio test.  The column and the rhs each share one
+            # denominator, so b_r / a_r < b_s / a_s (a_r, a_s > 0) is
+            # b_r·a_s < b_s·a_r, with no division.
             leave = -1
-            best = None
             for r in range(m):
-                if col[r] > 0:
-                    ratio = rhs[r] / col[r]
-                    if best is None or ratio < best or (
-                        ratio == best and self.basis[r] < self.basis[leave]
-                    ):
-                        best = ratio
+                a = col[r]
+                if a > 0:
+                    if leave < 0:
+                        leave = r
+                        continue
+                    here, best = rhs[r] * col[leave], rhs[leave] * a
+                    if here < best or (here == best and basis[r] < basis[leave]):
                         leave = r
             if leave < 0:
                 return "unbounded"
             self.pivot(leave, enter)
 
 
+def _int_column(values, flip, phase1_rows):
+    """One tableau column over the lcm of its entries' denominators: the
+    constraint entries (rows in flip negated), the phase-2 entry, then the
+    phase-1 entry, minus the sum over phase1_rows."""
+    den = lcm(*[v.denominator for v in values if v])
+    col = [v.numerator * (den // v.denominator) if v else 0 for v in values]
+    for r in flip:
+        col[r] = -col[r]
+    col.append(-sum([col[r] for r in phase1_rows]))
+    return col, den
+
+
 def simplex_solve(lp: LinearProgram) -> LpSolution:
     """Exact optimum of an LP over x >= 0; status encodes infeasible/unbounded."""
-    nv = len(lp.var_names)
     minimize = lp.sense == "min"
     rels = lp.rels
-    rhs = [Fraction(b) for b in lp.rhs]
     m = len(lp.rows)
-
-    # Variable j is column j.  The objective, in the min sense, is row m;
-    # the phase-1 row m + 1 starts at zero.
-    cost_row = lp.c if minimize else [-cj for cj in lp.c]
-    a_cols = [[ZERO] * (m + 2) for _ in range(nv)]
-    for r, row in enumerate(chain(lp.rows, [cost_row])):
-        for j, v in enumerate(row):
-            if v != 0:
-                a_cols[j][r] = Fraction(v)
-
-    # Slack/surplus columns.
-    slack_of_row = [-1] * m
-    for r in range(m):
-        if rels[r] in (LE, GE):
-            col = [ZERO] * (m + 2)
-            col[r] = ONE if rels[r] == LE else -ONE
-            slack_of_row[r] = len(a_cols)
-            a_cols.append(col)
 
     # Make rhs nonnegative, and turn each >= 0 row into <= 0, whose slack
     # can start basic at 0: the IC rows of the mechanism LPs then need no
     # artificial, and the designer LP no phase 1 at all.
-    negated = [False] * m
+    negated = [b < 0 or (b == 0 and rel == GE) for b, rel in zip(lp.rhs, rels)]
+    flip = [r for r in range(m) if negated[r]]
+    # Slack/surplus signs once the rows are flipped; a row whose slack is
+    # not +1 starts on an artificial.
+    slack_sign = [
+        0 if rel == EQ else (1 if rel == LE else -1) * (-1 if neg else 1)
+        for rel, neg in zip(rels, negated)
+    ]
+    art_rows = [r for r in range(m) if slack_sign[r] != 1]
+
+    # Variable j is column j.  The objective, in the min sense, is row m;
+    # phase 1 minimizes the sum of the artificials, so its row m + 1 starts
+    # priced out: minus each column's sum over the rows that start on an
+    # artificial.
+    cost_row = lp.c if minimize else [-cj for cj in lp.c]
+    num, den = [], []
+    for values in zip(*lp.rows, cost_row):
+        col, d = _int_column(values, flip, art_rows)
+        num.append(col)
+        den.append(d)
+
+    # Slack/surplus columns, then artificials; both over denominator 1.
+    # Either way row r starts on the unit column e_r, recorded in unit[r].
+    basis = [-1] * m
     for r in range(m):
-        if rhs[r] < 0 or (rhs[r] == 0 and rels[r] == GE):
-            negated[r] = True
-            rhs[r] = -rhs[r]
-            for col in a_cols:
-                col[r] = -col[r]
+        if slack_sign[r]:
+            col = [0] * (m + 2)
+            col[r] = slack_sign[r]
+            # a surplus on a row that starts on an artificial
+            col[m + 1] = 1 if slack_sign[r] < 0 else 0
+            if slack_sign[r] == 1:
+                basis[r] = len(num)
+            num.append(col)
+            den.append(1)
+    n_real = len(num)
+    for r in art_rows:
+        col = [0] * (m + 2)
+        col[r] = 1
+        basis[r] = len(num)
+        num.append(col)
+        den.append(1)
+    unit = list(basis)
+    n_cols = len(num)
+    rhs, rhs_den = _int_column([*lp.rhs, 0], flip, art_rows)
+    num.append(rhs)
+    den.append(rhs_den)
+    tab = _Tableau(num, den, basis)
 
-    n_real = len(a_cols)
-    tab = _Tableau(a_cols, rhs + [ZERO, ZERO], m)
-
-    # Initial basis: positive slacks where possible, artificials (the columns
-    # from n_real on) elsewhere.  Either way row r starts on the unit column
-    # e_r, recorded in unit[r].  Phase 1 minimizes the sum of the
-    # artificials, so its row starts priced out: minus each column's sum
-    # over the rows that start on an artificial.
-    for r in range(m):
-        sc = slack_of_row[r]
-        if sc >= 0 and tab.cols[sc][r] == ONE:
-            tab.basis[r] = sc
-            continue
-        for c in (*tab.cols, tab.rhs):
-            c[m + 1] -= c[r]
-        col = [ZERO] * (m + 2)
-        col[r] = ONE
-        tab.basis[r] = len(tab.cols)
-        tab.cols.append(col)
-    unit = list(tab.basis)
-
-    if len(tab.cols) > n_real:
-        status = tab.run(m + 1, allowed=range(len(tab.cols)))
+    if n_cols > n_real:
+        status = tab.run(m + 1, allowed=range(n_cols))
         if status != "optimal":  # phase 1 is always bounded below by 0
             raise AssertionError(f"phase 1 ended {status!r}")
-        if tab.rhs[m + 1] != 0:
+        if num[-1][m + 1] != 0:
             return LpSolution("infeasible", None, {}, {}, (tab.pivots, 0))
         # Pivot artificials out of the basis where a real column allows it.
         for r in range(m):
             if tab.basis[r] >= n_real:
-                enter = next(
-                    (j for j in range(n_real) if tab.cols[j][r] != 0), None
-                )
+                enter = next((j for j in range(n_real) if num[j][r] != 0), None)
                 if enter is not None:
                     tab.pivot(r, enter)
     phase1 = tab.pivots
@@ -213,17 +257,20 @@ def simplex_solve(lp: LinearProgram) -> LpSolution:
     if status == "unbounded":
         return LpSolution("unbounded", None, {}, {}, pivots)
 
-    xs = [ZERO] * len(tab.cols)
+    rhs, rhs_den = num[-1], den[-1]
+    xs = [ZERO] * n_cols
     for r in range(m):
-        xs[tab.basis[r]] = tab.rhs[r]
+        xs[tab.basis[r]] = Fraction(rhs[r], rhs_den)
     primal = dict(zip(lp.var_names, xs))
     objective = sum((cj * primal[name] for cj, name in zip(lp.c, lp.var_names)), ZERO)
 
     # Duals y = c_B B^-1 straight from the phase-2 row: unit[r] started as
     # e_r and costs 0, so its reduced cost is -y_r.
-    sign = ONE if minimize else -ONE
+    sign = 1 if minimize else -1
     duals = {
-        lp.con_names[r]: sign * (ONE if negated[r] else -ONE) * tab.cols[unit[r]][m]
+        lp.con_names[r]: Fraction(
+            sign * (1 if negated[r] else -1) * num[unit[r]][m], den[unit[r]]
+        )
         for r in range(m)
     }
     return LpSolution("optimal", objective, primal, duals, pivots)

@@ -21,6 +21,7 @@ from .errors import LotbenchError
 from .instance import Instance, convexity_report
 from .mechanism import (
     CommonLottery,
+    Fill,
     Objective,
     PositionMasses,
     SeparableConcave,
@@ -50,8 +51,8 @@ class FillLottery:
 def optimal_lottery_fill(inst: Instance) -> FillLottery:
     """Mass-maximizing common lottery: fill positions from the top down."""
     n = inst.n
-    s = _greedy(inst, order=range(n - 1, -1, -1))
-    lottery = lottery_from_masses(inst, PositionMasses(s=tuple(s)))
+    # every f_i > 0, so F strictly increases and Fill ranks top-down
+    lottery = lottery_from_masses(inst, _budget_masses(inst, Fill()))
     q = tuple(inst.g[k] / (inst.d * inst.cdf(k)) for k in range(n))
     cutoff = next((k for k in range(n) if lottery.c[k] > 0), n)
     return FillLottery(lottery=lottery, q=q, cutoff=cutoff)

@@ -27,7 +27,7 @@ from lotbench import (
     uniform_instance,
 )
 
-from lotbench.lpsolve import _check_certificate
+from lotbench.lpsolve import _certificate_fault, _check_certificate
 from util import random_convex_instance, random_pmf
 
 F = Fraction
@@ -500,3 +500,48 @@ def test_min_mass_multipliers_certify_on_a_nonconvex_instance():
     raw |= {f"AGE[{i}]": -v / mm.d_star for i, v in mm.multipliers["AGE"].items()}
     raw |= {f"IC[{i},{j}]": v / mm.d_star for (i, j), v in mm.multipliers["IC"].items()}
     _check_certificate(lp, replace(mm.solution, duals=raw))
+
+
+def _random_rational_lp(rng):
+    """Small LP over x >= 0 whose entries are p/q with q in 1-5, so that
+    tableau columns carry mixed denominators: any relation, right-hand
+    sides of either sign."""
+    def rational(bound):
+        return F(rng.randint(-bound, bound), rng.randint(1, 5))
+
+    nv, m = rng.randint(1, 4), rng.randint(1, 5)
+    return LinearProgram(
+        rng.choice(["min", "max"]),
+        [rational(4) for _ in range(nv)],
+        [[rational(4) for _ in range(nv)] for _ in range(m)],
+        [rng.choice(["<=", "=", ">="]) for _ in range(m)],
+        [rational(5) for _ in range(m)],
+        [f"x{j}" for j in range(nv)],
+        [f"r{r}" for r in range(m)],
+    )
+
+
+def test_mixed_denominator_optima_pass_the_certificate():
+    rng = random.Random(2718)
+    statuses = {"optimal": 0, "infeasible": 0, "unbounded": 0}
+    for _ in range(800):
+        lp = _random_rational_lp(rng)
+        sol = simplex_solve(lp)
+        statuses[sol.status] += 1
+        if sol.status == "optimal":
+            _check_certificate(lp, sol)
+    assert statuses["optimal"] >= 150 and min(statuses.values()) > 0, statuses
+
+
+@pytest.mark.parametrize("n, pivots", [(10, (0, 165)), (12, (0, 122))])
+def test_designer_lp_pivot_path_is_pinned(n, pivots):
+    """Bland's rule fixes the pivot sequence, and with it which optimal
+    vertex every CLI answer reports; a change in the tableau's arithmetic
+    must not move it."""
+    rng = random.Random(1)
+    f = random_pmf(rng, n)
+    inst = Instance(n=n, f=f, g=random_pmf(rng, n), d=F(3, 2))
+    lp = build_designer_lp(inst, Fill())
+    sol = simplex_solve(lp)
+    assert sol.pivots == pivots
+    assert _certificate_fault(lp, sol) is None
