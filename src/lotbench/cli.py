@@ -9,6 +9,7 @@ improvement found, convexity fails), 2 for malformed input.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from fractions import Fraction
@@ -351,7 +352,10 @@ def _cmd_reproduce(args) -> int:
     raise ValueError(f"unknown reproduction target {target!r}")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: parsing reads it and
+    returns a new namespace each call, so no state carries over."""
     parser = argparse.ArgumentParser(
         prog="lotbench",
         description="Exact workbench for no-transfer assignment mechanisms",

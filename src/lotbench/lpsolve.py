@@ -1,14 +1,15 @@
 """Exact-rational two-phase simplex and builders for the designer's LPs.
 
 The simplex tableau holds each column as Python ints over one positive
-denominator, built straight from the LP's rows; `fractions.Fraction`
-appears only at the boundary, in the LP's data and in the primal values,
-duals and objective of a solution.  Pivots never round, optimal values and
-dual prices are exact, and strong duality / complementary slackness can be
-asserted with equality.  Bland's smallest-index rule is used throughout, so
-the solver terminates even on degenerate inputs.
+denominator, built straight from the nonzeros of the LP's rows.  Pivots
+never round, optimal values and dual prices are exact, and strong duality /
+complementary slackness can be asserted with equality.  Bland's
+smallest-index rule is used throughout, so the solver terminates even on
+degenerate inputs.
 The mechanism solvers do not trust the tableau: each optimum they return
-passes an exact certificate check first (`_check_certificate`).
+passes an exact certificate check first (`_check_certificate`), which also
+runs in Python ints.  `fractions.Fraction` appears only in the LP's data
+and in the solution: its primal values, duals and objective.
 
 Reported dual prices follow the shadow-price convention: the dual of a
 constraint is the exact derivative of the optimal value (in the LP's own
@@ -19,8 +20,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from itertools import chain
+from itertools import chain, compress
 from math import gcd, lcm
+from operator import mul
 
 from .errors import LotbenchError
 from .instance import Instance
@@ -67,11 +69,19 @@ class LinearProgram:
             )
         if any(len(row) != nv for row in self.rows):
             raise LotbenchError(f"every constraint row needs {nv} entries")
-        for v in chain(self.c, self.rhs, chain.from_iterable(self.rows)):
-            # a Fraction or a non-bool int, as parse_rational accepts: a
-            # float would round every pivot and every test against 0
-            if not isinstance(v, (Fraction, int)) or isinstance(v, bool):
-                raise LotbenchError(f"LP entries must be Fraction or int, got {v!r}")
+        # a Fraction or a non-bool int, as parse_rational accepts: a float
+        # would round every pivot and every test against 0.  The types are
+        # checked as a set; the entries are searched only for the message.
+        def entries():
+            return chain(self.c, self.rhs, chain.from_iterable(self.rows))
+
+        if not all(map(_exact_type, set(map(type, entries())))):
+            bad = next(v for v in entries() if not _exact_type(type(v)))
+            raise LotbenchError(f"LP entries must be Fraction or int, got {bad!r}")
+
+
+def _exact_type(t: type) -> bool:
+    return issubclass(t, (Fraction, int)) and not issubclass(t, bool)
 
 
 @dataclass(frozen=True)
@@ -169,15 +179,42 @@ class _Tableau:
             self.pivot(leave, enter)
 
 
+def _nonzeros(values):
+    """The nonzero entries of values as ints over one denominator: returns
+    (den, at, ints), entry at[t] being ints[t] / den, with den the lcm of
+    their denominators (1 if there are none)."""
+    at = list(compress(range(len(values)), values))
+    nonzero = [values[t] for t in at]
+    dens = [v.denominator for v in nonzero]
+    den = lcm(*dens)
+    return den, at, [v.numerator * (den // d) for v, d in zip(nonzero, dens)]
+
+
+def _over_lcm(values):
+    """(den, ints): values as ints over the lcm of their denominators,
+    with each zero an int 0."""
+    den, at, nonzero = _nonzeros(values)
+    ints = [0] * len(values)
+    for t, v in zip(at, nonzero):
+        ints[t] = v
+    return den, ints
+
+
 def _int_column(values, flip, phase1_rows):
     """One tableau column over the lcm of its entries' denominators: the
-    constraint entries (rows in flip negated), the phase-2 entry, then the
-    phase-1 entry, minus the sum over phase1_rows."""
-    den = lcm(*[v.denominator for v in values if v])
-    col = [v.numerator * (den // v.denominator) if v else 0 for v in values]
-    for r in flip:
-        col[r] = -col[r]
-    col.append(-sum([col[r] for r in phase1_rows]))
+    constraint entries and the phase-2 entry (those in flip negated), then
+    the phase-1 entry, minus the sum over phase1_rows.  Only the nonzeros
+    are scaled; the zeros stay int 0."""
+    den, at, ints = _nonzeros(values)
+    col = [0] * (len(values) + 1)
+    phase1 = 0
+    for r, a in zip(at, ints):
+        if r in flip:
+            a = -a
+        col[r] = a
+        if r in phase1_rows:
+            phase1 -= a
+    col[-1] = phase1
     return col, den
 
 
@@ -191,7 +228,6 @@ def simplex_solve(lp: LinearProgram) -> LpSolution:
     # can start basic at 0: the IC rows of the mechanism LPs then need no
     # artificial, and the designer LP no phase 1 at all.
     negated = [b < 0 or (b == 0 and rel == GE) for b, rel in zip(lp.rhs, rels)]
-    flip = [r for r in range(m) if negated[r]]
     # Slack/surplus signs once the rows are flipped; a row whose slack is
     # not +1 starts on an artificial.
     slack_sign = [
@@ -200,14 +236,17 @@ def simplex_solve(lp: LinearProgram) -> LpSolution:
     ]
     art_rows = [r for r in range(m) if slack_sign[r] != 1]
 
-    # Variable j is column j.  The objective, in the min sense, is row m;
-    # phase 1 minimizes the sum of the artificials, so its row m + 1 starts
-    # priced out: minus each column's sum over the rows that start on an
-    # artificial.
-    cost_row = lp.c if minimize else [-cj for cj in lp.c]
+    # Variable j is column j.  The objective, in the min sense, is row m
+    # (negated to maximize); phase 1 minimizes the sum of the artificials,
+    # so its row m + 1 starts priced out: minus each column's sum over the
+    # rows that start on an artificial.
+    flip = {r for r in range(m) if negated[r]}
+    if not minimize:
+        flip.add(m)
+    phase1_rows = set(art_rows)
     num, den = [], []
-    for values in zip(*lp.rows, cost_row):
-        col, d = _int_column(values, flip, art_rows)
+    for values in zip(*lp.rows, lp.c):
+        col, d = _int_column(values, flip, phase1_rows)
         num.append(col)
         den.append(d)
 
@@ -233,7 +272,7 @@ def simplex_solve(lp: LinearProgram) -> LpSolution:
         den.append(1)
     unit = list(basis)
     n_cols = len(num)
-    rhs, rhs_den = _int_column([*lp.rhs, 0], flip, art_rows)
+    rhs, rhs_den = _int_column([*lp.rhs, 0], flip, phase1_rows)
     num.append(rhs)
     den.append(rhs_den)
     tab = _Tableau(num, den, basis)
@@ -258,11 +297,13 @@ def simplex_solve(lp: LinearProgram) -> LpSolution:
         return LpSolution("unbounded", None, {}, {}, pivots)
 
     rhs, rhs_den = num[-1], den[-1]
+    n_vars = len(lp.var_names)
     xs = [ZERO] * n_cols
     for r in range(m):
         xs[tab.basis[r]] = Fraction(rhs[r], rhs_den)
     primal = dict(zip(lp.var_names, xs))
-    objective = sum((cj * primal[name] for cj, name in zip(lp.c, lp.var_names)), ZERO)
+    # c.x over the basic variables: every other one is 0
+    objective = sum((lp.c[j] * xs[j] for j in tab.basis if j < n_vars), ZERO)
 
     # Duals y = c_B B^-1 straight from the phase-2 row: unit[r] started as
     # e_r and costs 0, so its reduced cost is -y_r.
@@ -285,33 +326,57 @@ def _certificate_fault(lp: LinearProgram, sol: LpSolution) -> str | None:
     sense, a >= row prices >= 0 and a <= row <= 0); every reduced cost
     d_j = c_j - y.A_j, which in the min sense is >= 0 and is 0 wherever
     x_j > 0; c.x = objective; and the dual objective y.b = objective.
+
+    All of it runs in ints: x is put over one denominator and y over
+    another, each row and its rhs over the row's own lcm, and c and every
+    priced row over one common scale.
     """
     if sol.status != "optimal":
         return f"status is {sol.status}"
-    sign = ONE if lp.sense == "min" else -ONE
-    x = [sol.primal[v] for v in lp.var_names]
-    reduced = list(lp.c)
-    dual_value = ZERO
-    for name, row, rel, b in zip(lp.con_names, lp.rows, lp.rels, lp.rhs):
-        lhs = sum((a * xj for a, xj in zip(row, x) if a and xj), ZERO)
-        if (rel != LE and lhs < b) or (rel != GE and lhs > b):
+    sign = 1 if lp.sense == "min" else -1
+    x_den, xs = _over_lcm([sol.primal[v] for v in lp.var_names])
+    y_den, ys = _over_lcm([sol.duals[name] for name in lp.con_names])
+    # the priced rows as (dual over y_den, row scale, its columns and ints,
+    # rhs over the row scale)
+    priced = []
+    for name, row, rel, b, yr in zip(lp.con_names, lp.rows, lp.rels, lp.rhs, ys):
+        row_den, cols, ints = _nonzeros(row)
+        scale = lcm(row_den, b.denominator)
+        if scale != row_den:
+            ints = [a * (scale // row_den) for a in ints]
+        b_int = b.numerator * (scale // b.denominator)
+        # row.x against b, both times scale * x_den
+        lhs = sum(map(mul, ints, map(xs.__getitem__, cols)))
+        rhs = b_int * x_den
+        if (rel != LE and lhs < rhs) or (rel != GE and lhs > rhs):
             return f"row {name} is violated"
-        yr = sol.duals[name]
         if (rel == GE and sign * yr < 0) or (rel == LE and sign * yr > 0):
             return f"the dual of {name} has the wrong sign"
         if yr:
-            dual_value += yr * b
-            for j, a in enumerate(row):
-                if a:
-                    reduced[j] -= yr * a
-    for name, xj, d in zip(lp.var_names, x, reduced):
+            priced.append((yr, scale, cols, ints, b_int))
+    # Every reduced cost and the dual objective times y_den * s, with s the
+    # common scale of c and the priced rows.
+    c_den, c_cols, c_ints = _nonzeros(lp.c)
+    s = lcm(c_den, *[scale for _, scale, _, _, _ in priced])
+    reduced = [0] * len(xs)
+    for j, cj in zip(c_cols, c_ints):
+        reduced[j] = cj * (s // c_den) * y_den
+    dual_value = 0
+    for yr, scale, cols, ints, b_int in priced:
+        f = yr * (s // scale)
+        dual_value += f * b_int
+        for j, a in zip(cols, ints):
+            reduced[j] -= f * a
+    for name, xj, d in zip(lp.var_names, xs, reduced):
         if xj < 0:
             return f"{name} is negative"
         if sign * d < 0 or (d and xj):
             return f"the reduced cost of {name} has the wrong sign"
-    if sum((cj * xj for cj, xj in zip(lp.c, x) if cj and xj), ZERO) != sol.objective:
+    obj_num, obj_den = sol.objective.numerator, sol.objective.denominator
+    c_x = sum(map(mul, c_ints, map(xs.__getitem__, c_cols)))
+    if c_x * obj_den != obj_num * c_den * x_den:
         return "c.x differs from the objective"
-    if dual_value != sol.objective:
+    if dual_value * obj_den != obj_num * s * y_den:
         return "the dual objective differs from the objective"
     return None
 
@@ -326,40 +391,43 @@ def _check_certificate(lp: LinearProgram, sol: LpSolution):
 # --- designer problem builders ----------------------------------------------
 
 
-def _mechanism_rows(inst: Instance, pos_scale: Fraction):
+def _mechanism_rows(inst: Instance, pos_weights):
     """The constraint family both programs share, over the cells k >= i
     (ex-post IR is imposed structurally: only those cells are variables).
 
     Returns the cells and the named rows in order: IC[i,j] (truth-telling,
-    read as >= 0), POS[k] (cell (k, i) weighted by pos_scale * f_i), then
-    AGE[i] (type i's total offer probability).
+    read as >= 0), POS[k] (cell (k, i) weighted by pos_weights[i]), then
+    AGE[i] (type i's total offer probability).  Cell (k, i) is column
+    k(k+1)/2 + i, and its IC gain x_k - x_i is the grid step (k - i)/(N - 1).
     """
     n = inst.n
     cells = [(k, i) for k in range(n) for i in range(k + 1)]
-    index_of = {cell: t for t, cell in enumerate(cells)}
+    first = [k * (k + 1) // 2 for k in range(n)]  # column of cell (k, 0)
+    gain = [Fraction(t, n - 1) for t in range(n)]
+    loss = [-g for g in gain]
     rows, names = [], []
+    # Cells (k, i) and (k, j), i != j, are different columns, so each entry
+    # is assigned once; at k = i the gain is 0 and the row keeps its ZERO.
     for i in range(n):
         for j in range(n):
             if i == j:
                 continue
             row = [ZERO] * len(cells)
-            for k in range(i, n):
-                gain = inst.x(k) - inst.x(i)
-                row[index_of[(k, i)]] += gain
+            for k in range(i + 1, n):
+                row[first[k] + i] = gain[k - i]
                 if k >= j:
-                    row[index_of[(k, j)]] -= gain
+                    row[first[k] + j] = loss[k - i]
             rows.append(row)
             names.append(f"IC[{i},{j}]")
     for k in range(n):
         row = [ZERO] * len(cells)
-        for i in range(k + 1):
-            row[index_of[(k, i)]] = pos_scale * inst.f[i]
+        row[first[k] : first[k] + k + 1] = pos_weights[: k + 1]
         rows.append(row)
         names.append(f"POS[{k}]")
     for i in range(n):
         row = [ZERO] * len(cells)
         for k in range(i, n):
-            row[index_of[(k, i)]] = ONE
+            row[first[k] + i] = ONE
         rows.append(row)
         names.append(f"AGE[{i}]")
     return cells, rows, names
@@ -372,11 +440,12 @@ def build_designer_lp(inst: Instance, obj: Objective) -> LinearProgram:
     if weights is None:
         raise LotbenchError("the designer LP requires a linear objective")
     n = inst.n
-    cells, rows, names = _mechanism_rows(inst, inst.d)
+    mass = [inst.d * fi for fi in inst.f]
+    cells, rows, names = _mechanism_rows(inst, mass)
     n_ic = n * (n - 1)
     return LinearProgram(
         sense="max",
-        c=[weights[k] * inst.d * inst.f[i] for k, i in cells],
+        c=[weights[k] * mass[i] for k, i in cells],
         rows=rows,
         rels=[GE] * n_ic + [LE] * (2 * n),
         rhs=[ZERO] * n_ic + list(inst.g) + [ONE] * n,
@@ -398,7 +467,7 @@ def build_min_mass_lp(inst: Instance, targets: PositionMasses) -> LinearProgram:
         raise LotbenchError(f"need {n} target masses, got {len(targets.s)}")
     if any(sk < 0 for sk in targets.s):
         raise LotbenchError("targets must be nonnegative")
-    cells, rows, names = _mechanism_rows(inst, ONE)
+    cells, rows, names = _mechanism_rows(inst, inst.f)
     n_ic = n * (n - 1)
     d_col = [ZERO] * (n_ic + n) + [-ONE] * n
     return LinearProgram(

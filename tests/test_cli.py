@@ -166,6 +166,23 @@ def test_solve_lp_json_and_csv(files, capsys):
     assert len(out.strip().splitlines()) == 4
 
 
+def test_repeated_calls_share_no_parsed_state(files, capsys):
+    """main reuses one parser per process: a csv call, then a call that
+    argparse rejects, then the default format must print what a fresh
+    process prints."""
+    inst = files("i.json", UNIFORM4)
+    code, out, _ = run(capsys, "solve-lp", inst, "--format", "csv")
+    assert code == 0 and len(out.strip().splitlines()) == 4
+    with pytest.raises(SystemExit) as exc:
+        main(["solve-lp", inst, "--format", "xml"])
+    assert exc.value.code == 2
+    capsys.readouterr()
+    code, out, _ = run(capsys, "solve-lp", inst)
+    fresh = run_subprocess("solve-lp", inst)
+    assert code == 0 == fresh.returncode and out == fresh.stdout
+    assert json.loads(out)["value"] == "17/24"
+
+
 def test_transform(files, capsys):
     code, out, _ = run(
         capsys,

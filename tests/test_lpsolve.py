@@ -3,6 +3,7 @@ import re
 from dataclasses import replace
 from fractions import Fraction
 
+import numpy
 import pytest
 
 from lotbench import (
@@ -334,6 +335,8 @@ def test_dual_certificate_of_mechanism_lps(program):
         dict(rows=[[F(1)], [F(1)]], rels=["<=", "<="], rhs=[F(3), 2.5],
              con_names=["cap", "up"]),
         dict(rows=[["3"]]),
+        dict(rows=[[True]]),
+        dict(c=[numpy.int64(1)]),
     ],
 )
 def test_inexact_entries_rejected(changes):
@@ -341,8 +344,23 @@ def test_inexact_entries_rejected(changes):
         _one_var_lp(**changes)
 
 
+def test_the_first_inexact_entry_is_named():
+    with pytest.raises(LotbenchError, match=r"got 2\.5$"):
+        _one_var_lp(c=[F(1), 1], rows=[[F(1), 2.5]], var_names=["x", "y"])
+
+
+class _Ratio(F):
+    pass
+
+
+class _Count(int):
+    pass
+
+
 def test_int_entries_accepted():
     sol = simplex_solve(_one_var_lp(c=[2], rows=[[3]], rhs=[1]))
+    assert sol.objective == F(2, 3) and sol.duals["cap"] == F(2, 3)
+    sol = simplex_solve(_one_var_lp(c=[_Count(2)], rows=[[_Ratio(3)]], rhs=[_Ratio(1)]))
     assert sol.objective == F(2, 3) and sol.duals["cap"] == F(2, 3)
 
 
@@ -545,3 +563,139 @@ def test_designer_lp_pivot_path_is_pinned(n, pivots):
     sol = simplex_solve(lp)
     assert sol.pivots == pivots
     assert _certificate_fault(lp, sol) is None
+
+
+def _reference_rows(inst, pos_scale):
+    """The mechanism rows straight from their definition, cell by cell:
+    the gain x_k - x_i added into a (k, i) -> column dict."""
+    n = inst.n
+    cells = [(k, i) for k in range(n) for i in range(k + 1)]
+    index_of = {cell: t for t, cell in enumerate(cells)}
+    rows, names = [], []
+    for i in range(n):
+        for j in range(n):
+            if i == j:
+                continue
+            row = [ZERO] * len(cells)
+            for k in range(i, n):
+                gain = inst.x(k) - inst.x(i)
+                row[index_of[(k, i)]] += gain
+                if k >= j:
+                    row[index_of[(k, j)]] -= gain
+            rows.append(row)
+            names.append(f"IC[{i},{j}]")
+    for k in range(n):
+        row = [ZERO] * len(cells)
+        for i in range(k + 1):
+            row[index_of[(k, i)]] = pos_scale * inst.f[i]
+        rows.append(row)
+        names.append(f"POS[{k}]")
+    for i in range(n):
+        row = [ZERO] * len(cells)
+        for k in range(i, n):
+            row[index_of[(k, i)]] = F(1)
+        rows.append(row)
+        names.append(f"AGE[{i}]")
+    return cells, rows, names
+
+
+def _reference_designer_lp(inst, weights):
+    n = inst.n
+    cells, rows, names = _reference_rows(inst, inst.d)
+    return LinearProgram(
+        "max",
+        [weights[k] * inst.d * inst.f[i] for k, i in cells],
+        rows,
+        [">="] * (n * (n - 1)) + ["<="] * (2 * n),
+        [ZERO] * (n * (n - 1)) + list(inst.g) + [F(1)] * n,
+        [f"a[{k}][{i}]" for k, i in cells],
+        names,
+    )
+
+
+def _reference_min_mass_lp(inst, s):
+    n = inst.n
+    cells, rows, names = _reference_rows(inst, F(1))
+    d_col = [ZERO] * (n * n) + [F(-1)] * n
+    return LinearProgram(
+        "min",
+        [ZERO] * len(cells) + [F(1)],
+        [row + [v] for row, v in zip(rows, d_col)],
+        [">="] * (n * n) + ["<="] * n,
+        [ZERO] * (n * (n - 1)) + list(s) + [ZERO] * n,
+        [f"y[{k}][{i}]" for k, i in cells] + ["D"],
+        names,
+    )
+
+
+def _assert_same_lp(lp, ref):
+    assert lp.sense == ref.sense
+    assert lp.var_names == ref.var_names and lp.con_names == ref.con_names
+    assert lp.rels == ref.rels
+    for got, want in [(lp.c, ref.c), (lp.rhs, ref.rhs), *zip(lp.rows, ref.rows)]:
+        assert len(got) == len(want)
+        for a, b in zip(got, want):
+            assert a == b and type(a) is type(b), (a, b)
+
+
+def test_mechanism_rows_match_the_definition():
+    rng = random.Random(12)
+    for n in range(2, 10):
+        inst = Instance(
+            n=n,
+            f=random_pmf(rng, n),
+            g=random_pmf(rng, n, full_support=False),
+            d=F(rng.randint(1, 8), rng.randint(1, 4)),
+        )
+        weights = tuple(F(rng.randint(0, 5), rng.randint(1, 3)) for _ in range(n))
+        _assert_same_lp(build_designer_lp(inst, Fill()), _reference_designer_lp(inst, (1,) * n))
+        _assert_same_lp(
+            build_designer_lp(inst, Linear(weights=weights)),
+            _reference_designer_lp(inst, weights),
+        )
+        s = tuple(F(rng.randint(0, 6), rng.randint(8, 40)) for _ in range(n))
+        _assert_same_lp(
+            build_min_mass_lp(inst, PositionMasses(s=s)), _reference_min_mass_lp(inst, s)
+        )
+
+
+def test_certificate_rejects_a_wrong_dual_objective():
+    """max x s.t. x <= 1, x <= 2, priced 1/2 each: the rows, dual signs,
+    reduced costs and c.x all hold, but y.b = 3/2 is not the optimum 1."""
+    lp = LinearProgram(
+        "max", [F(1)], [[F(1)], [F(1)]], ["<=", "<="], [F(1), F(2)], ["x"], ["cap", "loose"]
+    )
+    sol = simplex_solve(lp)
+    assert sol.objective == 1 and _certificate_fault(lp, sol) is None
+    broken = replace(sol, duals={"cap": F(1, 2), "loose": F(1, 2)})
+    assert _certificate_fault(lp, broken) == "the dual objective differs from the objective"
+
+
+@pytest.mark.parametrize(
+    "corrupt, fault",
+    [
+        (_nudged_off_a_row, "row .* is violated"),
+        (_one_dual_flipped, "the dual of .* has the wrong sign"),
+        (_one_reduced_cost_broken, "the reduced cost of .* has the wrong sign"),
+        (lambda lp, sol: replace(sol, objective=sol.objective + F(1, 1000)),
+         "c.x differs from the objective"),
+    ],
+)
+def test_certificate_rejects_broken_mixed_denominator_optima(corrupt, fault):
+    """The same corruptions on random LPs whose entries carry mixed
+    denominators, where a slip in the integer scaling would hide."""
+    rng = random.Random(4242)
+    broken = 0
+    while broken < 12:
+        lp = _random_rational_lp(rng)
+        sol = simplex_solve(lp)
+        if sol.status != "optimal":
+            continue
+        try:
+            bad = corrupt(lp, sol)
+        except (AssertionError, StopIteration):  # the corruption needs another shape
+            continue
+        _check_certificate(lp, sol)
+        with pytest.raises(AssertionError, match=fault):
+            _check_certificate(lp, bad)
+        broken += 1
