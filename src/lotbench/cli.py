@@ -86,7 +86,7 @@ def _emit(doc: dict):
 
 
 def _emit_matrix_csv(matrix):
-    for k, row in enumerate(matrix):
+    for row in matrix:
         sys.stdout.write(",".join(str(v) for v in row) + "\n")
 
 
@@ -276,10 +276,9 @@ def _cmd_reproduce(args) -> int:
         data = _fixture("fig1.json")
         inst = Instance.from_json_dict(data["instance"])
         uniform = CommonLottery.from_values(data["uniform_lottery"])
-        uniform_mass = sum(
-            position_masses(inst, expand_common_lottery(inst, uniform)).s,
-            Fraction(0),
-        )
+        uniform_mass = position_masses(
+            inst, expand_common_lottery(inst, uniform)
+        ).total()
         sol = optimal_masses(inst, Fill())
         _emit(
             {
@@ -299,7 +298,7 @@ def _cmd_reproduce(args) -> int:
             mech = DirectMechanism.from_json_dict(data[name])
             report = feasibility_report(inst, mech)
             out[name] = {
-                "mass": format_rational(sum(position_masses(inst, mech).s, Fraction(0))),
+                "mass": format_rational(position_masses(inst, mech).total()),
                 "feasible": report.is_feasible,
             }
         _emit(out)
@@ -338,7 +337,7 @@ def _cmd_reproduce(args) -> int:
         cases = []
         for case in data["cases"]:
             inst = Instance.from_json_dict(case["instance"])
-            menu_mass = sum(position_masses(inst, menu).s, Fraction(0))
+            menu_mass = position_masses(inst, menu).total()
             sol = optimal_masses(inst, Fill())
             cases.append(
                 {

@@ -24,12 +24,13 @@ from .mechanism import (
     Fill,
     Linear,
     Objective,
+    _linear_weights,
     evaluate_objective,
     expand_common_lottery,
     feasibility_report,
     position_masses,
 )
-from .optimizer import _budget_masses, lottery_from_masses
+from .optimizer import _greedy, _ranking, lottery_from_masses
 
 ZERO = Fraction(0)
 
@@ -128,34 +129,38 @@ def auto_improve(inst: Instance, obj: Objective = Fill(), search_d: bool = True)
     report = convexity_report(inst)
     if report.is_convex:
         return None, "convex"
+    order = _ranking(inst, _linear_weights(obj, inst.n))  # the same at every D
     k = report.violation_indices[0]
     d2 = report.second_differences[k - 1]  # F alone: the same at every D
 
     candidates = [inst.d]
     if search_d:
         candidates += _d_grid(inst)
-    diagnostics = set()
+    full_fill_only = True
     for d in candidates:
         trial = Instance(n=inst.n, f=inst.f, g=inst.g, d=d)
-        found, why = _improve_at(trial, obj, k, d2)
+        found, why = _improve_at(trial, obj, order, k, d2)
         if found is not None:
             return found, "improved"
-        diagnostics.add(why)
-    if diagnostics == {"full-fill feasible"}:
+        full_fill_only = full_fill_only and why == "full-fill feasible"
+    if full_fill_only:
         return None, "full-fill feasible"
     return None, "no supported window"
 
 
-def _d_grid(inst: Instance, points: int = 32):
-    """Geometric grid of agent masses spanning scarce to abundant; points
-    beyond the float range are skipped."""
+_D_GRID_POINTS = 32
+
+
+def _d_grid(inst: Instance):
+    """Geometric grid of _D_GRID_POINTS agent masses spanning scarce to
+    abundant; points beyond the float range are skipped."""
     lo = _float_or_inf(inst.g[inst.n - 1] / inst.cdf(inst.n - 1))
     hi = _float_or_inf(sum(gk / inst.cdf(kk) for kk, gk in enumerate(inst.g)))
     if lo <= 0:
         lo = hi / 1024 if hi > 0 else 1.0
     out = []
-    for t in range(points):
-        v = lo * (hi / lo) ** (t / (points - 1)) if hi > lo else lo
+    for t in range(_D_GRID_POINTS):
+        v = lo * (hi / lo) ** (t / (_D_GRID_POINTS - 1)) if hi > lo else lo
         if math.isfinite(v):
             out.append(Fraction(v).limit_denominator(10**6))
     return [v for v in out if v > 0]
@@ -168,11 +173,12 @@ def _float_or_inf(value: Fraction) -> float:
         return math.inf
 
 
-def _improve_at(inst: Instance, obj: Objective, k: int, d2: Fraction):
-    """Try the construction at one agent mass, given the second difference
-    d2 of 1/F at k; returns (Improvement|None, why)."""
+def _improve_at(inst: Instance, obj: Objective, order, k: int, d2: Fraction):
+    """Try the construction at one agent mass, given the objective's
+    position ranking and the second difference d2 < 0 of 1/F at k; returns
+    (Improvement|None, why)."""
     i = 0  # the lowest type always accepts all three rows of the triple
-    s = _budget_masses(inst, obj)
+    s = _greedy(inst, order, inst.g)
     base = lottery_from_masses(inst, s)
     c = base.c
     total = base.total()
@@ -184,9 +190,7 @@ def _improve_at(inst: Instance, obj: Objective, k: int, d2: Fraction):
     epsilon = _max_epsilon(inst, c, k, i) / 2
     if epsilon <= 0:
         return None, "no supported window"
-    eps_prime = -epsilon * inst.f[i] * d2
-    if eps_prime <= 0:
-        return None, "no supported window"
+    eps_prime = -epsilon * inst.f[i] * d2  # > 0: epsilon, f_i > 0 > d2
 
     # lowest position with spare capacity among those every offered-to type
     # accepts with certainty (all types below the lottery's support)
@@ -197,9 +201,7 @@ def _improve_at(inst: Instance, obj: Objective, k: int, d2: Fraction):
     if fill_index is None:
         return None, "no supported window"
     room = (inst.g[fill_index] - s.s[fill_index]) / (inst.d * inst.cdf(fill_index))
-    delta = min(eps_prime, room)
-    if delta <= 0:
-        return None, "no supported window"
+    delta = min(eps_prime, room)  # > 0: the fill position has spare capacity
 
     try:
         mech = perturb(inst, base, k, i, epsilon, delta, fill_index)
@@ -228,8 +230,7 @@ def _max_epsilon(inst: Instance, c, k: int, i: int) -> Fraction:
         if coef > 0:
             bounds.append(c[r] / coef)
     # other types' row-k cells shrink by 2 eps f_i / F_k
-    if k >= 1:
-        bounds.append(c[k] * inst.cdf(k) / (2 * fi))
+    bounds.append(c[k] * inst.cdf(k) / (2 * fi))
     # type i's row-k cell grows toward 1
     grow = 2 * (1 - fi / inst.cdf(k))
     if grow > 0:
@@ -240,4 +241,4 @@ def _max_epsilon(inst: Instance, c, k: int, i: int) -> Fraction:
     # receiving cells in rows k-1 and k+1 stay at most 1
     for r in (k - 1, k + 1):
         bounds.append((1 - c[r]) * inst.cdf(r) / fi)
-    return min(bounds) if bounds else ZERO
+    return min(bounds)

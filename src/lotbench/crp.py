@@ -18,8 +18,14 @@ import numpy as np
 
 from .errors import LotbenchError
 from .instance import Instance
-from .mechanism import CommonLottery, DirectMechanism, PositionMasses, _check_lottery
-from .optimizer import masses_from_lottery
+from .mechanism import (
+    CommonLottery,
+    DirectMechanism,
+    PositionMasses,
+    _check_lottery,
+    expand_common_lottery,
+)
+from .optimizer import _greedy, lottery_from_masses, masses_from_lottery
 
 ZERO = Fraction(0)
 
@@ -61,38 +67,22 @@ def continuum_crp(inst: Instance, caps: PositionMasses) -> CrpResult:
     the next s_k / F(x_k) of agent mass.  If the agent mass runs out
     mid-position, every remaining agent with an acceptable type gets that
     position and the scan stops.  An exact tie counts as the position
-    being exhausted.
+    being exhausted.  This is the optimizer's budget greedy with the caps
+    as capacities, so the allocation expands the lottery of its masses.
     """
     _check_caps(inst, caps)
-    n = inst.n
-    rows = [[ZERO] * n for _ in range(n)]
+    scan = [k for k in range(inst.n - 1, -1, -1) if caps.s[k] != 0]
+    taken = _greedy(inst, scan, caps.s)
     thresholds = []
-    consumed = ZERO
-    step = 0
-    for k in range(n - 1, -1, -1):
-        if caps.s[k] == 0:
-            continue
-        step += 1
-        need = caps.s[k] / inst.cdf(k)
-        remaining = inst.d - consumed
-        if need <= remaining:
-            prob = caps.s[k] / (inst.d * inst.cdf(k))
-            for i in range(k + 1):
-                rows[k][i] = prob
-            consumed += need
-            thresholds.append(Threshold(step, k, consumed, True))
-            if consumed == inst.d:
-                break
-        else:
-            prob = remaining / inst.d
-            for i in range(k + 1):
-                rows[k][i] = prob
-            consumed = inst.d
-            thresholds.append(Threshold(step, k, consumed, False))
+    cutoff = ZERO
+    for step, k in enumerate(scan, 1):
+        cutoff += taken.s[k] / inst.cdf(k)
+        thresholds.append(Threshold(step, k, cutoff, taken.s[k] == caps.s[k]))
+        if cutoff == inst.d:
             break
     return CrpResult(
         thresholds=tuple(thresholds),
-        allocation=DirectMechanism(a=tuple(tuple(r) for r in rows)),
+        allocation=expand_common_lottery(inst, lottery_from_masses(inst, taken)),
         caps=caps,
     )
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import accumulate
 
 from .errors import LotbenchError
 from .rationals import format_rational, parse_rational, parse_rational_vector
@@ -45,16 +46,12 @@ class Instance:
             raise LotbenchError("type pmf must have full support")
         if any(gk < 0 for gk in self.g):
             raise LotbenchError("position capacities must be >= 0")
-        if sum(self.f) != 1 or sum(self.g) != 1:
+        cdf = tuple(accumulate(self.f))
+        if cdf[-1] != 1 or sum(self.g) != 1:
             raise LotbenchError("f and g must each sum to 1")
         if self.d <= 0:
             raise LotbenchError(f"agent mass must be positive, got {self.d}")
-        acc = Fraction(0)
-        cdf = []
-        for fi in self.f:
-            acc += fi
-            cdf.append(acc)
-        object.__setattr__(self, "_cdf", tuple(cdf))
+        object.__setattr__(self, "_cdf", cdf)
 
     # -- grid geometry ------------------------------------------------
 

@@ -53,7 +53,7 @@ def optimal_lottery_fill(inst: Instance) -> FillLottery:
     n = inst.n
     # every f_i > 0, so F strictly increases and Fill ranks top-down
     lottery = lottery_from_masses(inst, _budget_masses(inst, Fill()))
-    q = tuple(inst.g[k] / (inst.d * inst.cdf(k)) for k in range(n))
+    q = lottery_from_masses(inst, PositionMasses(s=inst.g)).c
     cutoff = next((k for k in range(n) if lottery.c[k] > 0), n)
     return FillLottery(lottery=lottery, q=q, cutoff=cutoff)
 
@@ -100,31 +100,36 @@ def _budget_masses(inst: Instance, obj: Objective) -> PositionMasses:
     """The masses of optimal_masses, without its convexity flag."""
     weights = _linear_weights(obj, inst.n)
     if weights is not None:
-        # best price first; the sort is stable, so ties keep ascending k
-        ranked = sorted(
-            (k for k in range(inst.n) if weights[k] > 0),
-            key=lambda k: inst.cdf(k) * weights[k],
-            reverse=True,
-        )
-        s = _greedy(inst, order=ranked)
-    elif isinstance(obj, SeparableConcave):
-        s = _water_fill(inst, obj)
-    else:
-        raise TypeError(f"unknown objective {obj!r}")
-    return PositionMasses(s=tuple(s))
+        return _greedy(inst, _ranking(inst, weights), inst.g)
+    if isinstance(obj, SeparableConcave):
+        return PositionMasses(s=tuple(_water_fill(inst, obj)))
+    raise TypeError(f"unknown objective {obj!r}")
 
 
-def _greedy(inst: Instance, order):
-    """Spend the budget on positions in the given order, capacity-capped."""
+def _ranking(inst: Instance, weights) -> list[int]:
+    """The positions of positive weight, best price F_k * w_k first; the
+    sort is stable, so ties keep ascending k.  It does not depend on D."""
+    return sorted(
+        (k for k in range(inst.n) if weights[k] > 0),
+        key=lambda k: inst.cdf(k) * weights[k],
+        reverse=True,
+    )
+
+
+def _greedy(inst: Instance, order, caps) -> PositionMasses:
+    """Spend the agent budget D on positions in the given order: position k
+    takes min(caps[k], budget * F_k) of mass, at budget cost mass / F_k.
+    Positions outside the order, or reached after the budget is spent,
+    get zero mass."""
     s = [ZERO] * inst.n
     budget = inst.d
     for k in order:
-        take = min(inst.g[k], budget * inst.cdf(k))
+        take = min(caps[k], budget * inst.cdf(k))
         s[k] = take
         budget -= take / inst.cdf(k)
         if budget == 0:
             break
-    return s
+    return PositionMasses(s=tuple(s))
 
 
 def _floats(values, what: str) -> list[float]:

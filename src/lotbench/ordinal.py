@@ -17,7 +17,7 @@ from fractions import Fraction
 from .errors import ConvexityHypothesisFailed, LotbenchError
 from .instance import ConvexityReport, Instance, _grid_convexity
 from .mechanism import CommonLottery, Fill, Linear, PositionMasses, _check_lottery
-from .optimizer import lottery_from_masses, masses_from_lottery, optimal_masses
+from .optimizer import _budget_masses, lottery_from_masses, masses_from_lottery
 from .rationals import (
     format_rational,
     format_rational_matrix,
@@ -188,8 +188,7 @@ def optimal_common_lottery_ordinal(oi: OrdinalInstance, obj) -> CommonLottery:
     ]
     if failing:
         raise ConvexityHypothesisFailed(failing)
-    solution = optimal_masses(oi._baseline, obj)
-    return lottery_from_masses(oi._baseline, solution.masses)
+    return lottery_from_masses(oi._baseline, _budget_masses(oi._baseline, obj))
 
 
 def aggregate_per_gamma(oi: OrdinalInstance, per_gamma: dict) -> CommonLottery:

@@ -8,19 +8,22 @@ from lotbench import (
     Fill,
     Instance,
     Linear,
+    LotbenchError,
     PreconditionViolation,
     auto_improve,
     convexity_report,
     evaluate_objective,
     feasibility_report,
+    lottery_from_masses,
     new_instance,
     optimal_lottery_fill,
+    optimal_masses,
     perturb,
     position_masses,
     uniform_instance,
 )
 
-from util import random_convex_instance
+from util import random_convex_instance, random_instance
 
 F = Fraction
 FIG4 = new_instance(3, ["1/3", "1/12", "7/12"], ["1/3", "1/3", "1/3"], 1)
@@ -130,6 +133,11 @@ def test_auto_improve_rejects_bad_objectives():
         auto_improve(FIG4, obj=SeparableConcave(weights=(F(1),) * 3, rho=F(1, 2)))
     with pytest.raises(TypeError):
         auto_improve(FIG4, obj=Linear(weights=(F(1), F(0), F(1))))
+    # the weights are checked against N once the instance is known non-convex
+    short = Linear(weights=(F(1), F(1)))
+    assert auto_improve(uniform_instance(3), obj=short) == (None, "convex")
+    with pytest.raises(LotbenchError, match="objective has 2 weights, instance has N=3"):
+        auto_improve(FIG4, obj=short)
 
 
 def test_auto_improve_slack_budget_diagnostic():
@@ -137,3 +145,26 @@ def test_auto_improve_slack_budget_diagnostic():
     scarce = Instance(n=3, f=FIG4.f, g=FIG4.g, d=F(100))
     found, why = auto_improve(scarce, search_d=False)
     assert found is None and why == "full-fill feasible"
+
+
+def test_auto_improve_base_is_the_optimal_common_lottery():
+    # the search ranks once; at every agent mass its base must still be the
+    # budget optimum that optimal_masses computes on its own
+    rng = random.Random(43)
+    tried = found_count = 0
+    while tried < 48:
+        inst = random_instance(rng, n_min=3, n_max=9)
+        if convexity_report(inst).is_convex:
+            continue
+        tried += 1
+        weights = tuple(F(rng.randint(1, 9), rng.randint(1, 3)) for _ in range(inst.n))
+        for obj in (Fill(), Linear(weights=weights)):
+            found, why = auto_improve(inst, obj=obj)
+            if found is None:
+                continue
+            found_count += 1
+            trial = Instance(n=inst.n, f=inst.f, g=inst.g, d=found.d)
+            assert found.base == lottery_from_masses(
+                trial, optimal_masses(trial, obj).masses
+            )
+    assert found_count >= 40

@@ -6,6 +6,7 @@ import pytest
 
 from lotbench import (
     CommonLottery,
+    Instance,
     LotbenchError,
     PositionMasses,
     caps_from_lottery,
@@ -17,7 +18,7 @@ from lotbench import (
     uniform_instance,
 )
 
-from util import random_convex_instance, random_feasible_lottery
+from util import random_convex_instance, random_feasible_lottery, random_instance
 
 F = Fraction
 U4 = uniform_instance(4)
@@ -142,3 +143,60 @@ def test_random_lotteries_round_trip():
         caps = caps_from_lottery(inst, cl)
         result = continuum_crp(inst, caps)
         assert result.allocation.a == expand_common_lottery(inst, cl).a
+
+
+def _reference_scan(inst, caps):
+    """The priority scan written cell by cell: each position with a cap
+    takes the next cap/F of agent mass, or what is left of it."""
+    n = inst.n
+    rows = [[F(0)] * n for _ in range(n)]
+    thresholds = []
+    consumed = F(0)
+    step = 0
+    for k in range(n - 1, -1, -1):
+        if caps.s[k] == 0:
+            continue
+        step += 1
+        need = caps.s[k] / inst.cdf(k)
+        remaining = inst.d - consumed
+        if need <= remaining:
+            prob = caps.s[k] / (inst.d * inst.cdf(k))
+            consumed += need
+            exhausted = True
+        else:
+            prob = remaining / inst.d
+            consumed = inst.d
+            exhausted = False
+        for i in range(k + 1):
+            rows[k][i] = prob
+        thresholds.append((step, k, consumed, exhausted))
+        if consumed == inst.d:
+            break
+    return thresholds, tuple(tuple(r) for r in rows)
+
+
+def test_scan_matches_the_cell_by_cell_reference():
+    rng = random.Random(41)
+    kinds = {"mid-position": 0, "tie": 0, "zero": 0}
+    for trial in range(360):
+        inst = random_instance(rng, n_min=2, n_max=8)
+        caps = []
+        for gk in inst.g:
+            r = rng.random()
+            caps.append(F(0) if r < 0.25 else gk if r < 0.5 else gk * F(rng.randint(0, 6), 6))
+        caps = PositionMasses(s=tuple(caps))
+        scan = [k for k in range(inst.n - 1, -1, -1) if caps.s[k] != 0]
+        if scan and trial % 3 == 0:
+            # an agent mass that runs out exactly at the end of a position
+            stop = rng.randrange(len(scan))
+            d = sum(caps.s[k] / inst.cdf(k) for k in scan[: stop + 1])
+            inst = Instance(n=inst.n, f=inst.f, g=inst.g, d=d)
+        expected_thresholds, expected_rows = _reference_scan(inst, caps)
+        result = continuum_crp(inst, caps)
+        got = [(t.step, t.position, t.cutoff, t.position_exhausted) for t in result.thresholds]
+        assert got == expected_thresholds
+        assert result.allocation.a == expected_rows
+        kinds["mid-position"] += any(not t.position_exhausted for t in result.thresholds)
+        kinds["tie"] += bool(got) and got[-1][3] and got[-1][2] == inst.d
+        kinds["zero"] += len(scan) < inst.n
+    assert min(kinds.values()) >= 30, kinds

@@ -1,11 +1,17 @@
+import os
 import random
 import re
+import subprocess
+import sys
+import textwrap
 from dataclasses import replace
 from fractions import Fraction
+from pathlib import Path
 
 import numpy
 import pytest
 
+import lotbench
 from lotbench import (
     Fill,
     Instance,
@@ -699,3 +705,43 @@ def test_certificate_rejects_broken_mixed_denominator_optima(corrupt, fault):
         with pytest.raises(AssertionError, match=fault):
             _check_certificate(lp, bad)
         broken += 1
+
+
+def test_lp_certificate_survives_optimize_flag():
+    # a wrong optimum must still be refused when -O strips asserts
+    script = textwrap.dedent(
+        """
+        from dataclasses import replace
+        from fractions import Fraction
+        from lotbench import Fill, PositionMasses, lpsolve, uniform_instance
+
+        exact = lpsolve.simplex_solve
+
+        def bent(lp):
+            sol = exact(lp)
+            return replace(sol, objective=sol.objective + Fraction(1, 7))
+
+        lpsolve.simplex_solve = bent
+        inst = uniform_instance(4)
+        targets = PositionMasses.from_values(["0", "5/24", "1/4", "1/4"])
+        for solve in (
+            lambda: lpsolve.solve_designer(inst, Fill()),
+            lambda: lpsolve.solve_min_mass(inst, targets),
+        ):
+            try:
+                solve()
+            except AssertionError as exc:
+                print(exc)
+        """
+    )
+    src = str(Path(lotbench.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p
+    )}
+    out = subprocess.run(
+        [sys.executable, "-O", "-c", script],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert out.returncode == 0, out.stderr
+    caught = "LP optimum fails its exact certificate: c.x differs from the objective"
+    assert out.stdout.splitlines() == [caught, caught]
