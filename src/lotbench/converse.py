@@ -15,6 +15,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 
 from .errors import PreconditionViolation
 from .instance import Instance, convexity_report
@@ -118,9 +119,10 @@ def auto_improve(inst: Instance, obj: Objective = Fill(), search_d: bool = True)
     """Search for a mechanism strictly better than every common lottery.
 
     Returns (Improvement | None, diagnostic).  The search tries the
-    instance's own agent mass first and, when allowed, a 32-point
-    geometric grid between the cost of filling the top position and the
-    cost of filling everything.  The smallest improving agent mass wins.
+    instance's own agent mass first and then, when allowed, a 32-point
+    geometric grid in ascending order between the cost of filling the top
+    position and the cost of filling everything.  The first improving
+    agent mass wins.
     """
     if not isinstance(obj, (Fill, Linear)):
         raise TypeError("improvement search supports mass-increasing objectives only")
@@ -133,15 +135,32 @@ def auto_improve(inst: Instance, obj: Objective = Fill(), search_d: bool = True)
     k = report.violation_indices[0]
     d2 = report.second_differences[k - 1]  # F alone: the same at every D
 
-    candidates = [inst.d]
-    if search_d:
-        candidates += _d_grid(inst)
+    # The greedy reaches position r with max(D - before[r], 0) of budget and
+    # fills it at cost g_r / F_r, so s_r > 0 exactly when g_r > 0 and
+    # before[r] < D, and budget is left over exactly when D > spent.
+    before = [ZERO] * inst.n
+    spent = ZERO
+    for r in order:
+        before[r] = spent
+        spent += inst.g[r] / inst.cdf(r)
+    # so the window k-1, k, k+1 is offered exactly when D > threshold
+    window = (k - 1, k, k + 1)
+    if all(inst.g[r] > 0 for r in window):
+        threshold = max(before[r] for r in window)
+    else:
+        threshold = spent  # never offered while the budget binds
+
     full_fill_only = True
-    for d in candidates:
-        trial = Instance(n=inst.n, f=inst.f, g=inst.g, d=d)
-        found, why = _improve_at(trial, obj, order, k, d2)
-        if found is not None:
-            return found, "improved"
+    for d in chain([inst.d], _d_grid(inst, spent) if search_d else ()):
+        if d > spent:
+            why = "full-fill feasible"
+        elif d <= threshold:
+            why = "no supported window"
+        else:
+            trial = Instance(n=inst.n, f=inst.f, g=inst.g, d=d)
+            found, why = _improve_at(trial, obj, order, k, d2)
+            if found is not None:
+                return found, "improved"
         full_fill_only = full_fill_only and why == "full-fill feasible"
     if full_fill_only:
         return None, "full-fill feasible"
@@ -151,19 +170,20 @@ def auto_improve(inst: Instance, obj: Objective = Fill(), search_d: bool = True)
 _D_GRID_POINTS = 32
 
 
-def _d_grid(inst: Instance):
-    """Geometric grid of _D_GRID_POINTS agent masses spanning scarce to
-    abundant; points beyond the float range are skipped."""
+def _d_grid(inst: Instance, spent: Fraction):
+    """Yield a geometric grid of _D_GRID_POINTS agent masses in ascending
+    order, from the cost of filling the top position to spent, the cost of
+    filling everything; points beyond the float range are skipped."""
     lo = _float_or_inf(inst.g[inst.n - 1] / inst.cdf(inst.n - 1))
-    hi = _float_or_inf(sum(gk / inst.cdf(kk) for kk, gk in enumerate(inst.g)))
+    hi = _float_or_inf(spent)
     if lo <= 0:
         lo = hi / 1024 if hi > 0 else 1.0
-    out = []
     for t in range(_D_GRID_POINTS):
         v = lo * (hi / lo) ** (t / (_D_GRID_POINTS - 1)) if hi > lo else lo
         if math.isfinite(v):
-            out.append(Fraction(v).limit_denominator(10**6))
-    return [v for v in out if v > 0]
+            point = Fraction(v).limit_denominator(10**6)
+            if point > 0:
+                yield point
 
 
 def _float_or_inf(value: Fraction) -> float:
@@ -176,16 +196,12 @@ def _float_or_inf(value: Fraction) -> float:
 def _improve_at(inst: Instance, obj: Objective, order, k: int, d2: Fraction):
     """Try the construction at one agent mass, given the objective's
     position ranking and the second difference d2 < 0 of 1/F at k; returns
-    (Improvement|None, why)."""
+    (Improvement|None, why).  The caller has checked that the budget binds
+    and that the lottery offers positions k-1, k and k+1."""
     i = 0  # the lowest type always accepts all three rows of the triple
     s = _greedy(inst, order, inst.g)
     base = lottery_from_masses(inst, s)
     c = base.c
-    total = base.total()
-    if total < 1:
-        return None, "full-fill feasible"
-    if not (c[k - 1] > 0 and c[k] > 0 and c[k + 1] > 0):
-        return None, "no supported window"
 
     epsilon = _max_epsilon(inst, c, k, i) / 2
     if epsilon <= 0:

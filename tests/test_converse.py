@@ -23,7 +23,11 @@ from lotbench import (
     uniform_instance,
 )
 
-from util import random_convex_instance, random_instance
+from lotbench import converse
+from lotbench.converse import _improve_at
+from lotbench.optimizer import _ranking
+
+from util import random_convex_instance, random_instance, random_pmf
 
 F = Fraction
 FIG4 = new_instance(3, ["1/3", "1/12", "7/12"], ["1/3", "1/3", "1/3"], 1)
@@ -168,3 +172,115 @@ def test_auto_improve_base_is_the_optimal_common_lottery():
                 trial, optimal_masses(trial, obj).masses
             )
     assert found_count >= 40
+
+
+def _reference_grid(inst):
+    """The search's 32-point geometric grid of agent masses, as a list."""
+    lo = float(inst.g[-1] / inst.cdf(inst.n - 1))
+    hi = float(sum(gk / inst.cdf(k) for k, gk in enumerate(inst.g)))
+    if lo <= 0:
+        lo = hi / 1024
+    points = [lo * (hi / lo) ** (t / 31) if hi > lo else lo for t in range(32)]
+    return [p for p in (F(v).limit_denominator(10**6) for v in points) if p > 0]
+
+
+def _reference_search(inst, obj, search_d):
+    """auto_improve candidate by candidate: build each trial instance, solve
+    its optimal common lottery, test the full-fill and window conditions on
+    that lottery, and run the construction where both pass."""
+    report = convexity_report(inst)
+    k = report.violation_indices[0]
+    weights = (F(1),) * inst.n if isinstance(obj, Fill) else obj.weights
+    order = _ranking(inst, weights)
+    full_fill_only = True
+    for d in [inst.d] + (_reference_grid(inst) if search_d else []):
+        trial = Instance(n=inst.n, f=inst.f, g=inst.g, d=d)
+        c = lottery_from_masses(trial, optimal_masses(trial, obj).masses).c
+        if sum(c) < 1:
+            why = "full-fill feasible"
+        elif not (c[k - 1] > 0 and c[k] > 0 and c[k + 1] > 0):
+            why = "no supported window"
+        else:
+            found, why = _improve_at(trial, obj, order, k, report.second_differences[k - 1])
+            if found is not None:
+                return found, "improved"
+        full_fill_only = full_fill_only and why == "full-fill feasible"
+    return None, "full-fill feasible" if full_fill_only else "no supported window"
+
+
+def test_auto_improve_screen_matches_the_candidate_by_candidate_search(monkeypatch):
+    # the search decides full-fill and window failures from the budget
+    # table alone; on every input it must return what solving each
+    # candidate's lottery returns, and it may try the construction only
+    # where the budget binds and the lottery offers the whole window
+    def checked(trial, obj, order, k, d2):
+        c = lottery_from_masses(trial, optimal_masses(trial, obj).masses).c
+        assert sum(c) == 1 and c[k - 1] > 0 and c[k] > 0 and c[k + 1] > 0
+        return _improve_at(trial, obj, order, k, d2)
+
+    monkeypatch.setattr(converse, "_improve_at", checked)
+    rng = random.Random(57)
+    tried = zero_in_window = 0
+    diagnostics = set()
+    while tried < 200:
+        n = rng.randint(3, 7)
+        f = random_pmf(rng, n)
+        k_of = convexity_report(Instance(n=n, f=f, g=f, d=F(1))).violation_indices
+        if not k_of:
+            continue
+        g = list(random_pmf(rng, n, full_support=False))
+        if rng.random() < 0.3:  # a capacity of zero inside the window
+            g[k_of[0] + rng.randint(-1, 1)] = F(0)
+            if sum(g) == 0:
+                g[rng.randrange(n)] = F(1)
+            g = [gk / sum(g) for gk in g]
+        d = rng.choice((
+            F(rng.randint(1, 8), rng.randint(1, 4)),
+            F(1, rng.randint(5, 60)),
+            F(rng.randint(3, 60)),
+        ))
+        inst = Instance(n=n, f=f, g=tuple(g), d=d)
+        tried += 1
+        zero_in_window += any(inst.g[r] == 0 for r in range(k_of[0] - 1, k_of[0] + 2))
+        weights = tuple(F(rng.randint(1, 9), rng.randint(1, 3)) for _ in range(n))
+        for obj in (Fill(), Linear(weights=weights)):
+            for search_d in (True, False):
+                got = auto_improve(inst, obj=obj, search_d=search_d)
+                assert got == _reference_search(inst, obj, search_d)
+                diagnostics.add(got[1])
+    assert zero_in_window >= 20
+    assert diagnostics == {"improved", "full-fill feasible", "no supported window"}
+
+
+def test_auto_improve_screen_boundaries(monkeypatch):
+    # FIG4 under Fill: the greedy fills positions 2, 1, 0 at budget costs
+    # 1/3, 4/5 and 1, so position 0 = k-1 is offered exactly when
+    # D > 1/3 + 4/5 = 17/15, and the budget binds exactly when D <= 32/15
+    threshold, spent, tiny = F(17, 15), F(32, 15), F(1, 10**6)
+    built = []
+
+    def counted(trial, *args):
+        built.append(trial.d)
+        return _improve_at(trial, *args)
+
+    monkeypatch.setattr(converse, "_improve_at", counted)
+
+    def at(d):
+        return Instance(n=3, f=FIG4.f, g=FIG4.g, d=d)
+
+    def lottery(d):
+        return optimal_lottery_fill(at(d)).lottery
+
+    assert lottery(threshold).c[0] == 0 < lottery(threshold + tiny).c[0]
+    assert lottery(spent).total() == 1 > lottery(spent + tiny).total()
+
+    # at the threshold the window is decided without trying the construction
+    assert auto_improve(at(threshold), search_d=False) == (None, "no supported window")
+    assert built == []
+    assert auto_improve(at(threshold + tiny), search_d=False)[1] == "improved"
+    assert built == [threshold + tiny]
+    # at exactly the cost of filling everything the budget still binds
+    assert auto_improve(at(spent), search_d=False) == (None, "no supported window")
+    assert built[-1] == spent
+    assert auto_improve(at(spent + tiny), search_d=False) == (None, "full-fill feasible")
+    assert built[-1] == spent
