@@ -6,10 +6,13 @@ never round, optimal values and dual prices are exact, and strong duality /
 complementary slackness can be asserted with equality.  Bland's
 smallest-index rule is used throughout, so the solver terminates even on
 degenerate inputs.
-The mechanism solvers do not trust the tableau: each optimum they return
-passes an exact certificate check first (`_check_certificate`), which also
-runs in Python ints.  `fractions.Fraction` appears only in the LP's data
-and in the solution: its primal values, duals and objective.
+The mechanism solvers try the paper's answer first: the common lottery,
+with duals read off the participation decomposition.  It is returned only
+when it passes an exact certificate check (`_certificate_fault`), which
+runs in Python ints and always passes when 1/F is convex; otherwise the
+simplex runs, and its optimum must pass the same check.
+`fractions.Fraction` appears only in the LP's data and in the solution:
+its primal values, duals and objective.
 
 Reported dual prices follow the shadow-price convention: the dual of a
 constraint is the exact derivative of the optimal value (in the LP's own
@@ -18,7 +21,7 @@ sense) with respect to that constraint's right-hand side.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, compress
 from math import gcd, lcm
@@ -27,6 +30,7 @@ from operator import mul
 from .errors import LotbenchError
 from .instance import Instance
 from .mechanism import DirectMechanism, Objective, PositionMasses, _linear_weights
+from .optimizer import _budget_masses, lottery_from_masses
 from .transform import multipliers
 
 ZERO = Fraction(0)
@@ -489,13 +493,74 @@ def _cell_matrix(sol: LpSolution, var: str, n: int, scale: Fraction):
     )
 
 
+def _lottery_cells(lottery) -> list[Fraction]:
+    """The expanded common lottery in the LP's cell order: c_k at every
+    cell (k, i), i <= k."""
+    return [ck for k, ck in enumerate(lottery) for _ in range(k + 1)]
+
+
+def _ic_closed_form(inst: Instance, duals: dict, scale):
+    """Set the IC duals of the participation decomposition, times scale:
+    IC[i,i+1] and IC[i,j], j < i, carry the multipliers of
+    `transform.multipliers` times N - 1 (the LP's IC rows are the
+    transform's scaled ones over N - 1); the other IC rows keep their dual."""
+    mult = multipliers(inst)
+    scale *= inst.n - 1
+    for i, w in enumerate(mult.local_up):
+        duals[f"IC[{i},{i + 1}]"] = scale * w
+    for i, row in enumerate(mult.down):
+        for j, w in enumerate(row):
+            duals[f"IC[{i},{j}]"] = scale * w
+
+
+def _designer_candidate(inst: Instance, lp: LinearProgram, obj: Objective) -> LpSolution:
+    """The greedy common lottery as a solution of the designer LP, priced
+    by the budget problem's Lagrangian.
+
+    Primal: a[k][i] = s_k/(D F_k) for i <= k, from the greedy masses s.
+    Budget price: lam = min w_k F_k over s_k > 0 when the budget binds,
+    else 0.  AGE[0] prices lam D, POS[k] prices max(0, w_k - lam/F_k), the
+    IC rows carry -lam D times the decomposition's multipliers, and every
+    other row prices 0.  The reduced cost of cell (k, i) is then
+    D f_i (w_k - POS[k] - lam/F_k) <= 0, and the dual value
+    sum_k POS[k] g_k + lam D is the greedy value sum_k w_k s_k.  So the
+    candidate certifies whenever those IC duals have the right sign, which
+    they do when 1/F is convex (or when the budget is slack).
+    """
+    n, d = inst.n, inst.d
+    weights = _linear_weights(obj, n)
+    masses = _budget_masses(inst, obj)
+    s = masses.s
+    cdf = [inst.cdf(k) for k in range(n)]
+    lam = ZERO
+    if sum((sk / fk for sk, fk in zip(s, cdf)), ZERO) == d:
+        lam = min(w * fk for w, sk, fk in zip(weights, s, cdf) if sk)
+    duals = dict.fromkeys(lp.con_names, ZERO)
+    _ic_closed_form(inst, duals, -lam * d)
+    for k in range(n):
+        duals[f"POS[{k}]"] = max(ZERO, weights[k] - lam / cdf[k])
+    duals["AGE[0]"] = lam * d
+    cells = _lottery_cells(lottery_from_masses(inst, masses).c)
+    value = sum((w * sk for w, sk in zip(weights, s)), ZERO)
+    return LpSolution("optimal", value, dict(zip(lp.var_names, cells)), duals)
+
+
 def solve_designer(inst: Instance, obj: Objective):
-    """Optimal feasible mechanism and value for a linear objective."""
+    """Optimal feasible mechanism and value for a linear objective.
+
+    The greedy common lottery comes first: when its exact certificate
+    (`_designer_candidate`, `_certificate_fault`) passes, which it always
+    does when 1/F is convex, it is the answer and no simplex runs.
+    Otherwise the simplex solves the LP and its optimum must pass the same
+    certificate.
+    """
     lp = build_designer_lp(inst, obj)
-    sol = simplex_solve(lp)
-    if sol.status != "optimal":
-        raise LotbenchError(f"designer LP ended with status {sol.status}")
-    _check_certificate(lp, sol)
+    sol = _designer_candidate(inst, lp, obj)
+    if _certificate_fault(lp, sol) is not None:
+        sol = simplex_solve(lp)
+        if sol.status != "optimal":
+            raise LotbenchError(f"designer LP ended with status {sol.status}")
+        _check_certificate(lp, sol)
     return DirectMechanism(a=_cell_matrix(sol, "a", inst.n, ONE)), sol.objective
 
 
@@ -507,10 +572,13 @@ class MinMassSolution:
     mechanism is recovered by dividing out the optimal mass.  multipliers
     holds the normalized shadow prices: each raw dual is multiplied by the
     optimal mass so that the position-target prices read D/F(theta_k) and
-    the agent-budget price reads D, with all entries nonnegative.  They are
-    the closed form of `_closed_form_duals` whenever it certifies the
-    optimum (always when 1/F is convex), so they do not depend on which
-    optimal vertex the pivots reach; otherwise they are the vertex's duals.
+    the agent-budget price reads D, with all entries nonnegative.
+
+    When the closed form certifies (always when 1/F is convex), the
+    solution is the common lottery c_k = s_k/(D* F_k) that hits the targets,
+    priced by `_closed_form_duals`, with solution.pivots == (0, 0): no
+    simplex ran.  Otherwise it is the simplex's optimal vertex and its
+    duals.
     """
 
     status: str
@@ -520,15 +588,31 @@ class MinMassSolution:
     solution: LpSolution
 
 
+def _min_mass_candidate(
+    inst: Instance, lp: LinearProgram, targets: PositionMasses
+) -> LpSolution:
+    """The common lottery that hits the targets as a min-mass solution:
+    y[k][i] = s_k/F_k for i <= k and D = sum_k s_k/F_k, priced by
+    `_closed_form_duals`."""
+    y = [sk / inst.cdf(k) for k, sk in enumerate(targets.s)]
+    d = sum(y, ZERO)
+    primal = dict(zip(lp.var_names, [*_lottery_cells(y), d]))
+    return LpSolution("optimal", d, primal, _closed_form_duals(inst, lp))
+
+
 def solve_min_mass(inst: Instance, targets: PositionMasses) -> MinMassSolution:
+    """Minimum agent mass for the targets: the certified common lottery
+    (see MinMassSolution) or else the simplex's certified optimum."""
     lp = build_min_mass_lp(inst, targets)
-    sol = simplex_solve(lp)
-    if sol.status != "optimal":
-        return MinMassSolution(sol.status, None, None, None, sol)
-    closed = replace(sol, duals=_closed_form_duals(inst, lp))
-    if _certificate_fault(lp, closed) is None:
-        sol = closed
-    else:
+    sol = _min_mass_candidate(inst, lp, targets)
+    if _certificate_fault(lp, sol) is not None:
+        # The closed form prices every reduced cost at 0 and its dual
+        # value is the candidate's objective, so the candidate failed on a
+        # dual sign and the closed form would fail at any vertex too: the
+        # vertex keeps its own duals.
+        sol = simplex_solve(lp)
+        if sol.status != "optimal":
+            return MinMassSolution(sol.status, None, None, None, sol)
         _check_certificate(lp, sol)
     d_star = sol.objective
     # a = y / D; at D = 0 every y is 0 and so is the mechanism.
@@ -545,23 +629,16 @@ def solve_min_mass(inst: Instance, targets: PositionMasses) -> MinMassSolution:
 def _closed_form_duals(inst: Instance, lp: LinearProgram) -> dict[str, Fraction]:
     """The min-mass LP's dual read off the participation decomposition.
 
-    POS[k] prices 1/F_k and AGE[0] prices -1; IC[i,i+1] and IC[i,j], j < i,
-    carry the multipliers of `transform.multipliers` times N - 1 (the LP's
-    IC rows are the transform's scaled ones over N - 1); every other row
-    prices 0.  Every reduced cost is then 0, the decomposition identity, so
-    this dual is feasible exactly when the downward multipliers are
-    nonnegative, and its value sum_k s_k/F_k is the optimum when a common
-    lottery is optimal.
+    POS[k] prices 1/F_k, AGE[0] prices -1, the IC rows carry the
+    decomposition's multipliers (`_ic_closed_form`, scale 1), and every
+    other row prices 0.  Every reduced cost is then 0, the decomposition
+    identity, so this dual is feasible exactly when the downward
+    multipliers are nonnegative, and its value sum_k s_k/F_k is the optimum
+    when a common lottery is optimal.
     """
-    n = inst.n
-    mult = multipliers(inst)
     duals = dict.fromkeys(lp.con_names, ZERO)
-    for i, w in enumerate(mult.local_up):
-        duals[f"IC[{i},{i + 1}]"] = (n - 1) * w
-    for i, row in enumerate(mult.down):
-        for j, w in enumerate(row):
-            duals[f"IC[{i},{j}]"] = (n - 1) * w
-    for k in range(n):
+    _ic_closed_form(inst, duals, ONE)
+    for k in range(inst.n):
         duals[f"POS[{k}]"] = ONE / inst.cdf(k)
     duals["AGE[0]"] = -ONE
     return duals

@@ -51,6 +51,7 @@ from util import (
     random_instance,
     random_pmf,
     random_supported_matrix,
+    simplex_vertex,
 )
 
 F = Fraction
@@ -158,7 +159,8 @@ def test_criterion_05_collapse_preserves_value_at_scale():
                         F(rng.randint(1, 9), rng.randint(1, 4)) for _ in range(n)
                     )
                 )
-            mech, lp_value = solve_designer(inst, obj)
+            mech, lp_value = simplex_vertex(inst, obj)
+            assert solve_designer(inst, obj)[1] == lp_value
             lottery, overflow = to_common_lottery(inst, mech)
             assert not overflow and lottery.total() <= 1
             expanded = expand_common_lottery(inst, lottery)

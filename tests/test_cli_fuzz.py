@@ -6,7 +6,10 @@ missing keys, pmfs whose denominators leave the float range and Monte
 Carlo sizes past their bounds.  Whatever the input, `main` returns 0, 1
 or 2, never lets an exception escape, and says `error:` when it returns 2.
 A second test holds `simulate-crp` to the same contract on inputs that are
-mostly valid, so that most of its examples run the Monte Carlo itself.
+mostly valid, so that most of its examples run the Monte Carlo itself.  A
+third runs `solve-lp` and `min-mass` on valid instances; where 1/F is
+convex it holds `solve-lp`'s value to `optimal-lottery`'s and to the
+simplex's, and `check` to the mechanism `solve-lp` prints.
 """
 
 import contextlib
@@ -16,7 +19,7 @@ from fractions import Fraction
 
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from lotbench import cli
+from lotbench import Instance, build_designer_lp, cli, convexity_report, simplex_solve
 from lotbench.cli import main
 
 JUNK = st.one_of(
@@ -125,7 +128,8 @@ def masses_doc(draw, n):
 
 
 def run_cli(tmp_path, argv, docs):
-    """Write each document to a file named by its key, then run `main`."""
+    """Write each document to a file named by its key, then run `main`;
+    returns its exit code and stdout."""
     for name, doc in docs.items():
         (tmp_path / name).write_text(json.dumps(doc))
     out, err = io.StringIO(), io.StringIO()
@@ -134,6 +138,7 @@ def run_cli(tmp_path, argv, docs):
     assert code in (0, 1, 2)
     if code == 2:
         assert err.getvalue().startswith("error:")
+    return code, out.getvalue()
 
 
 @st.composite
@@ -244,3 +249,62 @@ def test_simulate_crp_keeps_the_exit_code_contract_in_range(tmp_path, monkeypatc
     run()
     # the Monte Carlo path itself is what this test is for
     assert len(reached) > len(examples) // 2
+
+
+@st.composite
+def lp_case(draw):
+    """A valid instance with N <= 5, a Fill or Linear objective (weights
+    zero and negative included) and min-mass targets; half the time the
+    type pmf is non-increasing, which makes 1/F convex."""
+    n = draw(st.integers(2, 5))
+    weights = draw(st.lists(st.integers(1, 9), min_size=n, max_size=n))
+    if draw(st.booleans()):
+        weights.sort(reverse=True)
+    inst = {
+        "n": n,
+        "f": [f"{w}/{sum(weights)}" for w in weights],
+        "g": draw(pmf(n, False)),
+        "D": draw(st.sampled_from(["1", "1/2", "3/2", "2", "1/10"])),
+    }
+    obj = draw(st.one_of(
+        st.just({"kind": "fill"}),
+        st.fixed_dictionaries({"kind": st.just("linear"), "weights": st.lists(
+            st.sampled_from(["-1", "0", "1/2", "1", "3"]), min_size=n, max_size=n,
+        )}),
+    ))
+    targets = draw(st.lists(st.sampled_from(["0", "1/100", "1/10", "1/3"]), min_size=n, max_size=n))
+    return {"i.json": inst, "o.json": obj, "t.json": targets}
+
+
+def test_solve_lp_and_min_mass_on_valid_instances(tmp_path):
+    """On a valid instance both LP commands answer.  Where 1/F is convex,
+    `solve-lp` answers with the common lottery: its value must equal
+    `optimal-lottery`'s and the simplex's (computed in-process, with no
+    closed form, so the two values are found independently), and the
+    mechanism it prints must pass `check`."""
+    convex = []
+
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @given(docs=lp_case())
+    def run(docs):
+        code, out = run_cli(tmp_path, ["solve-lp", "i.json", "--objective", "o.json"], docs)
+        assert code == 0
+        solved = json.loads(out)
+        code, _ = run_cli(tmp_path, ["min-mass", "i.json", "--targets", "t.json"], docs)
+        assert code == 0
+        inst = Instance.from_json_dict(docs["i.json"])
+        if not convexity_report(inst).is_convex:
+            return
+        convex.append(docs)
+        code, out = run_cli(tmp_path, ["optimal-lottery", "i.json", "--objective", "o.json"], docs)
+        assert code == 0 and json.loads(out)["value"] == solved["value"]
+        obj = cli._load_objective(str(tmp_path / "o.json"))
+        assert Fraction(solved["value"]) == simplex_solve(build_designer_lp(inst, obj)).objective
+        code, _ = run_cli(
+            tmp_path, ["check", "m.json", "--instance", "i.json"],
+            {**docs, "m.json": solved["mechanism"]},
+        )
+        assert code == 0
+
+    run()
+    assert len(convex) >= 40

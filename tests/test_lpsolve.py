@@ -13,6 +13,7 @@ import pytest
 
 import lotbench
 from lotbench import (
+    CommonLottery,
     Fill,
     Instance,
     Linear,
@@ -24,9 +25,12 @@ from lotbench import (
     build_min_mass_lp,
     convexity_report,
     dual_certificate,
+    expand_common_lottery,
     feasibility_report,
+    lottery_from_masses,
     multipliers,
     new_instance,
+    optimal_masses,
     position_masses,
     simplex_solve,
     solve_designer,
@@ -34,7 +38,12 @@ from lotbench import (
     uniform_instance,
 )
 
-from lotbench.lpsolve import _certificate_fault, _check_certificate
+from lotbench import lpsolve
+from lotbench.lpsolve import (
+    _certificate_fault,
+    _check_certificate,
+    _designer_candidate,
+)
 from util import random_convex_instance, random_pmf
 
 F = Fraction
@@ -408,8 +417,8 @@ def test_mechanism_lps_start_on_a_feasible_basis():
     sol = simplex_solve(build_min_mass_lp(uniform_instance(4), zero))
     assert sol.status == "optimal" and sol.objective == 0 and sol.pivots[0] == 0
     # a positive target still needs phase 1
-    mm = solve_min_mass(uniform_instance(4), PositionMasses.from_values(["1/8"] * 4))
-    assert mm.solution.pivots[0] > 0
+    lp = build_min_mass_lp(uniform_instance(4), PositionMasses.from_values(["1/8"] * 4))
+    assert simplex_solve(lp).pivots[0] > 0
 
 
 def _optimal_mechanism_lps():
@@ -560,8 +569,9 @@ def test_mixed_denominator_optima_pass_the_certificate():
 @pytest.mark.parametrize("n, pivots", [(10, (0, 165)), (12, (0, 122))])
 def test_designer_lp_pivot_path_is_pinned(n, pivots):
     """Bland's rule fixes the pivot sequence, and with it which optimal
-    vertex every CLI answer reports; a change in the tableau's arithmetic
-    must not move it."""
+    vertex the simplex reaches (the answer wherever the common lottery's
+    certificate fails); a change in the tableau's arithmetic must not
+    move it."""
     rng = random.Random(1)
     f = random_pmf(rng, n)
     inst = Instance(n=n, f=f, g=random_pmf(rng, n), d=F(3, 2))
@@ -707,41 +717,161 @@ def test_certificate_rejects_broken_mixed_denominator_optima(corrupt, fault):
         broken += 1
 
 
-def test_lp_certificate_survives_optimize_flag():
-    # a wrong optimum must still be refused when -O strips asserts
-    script = textwrap.dedent(
-        """
-        from dataclasses import replace
-        from fractions import Fraction
-        from lotbench import Fill, PositionMasses, lpsolve, uniform_instance
-
-        exact = lpsolve.simplex_solve
-
-        def bent(lp):
-            sol = exact(lp)
-            return replace(sol, objective=sol.objective + Fraction(1, 7))
-
-        lpsolve.simplex_solve = bent
-        inst = uniform_instance(4)
-        targets = PositionMasses.from_values(["0", "5/24", "1/4", "1/4"])
-        for solve in (
-            lambda: lpsolve.solve_designer(inst, Fill()),
-            lambda: lpsolve.solve_min_mass(inst, targets),
-        ):
-            try:
-                solve()
-            except AssertionError as exc:
-                print(exc)
-        """
-    )
+def _run_optimized(script):
+    """Run script under python -O with this checkout's lotbench; returns
+    its stdout lines."""
     src = str(Path(lotbench.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p
     )}
     out = subprocess.run(
-        [sys.executable, "-O", "-c", script],
+        [sys.executable, "-O", "-c", textwrap.dedent(script)],
         env=env, capture_output=True, text=True, timeout=60,
     )
     assert out.returncode == 0, out.stderr
+    return out.stdout.splitlines()
+
+
+# fig4's instance: 1/F is not convex and a menu strictly beats every
+# common lottery, so neither closed form certifies there.
+FIG4 = new_instance(3, ["1/3", "1/12", "7/12"], ["1/3", "1/3", "1/3"], 1)
+
+
+def test_lp_certificate_survives_optimize_flag():
+    # a wrong optimum must still be refused when -O strips asserts; on
+    # fig4's instance the closed forms fail, so the simplex answers
+    script = """
+    from dataclasses import replace
+    from fractions import Fraction
+    from lotbench import Fill, PositionMasses, lpsolve, new_instance
+
+    inst = new_instance(3, ["1/3", "1/12", "7/12"], ["1/3", "1/3", "1/3"], 1)
+    targets = PositionMasses.from_values(["1/6", "1/3", "1/3"])
+    designer = lpsolve.build_designer_lp(inst, Fill())
+    min_mass = lpsolve.build_min_mass_lp(inst, targets)
+    print(lpsolve._certificate_fault(
+        designer, lpsolve._designer_candidate(inst, designer, Fill())))
+    print(lpsolve._certificate_fault(
+        min_mass, lpsolve._min_mass_candidate(inst, min_mass, targets)))
+
+    exact = lpsolve.simplex_solve
+
+    def bent(lp):
+        sol = exact(lp)
+        return replace(sol, objective=sol.objective + Fraction(1, 7))
+
+    lpsolve.simplex_solve = bent
+    for solve in (
+        lambda: lpsolve.solve_designer(inst, Fill()),
+        lambda: lpsolve.solve_min_mass(inst, targets),
+    ):
+        try:
+            solve()
+        except AssertionError as exc:
+            print(exc)
+    """
+    no_closed_form = "the dual of IC[1,0] has the wrong sign"
     caught = "LP optimum fails its exact certificate: c.x differs from the objective"
-    assert out.stdout.splitlines() == [caught, caught]
+    assert _run_optimized(script) == [no_closed_form] * 2 + [caught] * 2
+
+
+def _counting_simplex(monkeypatch):
+    """Wrap lpsolve.simplex_solve; returns the list of LPs it is called on."""
+    calls = []
+    exact = lpsolve.simplex_solve
+
+    def counted(lp):
+        calls.append(lp)
+        return exact(lp)
+
+    monkeypatch.setattr(lpsolve, "simplex_solve", counted)
+    return calls
+
+
+def test_designer_returns_the_common_lottery_on_convex_instances(monkeypatch):
+    """With 1/F convex the greedy common lottery certifies, for Fill and
+    for weights that are zero or negative, whether the budget binds or
+    not; it is returned as is and the simplex never runs."""
+    calls = _counting_simplex(monkeypatch)
+    rng = random.Random(1515)
+    seen = {"binding": 0, "slack": 0, "zero weight": 0, "negative weight": 0}
+    for t in range(120):
+        inst = random_convex_instance(rng, 2, 8)
+        if t % 3 == 0:
+            obj = Fill()
+            weights = (1,) * inst.n
+        else:
+            weights = tuple(F(rng.randint(-2, 5), rng.randint(1, 3)) for _ in range(inst.n))
+            obj = Linear(weights=weights)
+        closed = optimal_masses(inst, obj)
+        mech, value = solve_designer(inst, obj)
+        assert value == closed.value, (inst, obj)
+        assert mech == expand_common_lottery(inst, lottery_from_masses(inst, closed.masses))
+        spent = sum(s / inst.cdf(k) for k, s in enumerate(closed.masses.s))
+        seen["binding" if spent == inst.d else "slack"] += 1
+        seen["zero weight"] += 0 in weights
+        seen["negative weight"] += any(w < 0 for w in weights)
+    assert calls == []
+    assert min(seen.values()) >= 10, seen
+
+
+def test_min_mass_returns_the_common_lottery_on_convex_instances(monkeypatch):
+    calls = _counting_simplex(monkeypatch)
+    rng = random.Random(1516)
+    for t in range(100):
+        inst = random_convex_instance(rng, 2, 7)
+        shares = [F(rng.randint(0, 3), 4) for _ in range(inst.n)]
+        targets = PositionMasses(s=tuple(g * c for g, c in zip(inst.g, shares)))
+        mm = solve_min_mass(inst, targets)
+        d_star = sum((s / inst.cdf(k) for k, s in enumerate(targets.s)), ZERO)
+        assert mm.d_star == d_star and mm.solution.pivots == (0, 0), (inst, targets)
+        c = [s / (d_star * inst.cdf(k)) if d_star else ZERO for k, s in enumerate(targets.s)]
+        assert mm.mechanism == expand_common_lottery(inst, CommonLottery(c=tuple(c)))
+    assert calls == []
+
+
+def test_fig4_falls_back_to_the_simplex(monkeypatch):
+    calls = _counting_simplex(monkeypatch)
+    lp = build_designer_lp(FIG4, Fill())
+    assert _certificate_fault(lp, _designer_candidate(FIG4, lp, Fill())) is not None
+    mech, value = solve_designer(FIG4, Fill())
+    assert len(calls) == 1
+    assert value == F(2, 3) > optimal_masses(FIG4, Fill()).value
+    assert feasibility_report(FIG4, mech).is_feasible
+
+
+def test_corrupted_candidate_is_refused_under_optimize_flag():
+    """A candidate whose objective is off fails its certificate even when
+    -O strips asserts; the solver then returns the simplex's certified
+    optimum."""
+    script = """
+    from dataclasses import replace
+    from fractions import Fraction
+    from lotbench import Fill, PositionMasses, lpsolve, uniform_instance
+
+    def corrupted(make):
+        def candidate(*args):
+            sol = make(*args)
+            return replace(sol, objective=sol.objective + Fraction(1, 7))
+        return candidate
+
+    calls = []
+    exact = lpsolve.simplex_solve
+
+    def counted(lp):
+        calls.append(lp)
+        return exact(lp)
+
+    lpsolve._designer_candidate = corrupted(lpsolve._designer_candidate)
+    lpsolve._min_mass_candidate = corrupted(lpsolve._min_mass_candidate)
+    lpsolve.simplex_solve = counted
+    inst = uniform_instance(4)
+    targets = PositionMasses.from_values(["0", "5/24", "1/4", "1/4"])
+    _, value = lpsolve.solve_designer(inst, Fill())
+    mm = lpsolve.solve_min_mass(inst, targets)
+    for lp, got in zip(calls, (value, mm.d_star)):
+        sol = exact(lp)
+        print(got == sol.objective, lpsolve._certificate_fault(lp, sol))
+    print(len(calls), mm.solution.pivots != (0, 0))
+    """
+    assert _run_optimized(script) == ["True None", "True None", "2 True"]

@@ -23,7 +23,7 @@ from lotbench import (
     uniform_instance,
 )
 
-from util import random_convex_instance
+from util import random_convex_instance, simplex_vertex
 
 F = Fraction
 U3 = uniform_instance(3)
@@ -42,8 +42,8 @@ def test_fill_lottery_matches_lp_value():
     sol = optimal_masses(U4, Fill())
     assert sol.value == F(17, 24)
     assert sol.exact and not sol.convexity_warning
-    _, lp_value = solve_designer(U4, Fill())
-    assert sol.value == lp_value
+    _, lp_value = simplex_vertex(U4, Fill())
+    assert sol.value == lp_value == solve_designer(U4, Fill())[1]
 
 
 def test_fill_lottery_nonconvex_warns():
@@ -76,8 +76,8 @@ def test_linear_greedy_matches_lp():
         weights = tuple(F(rng.randint(1, 9), rng.randint(1, 4)) for _ in range(inst.n))
         obj = Linear(weights=weights)
         sol = optimal_masses(inst, obj)
-        mech, lp_value = solve_designer(inst, obj)
-        assert sol.value == lp_value
+        _, lp_value = simplex_vertex(inst, obj)
+        assert sol.value == lp_value == solve_designer(inst, obj)[1]
         # greedy masses are a feasible mechanism too
         cl = lottery_from_masses(inst, sol.masses)
         assert feasibility_report(inst, expand_common_lottery(inst, cl)).is_feasible

@@ -28,7 +28,6 @@ from lotbench import (
     new_instance,
     normalize_gamma,
     position_masses,
-    solve_designer,
     to_common_lottery,
     uneven_mu_coefficients,
     uneven_multipliers,
@@ -42,6 +41,7 @@ from util import (
     random_pmf,
     random_raw_matrix,
     random_supported_matrix,
+    simplex_vertex,
 )
 
 F = Fraction
@@ -253,7 +253,7 @@ def test_mu_closed_form_check_survives_optimize_flag():
 
 
 def test_vertex_collapse_preserves_masses():
-    mech, _ = solve_designer(U4, Fill())
+    mech, _ = simplex_vertex(U4, Fill())
     lottery, overflow = to_common_lottery(U4, mech)
     assert not overflow
     assert lottery.c == (F(0), F(5, 12), F(1, 3), F(1, 4))
@@ -299,7 +299,7 @@ def test_maximal_upgrade_uniform_lottery():
 
 
 def test_maximal_upgrade_fixed_point_when_top_saturated():
-    mech, _ = solve_designer(U4, Fill())
+    mech, _ = simplex_vertex(U4, Fill())
     s_before = position_masses(U4, mech).s
     out = maximal_upgrade(U4, mech)
     s_after = position_masses(U4, out).s
@@ -310,7 +310,7 @@ def test_collapse_total_at_most_one_on_convex_instances():
     rng = random.Random(17)
     for _ in range(25):
         inst = random_convex_instance(rng, n_min=3, n_max=6)
-        mech, _ = solve_designer(inst, Fill())
+        mech, _ = simplex_vertex(inst, Fill())
         lottery, overflow = to_common_lottery(inst, mech)
         assert not overflow
         assert position_masses(

@@ -5,7 +5,7 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
-from lotbench import DirectMechanism, Instance
+from lotbench import DirectMechanism, Instance, build_designer_lp, simplex_solve
 
 
 def random_pmf(rng: random.Random, n: int, full_support: bool = True):
@@ -67,3 +67,16 @@ def random_feasible_lottery(rng: random.Random, n: int):
     total = sum(raw)
     denom = rng.randint(max(1, int(total)), int(total) + 9) if total else 1
     return tuple(v / denom for v in raw)
+
+
+def simplex_vertex(inst: Instance, obj):
+    """The simplex's optimal vertex of the designer LP, as a mechanism, and
+    its value: an LP answer found without the closed form (where the common
+    lottery certifies, `solve_designer` returns that lottery instead)."""
+    sol = simplex_solve(build_designer_lp(inst, obj))
+    assert sol.status == "optimal"
+    mech = DirectMechanism(a=tuple(
+        tuple(sol.primal.get(f"a[{k}][{i}]", Fraction(0)) for i in range(inst.n))
+        for k in range(inst.n)
+    ))
+    return mech, sol.objective
