@@ -12,10 +12,8 @@ strictly raises the filled mass.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain
 
 from .errors import PreconditionViolation
 from .instance import Instance, convexity_report
@@ -26,10 +24,8 @@ from .mechanism import (
     Linear,
     Objective,
     _linear_weights,
-    evaluate_objective,
     expand_common_lottery,
     feasibility_report,
-    position_masses,
 )
 from .optimizer import _greedy, _ranking, lottery_from_masses
 
@@ -119,10 +115,12 @@ def auto_improve(inst: Instance, obj: Objective = Fill(), search_d: bool = True)
     """Search for a mechanism strictly better than every common lottery.
 
     Returns (Improvement | None, diagnostic).  The search tries the
-    instance's own agent mass first and then, when allowed, a 32-point
-    geometric grid in ascending order between the cost of filling the top
-    position and the cost of filling everything.  The first improving
-    agent mass wins.
+    instance's own agent mass first and then, when allowed, one exact mass
+    per piece of the window (threshold, spent), cut at the budget table's
+    breakpoints, in ascending order: the midpoint of each piece.  Here
+    spent is the cost of filling everything and threshold the mass above
+    which the optimal lottery offers the violation window.  The first
+    improving agent mass wins.
     """
     if not isinstance(obj, (Fill, Linear)):
         raise TypeError("improvement search supports mass-increasing objectives only")
@@ -131,7 +129,8 @@ def auto_improve(inst: Instance, obj: Objective = Fill(), search_d: bool = True)
     report = convexity_report(inst)
     if report.is_convex:
         return None, "convex"
-    order = _ranking(inst, _linear_weights(obj, inst.n))  # the same at every D
+    weights = _linear_weights(obj, inst.n)
+    order = _ranking(inst, weights)  # the same at every D
     k = report.violation_indices[0]
     d2 = report.second_differences[k - 1]  # F alone: the same at every D
 
@@ -150,54 +149,30 @@ def auto_improve(inst: Instance, obj: Objective = Fill(), search_d: bool = True)
     else:
         threshold = spent  # never offered while the budget binds
 
-    full_fill_only = True
-    for d in chain([inst.d], _d_grid(inst, spent) if search_d else ()):
-        if d > spent:
-            why = "full-fill feasible"
-        elif d <= threshold:
-            why = "no supported window"
-        else:
+    candidates = [inst.d]
+    if search_d:
+        # between breakpoints the greedy fills the same positions, so the
+        # search tries one mass inside each piece of (threshold, spent),
+        # an empty window when threshold == spent
+        cuts = sorted({threshold, spent, *(b for b in before if threshold < b < spent)})
+        candidates += [(lo + hi) / 2 for lo, hi in zip(cuts, cuts[1:])]
+    for d in candidates:
+        if threshold < d <= spent:
             trial = Instance(n=inst.n, f=inst.f, g=inst.g, d=d)
-            found, why = _improve_at(trial, obj, order, k, d2)
+            found = _improve_at(trial, weights, order, k, d2)
             if found is not None:
                 return found, "improved"
-        full_fill_only = full_fill_only and why == "full-fill feasible"
-    if full_fill_only:
-        return None, "full-fill feasible"
-    return None, "no supported window"
+    # g sums to 1, so spent > 0: a search always covers masses that bind
+    if search_d or inst.d <= spent:
+        return None, "no supported window"
+    return None, "full-fill feasible"
 
 
-_D_GRID_POINTS = 32
-
-
-def _d_grid(inst: Instance, spent: Fraction):
-    """Yield a geometric grid of _D_GRID_POINTS agent masses in ascending
-    order, from the cost of filling the top position to spent, the cost of
-    filling everything; points beyond the float range are skipped."""
-    lo = _float_or_inf(inst.g[inst.n - 1] / inst.cdf(inst.n - 1))
-    hi = _float_or_inf(spent)
-    if lo <= 0:
-        lo = hi / 1024 if hi > 0 else 1.0
-    for t in range(_D_GRID_POINTS):
-        v = lo * (hi / lo) ** (t / (_D_GRID_POINTS - 1)) if hi > lo else lo
-        if math.isfinite(v):
-            point = Fraction(v).limit_denominator(10**6)
-            if point > 0:
-                yield point
-
-
-def _float_or_inf(value: Fraction) -> float:
-    try:
-        return float(value)
-    except OverflowError:
-        return math.inf
-
-
-def _improve_at(inst: Instance, obj: Objective, order, k: int, d2: Fraction):
+def _improve_at(inst: Instance, weights, order, k: int, d2: Fraction):
     """Try the construction at one agent mass, given the objective's
-    position ranking and the second difference d2 < 0 of 1/F at k; returns
-    (Improvement|None, why).  The caller has checked that the budget binds
-    and that the lottery offers positions k-1, k and k+1."""
+    position weights and ranking and the second difference d2 < 0 of 1/F
+    at k; returns an Improvement or None.  The caller has checked that the
+    budget binds and that the lottery offers positions k-1, k and k+1."""
     i = 0  # the lowest type always accepts all three rows of the triple
     s = _greedy(inst, order, inst.g)
     base = lottery_from_masses(inst, s)
@@ -205,7 +180,7 @@ def _improve_at(inst: Instance, obj: Objective, order, k: int, d2: Fraction):
 
     epsilon = _max_epsilon(inst, c, k, i) / 2
     if epsilon <= 0:
-        return None, "no supported window"
+        return None
     eps_prime = -epsilon * inst.f[i] * d2  # > 0: epsilon, f_i > 0 > d2
 
     # lowest position with spare capacity among those every offered-to type
@@ -215,24 +190,20 @@ def _improve_at(inst: Instance, obj: Objective, order, k: int, d2: Fraction):
         (kk for kk in range(support_start + 1) if s.s[kk] < inst.g[kk]), None
     )
     if fill_index is None:
-        return None, "no supported window"
+        return None
     room = (inst.g[fill_index] - s.s[fill_index]) / (inst.d * inst.cdf(fill_index))
     delta = min(eps_prime, room)  # > 0: the fill position has spare capacity
 
     try:
         mech = perturb(inst, base, k, i, epsilon, delta, fill_index)
     except PreconditionViolation:
-        return None, "no supported window"
-    value = evaluate_objective(obj, position_masses(inst, mech))
-    gain = value - evaluate_objective(obj, s)
-    if gain <= 0:
-        return None, "no supported window"
-    return (
-        Improvement(
-            mechanism=mech, base=base, gain=gain, d=inst.d, k=k, i=i,
-            fill_index=fill_index, epsilon=epsilon, delta=delta,
-        ),
-        "improved",
+        return None
+    # stage one keeps every position mass and stage two adds D delta F to
+    # the fill position's, so the gain is positive with the weight
+    gain = weights[fill_index] * inst.d * delta * inst.cdf(fill_index)
+    return Improvement(
+        mechanism=mech, base=base, gain=gain, d=inst.d, k=k, i=i,
+        fill_index=fill_index, epsilon=epsilon, delta=delta,
     )
 
 

@@ -485,10 +485,10 @@ def build_min_mass_lp(inst: Instance, targets: PositionMasses) -> LinearProgram:
     )
 
 
-def _cell_matrix(sol: LpSolution, var: str, n: int, scale: Fraction):
-    """The N x N matrix scale * var[k][i] read from the solution's cells."""
+def _cell_matrix(sol: LpSolution, var: str, n: int):
+    """The N x N matrix var[k][i] read from the solution's cells."""
     return tuple(
-        tuple(sol.primal.get(f"{var}[{k}][{i}]", ZERO) * scale for i in range(n))
+        tuple(sol.primal.get(f"{var}[{k}][{i}]", ZERO) for i in range(n))
         for k in range(n)
     )
 
@@ -561,7 +561,7 @@ def solve_designer(inst: Instance, obj: Objective):
         if sol.status != "optimal":
             raise LotbenchError(f"designer LP ended with status {sol.status}")
         _check_certificate(lp, sol)
-    return DirectMechanism(a=_cell_matrix(sol, "a", inst.n, ONE)), sol.objective
+    return DirectMechanism(a=_cell_matrix(sol, "a", inst.n)), sol.objective
 
 
 @dataclass(frozen=True)
@@ -616,7 +616,9 @@ def solve_min_mass(inst: Instance, targets: PositionMasses) -> MinMassSolution:
         _check_certificate(lp, sol)
     d_star = sol.objective
     # a = y / D; at D = 0 every y is 0 and so is the mechanism.
-    rows = _cell_matrix(sol, "y", inst.n, ZERO if d_star == 0 else ONE / d_star)
+    rows = _cell_matrix(sol, "y", inst.n)
+    if d_star != 0:
+        rows = tuple(tuple(y / d_star for y in row) for row in rows)
     raw = dual_certificate(sol)
     mult = {
         "POS": {k: d_star * v for k, v in raw["POS"].items()},

@@ -217,6 +217,12 @@ def test_perturb_improves_and_declines(files, capsys):
     assert code == 0
     doc = json.loads(out)
     assert doc["improved"] is True and doc["gain"] == "1/45"
+    # without --D the own D = 1 fails and the search moves to 49/30, the
+    # midpoint of the window (17/15, 32/15)
+    code, out, _ = run(capsys, "perturb", files("j.json", FIG4))
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["d"] == "49/30" and doc["gain"] == "1/45"
     code, out, err = run(capsys, "perturb", files("i.json", UNIFORM4))
     assert code == 1
     assert json.loads(out)["diagnostic"] == "convex"
@@ -374,17 +380,22 @@ TINY4 = {
 
 
 @pytest.mark.parametrize(
-    "argv",
+    "argv, improves",
     [
-        ("optimal-lottery", TINY3, "--objective",
-         {"kind": "concave", "weights": ["1", "1", "1"], "rho": "1/2"}),
-        ("perturb", TINY4),
+        (("optimal-lottery", TINY3, "--objective",
+          {"kind": "concave", "weights": ["1", "1", "1"], "rho": "1/2"}), False),
+        (("perturb", TINY4), False),
+        # the cost of filling everything, about 10^400, has no float
+        (("perturb", {**TINY4, "D": str(10 * TINY)}), True),
     ],
-    ids=["concave-water-fill", "perturb-d-grid"],
+    ids=["concave-water-fill", "perturb-d-grid", "perturb-beyond-float-spent"],
 )
-def test_beyond_float_range_exits_without_traceback(files, argv):
+def test_beyond_float_range_exits_without_traceback(files, argv, improves):
     out = run_subprocess(*file_args(files, *argv))
     assert out.returncode in (0, 1, 2)
     assert "Traceback" not in out.stderr
     if out.returncode == 2:
         assert out.stderr.startswith("error:")
+    if improves:
+        assert out.returncode == 0
+        assert json.loads(out.stdout)["improved"] is True

@@ -86,10 +86,12 @@ def test_perturb_precondition_messages():
 
 
 def test_auto_improve_fig4():
+    # D = 1 lies below the threshold 17/15 at which the lottery offers
+    # position 0, so the search moves on to the one piece (17/15, 32/15)
     found, why = auto_improve(FIG4)
     assert why == "improved" and found is not None
     assert found.k == 1 and found.i == 0
-    assert found.gain > 0
+    assert found.d == F(49, 30) and found.gain == F(1, 45)
     assert feasibility_report(
         Instance(n=3, f=FIG4.f, g=FIG4.g, d=found.d), found.mechanism
     ).is_feasible
@@ -168,14 +170,78 @@ def test_auto_improve_base_is_the_optimal_common_lottery():
                 continue
             found_count += 1
             trial = Instance(n=inst.n, f=inst.f, g=inst.g, d=found.d)
-            assert found.base == lottery_from_masses(
-                trial, optimal_masses(trial, obj).masses
-            )
+            base_masses = optimal_masses(trial, obj).masses
+            assert found.base == lottery_from_masses(trial, base_masses)
+            # the gain read from the construction's identity is the
+            # objective's change summed over the perturbed matrix
+            assert found.gain == evaluate_objective(
+                obj, position_masses(trial, found.mechanism)
+            ) - evaluate_objective(obj, base_masses)
     assert found_count >= 40
 
 
+def _weights(obj, n):
+    return (F(1),) * n if isinstance(obj, Fill) else obj.weights
+
+
+def _budget_table(inst, obj):
+    """(threshold, spent, breakpoints) of the greedy budget scan, written
+    out from the ranking: spent fills everything, threshold is the mass
+    above which the lottery offers the window around the first violation,
+    and the breakpoints are the budget spent before each position."""
+    k = convexity_report(inst).violation_indices[0]
+    before, spent = {}, F(0)
+    for r in _ranking(inst, _weights(obj, inst.n)):
+        before[r] = spent
+        spent += inst.g[r] / inst.cdf(r)
+    window = (k - 1, k, k + 1)
+    if all(inst.g[r] > 0 for r in window):
+        threshold = max(before[r] for r in window)
+    else:
+        threshold = spent
+    return threshold, spent, sorted(before.values())
+
+
+def _piece_midpoints(inst, obj):
+    """The midpoint of each piece of (threshold, spent) cut at the
+    breakpoints, in ascending order."""
+    threshold, spent, breakpoints = _budget_table(inst, obj)
+    cuts = sorted({threshold, spent, *(b for b in breakpoints if threshold < b < spent)})
+    return [(lo + hi) / 2 for lo, hi in zip(cuts, cuts[1:])]
+
+
+def _reference_search(inst, obj, search_d, masses):
+    """auto_improve candidate by candidate over the given agent masses:
+    build each trial instance, solve its optimal common lottery, test the
+    full-fill and window conditions on that lottery, and run the
+    construction where both pass."""
+    report = convexity_report(inst)
+    k = report.violation_indices[0]
+    weights = _weights(obj, inst.n)
+    order = _ranking(inst, weights)
+    full_fill_only = True
+    for d in [inst.d] + (masses if search_d else []):
+        trial = Instance(n=inst.n, f=inst.f, g=inst.g, d=d)
+        c = lottery_from_masses(trial, optimal_masses(trial, obj).masses).c
+        if sum(c) < 1:
+            why = "full-fill feasible"
+        elif not (c[k - 1] > 0 and c[k] > 0 and c[k + 1] > 0):
+            why = "no supported window"
+        else:
+            found = _improve_at(trial, weights, order, k, report.second_differences[k - 1])
+            if found is not None:
+                return found, "improved"
+            why = "no supported window"
+        full_fill_only = full_fill_only and why == "full-fill feasible"
+    if search_d:  # a search reaches a binding mass: (0, spent] is not empty
+        full_fill_only = False
+    return None, "full-fill feasible" if full_fill_only else "no supported window"
+
+
 def _reference_grid(inst):
-    """The search's 32-point geometric grid of agent masses, as a list."""
+    """The float grid the search walked before the exact pieces: 32
+    geometric points from the cost of filling the top position to the cost
+    of filling everything, rounded to denominators of at most 10**6."""
     lo = float(inst.g[-1] / inst.cdf(inst.n - 1))
     hi = float(sum(gk / inst.cdf(k) for k, gk in enumerate(inst.g)))
     if lo <= 0:
@@ -184,28 +250,27 @@ def _reference_grid(inst):
     return [p for p in (F(v).limit_denominator(10**6) for v in points) if p > 0]
 
 
-def _reference_search(inst, obj, search_d):
-    """auto_improve candidate by candidate: build each trial instance, solve
-    its optimal common lottery, test the full-fill and window conditions on
-    that lottery, and run the construction where both pass."""
-    report = convexity_report(inst)
-    k = report.violation_indices[0]
-    weights = (F(1),) * inst.n if isinstance(obj, Fill) else obj.weights
-    order = _ranking(inst, weights)
-    full_fill_only = True
-    for d in [inst.d] + (_reference_grid(inst) if search_d else []):
-        trial = Instance(n=inst.n, f=inst.f, g=inst.g, d=d)
-        c = lottery_from_masses(trial, optimal_masses(trial, obj).masses).c
-        if sum(c) < 1:
-            why = "full-fill feasible"
-        elif not (c[k - 1] > 0 and c[k] > 0 and c[k + 1] > 0):
-            why = "no supported window"
-        else:
-            found, why = _improve_at(trial, obj, order, k, report.second_differences[k - 1])
-            if found is not None:
-                return found, "improved"
-        full_fill_only = full_fill_only and why == "full-fill feasible"
-    return None, "full-fill feasible" if full_fill_only else "no supported window"
+def _random_nonconvex_instance(rng, n_min, n_max):
+    """A random instance whose 1/F is not convex; some of the time one
+    capacity in the violation window is zero.  Returns (instance, k)."""
+    while True:
+        n = rng.randint(n_min, n_max)
+        f = random_pmf(rng, n)
+        k_of = convexity_report(Instance(n=n, f=f, g=f, d=F(1))).violation_indices
+        if k_of:
+            break
+    g = list(random_pmf(rng, n, full_support=False))
+    if rng.random() < 0.3:  # a capacity of zero inside the window
+        g[k_of[0] + rng.randint(-1, 1)] = F(0)
+        if sum(g) == 0:
+            g[rng.randrange(n)] = F(1)
+        g = [gk / sum(g) for gk in g]
+    d = rng.choice((
+        F(rng.randint(1, 8), rng.randint(1, 4)),
+        F(1, rng.randint(5, 60)),
+        F(rng.randint(3, 60)),
+    ))
+    return Instance(n=n, f=f, g=tuple(g), d=d), k_of[0]
 
 
 def test_auto_improve_screen_matches_the_candidate_by_candidate_search(monkeypatch):
@@ -213,43 +278,71 @@ def test_auto_improve_screen_matches_the_candidate_by_candidate_search(monkeypat
     # table alone; on every input it must return what solving each
     # candidate's lottery returns, and it may try the construction only
     # where the budget binds and the lottery offers the whole window
-    def checked(trial, obj, order, k, d2):
+    def checked(trial, weights, order, k, d2):
+        obj = Linear(weights=tuple(F(w) for w in weights))  # Fill: unit weights
         c = lottery_from_masses(trial, optimal_masses(trial, obj).masses).c
         assert sum(c) == 1 and c[k - 1] > 0 and c[k] > 0 and c[k + 1] > 0
-        return _improve_at(trial, obj, order, k, d2)
+        return _improve_at(trial, weights, order, k, d2)
 
     monkeypatch.setattr(converse, "_improve_at", checked)
     rng = random.Random(57)
-    tried = zero_in_window = 0
+    zero_in_window = 0
     diagnostics = set()
-    while tried < 200:
-        n = rng.randint(3, 7)
-        f = random_pmf(rng, n)
-        k_of = convexity_report(Instance(n=n, f=f, g=f, d=F(1))).violation_indices
-        if not k_of:
-            continue
-        g = list(random_pmf(rng, n, full_support=False))
-        if rng.random() < 0.3:  # a capacity of zero inside the window
-            g[k_of[0] + rng.randint(-1, 1)] = F(0)
-            if sum(g) == 0:
-                g[rng.randrange(n)] = F(1)
-            g = [gk / sum(g) for gk in g]
-        d = rng.choice((
-            F(rng.randint(1, 8), rng.randint(1, 4)),
-            F(1, rng.randint(5, 60)),
-            F(rng.randint(3, 60)),
-        ))
-        inst = Instance(n=n, f=f, g=tuple(g), d=d)
-        tried += 1
-        zero_in_window += any(inst.g[r] == 0 for r in range(k_of[0] - 1, k_of[0] + 2))
-        weights = tuple(F(rng.randint(1, 9), rng.randint(1, 3)) for _ in range(n))
+    for _ in range(200):
+        inst, k = _random_nonconvex_instance(rng, 3, 7)
+        zero_in_window += any(inst.g[r] == 0 for r in range(k - 1, k + 2))
+        weights = tuple(F(rng.randint(1, 9), rng.randint(1, 3)) for _ in range(inst.n))
         for obj in (Fill(), Linear(weights=weights)):
+            masses = _piece_midpoints(inst, obj)
             for search_d in (True, False):
                 got = auto_improve(inst, obj=obj, search_d=search_d)
-                assert got == _reference_search(inst, obj, search_d)
+                assert got == _reference_search(inst, obj, search_d, masses)
                 diagnostics.add(got[1])
     assert zero_in_window >= 20
     assert diagnostics == {"improved", "full-fill feasible", "no supported window"}
+
+
+def _grid_improves(inst, obj):
+    """Whether the construction improves at some point of the float grid
+    where the budget binds and the lottery offers the window (the screen
+    that the candidate-by-candidate test checks)."""
+    threshold, spent, _ = _budget_table(inst, obj)
+    report = convexity_report(inst)
+    k = report.violation_indices[0]
+    weights = _weights(obj, inst.n)
+    order = _ranking(inst, weights)
+    return any(
+        _improve_at(
+            Instance(n=inst.n, f=inst.f, g=inst.g, d=d), weights, order, k,
+            report.second_differences[k - 1],
+        ) is not None
+        for d in _reference_grid(inst)
+        if threshold < d <= spent
+    )
+
+
+def test_auto_improve_finds_every_mass_the_float_grid_found():
+    # the exact pieces replace a 32-point float grid: wherever the grid
+    # improves, so must the search; under Fill it improves exactly when
+    # the window opens before the budget runs out
+    rng = random.Random(71)
+    grid_improved = exact_only = zero_in_window = 0
+    for _ in range(400):
+        inst, k = _random_nonconvex_instance(rng, 3, 10)
+        zero_in_window += any(inst.g[r] == 0 for r in range(k - 1, k + 2))
+        weights = tuple(F(rng.randint(1, 9), rng.randint(1, 3)) for _ in range(inst.n))
+        for obj in (Fill(), Linear(weights=weights)):
+            found, _ = auto_improve(inst, obj=obj)
+            if _grid_improves(inst, obj):
+                grid_improved += 1
+                assert found is not None
+            else:
+                exact_only += found is not None
+            if isinstance(obj, Fill):
+                threshold, spent, _ = _budget_table(inst, obj)
+                assert (found is not None) == (threshold < spent)
+    assert zero_in_window >= 100
+    assert grid_improved >= 300 and exact_only >= 1
 
 
 def test_auto_improve_screen_boundaries(monkeypatch):
