@@ -47,9 +47,6 @@ from .lpsolve import (
 from .transform import (
     DecompositionReport,
     Multipliers,
-    allocation_upgrade,
-    equalize_position,
-    maximal_upgrade,
     mu_coefficients,
     multipliers,
     to_common_lottery,

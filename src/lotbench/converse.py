@@ -71,23 +71,19 @@ def perturb(
 
     mech = expand_common_lottery(inst, base)
     rows = [list(row) for row in mech.a]
-    fi = inst.f[i]
-    # spread type i's odds at k outward, rebalancing each touched row
-    rows[k][i] += 2 * epsilon - 2 * epsilon * fi / inst.cdf(k)
-    rows[k - 1][i] += -epsilon + epsilon * fi / inst.cdf(k - 1)
-    rows[k + 1][i] += -epsilon + epsilon * fi / inst.cdf(k + 1)
-    for j in range(k + 1):
-        if j != i:
-            rows[k][j] -= 2 * epsilon * fi / inst.cdf(k)
-    for j in range(k):
-        if j != i:
-            rows[k - 1][j] += epsilon * fi / inst.cdf(k - 1)
-    for j in range(k + 2):
-        if j != i:
-            rows[k + 1][j] += epsilon * fi / inst.cdf(k + 1)
+
+    def shift(r, t):
+        # add t to row r for every type that accepts position r
+        for j in range(r + 1):
+            rows[r][j] += t
+
+    # spread type i's odds at k outward, rebalancing each touched row so
+    # that its position mass is unchanged
+    for r, move in ((k, 2 * epsilon), (k - 1, -epsilon), (k + 1, -epsilon)):
+        rows[r][i] += move
+        shift(r, -move * inst.f[i] / inst.cdf(r))
     # spend the released slack on the unfilled position
-    for j in range(fill_index + 1):
-        rows[fill_index][j] += delta
+    shift(fill_index, delta)
 
     result = DirectMechanism(a=tuple(tuple(r) for r in rows))
     report = feasibility_report(inst, result)

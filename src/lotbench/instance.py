@@ -13,7 +13,7 @@ from fractions import Fraction
 from itertools import accumulate
 
 from .errors import LotbenchError
-from .rationals import format_rational, parse_rational, parse_rational_vector
+from .rationals import exact_type, format_rational, parse_rational, parse_rational_vector
 
 
 @dataclass(frozen=True)
@@ -36,6 +36,15 @@ class Instance:
     def __post_init__(self):
         if not isinstance(self.n, int) or isinstance(self.n, bool):
             raise LotbenchError(f"n must be an integer, got {self.n!r}")
+        # a float would round the cdf and every identity checked downstream;
+        # the types are checked as a set, the entries searched only for the
+        # message
+        named = (("f", self.f), ("g", self.g), ("D", (self.d,)))
+        if not all(map(exact_type, {type(v) for _, vs in named for v in vs})):
+            name, bad = next(
+                (name, v) for name, vs in named for v in vs if not exact_type(type(v))
+            )
+            raise LotbenchError(f"{name} entries must be Fraction or int, got {bad!r}")
         if self.n < 2:
             raise LotbenchError(f"need N >= 2, got {self.n}")
         if len(self.f) != self.n or len(self.g) != self.n:

@@ -31,6 +31,7 @@ from .errors import LotbenchError
 from .instance import Instance
 from .mechanism import DirectMechanism, Objective, PositionMasses, _linear_weights
 from .optimizer import _budget_masses, lottery_from_masses
+from .rationals import exact_type, to_common_denominator
 from .transform import multipliers
 
 ZERO = Fraction(0)
@@ -79,13 +80,9 @@ class LinearProgram:
         def entries():
             return chain(self.c, self.rhs, chain.from_iterable(self.rows))
 
-        if not all(map(_exact_type, set(map(type, entries())))):
-            bad = next(v for v in entries() if not _exact_type(type(v)))
+        if not all(map(exact_type, set(map(type, entries())))):
+            bad = next(v for v in entries() if not exact_type(type(v)))
             raise LotbenchError(f"LP entries must be Fraction or int, got {bad!r}")
-
-
-def _exact_type(t: type) -> bool:
-    return issubclass(t, (Fraction, int)) and not issubclass(t, bool)
 
 
 @dataclass(frozen=True)
@@ -192,16 +189,6 @@ def _nonzeros(values):
     dens = [v.denominator for v in nonzero]
     den = lcm(*dens)
     return den, at, [v.numerator * (den // d) for v, d in zip(nonzero, dens)]
-
-
-def _over_lcm(values):
-    """(den, ints): values as ints over the lcm of their denominators,
-    with each zero an int 0."""
-    den, at, nonzero = _nonzeros(values)
-    ints = [0] * len(values)
-    for t, v in zip(at, nonzero):
-        ints[t] = v
-    return den, ints
 
 
 def _int_column(values, flip, phase1_rows):
@@ -338,8 +325,8 @@ def _certificate_fault(lp: LinearProgram, sol: LpSolution) -> str | None:
     if sol.status != "optimal":
         return f"status is {sol.status}"
     sign = 1 if lp.sense == "min" else -1
-    x_den, xs = _over_lcm([sol.primal[v] for v in lp.var_names])
-    y_den, ys = _over_lcm([sol.duals[name] for name in lp.con_names])
+    x_den, (xs,) = to_common_denominator([[sol.primal[v] for v in lp.var_names]])
+    y_den, (ys,) = to_common_denominator([[sol.duals[name] for name in lp.con_names]])
     # the priced rows as (dual over y_den, row scale, its columns and ints,
     # rhs over the row scale)
     priced = []

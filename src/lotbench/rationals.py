@@ -44,6 +44,12 @@ def parse_rational(value) -> Fraction:
     raise LotbenchError(f"not a rational: {value!r}")
 
 
+def exact_type(t: type) -> bool:
+    """True for Fraction and for int other than bool, the entry types that
+    keep arithmetic exact: a float or a numpy scalar would round it."""
+    return issubclass(t, (Fraction, int)) and not issubclass(t, bool)
+
+
 def format_rational(value: Fraction) -> str:
     """Render a Fraction as "p/q" (or "p" when the denominator is 1)."""
     value = Fraction(value)

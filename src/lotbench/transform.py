@@ -27,8 +27,6 @@ from .mechanism import (
     _ConstraintSums,
     _constraint_sums,
     _is_feasible,
-    _row_mass,
-    feasibility_report,
 )
 from .rationals import format_rational, to_common_denominator
 
@@ -206,98 +204,3 @@ def _grid_mu(x, F, mult: Multipliers) -> tuple[tuple[Fraction, ...], ...]:
         )
     return tuple(mu)
 
-
-# --- row and cell surgery ----------------------------------------------------
-
-
-def equalize_position(inst: Instance, mech: DirectMechanism, k: int) -> DirectMechanism:
-    """Replace row k by its pmf-weighted average over types <= k.
-
-    Position masses are unchanged; the row becomes constant on its
-    acceptable types and zero elsewhere.
-    """
-    _check_dims(inst, mech)
-    inst._check_index(k)
-    avg = _row_mass(mech.a[k], inst.f, k) / inst.cdf(k)
-    rows = [list(row) for row in mech.a]
-    rows[k] = [avg if i <= k else ZERO for i in range(inst.n)]
-    return DirectMechanism(a=tuple(tuple(r) for r in rows))
-
-
-def allocation_upgrade(
-    inst: Instance,
-    mech: DirectMechanism,
-    i: int,
-    from_k: int,
-    to_k: int,
-    mass: Fraction,
-) -> DirectMechanism:
-    """Move offer probability of type i from a worse position to a better one."""
-    _check_dims(inst, mech)
-    if not 0 <= i <= from_k < to_k < inst.n:
-        raise LotbenchError(
-            f"need i <= from_k < to_k within the grid, got i={i}, "
-            f"from_k={from_k}, to_k={to_k}"
-        )
-    if mass < 0:
-        raise LotbenchError("cannot move a negative amount")
-    if mass > mech.a[from_k][i]:
-        raise LotbenchError(
-            f"cell ({from_k}, {i}) holds {mech.a[from_k][i]}, cannot move {mass}"
-        )
-    rows = [list(row) for row in mech.a]
-    rows[from_k][i] -= mass
-    rows[to_k][i] += mass
-    return DirectMechanism(a=tuple(tuple(r) for r in rows))
-
-
-def maximal_upgrade(inst: Instance, mech: DirectMechanism) -> DirectMechanism:
-    """Push offer mass upward until no partly vacant position can draw from
-    below.
-
-    Repeatedly takes the highest position with spare capacity and refills
-    it with offer mass currently sitting at lower positions, scanning
-    donor types in ascending index and donor positions from the bottom.
-    Total utilization is preserved and the number of capacity-filled
-    positions is maximal given that utilization.
-    """
-    report = feasibility_report(inst, mech)
-    if not report.is_feasible:
-        raise LotbenchError("upgrading is defined for feasible input")
-    n = inst.n
-    rows = [list(row) for row in mech.a]
-
-    def mass_at(k):
-        return inst.d * _row_mass(rows[k], inst.f, k)
-
-    kt = n - 1
-    while kt >= 0:
-        vacant = next(
-            (k for k in range(kt, -1, -1) if mass_at(k) < inst.g[k]), None
-        )
-        if vacant is None:
-            break
-        kt = vacant
-        progressed = False
-        for i in range(kt + 1):
-            for k in range(i, kt):
-                cell = rows[k][i]
-                if cell == 0:
-                    continue
-                room = inst.g[kt] - mass_at(kt)
-                if room == 0:
-                    break
-                move = min(cell, room / (inst.d * inst.f[i]))
-                rows[k][i] -= move
-                rows[kt][i] += move
-                progressed = True
-            if mass_at(kt) == inst.g[kt]:
-                break
-        if mass_at(kt) == inst.g[kt]:
-            kt -= 1
-            continue
-        if not progressed:
-            # nothing below kt can donate; lower positions cannot help
-            # any higher vacancy either, so the algorithm is done
-            break
-    return DirectMechanism(a=tuple(tuple(r) for r in rows))

@@ -1,6 +1,7 @@
 import random
 from fractions import Fraction
 
+import numpy
 import pytest
 from hypothesis import given, strategies as st
 
@@ -56,6 +57,28 @@ def test_validation_errors():
 def test_floats_rejected():
     with pytest.raises(ValueError):
         new_instance(2, [0.5, 0.5], ["1/2", "1/2"], 1)
+
+
+@pytest.mark.parametrize(
+    "field, value, shown",
+    [
+        ("f", (0.25, 0.25, 0.5), "f entries must be Fraction or int, got 0.25"),
+        ("g", (Fraction(1, 2), numpy.float64(0.25), Fraction(1, 4)), "g entries must be"),
+        ("d", 1.5, "D entries must be Fraction or int, got 1.5"),
+        ("d", True, "D entries must be Fraction or int, got True"),
+    ],
+    ids=["f", "g", "d", "bool-d"],
+)
+def test_inexact_entries_rejected(field, value, shown):
+    exact = dict(
+        n=3,
+        f=(Fraction(1, 4), Fraction(1, 4), Fraction(1, 2)),
+        g=(Fraction(1, 3),) * 3,
+        d=Fraction(3, 2),
+    )
+    Instance(**exact)
+    with pytest.raises(LotbenchError, match=shown):
+        Instance(**{**exact, field: value})
 
 
 @pytest.mark.parametrize("n", [2.9, True, "2"])

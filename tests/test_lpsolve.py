@@ -43,8 +43,9 @@ from lotbench.lpsolve import (
     _certificate_fault,
     _check_certificate,
     _designer_candidate,
+    _min_mass_candidate,
 )
-from util import random_convex_instance, random_pmf
+from util import random_convex_instance, random_instance, random_pmf
 
 F = Fraction
 ZERO = F(0)
@@ -838,6 +839,42 @@ def test_fig4_falls_back_to_the_simplex(monkeypatch):
     assert len(calls) == 1
     assert value == F(2, 3) > optimal_masses(FIG4, Fill()).value
     assert feasibility_report(FIG4, mech).is_feasible
+
+
+def test_closed_form_certifies_exactly_when_budget_slack_or_convex():
+    """The designer candidate certifies exactly when the greedy leaves
+    budget over or 1/F is convex, and the min-mass candidate exactly when
+    1/F is convex; every refusal is an IC dual of the wrong sign."""
+    rng = random.Random(1701)
+    seen = {"non-convex, binding": 0, "non-convex, slack": 0, "convex": 0}
+    for t in range(300):
+        inst = random_instance(rng, 2, 7)
+        if t % 3 == 0:
+            obj = Fill()
+        else:
+            obj = Linear(weights=tuple(
+                F(rng.randint(-2, 5), rng.randint(1, 3)) for _ in range(inst.n)
+            ))
+        convex = convexity_report(inst).is_convex
+        masses = optimal_masses(inst, obj).masses.s
+        slack = sum((s / inst.cdf(k) for k, s in enumerate(masses)), ZERO) < inst.d
+        if convex:
+            seen["convex"] += 1
+        else:
+            seen["non-convex, slack" if slack else "non-convex, binding"] += 1
+
+        lp = build_designer_lp(inst, obj)
+        fault = _certificate_fault(lp, _designer_candidate(inst, lp, obj))
+        assert (fault is None) == (slack or convex), (inst, obj, fault)
+        assert fault is None or fault.startswith("the dual of IC["), fault
+
+        shares = [F(rng.randint(0, 3), 4) for _ in range(inst.n)]
+        targets = PositionMasses(s=tuple(g * c for g, c in zip(inst.g, shares)))
+        lp = build_min_mass_lp(inst, targets)
+        fault = _certificate_fault(lp, _min_mass_candidate(inst, lp, targets))
+        assert (fault is None) == convex, (inst, targets, fault)
+        assert fault is None or fault.startswith("the dual of IC["), fault
+    assert min(seen.values()) >= 30, seen
 
 
 def test_corrupted_candidate_is_refused_under_optimize_flag():

@@ -35,7 +35,6 @@ SURFACE = [
     "Threshold",
     "UnevenGridView",
     "aggregate_per_gamma",
-    "allocation_upgrade",
     "auto_improve",
     "build_designer_lp",
     "build_min_mass_lp",
@@ -44,7 +43,6 @@ SURFACE = [
     "continuum_crp",
     "convexity_report",
     "dual_certificate",
-    "equalize_position",
     "evaluate_objective",
     "even_grid_view",
     "expand_common_lottery",
@@ -54,7 +52,6 @@ SURFACE = [
     "lottery_from_masses",
     "masses_from_lottery",
     "masses_over_qualities",
-    "maximal_upgrade",
     "mu_coefficients",
     "multipliers",
     "new_instance",

@@ -17,12 +17,9 @@ from lotbench import (
     Fill,
     LotbenchError,
     OrdinalInstance,
-    allocation_upgrade,
     convexity_report,
-    equalize_position,
     expand_common_lottery,
     feasibility_report,
-    maximal_upgrade,
     mu_coefficients,
     multipliers,
     new_instance,
@@ -259,53 +256,6 @@ def test_vertex_collapse_preserves_masses():
     assert lottery.c == (F(0), F(5, 12), F(1, 3), F(1, 4))
 
 
-def test_equalize_position():
-    out = equalize_position(U4, MENU, 3)
-    assert out.a[3] == (F(1, 8),) * 4
-    assert position_masses(U4, out).s == position_masses(U4, MENU).s
-    # rows of a common lottery are fixed points
-    cl = expand_common_lottery(U4, CommonLottery.from_values(["0", "1/4", "1/4", "1/4"]))
-    assert equalize_position(U4, cl, 2).a == cl.a
-
-
-def test_equalize_all_rows_equals_collapse():
-    current = MENU
-    for k in range(4):
-        current = equalize_position(U4, current, k)
-    lottery, _ = to_common_lottery(U4, MENU)
-    assert current.a == expand_common_lottery(U4, lottery).a
-
-
-def test_allocation_upgrade():
-    uniform = expand_common_lottery(U4, CommonLottery.from_values(["1/4"] * 4))
-    out = allocation_upgrade(U4, uniform, 0, 1, 3, F(1, 4))
-    assert out.a[1][0] == 0 and out.a[3][0] == F(1, 2)
-    s_before = position_masses(U4, uniform).s
-    s_after = position_masses(U4, out).s
-    assert s_after[1] == s_before[1] - U4.d * U4.f[0] * F(1, 4)
-    assert s_after[3] == s_before[3] + U4.d * U4.f[0] * F(1, 4)
-    with pytest.raises(LotbenchError, match=r"cell \(1, 0\) holds 1/4, cannot move 1/2"):
-        allocation_upgrade(U4, uniform, 0, 1, 3, F(1, 2))
-    with pytest.raises(LotbenchError, match="need i <= from_k < to_k within the grid"):
-        allocation_upgrade(U4, uniform, 2, 3, 1, F(1, 8))
-
-
-def test_maximal_upgrade_uniform_lottery():
-    uniform = expand_common_lottery(U4, CommonLottery.from_values(["1/4"] * 4))
-    out = maximal_upgrade(U4, uniform)
-    s = position_masses(U4, out).s
-    assert s[3] == U4.g[3]
-    assert sum(s) == position_masses(U4, uniform).total()
-
-
-def test_maximal_upgrade_fixed_point_when_top_saturated():
-    mech, _ = simplex_vertex(U4, Fill())
-    s_before = position_masses(U4, mech).s
-    out = maximal_upgrade(U4, mech)
-    s_after = position_masses(U4, out).s
-    assert s_after == s_before  # higher positions already at capacity
-
-
 def test_collapse_total_at_most_one_on_convex_instances():
     rng = random.Random(17)
     for _ in range(25):
@@ -313,6 +263,10 @@ def test_collapse_total_at_most_one_on_convex_instances():
         mech, _ = simplex_vertex(inst, Fill())
         lottery, overflow = to_common_lottery(inst, mech)
         assert not overflow
+        # c_k is row k averaged over its acceptable types, weighted by f
+        for k in range(inst.n):
+            row_mass = sum((mech.a[k][i] * inst.f[i] for i in range(k + 1)), F(0))
+            assert lottery.c[k] == row_mass / inst.cdf(k)
         assert position_masses(
             inst, expand_common_lottery(inst, lottery)
         ).s == position_masses(inst, mech).s
