@@ -11,9 +11,16 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import accumulate
+from typing import NamedTuple
 
 from .errors import LotbenchError
-from .rationals import exact_type, format_rational, parse_rational, parse_rational_vector
+from .rationals import (
+    exact_type,
+    format_rational,
+    parse_rational,
+    parse_rational_vector,
+    to_common_denominator,
+)
 
 
 @dataclass(frozen=True)
@@ -147,18 +154,49 @@ def _integer_grid(inst: Instance):
     return tuple(range(inst.n)), inst._cdf
 
 
+class _GridInts(NamedTuple):
+    """An increasing grid x with cdf F in ints: x = xs/xscale, F = ps/fscale,
+    and d2[i-1] the int numerator of the second difference of 1/F at
+    interior i, over the positive xscale P_{i-1} P_i P_{i+1} / fscale."""
+
+    xscale: int
+    xs: list[int]
+    fscale: int
+    ps: list[int]
+    d2: list[int]
+
+
+def _grid_ints(x, F) -> _GridInts:
+    """x and F each over one common denominator, and the second differences'
+    int numerators: with x = X/S and F = P/Q, the second difference at i is
+    Q/S times
+        ((X_{i+1} - X_i) P_i P_{i+1} - (X_{i+1} - X_{i-1}) P_{i-1} P_{i+1}
+         + (X_i - X_{i-1}) P_{i-1} P_i) / (P_{i-1} P_i P_{i+1}).
+    """
+    xscale, (xs,) = to_common_denominator([x])
+    fscale, (ps,) = to_common_denominator([F])
+    d2 = [
+        (xs[i + 1] - xs[i]) * ps[i] * ps[i + 1]
+        - (xs[i + 1] - xs[i - 1]) * ps[i - 1] * ps[i + 1]
+        + (xs[i] - xs[i - 1]) * ps[i - 1] * ps[i]
+        for i in range(1, len(xs) - 1)
+    ]
+    return _GridInts(xscale, xs, fscale, ps, d2)
+
+
 def _grid_convexity(x, F) -> ConvexityReport:
-    """Convexity of 1/F along an increasing grid x with cdf F."""
+    """Convexity of 1/F along an increasing grid x with cdf F; the signs
+    are read from the int numerators of `_grid_ints`."""
+    grid = _grid_ints(x, F)
+    ps = grid.ps
     diffs = tuple(
-        (x[i + 1] - x[i]) / F[i - 1]
-        - (x[i + 1] - x[i - 1]) / F[i]
-        + (x[i] - x[i - 1]) / F[i + 1]
-        for i in range(1, len(x) - 1)
+        Fraction(grid.fscale * num, grid.xscale * ps[i - 1] * ps[i] * ps[i + 1])
+        for i, num in enumerate(grid.d2, start=1)
     )
-    violations = tuple(i for i, d2 in enumerate(diffs, start=1) if d2 < 0)
+    violations = tuple(i for i, num in enumerate(grid.d2, start=1) if num < 0)
     return ConvexityReport(
         second_differences=diffs,
         is_convex=not violations,
-        is_strictly_convex=all(d > 0 for d in diffs),
+        is_strictly_convex=all(num > 0 for num in grid.d2),
         violation_indices=violations,
     )

@@ -169,7 +169,7 @@ def uneven_multipliers(view: UnevenGridView) -> Multipliers:
 def uneven_mu_coefficients(view: UnevenGridView) -> tuple[tuple[Fraction, ...], ...]:
     """Cell coefficients of the multiplier-weighted constraint sum on an
     uneven grid, checked against the same closed forms as the baseline."""
-    return _grid_mu(view.x, view.F, uneven_multipliers(view))
+    return _grid_mu(view.x, view.F)
 
 
 def optimal_common_lottery_ordinal(oi: OrdinalInstance, obj) -> CommonLottery:

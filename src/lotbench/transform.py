@@ -10,6 +10,12 @@ answers (yes whenever 1/F is discretely convex).
 All truth-telling expressions in this module are scaled by (N-1) so that
 the utility gaps (x_k - theta_i) become the integers (k - i); the
 multiplier closed forms assume that scaling.
+
+The multipliers are N weights, not a table: the upward weights and one
+row weight r_i per type (`_grid_weights`).  The downward multiplier of the
+pair (i, j) is down[i][j] = f_j r_i, and that is how the code computes it:
+the decomposition and the coefficients form f_j r_i in ints inside their
+sums, and `multipliers` expands the table only for callers that want it.
 """
 
 from __future__ import annotations
@@ -19,7 +25,7 @@ from fractions import Fraction
 from operator import mul
 
 from .errors import LotbenchError
-from .instance import Instance, _grid_convexity, _integer_grid
+from .instance import Instance, _GridInts, _grid_ints, _integer_grid
 from .mechanism import (
     CommonLottery,
     DirectMechanism,
@@ -39,9 +45,10 @@ class Multipliers:
 
     local_up[i] weights the adjacent upward pair (i, i+1) and equals
     f_{i+1} / F_{i+1}; down[i][j] (j < i) weights the downward pair (i, j)
-    and equals f_j times the second difference of 1/F at i.  The downward
-    weights are all nonnegative exactly when 1/F is discretely convex.
-    Rows of down with no defined value are zero, which is harmless: the
+    and is computed as f_j r_i, with r_i the row weight of `_grid_weights`:
+    the second difference of 1/F at i.  The downward weights are all
+    nonnegative exactly when 1/F is discretely convex.  Rows of down with
+    no defined value are zero (r_0 = r_{N-1} = 0), which is harmless: the
     scaled expressions they would multiply vanish identically.  On an
     uneven grid both are divided by the spacings around the pair.
     """
@@ -54,29 +61,46 @@ def multipliers(inst: Instance) -> Multipliers:
     return _grid_multipliers(*_integer_grid(inst))
 
 
-def _grid_pmf(F) -> list[Fraction]:
+def _grid_pmf(F) -> list:
     return [F[0]] + [F[i] - F[i - 1] for i in range(1, len(F))]
 
 
+def _grid_weights(grid: _GridInts) -> tuple[tuple[Fraction, ...], tuple[Fraction, ...]]:
+    """(local_up, row weights r) on the grid of `instance._grid_ints`.
+
+    local_up[i] = f_{i+1} / F_{i+1} / (x_{i+1} - x_i), and for 0 < i < N-1
+    r_i = d2_i / ((x_{i+1} - x_i)(x_i - x_{i-1})), with d2 the convexity
+    report's second difference, so r_i has the sign of d2_i;
+    r_0 = r_{N-1} = 0, because the scaled constraints their rows would
+    weight are identically zero (the only surviving index has gap 0).
+    The downward multiplier of (i, j) is f_j r_i.  Each weight is one
+    Fraction built from the grid's ints.
+    """
+    xscale, xs, fscale, ps = grid.xscale, grid.xs, grid.fscale, grid.ps
+    steps = [b - a for a, b in zip(xs, xs[1:])]
+    local_up = tuple(
+        Fraction(xscale * (ps[i + 1] - ps[i]), ps[i + 1] * steps[i]) for i in range(len(xs) - 1)
+    )
+    rows = tuple(
+        Fraction(
+            fscale * xscale * num, ps[i - 1] * ps[i] * ps[i + 1] * steps[i - 1] * steps[i]
+        )
+        for i, num in enumerate(grid.d2, start=1)
+    )
+    return local_up, (ZERO, *rows, ZERO)[: len(xs)]
+
+
 def _grid_multipliers(x, F) -> Multipliers:
-    """Constraint weights on an increasing grid x with cdf F."""
-    n = len(x)
-    f = _grid_pmf(F)
-    d2 = _grid_convexity(x, F).second_differences
-    local_up = tuple(f[i + 1] / F[i + 1] / (x[i + 1] - x[i]) for i in range(n - 1))
-    fscale, (pmf,) = to_common_denominator([f])
-    down = [()]
-    for i in range(1, n):
-        if i <= n - 2:
-            w = d2[i - 1] / ((x[i + 1] - x[i]) * (x[i] - x[i - 1]))
-            # f_j * w from ints, normalized once per entry
-            num, den = w.numerator, w.denominator * fscale
-            down.append(tuple(Fraction(p * num, den) for p in pmf[:i]))
-        else:
-            # the scaled constraint this would weight is identically
-            # zero (the only surviving index has gap 0)
-            down.append((ZERO,) * i)
-    return Multipliers(local_up=local_up, down=tuple(down))
+    """Constraint weights on an increasing grid x with cdf F: the table
+    down[i][j] = f_j r_i, j < i, each entry reduced once from ints."""
+    grid = _grid_ints(x, F)
+    local_up, rows = _grid_weights(grid)
+    pmf = _grid_pmf(grid.ps)
+    down = tuple(
+        tuple(Fraction(p * r.numerator, r.denominator * grid.fscale) for p in pmf[:i])
+        for i, r in enumerate(rows)
+    )
+    return Multipliers(local_up=local_up, down=down)
 
 
 def to_common_lottery(inst: Instance, mech: DirectMechanism):
@@ -100,13 +124,6 @@ def _row_averages(inst: Instance, sums: _ConstraintSums) -> tuple[Fraction, ...]
     return tuple(
         Fraction(m, sums.mass_scale) / inst.cdf(k) for k, m in enumerate(sums.row_mass)
     )
-
-
-def _weighted_sum(weights, values) -> Fraction:
-    """sum_j weights[j] * values[j] for rational weights and int values,
-    over as many terms as the shorter has, divided once."""
-    scale, (w,) = to_common_denominator([weights])
-    return Fraction(sum(map(mul, w, values)), scale)
 
 
 @dataclass(frozen=True)
@@ -135,12 +152,17 @@ class DecompositionReport:
 def verify_decomposition(inst: Instance, mech: DirectMechanism) -> DecompositionReport:
     _check_dims(inst, mech)
     sums = _constraint_sums(mech.a, inst.f)
-    mult = multipliers(inst)
+    # info = sum_i up_i slack[i][i+1] + sum_i r_i sum_{j<i} f_j slack[i][j],
+    # in ints over the weights' and the cdf's denominators
+    grid = _grid_ints(*_integer_grid(inst))
+    wscale, (up, rows) = to_common_denominator(_grid_weights(grid))
+    fscale, pmf = grid.fscale, _grid_pmf(grid.ps)
     scaled = sums.slack  # scale * (the (N-1)-scaled slacks)
-    info = _weighted_sum(mult.local_up, [row[i + 1] for i, row in enumerate(scaled[:-1])])
-    for weights, row in zip(mult.down, scaled):
-        info += _weighted_sum(weights, row)
-    info /= sums.scale
+    info = fscale * sum(map(mul, up, [row[i + 1] for i, row in enumerate(scaled[:-1])]))
+    info += sum(
+        r * sum(map(mul, pmf[:i], row)) for i, (r, row) in enumerate(zip(rows, scaled)) if r
+    )
+    info = Fraction(info, wscale * fscale * sums.scale)
     common = sum(_row_averages(inst, sums), ZERO)
     p0 = Fraction(sums.participation[0], sums.scale)
     return DecompositionReport(
@@ -159,38 +181,42 @@ def mu_coefficients(inst: Instance) -> tuple[tuple[Fraction, ...], ...]:
     mu[k][i] = -f_i/F_k for i >= 1.  Cells with k < i never appear and
     are reported as zero.
     """
-    x, F = _integer_grid(inst)
-    return _grid_mu(x, F, multipliers(inst))
+    return _grid_mu(*_integer_grid(inst))
 
 
-def _grid_mu(x, F, mult: Multipliers) -> tuple[tuple[Fraction, ...], ...]:
-    """mu on an increasing grid x with cdf F from its multipliers; raises
+def _grid_mu(x, F) -> tuple[tuple[Fraction, ...], ...]:
+    """mu on an increasing grid x with cdf F from its weights; raises
     AssertionError when a coefficient differs from its closed form.
 
     The aggregated coefficient of cell (k, i), i <= k, is
         (x_k - x_i)(up_i + sum_j down[i][j]) - (x_k - x_{i-1}) up_{i-1}
         - sum_{i<j<=k} (x_k - x_j) down[j][i]  =  x_k A_k[i] - B_k[i],
-    where, as k rises, A takes off down[k][i] and B takes off
-    x_k down[k][i]: running sums, O(N^2) in all.  The sums run in ints
-    over one common denominator for the multipliers and one for the grid,
-    and each row is compared with its closed form times F_k; the closed
-    forms, equal to the aggregate once checked, are what is returned.
+    where, as k rises, A takes off down[k][i] = f_i r_k and B takes off
+    x_k f_i r_k: running sums, O(N^2) in all.  The sums run in ints over
+    one common denominator for the weights times one for the cdf, and one
+    for the grid, and each row is compared with its closed form times
+    F_k; the closed forms, equal to the aggregate once checked, are what
+    is returned.
     """
     n = len(x)
-    wscale, weights = to_common_denominator([mult.local_up, *mult.down])
-    up = next(weights) + [0]  # up[N-1] = 0, and up[-1] = 0 stands for up_{-1}
-    xscale, (xs,) = to_common_denominator([x])
-    _, (cdf,) = to_common_denominator([F])
+    grid = _grid_ints(x, F)
+    wscale, (up, rows) = to_common_denominator(_grid_weights(grid))
+    xscale, xs, fscale, cdf = grid.xscale, grid.xs, grid.fscale, grid.ps
     pmf = _grid_pmf(cdf)
-    unit = wscale * xscale
+    # up_i and down[k][i] = pmf_i r_k, both over wscale * fscale; up[N-1] = 0,
+    # and up[-1] = 0 stands for up_{-1}
+    up = [u * fscale for u in up] + [0]
+    unit = wscale * fscale * xscale
     target = [-p * unit for p in pmf]  # unit * F_k * mu[k][i] for i >= 1
     a, b = [], []
     mu = []
-    for k, down in enumerate(weights):
-        xk = xs[k]
-        own = up[k] + sum(down)
-        a = [v - d for v, d in zip(a, down)]
-        b = [v - xk * d for v, d in zip(b, down)]
+    for k, (xk, rk) in enumerate(zip(xs, rows)):
+        own = up[k]
+        if rk:
+            own += rk * (cdf[k - 1] if k else 0)  # sum_{j<k} down[k][j]
+            xr = xk * rk
+            a = [v - p * rk for v, p in zip(a, pmf)]
+            b = [v - p * xr for v, p in zip(b, pmf)]
         a.append(own - up[k - 1])
         b.append(xk * own - xs[k - 1] * up[k - 1])
         fk = cdf[k]
@@ -203,4 +229,3 @@ def _grid_mu(x, F, mult: Multipliers) -> tuple[tuple[Fraction, ...], ...]:
             + (ZERO,) * (n - k - 1)
         )
     return tuple(mu)
-

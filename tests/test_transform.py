@@ -26,6 +26,7 @@ from lotbench import (
     normalize_gamma,
     position_masses,
     to_common_lottery,
+    uneven_convexity,
     uneven_mu_coefficients,
     uneven_multipliers,
     uniform_instance,
@@ -180,12 +181,25 @@ def _reference_mu(x, mult):
     return tuple(tuple(row) for row in mu)
 
 
+def _reference_second_differences(x, cdf):
+    """The spacing-weighted second differences of 1/F, three divisions each."""
+    return tuple(
+        (x[i + 1] - x[i]) / cdf[i - 1]
+        - (x[i + 1] - x[i - 1]) / cdf[i]
+        + (x[i] - x[i - 1]) / cdf[i + 1]
+        for i in range(1, len(x) - 1)
+    )
+
+
 def test_mu_matches_the_aggregation():
     rng = random.Random(20261019)
-    for _ in range(40):
-        inst = random_instance(rng, n_min=2, n_max=12)
-        n = inst.n
+    for t in range(44):  # every N = 2..12, four times
+        n = 2 + t % 11
+        inst = random_instance(rng, n_min=n, n_max=n)
         assert mu_coefficients(inst) == _reference_mu(range(n), multipliers(inst))
+        assert convexity_report(inst).second_differences == _reference_second_differences(
+            range(n), [inst.cdf(k) for k in range(n)]
+        )
         # a taste whose utilities are an uneven, rational-spaced grid
         steps = [F(rng.randint(1, 9), rng.choice((1, 2, 3, 7, 10))) for _ in range(n - 1)]
         utility = tuple(sum(steps[:k], F(0)) for k in range(n))
@@ -200,6 +214,9 @@ def test_mu_matches_the_aggregation():
         )
         view = normalize_gamma(oi, "bent")
         assert uneven_mu_coefficients(view) == _reference_mu(view.x, uneven_multipliers(view))
+        assert uneven_convexity(view).second_differences == _reference_second_differences(
+            view.x, view.F
+        )
 
 
 def test_mu_closed_forms():
@@ -217,24 +234,31 @@ def test_mu_closed_forms_randomized():
 
 
 def test_mu_closed_form_check_survives_optimize_flag():
-    # a wrong multiplier must still be caught when -O strips asserts
+    # a wrong weight must still be caught when -O strips asserts: first an
+    # upward weight, then a nonzero row weight r_i of the downward table
     script = textwrap.dedent(
         """
         from fractions import Fraction
         from lotbench import transform, uniform_instance
 
-        exact = transform.multipliers
+        exact = transform._grid_weights
 
-        def bent(inst):
-            m = exact(inst)
-            up = (m.local_up[0] + Fraction(1, 7),) + m.local_up[1:]
-            return transform.Multipliers(local_up=up, down=m.down)
+        def bent(which):
+            def weights(grid):
+                up, rows = exact(grid)
+                if which == "up":
+                    up = (up[0] + Fraction(1, 7),) + up[1:]
+                else:  # r_1 = 4/3 on the uniform N = 4 grid
+                    rows = rows[:1] + (rows[1] + Fraction(1, 7),) + rows[2:]
+                return up, rows
+            return weights
 
-        transform.multipliers = bent
-        try:
-            transform.mu_coefficients(uniform_instance(4))
-        except AssertionError:
-            print("caught")
+        for which in ("up", "row"):
+            transform._grid_weights = bent(which)
+            try:
+                transform.mu_coefficients(uniform_instance(4))
+            except AssertionError:
+                print("caught")
         """
     )
     src = str(Path(lotbench.__file__).resolve().parents[1])
@@ -246,7 +270,7 @@ def test_mu_closed_form_check_survives_optimize_flag():
         env=env, capture_output=True, text=True, timeout=60,
     )
     assert out.returncode == 0, out.stderr
-    assert out.stdout.strip() == "caught"
+    assert out.stdout.split() == ["caught", "caught"]
 
 
 def test_vertex_collapse_preserves_masses():
