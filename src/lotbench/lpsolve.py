@@ -6,11 +6,10 @@ never round, optimal values and dual prices are exact, and strong duality /
 complementary slackness can be asserted with equality.  Bland's
 smallest-index rule is used throughout, so the solver terminates even on
 degenerate inputs.
-The mechanism solvers try the paper's answer first: the common lottery,
-with duals read off the participation decomposition.  It is returned only
-when it passes an exact certificate check (`_certificate_fault`), which
-runs in Python ints and always passes when 1/F is convex; otherwise the
-simplex runs, and its optimum must pass the same check.
+The mechanism solvers try the paper's answer first, the common lottery
+(`_common_lottery_solution`), and return it only when it passes an exact
+certificate check (`_certificate_fault`); otherwise the simplex runs, and
+its optimum must pass the same check (`_certified_solve`).
 `fractions.Fraction` appears only in the LP's data and in the solution:
 its primal values, duals and objective.
 
@@ -23,7 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain, compress
+from itertools import compress
 from math import gcd, lcm
 from operator import mul
 
@@ -31,7 +30,7 @@ from .errors import LotbenchError
 from .instance import Instance
 from .mechanism import DirectMechanism, Objective, PositionMasses, _linear_weights
 from .optimizer import _budget_masses, lottery_from_masses
-from .rationals import exact_type, to_common_denominator
+from .rationals import require_exact, to_common_denominator
 from .transform import multipliers
 
 ZERO = Fraction(0)
@@ -74,15 +73,8 @@ class LinearProgram:
             )
         if any(len(row) != nv for row in self.rows):
             raise LotbenchError(f"every constraint row needs {nv} entries")
-        # a Fraction or a non-bool int, as parse_rational accepts: a float
-        # would round every pivot and every test against 0.  The types are
-        # checked as a set; the entries are searched only for the message.
-        def entries():
-            return chain(self.c, self.rhs, chain.from_iterable(self.rows))
-
-        if not all(map(exact_type, set(map(type, entries())))):
-            bad = next(v for v in entries() if not exact_type(type(v)))
-            raise LotbenchError(f"LP entries must be Fraction or int, got {bad!r}")
+        # a float would round every pivot and every test against 0
+        require_exact(("LP", self.c), ("LP", self.rhs), *(("LP", row) for row in self.rows))
 
 
 @dataclass(frozen=True)
@@ -480,40 +472,62 @@ def _cell_matrix(sol: LpSolution, var: str, n: int):
     )
 
 
-def _lottery_cells(lottery) -> list[Fraction]:
-    """The expanded common lottery in the LP's cell order: c_k at every
-    cell (k, i), i <= k."""
-    return [ck for k, ck in enumerate(lottery) for _ in range(k + 1)]
+def _common_lottery_solution(
+    inst: Instance, lp: LinearProgram, lottery, objective, scale, pos, *extra
+) -> LpSolution:
+    """The common lottery as a solution of a mechanism LP, priced by the
+    participation decomposition.
 
+    Primal: c_k at every cell (k, i), i <= k, then the extra values (the
+    min-mass program's D).  Duals: the IC rows carry scale * (N - 1) times
+    `transform.multipliers` (the LP's IC rows are the transform's over
+    N - 1), POS[k] prices pos[k], AGE[0] prices -scale, and every other
+    row prices 0.
 
-def _ic_closed_form(inst: Instance, duals: dict, scale):
-    """Set the IC duals of the participation decomposition, times scale:
-    IC[i,i+1] and IC[i,j], j < i, carry the multipliers of
-    `transform.multipliers` times N - 1 (the LP's IC rows are the
-    transform's scaled ones over N - 1); the other IC rows keep their dual."""
+    - The designer passes scale = -lam D and pos_k = max(0, w_k - lam/F_k),
+      where lam = min w_k F_k over s_k > 0 when the budget binds, else 0.
+      The reduced cost of cell (k, i) is then D f_i (w_k - pos_k - lam/F_k)
+      <= 0, and the dual value sum_k pos_k g_k + lam D is the greedy value
+      sum_k w_k s_k.
+    - The min-mass program passes scale = 1 and pos_k = 1/F_k.  Every
+      reduced cost is then 0, the decomposition identity, and the dual
+      value sum_k s_k/F_k is the candidate's D.
+
+    Either way the candidate certifies exactly when its IC duals have the
+    right sign: always when 1/F is convex, and for the designer also when
+    the budget is slack.  A refused min-mass candidate fails on a dual sign
+    that no vertex changes, so the simplex's vertex keeps its own duals.
+    """
     mult = multipliers(inst)
-    scale *= inst.n - 1
+    ic = scale * (inst.n - 1)
+    duals = dict.fromkeys(lp.con_names, ZERO)
     for i, w in enumerate(mult.local_up):
-        duals[f"IC[{i},{i + 1}]"] = scale * w
+        duals[f"IC[{i},{i + 1}]"] = ic * w
     for i, row in enumerate(mult.down):
         for j, w in enumerate(row):
-            duals[f"IC[{i},{j}]"] = scale * w
+            duals[f"IC[{i},{j}]"] = ic * w
+    for k, p in enumerate(pos):
+        duals[f"POS[{k}]"] = p
+    duals["AGE[0]"] = -scale
+    cells = [ck for k, ck in enumerate(lottery) for _ in range(k + 1)]
+    primal = dict(zip(lp.var_names, [*cells, *extra]))
+    return LpSolution("optimal", objective, primal, duals)
+
+
+def _certified_solve(lp: LinearProgram, candidate: LpSolution) -> LpSolution:
+    """The candidate when its exact certificate passes, else the simplex's
+    answer, whose optimum must pass the same certificate."""
+    if _certificate_fault(lp, candidate) is None:
+        return candidate
+    sol = simplex_solve(lp)
+    if sol.status == "optimal":
+        _check_certificate(lp, sol)
+    return sol
 
 
 def _designer_candidate(inst: Instance, lp: LinearProgram, obj: Objective) -> LpSolution:
-    """The greedy common lottery as a solution of the designer LP, priced
-    by the budget problem's Lagrangian.
-
-    Primal: a[k][i] = s_k/(D F_k) for i <= k, from the greedy masses s.
-    Budget price: lam = min w_k F_k over s_k > 0 when the budget binds,
-    else 0.  AGE[0] prices lam D, POS[k] prices max(0, w_k - lam/F_k), the
-    IC rows carry -lam D times the decomposition's multipliers, and every
-    other row prices 0.  The reduced cost of cell (k, i) is then
-    D f_i (w_k - POS[k] - lam/F_k) <= 0, and the dual value
-    sum_k POS[k] g_k + lam D is the greedy value sum_k w_k s_k.  So the
-    candidate certifies whenever those IC duals have the right sign, which
-    they do when 1/F is convex (or when the budget is slack).
-    """
+    """The greedy common lottery a[k][i] = s_k/(D F_k), from the greedy
+    masses s, as a designer LP solution (see `_common_lottery_solution`)."""
     n, d = inst.n, inst.d
     weights = _linear_weights(obj, n)
     masses = _budget_masses(inst, obj)
@@ -522,32 +536,20 @@ def _designer_candidate(inst: Instance, lp: LinearProgram, obj: Objective) -> Lp
     lam = ZERO
     if sum((sk / fk for sk, fk in zip(s, cdf)), ZERO) == d:
         lam = min(w * fk for w, sk, fk in zip(weights, s, cdf) if sk)
-    duals = dict.fromkeys(lp.con_names, ZERO)
-    _ic_closed_form(inst, duals, -lam * d)
-    for k in range(n):
-        duals[f"POS[{k}]"] = max(ZERO, weights[k] - lam / cdf[k])
-    duals["AGE[0]"] = lam * d
-    cells = _lottery_cells(lottery_from_masses(inst, masses).c)
+    pos = [max(ZERO, w - lam / fk) for w, fk in zip(weights, cdf)]
     value = sum((w * sk for w, sk in zip(weights, s)), ZERO)
-    return LpSolution("optimal", value, dict(zip(lp.var_names, cells)), duals)
+    lottery = lottery_from_masses(inst, masses).c
+    return _common_lottery_solution(inst, lp, lottery, value, -lam * d, pos)
 
 
 def solve_designer(inst: Instance, obj: Objective):
-    """Optimal feasible mechanism and value for a linear objective.
-
-    The greedy common lottery comes first: when its exact certificate
-    (`_designer_candidate`, `_certificate_fault`) passes, which it always
-    does when 1/F is convex, it is the answer and no simplex runs.
-    Otherwise the simplex solves the LP and its optimum must pass the same
-    certificate.
-    """
+    """Optimal feasible mechanism and value for a linear objective: the
+    certified greedy common lottery, which always certifies when 1/F is
+    convex, or else the simplex's certified optimum."""
     lp = build_designer_lp(inst, obj)
-    sol = _designer_candidate(inst, lp, obj)
-    if _certificate_fault(lp, sol) is not None:
-        sol = simplex_solve(lp)
-        if sol.status != "optimal":
-            raise LotbenchError(f"designer LP ended with status {sol.status}")
-        _check_certificate(lp, sol)
+    sol = _certified_solve(lp, _designer_candidate(inst, lp, obj))
+    if sol.status != "optimal":
+        raise LotbenchError(f"designer LP ended with status {sol.status}")
     return DirectMechanism(a=_cell_matrix(sol, "a", inst.n)), sol.objective
 
 
@@ -561,11 +563,9 @@ class MinMassSolution:
     optimal mass so that the position-target prices read D/F(theta_k) and
     the agent-budget price reads D, with all entries nonnegative.
 
-    When the closed form certifies (always when 1/F is convex), the
-    solution is the common lottery c_k = s_k/(D* F_k) that hits the targets,
-    priced by `_closed_form_duals`, with solution.pivots == (0, 0): no
-    simplex ran.  Otherwise it is the simplex's optimal vertex and its
-    duals.
+    When the common lottery that hits the targets certifies (always when
+    1/F is convex), it is the solution, with solution.pivots == (0, 0): no
+    simplex ran.  Otherwise the solution is the simplex's optimal vertex.
     """
 
     status: str
@@ -579,28 +579,21 @@ def _min_mass_candidate(
     inst: Instance, lp: LinearProgram, targets: PositionMasses
 ) -> LpSolution:
     """The common lottery that hits the targets as a min-mass solution:
-    y[k][i] = s_k/F_k for i <= k and D = sum_k s_k/F_k, priced by
-    `_closed_form_duals`."""
-    y = [sk / inst.cdf(k) for k, sk in enumerate(targets.s)]
+    y[k][i] = s_k/F_k for i <= k and D = sum_k s_k/F_k (see
+    `_common_lottery_solution`)."""
+    cdf = [inst.cdf(k) for k in range(inst.n)]
+    y = [sk / fk for sk, fk in zip(targets.s, cdf)]
     d = sum(y, ZERO)
-    primal = dict(zip(lp.var_names, [*_lottery_cells(y), d]))
-    return LpSolution("optimal", d, primal, _closed_form_duals(inst, lp))
+    return _common_lottery_solution(inst, lp, y, d, ONE, [ONE / fk for fk in cdf], d)
 
 
 def solve_min_mass(inst: Instance, targets: PositionMasses) -> MinMassSolution:
     """Minimum agent mass for the targets: the certified common lottery
     (see MinMassSolution) or else the simplex's certified optimum."""
     lp = build_min_mass_lp(inst, targets)
-    sol = _min_mass_candidate(inst, lp, targets)
-    if _certificate_fault(lp, sol) is not None:
-        # The closed form prices every reduced cost at 0 and its dual
-        # value is the candidate's objective, so the candidate failed on a
-        # dual sign and the closed form would fail at any vertex too: the
-        # vertex keeps its own duals.
-        sol = simplex_solve(lp)
-        if sol.status != "optimal":
-            return MinMassSolution(sol.status, None, None, None, sol)
-        _check_certificate(lp, sol)
+    sol = _certified_solve(lp, _min_mass_candidate(inst, lp, targets))
+    if sol.status != "optimal":
+        return MinMassSolution(sol.status, None, None, None, sol)
     d_star = sol.objective
     # a = y / D; at D = 0 every y is 0 and so is the mechanism.
     rows = _cell_matrix(sol, "y", inst.n)
@@ -613,24 +606,6 @@ def solve_min_mass(inst: Instance, targets: PositionMasses) -> MinMassSolution:
         "IC": {pair: d_star * v for pair, v in raw["IC"].items()},
     }
     return MinMassSolution("optimal", d_star, DirectMechanism(a=rows), mult, sol)
-
-
-def _closed_form_duals(inst: Instance, lp: LinearProgram) -> dict[str, Fraction]:
-    """The min-mass LP's dual read off the participation decomposition.
-
-    POS[k] prices 1/F_k, AGE[0] prices -1, the IC rows carry the
-    decomposition's multipliers (`_ic_closed_form`, scale 1), and every
-    other row prices 0.  Every reduced cost is then 0, the decomposition
-    identity, so this dual is feasible exactly when the downward
-    multipliers are nonnegative, and its value sum_k s_k/F_k is the optimum
-    when a common lottery is optimal.
-    """
-    duals = dict.fromkeys(lp.con_names, ZERO)
-    _ic_closed_form(inst, duals, ONE)
-    for k in range(inst.n):
-        duals[f"POS[{k}]"] = ONE / inst.cdf(k)
-    duals["AGE[0]"] = -ONE
-    return duals
 
 
 def dual_certificate(solution: LpSolution) -> dict:

@@ -16,7 +16,12 @@ from typing import NamedTuple, Union
 
 from .errors import LotbenchError
 from .instance import Instance
-from .rationals import format_rational_matrix, parse_rational_vector, to_common_denominator
+from .rationals import (
+    format_rational_matrix,
+    parse_rational_vector,
+    require_exact,
+    to_common_denominator,
+)
 
 Rat = Fraction
 ZERO = Fraction(0)
@@ -92,6 +97,9 @@ class Linear:
     """Weighted sum of position masses."""
 
     weights: tuple[Rat, ...]
+
+    def __post_init__(self):
+        require_exact(("weights", self.weights))
 
 
 @dataclass(frozen=True)

@@ -24,6 +24,7 @@ from .rationals import (
     format_rational_vector,
     parse_rational,
     parse_rational_vector,
+    require_exact,
 )
 from .transform import Multipliers, _grid_multipliers, _grid_mu
 
@@ -53,6 +54,11 @@ class OrdinalInstance:
     def __post_init__(self):
         n = len(self.qualities)
         baseline = Instance(n=n, f=self.outside_pmf, g=self.g, d=self.d)
+        require_exact(
+            ("qualities", self.qualities),
+            ("gamma_pmf", self.gamma_pmf),
+            *(("utility", row) for row in self.utility),
+        )
         if any(self.qualities[k] >= self.qualities[k + 1] for k in range(n - 1)):
             raise LotbenchError("qualities must be strictly increasing")
         if len(self.gamma_labels) != len(self.gamma_pmf) or not self.gamma_labels:
@@ -115,6 +121,7 @@ class UnevenGridView:
     F: tuple[Fraction, ...]
 
     def __post_init__(self):
+        require_exact(("x", self.x), ("F", self.F))
         n = len(self.x)
         if n == 0:
             raise LotbenchError("grid must have at least one point")

@@ -10,6 +10,7 @@ from __future__ import annotations
 import math
 import re
 from fractions import Fraction
+from itertools import chain
 
 from .errors import LotbenchError
 
@@ -44,10 +45,25 @@ def parse_rational(value) -> Fraction:
     raise LotbenchError(f"not a rational: {value!r}")
 
 
-def exact_type(t: type) -> bool:
-    """True for Fraction and for int other than bool, the entry types that
-    keep arithmetic exact: a float or a numpy scalar would round it."""
+def _exact_type(t: type) -> bool:
     return issubclass(t, (Fraction, int)) and not issubclass(t, bool)
+
+
+def require_exact(*named):
+    """Raise LotbenchError unless every entry is a Fraction or an int other
+    than bool, as parse_rational accepts: a float or a numpy scalar would
+    round every identity checked downstream.
+
+    Each argument is a (name, entries) pair, and the message names the
+    first inexact entry by its pair's name.  The types are checked as one
+    set; the entries are searched only for the message.
+    """
+    types = set(map(type, chain.from_iterable(entries for _, entries in named)))
+    if not all(map(_exact_type, types)):
+        name, bad = next(
+            (name, v) for name, entries in named for v in entries if not _exact_type(type(v))
+        )
+        raise LotbenchError(f"{name} entries must be Fraction or int, got {bad!r}")
 
 
 def format_rational(value: Fraction) -> str:

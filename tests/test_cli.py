@@ -212,6 +212,76 @@ def test_min_mass(files, capsys):
     assert doc["multipliers"]["POS"]["3"] == "1"
 
 
+PINNED_OPTIMA = {
+    # 1/F is not convex here: the common lottery is refused and the
+    # simplex's certified vertex is printed
+    "fig4": (
+        FIG4,
+        ["1/6", "1/3", "1/3"],
+        {
+            "mechanism": {"a": [["0", "0", "0"], ["1", "0", "0"], ["0", "1/2", "1/2"]]},
+            "value": "2/3",
+        },
+        {
+            "status": "optimal",
+            "d_star": "3/2",
+            "mechanism": {"a": [["1/3", "0", "0"], ["2/3", "0", "0"], ["0", "1/3", "1/3"]]},
+            "multipliers": {
+                "POS": {"0": "9/2", "1": "3", "2": "3/2"},
+                "AGE": {"0": "3/2", "1": "0", "2": "0"},
+                "IC": {"0,1": "1", "0,2": "0", "1,0": "0", "1,2": "7/4", "2,0": "0", "2,1": "0"},
+            },
+        },
+    ),
+    # 1/F is convex: the certified common lottery is printed
+    "uniform4": (
+        UNIFORM4,
+        ["0", "5/24", "1/4", "1/4"],
+        {
+            "mechanism": {"a": [
+                ["0", "0", "0", "0"],
+                ["5/12", "5/12", "0", "0"],
+                ["1/3", "1/3", "1/3", "0"],
+                ["1/4", "1/4", "1/4", "1/4"],
+            ]},
+            "value": "17/24",
+        },
+        {
+            "status": "optimal",
+            "d_star": "1",
+            "mechanism": {"a": [
+                ["0", "0", "0", "0"],
+                ["5/12", "5/12", "0", "0"],
+                ["1/3", "1/3", "1/3", "0"],
+                ["1/4", "1/4", "1/4", "1/4"],
+            ]},
+            "multipliers": {
+                "POS": {"0": "4", "1": "2", "2": "4/3", "3": "1"},
+                "AGE": {"0": "1", "1": "0", "2": "0", "3": "0"},
+                "IC": {
+                    "0,1": "3/2", "0,2": "0", "0,3": "0",
+                    "1,0": "1", "1,2": "1", "1,3": "0",
+                    "2,0": "1/4", "2,1": "1/4", "2,3": "3/4",
+                    "3,0": "0", "3,1": "0", "3,2": "0",
+                },
+            },
+        },
+    ),
+}
+
+
+@pytest.mark.parametrize("name", PINNED_OPTIMA)
+def test_solve_lp_and_min_mass_print_pinned_optima(files, capsys, name):
+    inst, targets, designer, min_mass = PINNED_OPTIMA[name]
+    inst = files("i.json", inst)
+    code, out, err = run(capsys, "solve-lp", inst)
+    assert (code, err) == (0, "")
+    assert out == json.dumps(designer, indent=2) + "\n"
+    code, out, err = run(capsys, "min-mass", inst, "--targets", files("t.json", targets))
+    assert (code, err) == (0, "")
+    assert out == json.dumps(min_mass, indent=2) + "\n"
+
+
 def test_perturb_improves_and_declines(files, capsys):
     code, out, _ = run(capsys, "perturb", files("j.json", FIG4), "--D", "3/2")
     assert code == 0

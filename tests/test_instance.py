@@ -1,4 +1,5 @@
 import random
+import re
 from fractions import Fraction
 
 import numpy
@@ -7,7 +8,10 @@ from hypothesis import given, strategies as st
 
 from lotbench import (
     Instance,
+    Linear,
     LotbenchError,
+    OrdinalInstance,
+    UnevenGridView,
     convexity_report,
     new_instance,
     uniform_instance,
@@ -79,6 +83,51 @@ def test_inexact_entries_rejected(field, value, shown):
     Instance(**exact)
     with pytest.raises(LotbenchError, match=shown):
         Instance(**{**exact, field: value})
+
+
+HALF = Fraction(1, 2)
+# exact arguments of the other constructors that take rationals; one
+# entry of the named field is replaced by an inexact value
+EXACT_INPUTS = {
+    Linear: dict(weights=(Fraction(1), Fraction(0), Fraction(2))),
+    OrdinalInstance: dict(
+        qualities=(Fraction(0), Fraction(1)),
+        gamma_labels=("a",),
+        gamma_pmf=(Fraction(1),),
+        outside_pmf=(HALF, HALF),
+        utility=((Fraction(0), Fraction(1)),),
+        g=(HALF, HALF),
+        d=Fraction(1),
+    ),
+    UnevenGridView: dict(x=(Fraction(0), Fraction(1)), F=(HALF, Fraction(1))),
+}
+
+
+@pytest.mark.parametrize(
+    "make, field",
+    [
+        (Linear, "weights"),
+        (OrdinalInstance, "qualities"),
+        (OrdinalInstance, "gamma_pmf"),
+        (OrdinalInstance, "utility"),
+        (UnevenGridView, "x"),
+        (UnevenGridView, "F"),
+    ],
+    ids=lambda v: v if isinstance(v, str) else v.__name__,
+)
+@pytest.mark.parametrize(
+    "bad", [0.5, True, numpy.float64(0.5)], ids=["float", "bool", "numpy-float64"]
+)
+def test_inexact_inputs_of_other_constructors_rejected(make, field, bad):
+    exact = EXACT_INPUTS[make]
+    make(**exact)
+    if field == "utility":
+        value = ((exact["utility"][0][0], bad),)
+    else:
+        value = (*exact[field][:-1], bad)
+    shown = f"{field} entries must be Fraction or int, got {re.escape(repr(bad))}$"
+    with pytest.raises(LotbenchError, match=shown):
+        make(**{**exact, field: value})
 
 
 @pytest.mark.parametrize("n", [2.9, True, "2"])

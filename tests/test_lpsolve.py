@@ -353,6 +353,7 @@ def test_dual_certificate_of_mechanism_lps(program):
         dict(rows=[["3"]]),
         dict(rows=[[True]]),
         dict(c=[numpy.int64(1)]),
+        dict(c=[numpy.float64(1)]),
     ],
 )
 def test_inexact_entries_rejected(changes):
@@ -497,7 +498,9 @@ def test_certificate_rejects_a_negative_variable():
             _check_certificate(lp, broken)
 
 
-def _closed_form_multipliers(inst, d_star):
+def _closed_form_ic(inst):
+    """The decomposition's multipliers on the LP's IC rows, which are the
+    transform's scaled ones over N - 1; every other IC row 0."""
     n = inst.n
     mult = multipliers(inst)
     ic = {(i, j): ZERO for i in range(n) for j in range(n) if i != j}
@@ -506,6 +509,12 @@ def _closed_form_multipliers(inst, d_star):
     for i, row in enumerate(mult.down):
         for j, w in enumerate(row):
             ic[(i, j)] = (n - 1) * w
+    return ic
+
+
+def _closed_form_multipliers(inst, d_star):
+    n = inst.n
+    ic = _closed_form_ic(inst)
     return {
         "POS": {k: d_star / inst.cdf(k) for k in range(n)},
         "AGE": {i: d_star if i == 0 else ZERO for i in range(n)},
@@ -522,6 +531,49 @@ def test_min_mass_multipliers_are_the_closed_form_on_convex_instances():
         mm = solve_min_mass(inst, targets)
         assert mm.status == "optimal"
         assert mm.multipliers == _closed_form_multipliers(inst, mm.d_star), (inst, targets)
+
+
+def _closed_form_designer_duals(inst, obj):
+    """The designer candidate's duals as written, and whether the budget
+    binds: lam = min w_k F_k over s_k > 0 when sum_k s_k/F_k = D, else 0;
+    AGE[0] = lam D, POS[k] = max(0, w_k - lam/F_k), the IC rows -lam D
+    times the decomposition's multipliers, and every other row 0."""
+    n, d = inst.n, inst.d
+    weights = (1,) * n if isinstance(obj, Fill) else obj.weights
+    s = optimal_masses(inst, obj).masses.s
+    cdf = [inst.cdf(k) for k in range(n)]
+    binds = sum(sk / fk for sk, fk in zip(s, cdf)) == d
+    lam = min(w * fk for w, sk, fk in zip(weights, s, cdf) if sk) if binds else ZERO
+    duals = {f"IC[{i},{j}]": -lam * d * w for (i, j), w in _closed_form_ic(inst).items()}
+    duals |= {f"POS[{k}]": max(ZERO, w - lam / fk) for k, (w, fk) in enumerate(zip(weights, cdf))}
+    duals |= {f"AGE[{i}]": lam * d if i == 0 else ZERO for i in range(n)}
+    return duals, binds
+
+
+def test_designer_candidate_duals_are_the_closed_form():
+    rng = random.Random(1919)
+    seen = dict.fromkeys(
+        ["convex", "non-convex", "binding", "slack", "Fill", "zero weight", "negative weight"], 0
+    )
+    for t in range(150):
+        inst = random_convex_instance(rng, 2, 7) if t % 2 else random_instance(rng, 2, 7)
+        if t % 3 == 0:
+            obj = Fill()
+        else:
+            obj = Linear(weights=tuple(
+                F(rng.randint(-2, 5), rng.randint(1, 3)) for _ in range(inst.n)
+            ))
+        want, binds = _closed_form_designer_duals(inst, obj)
+        lp = build_designer_lp(inst, obj)
+        assert _designer_candidate(inst, lp, obj).duals == want, (inst, obj)
+        seen["convex" if convexity_report(inst).is_convex else "non-convex"] += 1
+        seen["binding" if binds else "slack"] += 1
+        if isinstance(obj, Fill):
+            seen["Fill"] += 1
+        else:
+            seen["zero weight"] += 0 in obj.weights
+            seen["negative weight"] += any(w < 0 for w in obj.weights)
+    assert min(seen.values()) >= 20, seen
 
 
 def test_min_mass_multipliers_certify_on_a_nonconvex_instance():
