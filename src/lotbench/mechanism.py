@@ -145,6 +145,9 @@ def evaluate_objective(obj: Objective, masses: PositionMasses):
         return sum(map(mul, masses.s, weights), ZERO)
     if isinstance(obj, SeparableConcave):
         _check_weights(obj, len(masses.s))
+        for k, s in enumerate(masses.s):
+            if s < 0:
+                raise LotbenchError(f"mass at position {k} is negative")
         return sum(
             float(w) * float(s) ** float(obj.rho) for w, s in zip(obj.weights, masses.s)
         )

@@ -4,7 +4,10 @@ Choosing a common lottery is equivalent to choosing position masses s_k
 subject to the budget sum_k s_k / F(x_k) <= D and the capacity bounds
 0 <= s_k <= g_k: a mass s_k requires offering the position to the s_k/F(x_k)
 agents whose outside option is at most x_k.  Higher positions are cheaper
-per unit of mass, which drives every solver in this module.
+per unit of mass, which drives every solver in this module: the linear
+objectives spend the budget in one ranked scan, and the concave objective
+walks the breakpoints of its budget multiplier, with no iteration and no
+tolerance.  Only the KKT certificate takes a tolerance.
 
 When 1/F is discretely convex the optimal common lottery is optimal among
 all mechanisms; otherwise the results here are still the best common
@@ -102,7 +105,7 @@ def _budget_masses(inst: Instance, obj: Objective) -> PositionMasses:
     if weights is not None:
         return _greedy(inst, _ranking(inst, weights), inst.g)
     if isinstance(obj, SeparableConcave):
-        return PositionMasses(s=tuple(_water_fill(inst, obj)))
+        return _water_fill(inst, obj, inst.g)
     raise TypeError(f"unknown objective {obj!r}")
 
 
@@ -140,7 +143,7 @@ def _floats(values, what: str) -> list[float]:
         out = [float(v) for v in values]
     except OverflowError:
         out = None
-    if out is None or any(v > 0 and x == 0.0 for v, x in zip(values, out)):
+    if out is None or any(x == 0.0 and v > 0 for v, x in zip(values, out)):
         raise LotbenchError(f"{what} lies outside the float range")
     return out
 
@@ -165,52 +168,48 @@ def _float_problem(inst: Instance, obj: SeparableConcave):
     )
 
 
-def _water_fill(inst: Instance, obj: SeparableConcave):
-    """Bisection on the budget multiplier for sum_k alpha_k s_k**rho."""
+def _water_fill(inst: Instance, obj: SeparableConcave, caps) -> PositionMasses:
+    """Breakpoint scan for sum_k alpha_k s_k**rho: at multiplier lambda,
+    s_k = min(caps_k, b_k t) with b_k = (alpha_k rho F_k)**p, p = 1/(1-rho)
+    and t = lambda**-p, so the positions reach their caps in increasing
+    order of caps_k / b_k.  With a prefix of that order capped, the rest
+    split the budget left in proportion to b_k / F_k; the walk stops at the
+    first position whose share fits under its cap.  Budget and costs are
+    exact; the shares are floats, from logs so no power of a price overflows."""
     n = inst.n
-    alpha, rho, cdf, g, d = _float_problem(inst, obj)
-
-    def masses_at(lam):
-        out = []
-        for k in range(n):
-            try:
-                v = (alpha[k] * rho * cdf[k] / lam) ** (1 / (1 - rho))
-            except OverflowError:
-                v = math.inf  # beyond every capacity
-            out.append(min(v, g[k]))
-        return out
-
-    def spend(lam):
-        return sum(v / cdf[k] for k, v in enumerate(masses_at(lam)))
-
-    if sum(g[k] / cdf[k] for k in range(n)) <= d:
-        return [Fraction(gk) for gk in inst.g]  # budget slack: lambda = 0
-    lo, hi = 1e-12, 1.0
-    while spend(hi) > d:
-        hi *= 2
-    while spend(lo) < d:
-        lo /= 2
-    while hi - lo > 1e-14 * max(1.0, hi):
-        mid = (lo + hi) / 2
-        if spend(mid) > d:
-            lo = mid
-        else:
-            hi = mid
-    return [Fraction(v) for v in masses_at((lo + hi) / 2)]
+    alpha, rho, cdf, _, _ = _float_problem(inst, obj)
+    g = _floats(caps, "a capacity")
+    cost = [caps[k] / inst.cdf(k) for k in range(n)]
+    if sum(cost) <= inst.d:
+        return PositionMasses(s=tuple(caps))
+    p = 1 / (1 - rho)
+    log_b = [p * (math.log(a) + math.log(rho) + math.log(c)) for a, c in zip(alpha, cdf)]
+    log_w = [lb - math.log(c) for lb, c in zip(log_b, cdf)]  # log of b_k / F_k
+    # a zero cap is reached at t = 0
+    order = sorted(range(n), key=lambda k: math.log(g[k]) - log_b[k] if g[k] else -math.inf)
+    # tail[j]: log of the summed b_k / F_k over order[j:], the uncapped positions
+    tail, acc = [0.0] * n, -math.inf
+    for j in reversed(range(n)):
+        lo, hi = sorted((acc, log_w[order[j]]))
+        tail[j] = acc = hi + math.log1p(math.exp(lo - hi))
+    remaining = inst.d
+    # exact, so the budget left never goes negative; a binding one always stops
+    for j, k in enumerate(order):
+        if cost[k] > remaining * Fraction(math.exp(log_w[k] - tail[j])):
+            break
+        remaining -= cost[k]
+    s = list(caps)
+    for k in order[j:]:
+        share = math.exp(log_w[k] - tail[j])
+        s[k] = min(caps[k], Fraction(float(remaining) * cdf[k] * share))
+    return PositionMasses(s=tuple(s))
 
 
 def optimal_masses_flexible(inst: Instance, obj: SeparableConcave) -> PositionMasses:
-    """Water-filling with unlimited capacities: the budget always binds.
-
-    Interior stationarity gives s_k proportional to (alpha_k F(x_k))**(1/(1-rho)),
-    scaled so the budget holds with equality; no bisection is needed.
-    """
-    n = inst.n
-    alpha, rho, cdf, _, d = _float_problem(inst, obj)
-    power = 1 / (1 - rho)
-    base = [(alpha[k] * rho * cdf[k]) ** power for k in range(n)]
-    scale = d / sum(base[k] / cdf[k] for k in range(n))
-    return PositionMasses(s=tuple(Fraction(scale * base[k]) for k in range(n)))
+    """Water-filling with unlimited capacities: the budget always binds, and
+    s_k is proportional to (alpha_k rho F(x_k))**(1/(1-rho)), scaled so the
+    budget holds with equality.  It is the scan with every cap infinite."""
+    return _water_fill(inst, obj, (math.inf,) * inst.n)
 
 
 @dataclass(frozen=True)

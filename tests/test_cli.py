@@ -457,8 +457,14 @@ TINY4 = {
         (("perturb", TINY4), False),
         # the cost of filling everything, about 10^400, has no float
         (("perturb", {**TINY4, "D": str(10 * TINY)}), True),
+        # (10^200)**4 has no float; once that position is capped the others
+        # split the budget left, their b_k about 10^-800 of its
+        (("optimal-lottery", {"n": 3, "f": ["1/3"] * 3, "g": ["1/3"] * 3, "D": "3/2"},
+          "--objective",
+          {"kind": "concave", "weights": [str(10**200), "1", "1"], "rho": "3/4"}), False),
     ],
-    ids=["concave-water-fill", "perturb-d-grid", "perturb-beyond-float-spent"],
+    ids=["concave-water-fill", "perturb-d-grid", "perturb-beyond-float-spent",
+         "concave-huge-weight"],
 )
 def test_beyond_float_range_exits_without_traceback(files, argv, improves):
     out = run_subprocess(*file_args(files, *argv))

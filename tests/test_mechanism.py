@@ -174,6 +174,12 @@ def test_objectives():
     assert evaluate_objective(conc, s) == pytest.approx(2 * 0.25**0.5 + 0.125**0.5)
 
 
+def test_concave_objective_rejects_negative_mass():
+    conc = SeparableConcave(weights=(Fraction(1),) * 2, rho=Fraction(1, 2))
+    with pytest.raises(LotbenchError, match="mass at position 0 is negative"):
+        evaluate_objective(conc, PositionMasses.from_values(["-1/8", "0"]))
+
+
 def test_concave_objective_validation():
     with pytest.raises(ValueError):
         SeparableConcave(weights=(Fraction(1),), rho=Fraction(3, 2))

@@ -23,7 +23,7 @@ from lotbench import (
     uniform_instance,
 )
 
-from util import random_convex_instance, simplex_vertex
+from util import random_convex_instance, random_instance, simplex_vertex
 
 F = Fraction
 U3 = uniform_instance(3)
@@ -116,16 +116,34 @@ def test_concave_with_slack_budget_takes_capacity():
     assert report.ok and report.multiplier == 0
 
 
+def test_concave_capped_mass_is_its_capacity():
+    inst = new_instance(3, ["1/3"] * 3, ["1/10", "1/10", "4/5"], "1/2")
+    obj = SeparableConcave(weights=(F(1),) * 3, rho=F(1, 2))
+    sol = optimal_masses(inst, obj)
+    assert sol.masses.s[1] == F(1, 10)
+    assert kkt_check(inst, obj, sol.masses).ok
+
+
 def test_concave_randomized_kkt():
+    # convex and non-convex draws up to explore's N = 24, zero capacities,
+    # binding and slack budgets; every branch of the scan must occur
     rng = random.Random(9)
-    for _ in range(25):
-        inst = random_convex_instance(rng, n_min=3, n_max=6)
+    seen = set()
+    for i in range(400):
+        draw = random_convex_instance if i % 2 else random_instance
+        inst = draw(rng, n_min=2, n_max=24)
         obj = SeparableConcave(
-            weights=tuple(F(rng.randint(1, 5)) for _ in range(inst.n)),
+            weights=tuple(F(rng.randint(1, 7)) for _ in range(inst.n)),
             rho=F(rng.randint(1, 3), 4),
         )
-        sol = optimal_masses(inst, obj)
-        assert kkt_check(inst, obj, sol.masses).ok
+        s = optimal_masses(inst, obj).masses.s
+        assert kkt_check(inst, obj, PositionMasses(s=s)).ok
+        assert all(0 <= sk <= gk for sk, gk in zip(s, inst.g))
+        capped = any(sk == gk > 0 for sk, gk in zip(s, inst.g))
+        seen.add("slack" if s == inst.g else "some capped" if capped else "no cap")
+        if 0 in inst.g:
+            seen.add("zero capacity")
+    assert seen == {"slack", "some capped", "no cap", "zero capacity"}
 
 
 def test_flexible_water_fill_closed_form():
