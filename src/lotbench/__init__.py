@@ -25,13 +25,10 @@ from .mechanism import (
     Objective,
     PositionMasses,
     SeparableConcave,
-    classify_binding,
     evaluate_objective,
     expand_common_lottery,
     feasibility_report,
-    ic_slack,
     position_masses,
-    redundant_ic_pairs,
 )
 from .lpsolve import (
     LinearProgram,
@@ -61,7 +58,6 @@ from .optimizer import (
     masses_from_lottery,
     optimal_lottery_fill,
     optimal_masses,
-    optimal_masses_flexible,
 )
 from .converse import (
     Improvement,
@@ -80,13 +76,11 @@ from .ordinal import (
     OrdinalInstance,
     UnevenGridView,
     aggregate_per_gamma,
-    even_grid_view,
     masses_over_qualities,
     normalize_gamma,
     optimal_common_lottery_ordinal,
     uneven_convexity,
     uneven_mu_coefficients,
-    uneven_multipliers,
 )
 
 # the public names, not the submodules that importing them binds here

@@ -232,19 +232,6 @@ def _is_feasible(inst: Instance, sums: _ConstraintSums) -> bool:
     )
 
 
-def ic_slack(inst: Instance, mech: DirectMechanism, i: int, j: int) -> Rat:
-    """LHS - RHS of the truth-telling constraint for type i against report j.
-
-    Nonnegative means type i does not gain by reporting j and then keeping
-    only realized offers above its own outside option.
-    """
-    _check_dims(inst, mech)
-    inst._check_index(i)
-    inst._check_index(j)
-    sums = _constraint_sums(mech.a, inst.f)
-    return Fraction(sums.slack[i][j], sums.scale * (inst.n - 1))
-
-
 def position_masses(inst: Instance, mech: DirectMechanism) -> PositionMasses:
     """s_k = D * sum_{i<=k} a[k][i] f_i."""
     _check_dims(inst, mech)
@@ -252,15 +239,13 @@ def position_masses(inst: Instance, mech: DirectMechanism) -> PositionMasses:
     return PositionMasses(s=s)
 
 
-def redundant_ic_pairs(n: int) -> frozenset[tuple[int, int]]:
-    """IC pairs implied by local upward ICs plus monotonicity."""
-    pairs = {(n - 1, j) for j in range(n - 1)}
-    pairs.update((i, j) for i in range(n) for j in range(i + 2, n))
-    return frozenset(pairs)
-
-
 @dataclass(frozen=True)
 class FeasibilityReport:
+    """ic_slack[i][j] = sum_{k>=i} (x_k - theta_i) (a[k][i] - a[k][j]) is LHS - RHS
+    of the truth-telling constraint for type i against report j: nonnegative
+    means type i does not gain by reporting j and then keeping only realized
+    offers above its own outside option."""
+
     ic_slack: tuple[tuple[Rat, ...], ...]
     participation: tuple[Rat, ...]
     position_slack: tuple[Rat, ...]
@@ -321,21 +306,6 @@ def feasibility_report(inst: Instance, mech: DirectMechanism) -> FeasibilityRepo
         is_feasible=_is_feasible(inst, sums),
         binding_ics=binding,
     )
-
-
-def classify_binding(inst: Instance, mech: DirectMechanism):
-    """Partition all ordered IC pairs into binding / slack / redundant."""
-    report = feasibility_report(inst, mech)
-    if not report.is_feasible:
-        raise LotbenchError("classify_binding requires a feasible mechanism")
-    n = inst.n
-    redundant = redundant_ic_pairs(n)
-    pairs = frozenset((i, j) for i in range(n) for j in range(n) if i != j)
-    return {
-        "binding": report.binding_ics - redundant,
-        "slack": pairs - report.binding_ics - redundant,
-        "redundant": redundant,
-    }
 
 
 def _check_lottery(cl: CommonLottery, n: int, what: str = "lottery"):

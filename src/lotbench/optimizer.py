@@ -17,6 +17,7 @@ lottery, and improvement search lives elsewhere.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -38,27 +39,16 @@ ZERO = Fraction(0)
 
 @dataclass(frozen=True)
 class FillLottery:
-    """Greedy fill-from-the-top solution.
-
-    lottery.c[k] = min{q_k, 1 - Q_k} with q_k = g_k / (D F(x_k)) and
-    Q_k = min{1, sum_{k' > k} q_{k'}}.  cutoff is the lowest position with a
-    positive offer probability when the budget binds (N when the lottery is
-    empty); below it every entry is zero.
-    """
+    """Greedy fill-from-the-top solution: lottery.c[k] = min{q_k, 1 - Q_k}
+    with q_k = g_k / (D F(x_k)) and Q_k = min{1, sum_{k' > k} q_{k'}}."""
 
     lottery: CommonLottery
-    q: tuple[Fraction, ...]
-    cutoff: int
 
 
 def optimal_lottery_fill(inst: Instance) -> FillLottery:
     """Mass-maximizing common lottery: fill positions from the top down."""
-    n = inst.n
     # every f_i > 0, so F strictly increases and Fill ranks top-down
-    lottery = lottery_from_masses(inst, _budget_masses(inst, Fill()))
-    q = lottery_from_masses(inst, PositionMasses(s=inst.g)).c
-    cutoff = next((k for k in range(n) if lottery.c[k] > 0), n)
-    return FillLottery(lottery=lottery, q=q, cutoff=cutoff)
+    return FillLottery(lottery=lottery_from_masses(inst, _budget_masses(inst, Fill())))
 
 
 @dataclass(frozen=True)
@@ -66,10 +56,6 @@ class BudgetSolution:
     masses: PositionMasses
     value: object  # Fraction for Fill/Linear, float otherwise
     convexity_warning: bool
-
-    @property
-    def exact(self) -> bool:
-        return isinstance(self.value, Fraction)
 
 
 def lottery_from_masses(inst: Instance, masses: PositionMasses) -> CommonLottery:
@@ -105,7 +91,7 @@ def _budget_masses(inst: Instance, obj: Objective) -> PositionMasses:
     if weights is not None:
         return _greedy(inst, _ranking(inst, weights), inst.g)
     if isinstance(obj, SeparableConcave):
-        return _water_fill(inst, obj, inst.g)
+        return _water_fill(inst, obj)
     raise TypeError(f"unknown objective {obj!r}")
 
 
@@ -135,15 +121,15 @@ def _greedy(inst: Instance, order, caps) -> PositionMasses:
     return PositionMasses(s=tuple(s))
 
 
-def _floats(values, what: str) -> list[float]:
+def _floats(values, what: str, least: float = math.ulp(0.0)) -> list[float]:
     """The float images of exact values for the float solvers; raises
-    LotbenchError when a value lies outside the float range (too large,
-    or positive but rounding to 0.0)."""
+    LotbenchError when a value lies outside the float range: too large, or
+    positive with a float image below least (by default, rounding to 0.0)."""
     try:
         out = [float(v) for v in values]
     except OverflowError:
         out = None
-    if out is None or any(x == 0.0 and v > 0 for v, x in zip(values, out)):
+    if out is None or any(x < least and v > 0 for v, x in zip(values, out)):
         raise LotbenchError(f"{what} lies outside the float range")
     return out
 
@@ -157,31 +143,34 @@ def _float_exponent(obj: SeparableConcave) -> float:
 
 def _float_problem(inst: Instance, obj: SeparableConcave):
     """The float images (alpha, rho, cdf, g, D) of a concave budget
-    problem, once its weights are checked against N."""
+    problem, once its weights are checked against N.  A subnormal image
+    keeps too few bits to solve with, so it counts as out of range."""
     _check_weights(obj, inst.n)
+    normal = sys.float_info.min
     return (
-        _floats(obj.weights, "an objective weight"),
+        _floats(obj.weights, "an objective weight", normal),
         _float_exponent(obj),
-        _floats([inst.cdf(k) for k in range(inst.n)], "a type cdf value"),
-        _floats(inst.g, "a capacity"),
-        _floats([inst.d], "the agent mass")[0],
+        _floats([inst.cdf(k) for k in range(inst.n)], "a type cdf value", normal),
+        _floats(inst.g, "a capacity", normal),
+        _floats([inst.d], "the agent mass", normal)[0],
     )
 
 
-def _water_fill(inst: Instance, obj: SeparableConcave, caps) -> PositionMasses:
+def _water_fill(inst: Instance, obj: SeparableConcave) -> PositionMasses:
     """Breakpoint scan for sum_k alpha_k s_k**rho: at multiplier lambda,
-    s_k = min(caps_k, b_k t) with b_k = (alpha_k rho F_k)**p, p = 1/(1-rho)
+    s_k = min(g_k, b_k t) with b_k = (alpha_k rho F_k)**p, p = 1/(1-rho)
     and t = lambda**-p, so the positions reach their caps in increasing
-    order of caps_k / b_k.  With a prefix of that order capped, the rest
+    order of g_k / b_k.  With a prefix of that order capped, the rest
     split the budget left in proportion to b_k / F_k; the walk stops at the
     first position whose share fits under its cap.  Budget and costs are
-    exact; the shares are floats, from logs so no power of a price overflows."""
+    exact; the shares are floats, from logs so no power of a price overflows.
+    The largest share takes the exact budget the others leave, so the
+    masses never overspend D."""
     n = inst.n
-    alpha, rho, cdf, _, _ = _float_problem(inst, obj)
-    g = _floats(caps, "a capacity")
-    cost = [caps[k] / inst.cdf(k) for k in range(n)]
+    alpha, rho, cdf, g, _ = _float_problem(inst, obj)
+    cost = [inst.g[k] / inst.cdf(k) for k in range(n)]
     if sum(cost) <= inst.d:
-        return PositionMasses(s=tuple(caps))
+        return PositionMasses(s=tuple(inst.g))
     p = 1 / (1 - rho)
     log_b = [p * (math.log(a) + math.log(rho) + math.log(c)) for a, c in zip(alpha, cdf)]
     log_w = [lb - math.log(c) for lb, c in zip(log_b, cdf)]  # log of b_k / F_k
@@ -198,18 +187,14 @@ def _water_fill(inst: Instance, obj: SeparableConcave, caps) -> PositionMasses:
         if cost[k] > remaining * Fraction(math.exp(log_w[k] - tail[j])):
             break
         remaining -= cost[k]
-    s = list(caps)
+    s, rem, left = list(inst.g), float(remaining), remaining
+    top = max(order[j:], key=log_w.__getitem__)  # the largest share
     for k in order[j:]:
-        share = math.exp(log_w[k] - tail[j])
-        s[k] = min(caps[k], Fraction(float(remaining) * cdf[k] * share))
+        if k != top:
+            s[k] = min(inst.g[k], Fraction(rem * cdf[k] * math.exp(log_w[k] - tail[j])))
+            left -= s[k] / inst.cdf(k)
+    s[top] = min(inst.g[top], max(ZERO, left * inst.cdf(top)))
     return PositionMasses(s=tuple(s))
-
-
-def optimal_masses_flexible(inst: Instance, obj: SeparableConcave) -> PositionMasses:
-    """Water-filling with unlimited capacities: the budget always binds, and
-    s_k is proportional to (alpha_k rho F(x_k))**(1/(1-rho)), scaled so the
-    budget holds with equality.  It is the scan with every cap infinite."""
-    return _water_fill(inst, obj, (math.inf,) * inst.n)
 
 
 @dataclass(frozen=True)
@@ -259,12 +244,9 @@ def kkt_check(
     elif interior:
         lam = sum(cdf[k] * marginal(k) for k in interior) / len(interior)
     else:
-        capped = [
-            cdf[k] * marginal(k)
-            for k in range(n)
-            if s[k] >= g[k] - tol and g[k] > tol
-        ]
-        lam = max(capped, default=0.0)
+        # a capped position needs lam <= F_k marginal(k): take the least
+        capped = [cdf[k] * marginal(k) for k in range(n) if s[k] >= g[k] - tol > 0]
+        lam = min(capped, default=0.0)
 
     violations = []
     for k in range(n):

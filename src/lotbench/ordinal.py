@@ -26,7 +26,7 @@ from .rationals import (
     parse_rational_vector,
     require_exact,
 )
-from .transform import Multipliers, _grid_multipliers, _grid_mu
+from .transform import _grid_mu
 
 ZERO = Fraction(0)
 
@@ -150,27 +150,9 @@ def normalize_gamma(oi: OrdinalInstance, gamma: str) -> UnevenGridView:
     return UnevenGridView(x=tuple(row), F=tuple(oi.cdf(k) for k in range(oi.n)))
 
 
-def even_grid_view(inst: Instance) -> UnevenGridView:
-    """The baseline instance seen as a trivially uneven grid."""
-    return UnevenGridView(
-        x=tuple(inst.x(k) for k in range(inst.n)),
-        F=tuple(inst.cdf(k) for k in range(inst.n)),
-    )
-
-
 def uneven_convexity(view: UnevenGridView) -> ConvexityReport:
     """Discrete convexity of 1/F along the (possibly uneven) utility grid."""
     return _grid_convexity(view.x, view.F)
-
-
-def uneven_multipliers(view: UnevenGridView) -> Multipliers:
-    """Constraint weights with the grid spacing divided out.
-
-    On the evenly spaced baseline grid these equal the baseline
-    multipliers times (N - 1), matching the integer-gap scaling used
-    there.
-    """
-    return _grid_multipliers(view.x, view.F)
 
 
 def uneven_mu_coefficients(view: UnevenGridView) -> tuple[tuple[Fraction, ...], ...]:

@@ -450,25 +450,31 @@ TINY4 = {
 
 
 @pytest.mark.parametrize(
-    "argv, improves",
+    "argv, code, improves",
     [
         (("optimal-lottery", TINY3, "--objective",
-          {"kind": "concave", "weights": ["1", "1", "1"], "rho": "1/2"}), False),
-        (("perturb", TINY4), False),
+          {"kind": "concave", "weights": ["1", "1", "1"], "rho": "1/2"}), None, False),
+        (("perturb", TINY4), None, False),
         # the cost of filling everything, about 10^400, has no float
-        (("perturb", {**TINY4, "D": str(10 * TINY)}), True),
+        (("perturb", {**TINY4, "D": str(10 * TINY)}), None, True),
         # (10^200)**4 has no float; once that position is capped the others
         # split the budget left, their b_k about 10^-800 of its
         (("optimal-lottery", {"n": 3, "f": ["1/3"] * 3, "g": ["1/3"] * 3, "D": "3/2"},
           "--objective",
-          {"kind": "concave", "weights": [str(10**200), "1", "1"], "rho": "3/4"}), False),
+          {"kind": "concave", "weights": [str(10**200), "1", "1"], "rho": "3/4"}),
+         None, False),
+        # D = 4e-320 is a subnormal float, with too few bits to solve with
+        (("optimal-lottery", {"n": 3, "f": ["1/3"] * 3, "g": ["1/3"] * 3,
+                              "D": f"4/{10**320}"},
+          "--objective", {"kind": "concave", "weights": ["1", "2", "3"], "rho": "1/2"}),
+         2, False),
     ],
     ids=["concave-water-fill", "perturb-d-grid", "perturb-beyond-float-spent",
-         "concave-huge-weight"],
+         "concave-huge-weight", "concave-subnormal-mass"],
 )
-def test_beyond_float_range_exits_without_traceback(files, argv, improves):
+def test_beyond_float_range_exits_without_traceback(files, argv, code, improves):
     out = run_subprocess(*file_args(files, *argv))
-    assert out.returncode in (0, 1, 2)
+    assert out.returncode in (0, 1, 2) if code is None else out.returncode == code
     assert "Traceback" not in out.stderr
     if out.returncode == 2:
         assert out.stderr.startswith("error:")

@@ -13,13 +13,10 @@ from lotbench import (
     LotbenchError,
     PositionMasses,
     SeparableConcave,
-    classify_binding,
     evaluate_objective,
     expand_common_lottery,
     feasibility_report,
-    ic_slack,
     position_masses,
-    redundant_ic_pairs,
     new_instance,
     uniform_instance,
 )
@@ -57,7 +54,7 @@ def test_position_masses_ceei():
 
 
 def test_ic_slack_violation_value():
-    assert ic_slack(U4, BAD, 2, 0) == Fraction(-1, 15)
+    assert feasibility_report(U4, BAD).ic_slack[2][0] == Fraction(-1, 15)
 
 
 def _reference_ic_slack(inst, a, i, j):
@@ -81,9 +78,7 @@ def test_ic_slack_matrix_matches_definition():
         report = feasibility_report(inst, mech)
         for i in range(n):
             for j in range(n):
-                want = _reference_ic_slack(inst, a, i, j)
-                assert report.ic_slack[i][j] == want
-                assert ic_slack(inst, mech, i, j) == want
+                assert report.ic_slack[i][j] == _reference_ic_slack(inst, a, i, j)
 
 
 def test_report_sums_match_definition():
@@ -130,25 +125,6 @@ def test_mon_profile():
     p = feasibility_report(U4, MENU).participation
     assert p == (Fraction(1), Fraction(1), Fraction(1, 4), Fraction(1, 4))
     assert all(p[i] >= p[i + 1] for i in range(3))
-
-
-def test_redundant_pairs():
-    pairs = redundant_ic_pairs(4)
-    assert (3, 0) in pairs and (3, 2) in pairs
-    assert (0, 2) in pairs and (1, 3) in pairs
-    assert (0, 1) not in pairs and (2, 0) not in pairs
-
-
-def test_classify_binding_requires_feasible():
-    with pytest.raises(LotbenchError, match="classify_binding requires a feasible mechanism"):
-        classify_binding(U4, BAD)
-
-
-def test_classify_binding_partition():
-    parts = classify_binding(U4, CEEI)
-    all_pairs = {(i, j) for i in range(4) for j in range(4) if i != j}
-    assert parts["binding"] | parts["slack"] | parts["redundant"] == all_pairs
-    assert not parts["binding"] & parts["slack"]
 
 
 def test_expand_common_lottery():

@@ -17,7 +17,6 @@ from lotbench import (
     new_instance,
     optimal_lottery_fill,
     optimal_masses,
-    optimal_masses_flexible,
     position_masses,
     solve_designer,
     uniform_instance,
@@ -34,14 +33,12 @@ FIG4 = new_instance(3, ["1/3", "1/12", "7/12"], ["1/3", "1/3", "1/3"], 1)
 def test_fill_lottery_uniform():
     out = optimal_lottery_fill(U4)
     assert out.lottery.c == (F(0), F(5, 12), F(1, 3), F(1, 4))
-    assert out.q == (F(1), F(1, 2), F(1, 3), F(1, 4))
-    assert out.cutoff == 1
 
 
 def test_fill_lottery_matches_lp_value():
     sol = optimal_masses(U4, Fill())
     assert sol.value == F(17, 24)
-    assert sol.exact and not sol.convexity_warning
+    assert isinstance(sol.value, Fraction) and not sol.convexity_warning
     _, lp_value = simplex_vertex(U4, Fill())
     assert sol.value == lp_value == solve_designer(U4, Fill())[1]
 
@@ -102,7 +99,7 @@ def test_concave_water_fill_interior():
     # position 2 has zero capacity; budget splits between 0 and 1 interior
     obj = SeparableConcave(weights=(F(1), F(1), F(1)), rho=F(1, 2))
     sol = optimal_masses(inst, obj)
-    assert not sol.exact
+    assert not isinstance(sol.value, Fraction)
     report = kkt_check(inst, obj, sol.masses)
     assert report.ok, report.violations
 
@@ -124,6 +121,17 @@ def test_concave_capped_mass_is_its_capacity():
     assert kkt_check(inst, obj, sol.masses).ok
 
 
+def test_kkt_accepts_every_position_capped_on_a_spent_budget():
+    # the capacities cost exactly D: every position is capped and the
+    # budget binds, so the multiplier is the least capped marginal price
+    inst = new_instance(2, ["3/5", "2/5"], ["3/4", "1/4"], "3/2")
+    obj = SeparableConcave(weights=(F(1), F(1)), rho=F(1, 2))
+    sol = optimal_masses(inst, obj)
+    assert sol.masses.s == inst.g
+    report = kkt_check(inst, obj, sol.masses)
+    assert report.ok, report.violations
+
+
 def test_concave_randomized_kkt():
     # convex and non-convex draws up to explore's N = 24, zero capacities,
     # binding and slack budgets; every branch of the scan must occur
@@ -136,9 +144,13 @@ def test_concave_randomized_kkt():
             weights=tuple(F(rng.randint(1, 7)) for _ in range(inst.n)),
             rho=F(rng.randint(1, 3), 4),
         )
-        s = optimal_masses(inst, obj).masses.s
-        assert kkt_check(inst, obj, PositionMasses(s=s)).ok
+        masses = optimal_masses(inst, obj).masses
+        s = masses.s
+        assert kkt_check(inst, obj, masses).ok
         assert all(0 <= sk <= gk for sk, gk in zip(s, inst.g))
+        # exactly feasible: the spend is at most D, so the offers total at most 1
+        assert sum(sk / inst.cdf(k) for k, sk in enumerate(s)) <= inst.d
+        assert lottery_from_masses(inst, masses).total() <= 1
         capped = any(sk == gk > 0 for sk, gk in zip(s, inst.g))
         seen.add("slack" if s == inst.g else "some capped" if capped else "no cap")
         if 0 in inst.g:
@@ -147,12 +159,14 @@ def test_concave_randomized_kkt():
 
 
 def test_flexible_water_fill_closed_form():
+    # at D = 1/2 no cap binds: s = (1/80, 1/20, 9/80, 1/5) up to rounding
+    inst = uniform_instance(4, d=F(1, 2))
     obj = SeparableConcave(weights=(F(1),) * 4, rho=F(1, 2))
-    masses = optimal_masses_flexible(U4, obj)
+    masses = optimal_masses(inst, obj).masses
+    assert all(sk < gk for sk, gk in zip(masses.s, inst.g))
     # s_k proportional to (F_k)^2; spend equals the budget exactly
-    spend = sum(float(masses.s[k]) / float(U4.cdf(k)) for k in range(4))
-    assert spend == pytest.approx(float(U4.d), abs=1e-9)
-    ratios = [float(masses.s[k]) / float(U4.cdf(k)) ** 2 for k in range(4)]
+    assert sum(masses.s[k] / inst.cdf(k) for k in range(4)) == inst.d
+    ratios = [float(masses.s[k]) / float(inst.cdf(k)) ** 2 for k in range(4)]
     assert max(ratios) == pytest.approx(min(ratios), rel=1e-9)
 
 
@@ -205,7 +219,7 @@ def test_concave_solvers_reject_wrong_weight_count(n_weights):
     with pytest.raises(LotbenchError, match=match):
         kkt_check(U3, obj, masses)
     with pytest.raises(LotbenchError, match=match):
-        optimal_masses_flexible(U3, obj)
+        optimal_masses(U3, obj)
 
 
 def test_kkt_rejects_wrong_mass_count():

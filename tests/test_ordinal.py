@@ -12,14 +12,11 @@ from lotbench import (
     UnevenGridView,
     aggregate_per_gamma,
     convexity_report,
-    even_grid_view,
     masses_over_qualities,
-    multipliers,
     normalize_gamma,
     optimal_lottery_fill,
     optimal_masses,
     uneven_convexity,
-    uneven_multipliers,
     uneven_mu_coefficients,
     uniform_instance,
 )
@@ -91,8 +88,9 @@ def test_json_utility_must_be_a_list_of_lists():
 
 def test_even_grid_view_matches_baseline():
     inst = uniform_instance(4)
-    view = even_grid_view(inst)
-    assert view.x == tuple(inst.x(k) for k in range(4))
+    view = UnevenGridView(
+        x=tuple(inst.x(k) for k in range(4)), F=tuple(inst.cdf(k) for k in range(4))
+    )
     base = convexity_report(inst)
     uneven = uneven_convexity(view)
     assert uneven.is_convex == base.is_convex
@@ -100,18 +98,6 @@ def test_even_grid_view_matches_baseline():
     assert uneven.second_differences == tuple(
         d / (inst.n - 1) for d in base.second_differences
     )
-
-
-def test_uneven_multipliers_scale_on_even_grid():
-    inst = uniform_instance(4)
-    base = multipliers(inst)
-    view = even_grid_view(inst)
-    mult = uneven_multipliers(view)
-    scale = inst.n - 1
-    assert mult.local_up == tuple(v * scale for v in base.local_up)
-    for i in range(4):
-        for j in range(i):
-            assert mult.down[i][j] == base.down[i][j] * scale
 
 
 def test_uneven_mu_closed_forms():

@@ -39,15 +39,12 @@ SURFACE = [
     "build_designer_lp",
     "build_min_mass_lp",
     "caps_from_lottery",
-    "classify_binding",
     "continuum_crp",
     "convexity_report",
     "dual_certificate",
     "evaluate_objective",
-    "even_grid_view",
     "expand_common_lottery",
     "feasibility_report",
-    "ic_slack",
     "kkt_check",
     "lottery_from_masses",
     "masses_from_lottery",
@@ -59,10 +56,8 @@ SURFACE = [
     "optimal_common_lottery_ordinal",
     "optimal_lottery_fill",
     "optimal_masses",
-    "optimal_masses_flexible",
     "perturb",
     "position_masses",
-    "redundant_ic_pairs",
     "simplex_solve",
     "simulate_finite",
     "solve_designer",
@@ -70,7 +65,6 @@ SURFACE = [
     "to_common_lottery",
     "uneven_convexity",
     "uneven_mu_coefficients",
-    "uneven_multipliers",
     "uniform_instance",
     "verify_decomposition",
 ]

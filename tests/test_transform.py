@@ -28,7 +28,6 @@ from lotbench import (
     to_common_lottery,
     uneven_convexity,
     uneven_mu_coefficients,
-    uneven_multipliers,
     uniform_instance,
     verify_decomposition,
 )
@@ -213,7 +212,8 @@ def test_mu_matches_the_aggregation():
             d=inst.d,
         )
         view = normalize_gamma(oi, "bent")
-        assert uneven_mu_coefficients(view) == _reference_mu(view.x, uneven_multipliers(view))
+        grid = lotbench.transform._grid_multipliers(view.x, view.F)
+        assert uneven_mu_coefficients(view) == _reference_mu(view.x, grid)
         assert uneven_convexity(view).second_differences == _reference_second_differences(
             view.x, view.F
         )
