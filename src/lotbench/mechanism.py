@@ -9,8 +9,10 @@ assumes feasibility unless stated.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import weakref
+from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from operator import add, mul
 from typing import NamedTuple, Union
 
@@ -187,8 +189,24 @@ class _ConstraintSums(NamedTuple):
     lower_triangular: bool
 
 
-def _constraint_sums(a, f) -> _ConstraintSums:
-    """Every IC slack, participation and row mass of a in one O(N^2) sweep.
+# The last kernel computed, as (weak reference to its mechanism, the f it
+# was computed with, the kernel), or None.  One entry: a feasibility report
+# followed by the collapse of the same mechanism sweeps it once, and no
+# other mechanism's kernel is kept.
+_last_sums = None
+
+
+def _forget_sums(ref):
+    """Weak-reference callback: drop the memo when its mechanism is freed."""
+    global _last_sums
+    entry = _last_sums
+    if entry is not None and entry[0] is ref:
+        _last_sums = None
+
+
+def _constraint_sums(mech: DirectMechanism, f) -> _ConstraintSums:
+    """Every IC slack, participation and row mass of mech.a in one O(N^2)
+    sweep.
 
     The (N-1)-scaled slack of type i against report j is
     sum_{k>i} (k-i) (a[k][i] - a[k][j]) = G_i[i] - G_i[j] with
@@ -196,7 +214,17 @@ def _constraint_sums(a, f) -> _ConstraintSums:
     suffix sums S0 = sum_{k>=i} a[k][c] and S1 = sum_{k>=i} k a[k][c].
     Sweeping i down from N-1, G_i = G_{i+1} + (column sums of the rows
     below i), so each row costs O(N) integer additions.
+
+    The last kernel is kept, keyed by the identity of mech and of f, with
+    mech held only weakly; callers must not mutate it.  It is kept only
+    when mech.a is a tuple of tuples, because a matrix of lists can change
+    in place.
     """
+    global _last_sums
+    entry = _last_sums
+    if entry is not None and entry[0]() is mech and entry[1] is f:
+        return entry[2]
+    a = mech.a
     n = len(a)
     scale, rows = to_common_denominator(a[::-1])
     fscale, (fs,) = to_common_denominator([f])
@@ -214,9 +242,12 @@ def _constraint_sums(a, f) -> _ConstraintSums:
         row_mass[i] = _row_mass(row, fs, i)
         negative[i] = tuple(c for c, v in enumerate(row) if v < 0)
         lower_triangular = lower_triangular and not any(row[i + 1:])
-    return _ConstraintSums(
+    sums = _ConstraintSums(
         scale, slack, below, row_mass, scale * fscale, negative, lower_triangular
     )
+    if type(a) is tuple and all(type(row) is tuple for row in a):
+        _last_sums = (weakref.ref(mech, _forget_sums), f, sums)
+    return sums
 
 
 def _is_feasible(inst: Instance, sums: _ConstraintSums) -> bool:
@@ -241,12 +272,15 @@ def position_masses(inst: Instance, mech: DirectMechanism) -> PositionMasses:
 
 @dataclass(frozen=True)
 class FeasibilityReport:
-    """ic_slack[i][j] = sum_{k>=i} (x_k - theta_i) (a[k][i] - a[k][j]) is LHS - RHS
-    of the truth-telling constraint for type i against report j: nonnegative
-    means type i does not gain by reporting j and then keeping only realized
-    offers above its own outside option."""
+    """Every constraint of the direct-mechanism program, evaluated exactly.
 
-    ic_slack: tuple[tuple[Rat, ...], ...]
+    The IC slacks are kept as the kernel's ints over one denominator, and
+    `ic_slack` divides them on first read.  So `==` and `repr` leave the IC
+    slacks out; `binding_ics` and `ic_violations()` carry their signs.
+    """
+
+    _slack: list[list[int]] = field(repr=False, compare=False)
+    _slack_scale: int = field(repr=False, compare=False)
     participation: tuple[Rat, ...]
     position_slack: tuple[Rat, ...]
     agent_slack: tuple[Rat, ...]
@@ -255,13 +289,23 @@ class FeasibilityReport:
     is_feasible: bool
     binding_ics: frozenset[tuple[int, int]]
 
+    @cached_property
+    def ic_slack(self) -> tuple[tuple[Rat, ...], ...]:
+        """ic_slack[i][j] = sum_{k>=i} (x_k - theta_i) (a[k][i] - a[k][j]) is
+        LHS - RHS of the truth-telling constraint for type i against report
+        j: nonnegative means type i does not gain by reporting j and then
+        keeping only realized offers above its own outside option."""
+        den = self._slack_scale
+        return tuple(
+            tuple(Fraction(v, den) if v else ZERO for v in row) for row in self._slack
+        )
+
     def ic_violations(self) -> list[tuple[int, int]]:
-        n = len(self.participation)
         return [
             (i, j)
-            for i in range(n)
-            for j in range(n)
-            if i != j and self.ic_slack[i][j] < 0
+            for i, row in enumerate(self._slack)
+            for j, v in enumerate(row)
+            if v < 0 and i != j
         ]
 
     def violations(self) -> list[str]:
@@ -278,13 +322,10 @@ class FeasibilityReport:
 
 def feasibility_report(inst: Instance, mech: DirectMechanism) -> FeasibilityReport:
     """Evaluate every constraint of the direct-mechanism program exactly,
-    in O(N^2) integer operations; each reported value is divided once."""
+    in O(N^2) integer operations; each reported value is divided once, the
+    IC slacks on first read."""
     _check_dims(inst, mech)
-    sums = _constraint_sums(mech.a, inst.f)
-    den = sums.scale * (inst.n - 1)
-    slack = tuple(
-        tuple(Fraction(v, den) if v else ZERO for v in row) for row in sums.slack
-    )
+    sums = _constraint_sums(mech, inst.f)
     participation = tuple(Fraction(p, sums.scale) for p in sums.participation)
     position_slack = tuple(
         gk - inst.d * Fraction(m, sums.mass_scale)
@@ -297,7 +338,8 @@ def feasibility_report(inst: Instance, mech: DirectMechanism) -> FeasibilityRepo
         if v == 0 and i != j
     )
     return FeasibilityReport(
-        ic_slack=slack,
+        _slack=sums.slack,
+        _slack_scale=sums.scale * (inst.n - 1),
         participation=participation,
         position_slack=position_slack,
         agent_slack=tuple(1 - p for p in participation),
@@ -313,8 +355,9 @@ def _check_lottery(cl: CommonLottery, n: int, what: str = "lottery"):
     most 1, nonnegative entries."""
     if len(cl.c) != n:
         raise LotbenchError(f"{what} has length {len(cl.c)}, need {n}")
-    if cl.total() > 1:
-        raise LotbenchError(f"{what}: offer probabilities total {cl.total()} > 1")
+    total = cl.total()
+    if total > 1:
+        raise LotbenchError(f"{what}: offer probabilities total {total} > 1")
     if any(ck < 0 for ck in cl.c):
         raise LotbenchError(f"{what}: offer probabilities must be nonnegative")
 
@@ -325,6 +368,6 @@ def expand_common_lottery(inst: Instance, cl: CommonLottery) -> DirectMechanism:
     _check_lottery(cl, inst.n)
     n = inst.n
     rows = tuple(
-        tuple(cl.c[k] if i <= k else Fraction(0) for i in range(n)) for k in range(n)
+        tuple(cl.c[k] if i <= k else ZERO for i in range(n)) for k in range(n)
     )
     return DirectMechanism(a=rows)

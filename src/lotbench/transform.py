@@ -112,7 +112,7 @@ def to_common_lottery(inst: Instance, mech: DirectMechanism):
     feasible input.
     """
     _check_dims(inst, mech)
-    sums = _constraint_sums(mech.a, inst.f)
+    sums = _constraint_sums(mech, inst.f)
     if not _is_feasible(inst, sums):
         raise LotbenchError("the collapse guarantee is stated for feasible input")
     lottery = CommonLottery(c=_row_averages(inst, sums))
@@ -151,7 +151,7 @@ class DecompositionReport:
 
 def verify_decomposition(inst: Instance, mech: DirectMechanism) -> DecompositionReport:
     _check_dims(inst, mech)
-    sums = _constraint_sums(mech.a, inst.f)
+    sums = _constraint_sums(mech, inst.f)
     # info = sum_i up_i slack[i][i+1] + sum_i r_i sum_{j<i} f_j slack[i][j],
     # in ints over the weights' and the cdf's denominators
     grid = _grid_ints(*_integer_grid(inst))

@@ -1,5 +1,7 @@
+import gc
 import json
 import random
+import weakref
 from fractions import Fraction
 from importlib import resources
 
@@ -18,6 +20,7 @@ from lotbench import (
     feasibility_report,
     position_masses,
     new_instance,
+    to_common_lottery,
     uniform_instance,
 )
 
@@ -95,12 +98,59 @@ def test_report_sums_match_definition():
         for k in range(n):
             mass = sum((a[k][i] * inst.f[i] for i in range(k + 1)), Fraction(0))
             assert report.position_slack[k] == inst.g[k] - inst.d * mass
-        for i in range(n):
-            for j in range(n):
-                assert report.ic_slack[i][j] == _reference_ic_slack(inst, a, i, j)
+        ref = [[_reference_ic_slack(inst, a, i, j) for j in range(n)] for i in range(n)]
+        assert report.ic_slack == tuple(map(tuple, ref))
         assert report.negative_cells == tuple(
             (k, i) for k in range(n) for i in range(n) if a[k][i] < 0
         )
+        # the report keeps its IC slacks as ints; every sign read from them
+        # agrees with the definition
+        pairs = [(i, j) for i in range(n) for j in range(n) if i != j]
+        violated = [(i, j) for i, j in pairs if ref[i][j] < 0]
+        assert report.ic_violations() == violated
+        assert report.binding_ics == frozenset((i, j) for i, j in pairs if ref[i][j] == 0)
+        names = [f"IC[{i},{j}]" for i, j in violated]
+        names += [f"POS[{k}]" for k in range(n) if report.position_slack[k] < 0]
+        names += [f"AGE[{i}]" for i in range(n) if report.participation[i] > 1]
+        if any(a[k][i] for k in range(n) for i in range(k + 1, n)):
+            names.append("acceptance-support")
+        names += [f"NONNEG[{k},{i}]" for k, i in report.negative_cells]
+        assert report.violations() == names
+
+
+def _row_masses(inst, a):
+    return [sum((a[k][i] * inst.f[i] for i in range(k + 1)), Fraction(0)) for k in range(inst.n)]
+
+
+def test_kernel_memo_never_serves_a_stale_kernel():
+    # (a) a matrix of lists changed in place between the report and the
+    # collapse: both read the changed matrix
+    lottery = CommonLottery.from_values(["0", "5/12", "1/3", "1/4"])
+    mech = DirectMechanism(a=[list(row) for row in expand_common_lottery(U4, lottery).a])
+    assert feasibility_report(U4, mech).participation[3] == Fraction(1, 4)
+    mech.a[3][:] = [Fraction(1, 8)] * 4
+    assert to_common_lottery(U4, mech)[0].c == (0, Fraction(5, 12), Fraction(1, 3), Fraction(1, 8))
+    assert feasibility_report(U4, mech).participation[3] == Fraction(1, 8)
+
+    # (b) one mechanism under two instances whose f differ, interleaved
+    other = new_instance(4, ["1/8", "1/8", "1/4", "1/2"], ["1/4"] * 4, 1)
+    menu = DirectMechanism.from_json_dict(FIG2["menu"])
+    for inst in (U4, other, other, U4, other):
+        masses = _row_masses(inst, menu.a)
+        report = feasibility_report(inst, menu)
+        assert report.position_slack == tuple(g - inst.d * m for g, m in zip(inst.g, masses))
+        collapsed, _ = to_common_lottery(inst, menu)
+        assert collapsed.c == tuple(m / inst.cdf(k) for k, m in enumerate(masses))
+    assert feasibility_report(U4, menu).position_slack != feasibility_report(other, menu).position_slack
+
+    # (c) the memo holds the mechanism weakly: once freed, it is gone
+    mech = expand_common_lottery(U4, lottery)
+    assert feasibility_report(U4, mech).is_feasible
+    to_common_lottery(U4, mech)
+    ref = weakref.ref(mech)
+    del mech
+    gc.collect()
+    assert ref() is None
 
 
 def test_feasibility_menu_and_ceei():
