@@ -43,9 +43,7 @@ from .lpsolve import (
 )
 from .transform import (
     DecompositionReport,
-    Multipliers,
     mu_coefficients,
-    multipliers,
     to_common_lottery,
     verify_decomposition,
 )

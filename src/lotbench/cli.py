@@ -45,7 +45,10 @@ OK, NEGATIVE, MALFORMED = 0, 1, 2
 
 def _load_json(path: str):
     with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
+        try:
+            return json.load(fh)
+        except RecursionError:
+            raise ValueError(f"{path}: JSON nested too deeply") from None
 
 
 def _load_object(path: str) -> dict:

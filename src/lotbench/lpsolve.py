@@ -27,11 +27,11 @@ from math import gcd, lcm
 from operator import mul
 
 from .errors import LotbenchError
-from .instance import Instance
+from .instance import Instance, _grid_ints, _integer_grid
 from .mechanism import DirectMechanism, Objective, PositionMasses, _linear_weights
 from .optimizer import _budget_masses, lottery_from_masses
 from .rationals import require_exact, to_common_denominator
-from .transform import multipliers
+from .transform import _grid_weights
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -480,9 +480,10 @@ def _common_lottery_solution(
 
     Primal: c_k at every cell (k, i), i <= k, then the extra values (the
     min-mass program's D).  Duals: the IC rows carry scale * (N - 1) times
-    `transform.multipliers` (the LP's IC rows are the transform's over
-    N - 1), POS[k] prices pos[k], AGE[0] prices -scale, and every other
-    row prices 0.
+    the decomposition's weights of `transform._grid_weights` (the LP's IC
+    rows are the transform's over N - 1): IC[i, i+1] the upward weight
+    up_i and IC[i, j], j < i, the downward weight f_j r_i.  POS[k] prices
+    pos[k], AGE[0] prices -scale, and every other row prices 0.
 
     - The designer passes scale = -lam D and pos_k = max(0, w_k - lam/F_k),
       where lam = min w_k F_k over s_k > 0 when the budget binds, else 0.
@@ -498,14 +499,16 @@ def _common_lottery_solution(
     the budget is slack.  A refused min-mass candidate fails on a dual sign
     that no vertex changes, so the simplex's vertex keeps its own duals.
     """
-    mult = multipliers(inst)
+    local_up, rows = _grid_weights(_grid_ints(*_integer_grid(inst)))
     ic = scale * (inst.n - 1)
     duals = dict.fromkeys(lp.con_names, ZERO)
-    for i, w in enumerate(mult.local_up):
+    for i, w in enumerate(local_up):
         duals[f"IC[{i},{i + 1}]"] = ic * w
-    for i, row in enumerate(mult.down):
-        for j, w in enumerate(row):
-            duals[f"IC[{i},{j}]"] = ic * w
+    for i, r in enumerate(rows):
+        if r:
+            icr = ic * r
+            for j, fj in enumerate(inst.f[:i]):
+                duals[f"IC[{i},{j}]"] = icr * fj
     for k, p in enumerate(pos):
         duals[f"POS[{k}]"] = p
     duals["AGE[0]"] = -scale

@@ -112,6 +112,7 @@ class SeparableConcave:
     rho: Rat
 
     def __post_init__(self):
+        require_exact(("weights", self.weights), ("rho", (self.rho,)))
         if not 0 < self.rho < 1:
             raise LotbenchError("exponent must lie strictly in (0, 1)")
         if any(w <= 0 for w in self.weights):
@@ -177,7 +178,8 @@ class _ConstraintSums(NamedTuple):
     With L = scale: slack[i][j] = L * (N-1) * (IC slack of type i against
     report j), participation[i] = L * sum_k a[k][i], and
     row_mass[k] = mass_scale * sum_{i<=k} a[k][i] f_i.  negative[k] lists
-    the columns of row k's negative cells.
+    the columns of row k's negative cells, and ic_holds says that no slack
+    is negative.
     """
 
     scale: int
@@ -187,6 +189,7 @@ class _ConstraintSums(NamedTuple):
     mass_scale: int
     negative: list[tuple[int, ...]]
     lower_triangular: bool
+    ic_holds: bool
 
 
 # The last kernel computed, as (weak reference to its mechanism, the f it
@@ -233,17 +236,18 @@ def _constraint_sums(mech: DirectMechanism, f) -> _ConstraintSums:
     slack = [None] * n
     row_mass = [0] * n
     negative = [()] * n
-    lower_triangular = True
+    lower_triangular = ic_holds = True
     for i, row in zip(range(n - 1, -1, -1), rows):
         gap = list(map(add, gap, below))
         own = gap[i]
         slack[i] = [own - g for g in gap]
+        ic_holds = ic_holds and min(slack[i]) >= 0
         below = list(map(add, below, row))
         row_mass[i] = _row_mass(row, fs, i)
         negative[i] = tuple(c for c, v in enumerate(row) if v < 0)
         lower_triangular = lower_triangular and not any(row[i + 1:])
     sums = _ConstraintSums(
-        scale, slack, below, row_mass, scale * fscale, negative, lower_triangular
+        scale, slack, below, row_mass, scale * fscale, negative, lower_triangular, ic_holds
     )
     if type(a) is tuple and all(type(row) is tuple for row in a):
         _last_sums = (weakref.ref(mech, _forget_sums), f, sums)
@@ -255,7 +259,7 @@ def _is_feasible(inst: Instance, sums: _ConstraintSums) -> bool:
     return (
         sums.lower_triangular
         and not any(sums.negative)
-        and all(v >= 0 for row in sums.slack for v in row)
+        and sums.ic_holds
         and all(p <= sums.scale for p in sums.participation)
         and all(
             inst.d * m <= gk * sums.mass_scale for gk, m in zip(inst.g, sums.row_mass)

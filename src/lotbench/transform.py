@@ -4,8 +4,8 @@ participation-probability decomposition that certifies when this is safe.
 The central map averages each position row over the types that find the
 position acceptable, weighted by the type pmf.  It preserves position
 masses by construction; whether the resulting offer probabilities still
-sum to at most one is exactly the question the multiplier machinery
-answers (yes whenever 1/F is discretely convex).
+sum to at most one is exactly the question the multipliers answer (yes
+whenever 1/F is discretely convex).
 
 All truth-telling expressions in this module are scaled by (N-1) so that
 the utility gaps (x_k - theta_i) become the integers (k - i); the
@@ -15,7 +15,7 @@ The multipliers are N weights, not a table: the upward weights and one
 row weight r_i per type (`_grid_weights`).  The downward multiplier of the
 pair (i, j) is down[i][j] = f_j r_i, and that is how the code computes it:
 the decomposition and the coefficients form f_j r_i in ints inside their
-sums, and `multipliers` expands the table only for callers that want it.
+sums, and `lpsolve` prices the IC rows of the common lottery with it.
 """
 
 from __future__ import annotations
@@ -37,28 +37,6 @@ from .mechanism import (
 from .rationals import format_rational, to_common_denominator
 
 ZERO = Fraction(0)
-
-
-@dataclass(frozen=True)
-class Multipliers:
-    """Nonnegative weights attached to the truth-telling constraints.
-
-    local_up[i] weights the adjacent upward pair (i, i+1) and equals
-    f_{i+1} / F_{i+1}; down[i][j] (j < i) weights the downward pair (i, j)
-    and is computed as f_j r_i, with r_i the row weight of `_grid_weights`:
-    the second difference of 1/F at i.  The downward weights are all
-    nonnegative exactly when 1/F is discretely convex.  Rows of down with
-    no defined value are zero (r_0 = r_{N-1} = 0), which is harmless: the
-    scaled expressions they would multiply vanish identically.  On an
-    uneven grid both are divided by the spacings around the pair.
-    """
-
-    local_up: tuple[Fraction, ...]
-    down: tuple[tuple[Fraction, ...], ...]
-
-
-def multipliers(inst: Instance) -> Multipliers:
-    return _grid_multipliers(*_integer_grid(inst))
 
 
 def _grid_pmf(F) -> list:
@@ -88,19 +66,6 @@ def _grid_weights(grid: _GridInts) -> tuple[tuple[Fraction, ...], tuple[Fraction
         for i, num in enumerate(grid.d2, start=1)
     )
     return local_up, (ZERO, *rows, ZERO)[: len(xs)]
-
-
-def _grid_multipliers(x, F) -> Multipliers:
-    """Constraint weights on an increasing grid x with cdf F: the table
-    down[i][j] = f_j r_i, j < i, each entry reduced once from ints."""
-    grid = _grid_ints(x, F)
-    local_up, rows = _grid_weights(grid)
-    pmf = _grid_pmf(grid.ps)
-    down = tuple(
-        tuple(Fraction(p * r.numerator, r.denominator * grid.fscale) for p in pmf[:i])
-        for i, r in enumerate(rows)
-    )
-    return Multipliers(local_up=local_up, down=down)
 
 
 def to_common_lottery(inst: Instance, mech: DirectMechanism):

@@ -413,6 +413,23 @@ def test_malformed_json_exits_2_without_traceback(files, argv):
     assert out.stderr.startswith("error:") and "Traceback" not in out.stderr
 
 
+@pytest.mark.parametrize(
+    "text",
+    [
+        "[" * 100_000,
+        '{"n": 2, "f": ' + "[" * 5000 + "]" * 5000 + ', "g": ["1/2", "1/2"], "D": "1"}',
+    ],
+    ids=["deep-list", "deep-f"],
+)
+def test_deeply_nested_json_exits_2_without_traceback(tmp_path, text):
+    # written as raw text: json.dumps cannot build a document this deep
+    path = tmp_path / "i.json"
+    path.write_text(text)
+    out = run_subprocess("validate", str(path))
+    assert out.returncode == 2 and out.stdout == ""
+    assert out.stderr == f"error: {path}: JSON nested too deeply\n"
+
+
 def file_args(files, command, instance, *rest):
     """Command line with the instance and an optional second JSON file."""
     args = [command, files("i.json", instance)]

@@ -11,6 +11,7 @@ from lotbench import (
     Linear,
     LotbenchError,
     OrdinalInstance,
+    SeparableConcave,
     UnevenGridView,
     convexity_report,
     new_instance,
@@ -90,6 +91,7 @@ HALF = Fraction(1, 2)
 # entry of the named field is replaced by an inexact value
 EXACT_INPUTS = {
     Linear: dict(weights=(Fraction(1), Fraction(0), Fraction(2))),
+    SeparableConcave: dict(weights=(Fraction(1), Fraction(2)), rho=HALF),
     OrdinalInstance: dict(
         qualities=(Fraction(0), Fraction(1)),
         gamma_labels=("a",),
@@ -107,6 +109,8 @@ EXACT_INPUTS = {
     "make, field",
     [
         (Linear, "weights"),
+        (SeparableConcave, "weights"),
+        (SeparableConcave, "rho"),
         (OrdinalInstance, "qualities"),
         (OrdinalInstance, "gamma_pmf"),
         (OrdinalInstance, "utility"),
@@ -116,13 +120,17 @@ EXACT_INPUTS = {
     ids=lambda v: v if isinstance(v, str) else v.__name__,
 )
 @pytest.mark.parametrize(
-    "bad", [0.5, True, numpy.float64(0.5)], ids=["float", "bool", "numpy-float64"]
+    "bad",
+    [0.5, True, numpy.float64(0.5), "1/2"],
+    ids=["float", "bool", "numpy-float64", "str"],
 )
 def test_inexact_inputs_of_other_constructors_rejected(make, field, bad):
     exact = EXACT_INPUTS[make]
     make(**exact)
     if field == "utility":
         value = ((exact["utility"][0][0], bad),)
+    elif field == "rho":
+        value = bad
     else:
         value = (*exact[field][:-1], bad)
     shown = f"{field} entries must be Fraction or int, got {re.escape(repr(bad))}$"

@@ -28,7 +28,6 @@ from lotbench import (
     expand_common_lottery,
     feasibility_report,
     lottery_from_masses,
-    multipliers,
     new_instance,
     optimal_masses,
     position_masses,
@@ -45,7 +44,7 @@ from lotbench.lpsolve import (
     _designer_candidate,
     _min_mass_candidate,
 )
-from util import random_convex_instance, random_instance, random_pmf
+from util import random_convex_instance, random_instance, random_pmf, reference_weights
 
 F = Fraction
 ZERO = F(0)
@@ -499,14 +498,14 @@ def test_certificate_rejects_a_negative_variable():
 
 
 def _closed_form_ic(inst):
-    """The decomposition's multipliers on the LP's IC rows, which are the
-    transform's scaled ones over N - 1; every other IC row 0."""
+    """The decomposition's closed-form multipliers on the LP's IC rows,
+    which are the transform's scaled ones over N - 1; every other IC row 0."""
     n = inst.n
-    mult = multipliers(inst)
+    up, down = reference_weights(range(n), [inst.cdf(k) for k in range(n)])
     ic = {(i, j): ZERO for i in range(n) for j in range(n) if i != j}
-    for i, w in enumerate(mult.local_up):
+    for i, w in enumerate(up):
         ic[(i, i + 1)] = (n - 1) * w
-    for i, row in enumerate(mult.down):
+    for i, row in enumerate(down):
         for j, w in enumerate(row):
             ic[(i, j)] = (n - 1) * w
     return ic

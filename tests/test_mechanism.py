@@ -24,7 +24,7 @@ from lotbench import (
     uniform_instance,
 )
 
-from util import random_instance, random_raw_matrix
+from util import random_instance, random_raw_matrix, random_supported_matrix
 
 
 def load_fixture(name):
@@ -116,6 +116,22 @@ def test_report_sums_match_definition():
             names.append("acceptance-support")
         names += [f"NONNEG[{k},{i}]" for k, i in report.negative_cells]
         assert report.violations() == names
+
+
+def test_is_feasible_iff_no_violation():
+    # supported matrices over N, so that no AGE row fails: the IC rows and
+    # the POS rows decide, each alone and together
+    rng = random.Random(2323)
+    seen = set()
+    for _ in range(200):
+        inst = random_instance(rng, 2, 8)
+        n = inst.n
+        a = tuple(tuple(v / n for v in row) for row in random_supported_matrix(rng, n).a)
+        report = feasibility_report(inst, DirectMechanism(a=a))
+        failed = frozenset(name.split("[")[0] for name in report.violations())
+        assert report.is_feasible == (not failed)
+        seen.add(failed)
+    assert seen == {frozenset(), frozenset({"IC"}), frozenset({"POS"}), frozenset({"IC", "POS"})}
 
 
 def _row_masses(inst, a):

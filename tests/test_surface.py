@@ -25,7 +25,6 @@ SURFACE = [
     "LotbenchError",
     "LpSolution",
     "MinMassSolution",
-    "Multipliers",
     "Objective",
     "OrdinalInstance",
     "PositionMasses",
@@ -50,7 +49,6 @@ SURFACE = [
     "masses_from_lottery",
     "masses_over_qualities",
     "mu_coefficients",
-    "multipliers",
     "new_instance",
     "normalize_gamma",
     "optimal_common_lottery_ordinal",

@@ -21,7 +21,6 @@ from lotbench import (
     expand_common_lottery,
     feasibility_report,
     mu_coefficients,
-    multipliers,
     new_instance,
     normalize_gamma,
     position_masses,
@@ -32,12 +31,16 @@ from lotbench import (
     verify_decomposition,
 )
 
+from lotbench.instance import _grid_ints
+from lotbench.transform import _grid_weights
 from util import (
     random_convex_instance,
     random_instance,
     random_pmf,
     random_raw_matrix,
     random_supported_matrix,
+    reference_second_differences,
+    reference_weights,
     simplex_vertex,
 )
 
@@ -54,17 +57,33 @@ def load_mech(fixture, key):
 MENU = load_mech("fig2.json", "menu")
 
 
+def _cdf(inst):
+    return [inst.cdf(k) for k in range(inst.n)]
+
+
+def _checked_weights(x, cdf):
+    """The library's weights (up, r) on the grid, once checked against
+    the closed-form reference: the same up, and down[i][j] = f_j r_i."""
+    up, rows = _grid_weights(_grid_ints(x, cdf))
+    f = [cdf[0]] + [b - a for a, b in zip(cdf, cdf[1:])]
+    assert (up, tuple(tuple(fj * r for fj in f[:i]) for i, r in enumerate(rows))) == (
+        reference_weights(x, cdf)
+    )
+    return up, rows
+
+
 def test_multiplier_values_uniform():
-    m = multipliers(U4)
-    assert m.local_up == (F(1, 2), F(1, 3), F(1, 4))
-    assert m.down[2][0] == F(1, 12)
-    assert m.down[2][1] == F(1, 12)
+    up, rows = _checked_weights(range(4), _cdf(U4))
+    assert up == (F(1, 2), F(1, 3), F(1, 4))
+    assert rows == (0, F(4, 3), F(1, 3), 0)
+    assert rows[2] * U4.f[0] == F(1, 12)  # down[2][0]
+    assert rows[2] * U4.f[1] == F(1, 12)  # down[2][1]
 
 
 def test_multiplier_sign_detects_nonconvexity():
-    m = multipliers(FIG4)
-    assert m.down[1][0] == F(-4, 15)
-    down_ok = all(v >= 0 for row in m.down for v in row)
+    _, rows = _checked_weights(range(3), _cdf(FIG4))
+    assert rows[1] * FIG4.f[0] == F(-4, 15)  # down[1][0]
+    down_ok = all(r >= 0 for r in rows)
     assert down_ok == convexity_report(FIG4).is_convex == False  # noqa: E712
 
 
@@ -72,9 +91,10 @@ def test_down_nonnegative_iff_convex_randomized():
     rng = random.Random(7)
     for _ in range(60):
         inst = random_instance(rng, n_min=3, n_max=7)
-        m = multipliers(inst)
-        down_ok = all(v >= 0 for row in m.down for v in row)
-        assert down_ok == convexity_report(inst).is_convex
+        _, down = reference_weights(range(inst.n), _cdf(inst))
+        _, rows = _checked_weights(range(inst.n), _cdf(inst))
+        down_ok = all(v >= 0 for row in down for v in row)
+        assert down_ok == all(r >= 0 for r in rows) == convexity_report(inst).is_convex
 
 
 def test_menu_collapse():
@@ -140,17 +160,18 @@ def _reference_scaled_ic(a, i, j):
 
 
 def test_decomposition_terms_match_definition():
-    # O(N^3) reference: the multiplier-weighted slacks and the row averages
+    # O(N^3) reference: the slacks weighted by the closed-form multipliers,
+    # and the row averages
     rng = random.Random(20261018)
     for t in range(80):
         inst = random_instance(rng, n_min=2, n_max=12)
         n = inst.n
         mech = random_raw_matrix(rng, n) if t % 2 else random_supported_matrix(rng, n)
         a = mech.a
-        m = multipliers(inst)
-        info = sum((m.local_up[i] * _reference_scaled_ic(a, i, i + 1) for i in range(n - 1)), F(0))
+        up, down = reference_weights(range(n), _cdf(inst))
+        info = sum((up[i] * _reference_scaled_ic(a, i, i + 1) for i in range(n - 1)), F(0))
         info += sum(
-            (m.down[i][j] * _reference_scaled_ic(a, i, j) for i in range(n) for j in range(i)),
+            (down[i][j] * _reference_scaled_ic(a, i, j) for i in range(n) for j in range(i)),
             F(0),
         )
         common = sum(
@@ -164,30 +185,22 @@ def test_decomposition_terms_match_definition():
         assert report.p_theta0 == sum((a[k][0] for k in range(n)), F(0))
 
 
-def _reference_mu(x, mult):
-    """O(N^3) aggregation of the multiplier-weighted constraint rows."""
+def _reference_mu(x, cdf):
+    """O(N^3) aggregation of the constraint rows, weighted by the
+    closed-form multipliers."""
     n = len(x)
-    up = mult.local_up + (F(0),)
+    up, down = reference_weights(x, cdf)
+    up += (F(0),)
     mu = [[F(0)] * n for _ in range(n)]
     for k in range(n):
         for i in range(k + 1):
-            val = (x[k] - x[i]) * (up[i] + sum(mult.down[i], F(0)))
+            val = (x[k] - x[i]) * (up[i] + sum(down[i], F(0)))
             if i >= 1:
                 val -= (x[k] - x[i - 1]) * up[i - 1]
             for j in range(i + 1, k + 1):
-                val -= (x[k] - x[j]) * mult.down[j][i]
+                val -= (x[k] - x[j]) * down[j][i]
             mu[k][i] = val
     return tuple(tuple(row) for row in mu)
-
-
-def _reference_second_differences(x, cdf):
-    """The spacing-weighted second differences of 1/F, three divisions each."""
-    return tuple(
-        (x[i + 1] - x[i]) / cdf[i - 1]
-        - (x[i + 1] - x[i - 1]) / cdf[i]
-        + (x[i] - x[i - 1]) / cdf[i + 1]
-        for i in range(1, len(x) - 1)
-    )
 
 
 def test_mu_matches_the_aggregation():
@@ -195,10 +208,11 @@ def test_mu_matches_the_aggregation():
     for t in range(44):  # every N = 2..12, four times
         n = 2 + t % 11
         inst = random_instance(rng, n_min=n, n_max=n)
-        assert mu_coefficients(inst) == _reference_mu(range(n), multipliers(inst))
-        assert convexity_report(inst).second_differences == _reference_second_differences(
-            range(n), [inst.cdf(k) for k in range(n)]
+        assert mu_coefficients(inst) == _reference_mu(range(n), _cdf(inst))
+        assert convexity_report(inst).second_differences == reference_second_differences(
+            range(n), _cdf(inst)
         )
+        _checked_weights(range(n), _cdf(inst))
         # a taste whose utilities are an uneven, rational-spaced grid
         steps = [F(rng.randint(1, 9), rng.choice((1, 2, 3, 7, 10))) for _ in range(n - 1)]
         utility = tuple(sum(steps[:k], F(0)) for k in range(n))
@@ -212,11 +226,11 @@ def test_mu_matches_the_aggregation():
             d=inst.d,
         )
         view = normalize_gamma(oi, "bent")
-        grid = lotbench.transform._grid_multipliers(view.x, view.F)
-        assert uneven_mu_coefficients(view) == _reference_mu(view.x, grid)
-        assert uneven_convexity(view).second_differences == _reference_second_differences(
+        assert uneven_mu_coefficients(view) == _reference_mu(view.x, view.F)
+        assert uneven_convexity(view).second_differences == reference_second_differences(
             view.x, view.F
         )
+        _checked_weights(view.x, view.F)
 
 
 def test_mu_closed_forms():

@@ -61,6 +61,32 @@ def random_raw_matrix(rng: random.Random, n: int) -> DirectMechanism:
     ))
 
 
+def reference_second_differences(x, cdf):
+    """The spacing-weighted second differences of 1/F, three divisions each."""
+    return tuple(
+        (x[i + 1] - x[i]) / cdf[i - 1]
+        - (x[i + 1] - x[i - 1]) / cdf[i]
+        + (x[i] - x[i - 1]) / cdf[i + 1]
+        for i in range(1, len(x) - 1)
+    )
+
+
+def reference_weights(x, cdf):
+    """The decomposition's multipliers from their closed forms, on an
+    increasing grid x with cdf F: (up, down) with
+    up[i] = f_{i+1} / (F_{i+1} (x_{i+1} - x_i)) and, for j < i,
+    down[i][j] = f_j d2_i / ((x_{i+1} - x_i)(x_i - x_{i-1})), d2 the
+    second differences of 1/F; the rows of i = 0 and i = N-1 are zero."""
+    n = len(x)
+    f = [cdf[0]] + [cdf[i] - cdf[i - 1] for i in range(1, n)]
+    up = tuple(f[i + 1] / (cdf[i + 1] * (x[i + 1] - x[i])) for i in range(n - 1))
+    rows = [Fraction(0)] * n
+    for i, d2 in enumerate(reference_second_differences(x, cdf), start=1):
+        rows[i] = d2 / ((x[i + 1] - x[i]) * (x[i] - x[i - 1]))
+    down = tuple(tuple(f[j] * rows[i] for j in range(i)) for i in range(n))
+    return up, down
+
+
 def random_feasible_lottery(rng: random.Random, n: int):
     """Nonnegative offer vector with total at most one."""
     raw = [Fraction(rng.randint(0, 9)) for _ in range(n)]
