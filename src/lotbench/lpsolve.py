@@ -6,12 +6,17 @@ never round, optimal values and dual prices are exact, and strong duality /
 complementary slackness can be asserted with equality.  Bland's
 smallest-index rule is used throughout, so the solver terminates even on
 degenerate inputs.
-The mechanism solvers try the paper's answer first, the common lottery
-(`_common_lottery_solution`), and return it only when it passes an exact
-certificate check (`_certificate_fault`); otherwise the simplex runs, and
-its optimum must pass the same check (`_certified_solve`).
-`fractions.Fraction` appears only in the LP's data and in the solution:
-its primal values, duals and objective.
+The mechanism solvers try the paper's answer first, the common lottery,
+and return it only when it passes an exact weak-duality certificate over
+the participation decomposition (`_common_lottery_fault`), which builds no
+LP: O(N) in the candidate plus the O(N^2) integer check of the
+decomposition's aggregation identity.  Otherwise they build the LP and run
+the simplex, and its optimum must pass the exact certificate against the
+LP's own data (`_certificate_fault`), which is also the test oracle for
+the decomposition's certificate.
+`fractions.Fraction` appears only in the LP's data, in the common
+lottery's O(N) certificate, and in the solution: its primal values, duals
+and objective.
 
 Reported dual prices follow the shadow-price convention: the dual of a
 constraint is the exact derivative of the optimal value (in the LP's own
@@ -28,10 +33,17 @@ from operator import mul
 
 from .errors import LotbenchError
 from .instance import Instance, _grid_ints, _integer_grid
-from .mechanism import DirectMechanism, Objective, PositionMasses, _linear_weights
+from .mechanism import (
+    CommonLottery,
+    DirectMechanism,
+    Objective,
+    PositionMasses,
+    _linear_weights,
+    expand_common_lottery,
+)
 from .optimizer import _budget_masses, lottery_from_masses
 from .rationals import require_exact, to_common_denominator
-from .transform import _grid_weights
+from .transform import _check_mu_identity, _grid_weights
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -374,21 +386,37 @@ def _check_certificate(lp: LinearProgram, sol: LpSolution):
 # --- designer problem builders ----------------------------------------------
 
 
+def _program_names(n: int, sense: str) -> tuple[list[str], list[str]]:
+    """(variable names, constraint names) of a mechanism program, in column
+    and row order.  The designer program (sense "max") has the cells
+    a[k][i], the min-mass program ("min") the cells y[k][i] and then D,
+    over k >= i; both have the rows IC[i,j] (i != j), POS[k], then AGE[i]."""
+    var = "a" if sense == "max" else "y"
+    variables = [f"{var}[{k}][{i}]" for k in range(n) for i in range(k + 1)]
+    if sense == "min":
+        variables.append("D")
+    rows = [f"IC[{i},{j}]" for i in range(n) for j in range(n) if i != j]
+    rows += [f"POS[{k}]" for k in range(n)]
+    rows += [f"AGE[{i}]" for i in range(n)]
+    return variables, rows
+
+
 def _mechanism_rows(inst: Instance, pos_weights):
     """The constraint family both programs share, over the cells k >= i
     (ex-post IR is imposed structurally: only those cells are variables).
 
-    Returns the cells and the named rows in order: IC[i,j] (truth-telling,
-    read as >= 0), POS[k] (cell (k, i) weighted by pos_weights[i]), then
-    AGE[i] (type i's total offer probability).  Cell (k, i) is column
-    k(k+1)/2 + i, and its IC gain x_k - x_i is the grid step (k - i)/(N - 1).
+    Returns the cells and the rows in the order of `_program_names`:
+    IC[i,j] (truth-telling, read as >= 0), POS[k] (cell (k, i) weighted by
+    pos_weights[i]), then AGE[i] (type i's total offer probability).  Cell
+    (k, i) is column k(k+1)/2 + i, and its IC gain x_k - x_i is the grid
+    step (k - i)/(N - 1).
     """
     n = inst.n
     cells = [(k, i) for k in range(n) for i in range(k + 1)]
     first = [k * (k + 1) // 2 for k in range(n)]  # column of cell (k, 0)
     gain = [Fraction(t, n - 1) for t in range(n)]
     loss = [-g for g in gain]
-    rows, names = [], []
+    rows = []
     # Cells (k, i) and (k, j), i != j, are different columns, so each entry
     # is assigned once; at k = i the gain is 0 and the row keeps its ZERO.
     for i in range(n):
@@ -401,30 +429,35 @@ def _mechanism_rows(inst: Instance, pos_weights):
                 if k >= j:
                     row[first[k] + j] = loss[k - i]
             rows.append(row)
-            names.append(f"IC[{i},{j}]")
     for k in range(n):
         row = [ZERO] * len(cells)
         row[first[k] : first[k] + k + 1] = pos_weights[: k + 1]
         rows.append(row)
-        names.append(f"POS[{k}]")
     for i in range(n):
         row = [ZERO] * len(cells)
         for k in range(i, n):
             row[first[k] + i] = ONE
         rows.append(row)
-        names.append(f"AGE[{i}]")
-    return cells, rows, names
+    return cells, rows
+
+
+def _designer_weights(obj: Objective, n: int):
+    """The position weights of the designer's objective, which must be
+    linear."""
+    weights = _linear_weights(obj, n)
+    if weights is None:
+        raise LotbenchError("the designer LP requires a linear objective")
+    return weights
 
 
 def build_designer_lp(inst: Instance, obj: Objective) -> LinearProgram:
     """The full direct-mechanism program: IC >= 0, POS[k] <= g_k with cell
     weights D * f_i, AGE[i] <= 1."""
-    weights = _linear_weights(obj, inst.n)
-    if weights is None:
-        raise LotbenchError("the designer LP requires a linear objective")
+    weights = _designer_weights(obj, inst.n)
     n = inst.n
     mass = [inst.d * fi for fi in inst.f]
-    cells, rows, names = _mechanism_rows(inst, mass)
+    cells, rows = _mechanism_rows(inst, mass)
+    var_names, con_names = _program_names(n, "max")
     n_ic = n * (n - 1)
     return LinearProgram(
         sense="max",
@@ -432,9 +465,16 @@ def build_designer_lp(inst: Instance, obj: Objective) -> LinearProgram:
         rows=rows,
         rels=[GE] * n_ic + [LE] * (2 * n),
         rhs=[ZERO] * n_ic + list(inst.g) + [ONE] * n,
-        var_names=[f"a[{k}][{i}]" for k, i in cells],
-        con_names=names,
+        var_names=var_names,
+        con_names=con_names,
     )
+
+
+def _check_targets(inst: Instance, targets: PositionMasses):
+    if len(targets.s) != inst.n:
+        raise LotbenchError(f"need {inst.n} target masses, got {len(targets.s)}")
+    if any(sk < 0 for sk in targets.s):
+        raise LotbenchError("targets must be nonnegative")
 
 
 def build_min_mass_lp(inst: Instance, targets: PositionMasses) -> LinearProgram:
@@ -445,12 +485,10 @@ def build_min_mass_lp(inst: Instance, targets: PositionMasses) -> LinearProgram:
     mechanism by a constant scales both sides of every IC constraint.  The
     mass D is the last variable: IC >= 0, POS[k] >= s_k, AGE[i] - D <= 0.
     """
+    _check_targets(inst, targets)
     n = inst.n
-    if len(targets.s) != n:
-        raise LotbenchError(f"need {n} target masses, got {len(targets.s)}")
-    if any(sk < 0 for sk in targets.s):
-        raise LotbenchError("targets must be nonnegative")
-    cells, rows, names = _mechanism_rows(inst, inst.f)
+    cells, rows = _mechanism_rows(inst, inst.f)
+    var_names, con_names = _program_names(n, "min")
     n_ic = n * (n - 1)
     d_col = [ZERO] * (n_ic + n) + [-ONE] * n
     return LinearProgram(
@@ -459,8 +497,8 @@ def build_min_mass_lp(inst: Instance, targets: PositionMasses) -> LinearProgram:
         rows=[row + [v] for row, v in zip(rows, d_col)],
         rels=[GE] * (n_ic + n) + [LE] * n,
         rhs=[ZERO] * n_ic + list(targets.s) + [ZERO] * n,
-        var_names=[f"y[{k}][{i}]" for k, i in cells] + ["D"],
-        con_names=names,
+        var_names=var_names,
+        con_names=con_names,
     )
 
 
@@ -472,85 +510,185 @@ def _cell_matrix(sol: LpSolution, var: str, n: int):
     )
 
 
-def _common_lottery_solution(
-    inst: Instance, lp: LinearProgram, lottery, objective, scale, pos, *extra
-) -> LpSolution:
-    """The common lottery as a solution of a mechanism LP, priced by the
-    participation decomposition.
+# --- the common lottery, certified over the decomposition ---------------------
 
-    Primal: c_k at every cell (k, i), i <= k, then the extra values (the
-    min-mass program's D).  Duals: the IC rows carry scale * (N - 1) times
-    the decomposition's weights of `transform._grid_weights` (the LP's IC
-    rows are the transform's over N - 1): IC[i, i+1] the upward weight
-    up_i and IC[i, j], j < i, the downward weight f_j r_i.  POS[k] prices
-    pos[k], AGE[0] prices -scale, and every other row prices 0.
 
-    - The designer passes scale = -lam D and pos_k = max(0, w_k - lam/F_k),
-      where lam = min w_k F_k over s_k > 0 when the budget binds, else 0.
-      The reduced cost of cell (k, i) is then D f_i (w_k - pos_k - lam/F_k)
-      <= 0, and the dual value sum_k pos_k g_k + lam D is the greedy value
-      sum_k w_k s_k.
-    - The min-mass program passes scale = 1 and pos_k = 1/F_k.  Every
-      reduced cost is then 0, the decomposition identity, and the dual
-      value sum_k s_k/F_k is the candidate's D.
+# Only __init__ is generated: the class is built on every import of
+# lotbench, and a candidate is never compared, hashed or printed.
+@dataclass(repr=False, eq=False)
+class _Candidate:
+    """The common lottery as a solution of a mechanism program, priced by
+    the participation decomposition.
 
-    Either way the candidate certifies exactly when its IC duals have the
-    right sign: always when 1/F is convex, and for the designer also when
-    the budget is slack.  A refused min-mass candidate fails on a dual sign
-    that no vertex changes, so the simplex's vertex keeps its own duals.
+    Primal: cells[k] at every cell (k, i), i <= k, then the values extra
+    (the min-mass program's D).  Duals: the IC rows carry scale * (N - 1)
+    times the decomposition's weights of `transform._grid_weights` (the
+    LP's IC rows are the transform's over N - 1): IC[i, i+1] the upward
+    weight up_i and IC[i, j], j < i, the downward weight f_j r_i.  POS[k]
+    prices pos[k], AGE[0] prices -scale, and every other row 0.
+
+    The program's data that the certificate reads rides along: the cost of
+    cell (k, i) is weights[k] times its POS coefficient, and rhs[k] is the
+    right-hand side of POS[k].
     """
-    local_up, rows = _grid_weights(_grid_ints(*_integer_grid(inst)))
-    ic = scale * (inst.n - 1)
-    duals = dict.fromkeys(lp.con_names, ZERO)
-    for i, w in enumerate(local_up):
-        duals[f"IC[{i},{i + 1}]"] = ic * w
-    for i, r in enumerate(rows):
-        if r:
-            icr = ic * r
-            for j, fj in enumerate(inst.f[:i]):
-                duals[f"IC[{i},{j}]"] = icr * fj
-    for k, p in enumerate(pos):
-        duals[f"POS[{k}]"] = p
-    duals["AGE[0]"] = -scale
-    cells = [ck for k, ck in enumerate(lottery) for _ in range(k + 1)]
-    primal = dict(zip(lp.var_names, [*cells, *extra]))
-    return LpSolution("optimal", objective, primal, duals)
+
+    sense: str  # "max": the designer program; "min": the min-mass program
+    cells: tuple[Fraction, ...]
+    extra: tuple[Fraction, ...]
+    objective: Fraction
+    scale: Fraction
+    pos: tuple[Fraction, ...]
+    weights: tuple
+    rhs: tuple[Fraction, ...]
 
 
-def _certified_solve(lp: LinearProgram, candidate: LpSolution) -> LpSolution:
-    """The candidate when its exact certificate passes, else the simplex's
-    answer, whose optimum must pass the same certificate."""
-    if _certificate_fault(lp, candidate) is None:
-        return candidate
-    sol = simplex_solve(lp)
-    if sol.status == "optimal":
-        _check_certificate(lp, sol)
-    return sol
-
-
-def _designer_candidate(inst: Instance, lp: LinearProgram, obj: Objective) -> LpSolution:
+def _designer_candidate(inst: Instance, obj: Objective) -> _Candidate:
     """The greedy common lottery a[k][i] = s_k/(D F_k), from the greedy
-    masses s, as a designer LP solution (see `_common_lottery_solution`)."""
+    masses s.  With lam = min w_k F_k over s_k > 0 when the budget binds,
+    else 0, it is priced by scale = -lam D and pos_k = max(0, w_k - lam/F_k).
+    The reduced cost of cell (k, i) is then D f_i (w_k - pos_k - lam/F_k)
+    <= 0, and the dual value sum_k pos_k g_k + lam D is the greedy value
+    sum_k w_k s_k."""
     n, d = inst.n, inst.d
-    weights = _linear_weights(obj, n)
+    weights = _designer_weights(obj, n)
     masses = _budget_masses(inst, obj)
     s = masses.s
     cdf = [inst.cdf(k) for k in range(n)]
     lam = ZERO
     if sum((sk / fk for sk, fk in zip(s, cdf)), ZERO) == d:
         lam = min(w * fk for w, sk, fk in zip(weights, s, cdf) if sk)
-    pos = [max(ZERO, w - lam / fk) for w, fk in zip(weights, cdf)]
+    pos = tuple(max(ZERO, w - lam / fk) for w, fk in zip(weights, cdf))
     value = sum((w * sk for w, sk in zip(weights, s)), ZERO)
     lottery = lottery_from_masses(inst, masses).c
-    return _common_lottery_solution(inst, lp, lottery, value, -lam * d, pos)
+    return _Candidate("max", lottery, (), value, -lam * d, pos, weights, inst.g)
+
+
+def _min_mass_candidate(inst: Instance, targets: PositionMasses) -> _Candidate:
+    """The common lottery that hits the targets: y[k][i] = s_k/F_k for
+    i <= k and D = sum_k s_k/F_k, priced by scale = 1 and pos_k = 1/F_k.
+    Every reduced cost is then 0, the decomposition identity, and the dual
+    value sum_k s_k/F_k is the candidate's D."""
+    _check_targets(inst, targets)
+    cdf = [inst.cdf(k) for k in range(inst.n)]
+    y = tuple(sk / fk for sk, fk in zip(targets.s, cdf))
+    d = sum(y, ZERO)
+    pos = tuple(ONE / fk for fk in cdf)
+    return _Candidate("min", y, (d,), d, ONE, pos, (0,) * inst.n, targets.s)
+
+
+def _common_lottery_fault(inst: Instance, cand: _Candidate) -> str | None:
+    """The first condition of the candidate's optimality certificate that
+    fails, or None when it is proved optimal.  It is weak duality over the
+    decomposition, and no LP is built.
+
+    Read in the min sense (sign = -1 for the designer's max, +1 for
+    min-mass), a >= row prices sign*y >= 0, a <= row sign*y <= 0, and every
+    reduced cost d has sign*d >= 0, with d = 0 where its variable is
+    positive.  With x_k the lottery's cells, and cell (k, i) weighted
+    u f_i in POS[k] (u = D for the designer, 1 for min-mass):
+
+    - Primal, O(N): x >= 0, and D >= 0.  The IC rows then hold by
+      construction: the slack of (i, j) is sum_{i<k<j} (k-i) x_k / (N-1)
+      for j > i and 0 for j < i.  The largest AGE row, AGE[0], is
+      sum_k x_k <= 1 (designer) or <= D (min-mass), and POS[k] is
+      u F_k x_k <= g_k (designer) or >= s_k (min-mass).
+    - Dual signs, O(N), from the int numerators d2 of `_grid_ints`: the
+      upward weights are positive and r_i has the sign of d2_i, so the IC
+      duals (and AGE[0]'s -scale) have their sign exactly when
+      sign*scale >= 0 and either scale = 0 or every d2 >= 0.  Every pos_k
+      is >= 0.
+    - Reduced costs: the IC rows, priced by the weights, sum to
+      scale * mu[k][i] on cell (k, i), the aggregation identity that
+      `transform._check_mu_identity` checks in ints.  By mu's closed forms
+      the reduced cost of (k, i) is then f_i (u (w_k - pos_k) + scale/F_k),
+      and that of the min-mass D is 1 - scale.
+    - Value: c.x = sum_k w_k u F_k x_k (+ D) and the dual value
+      sum_k pos_k rhs_k - scale * (AGE[0]'s right-hand side: 1 or 0) each
+      equal the objective.
+    """
+    designer = cand.sense == "max"
+    sign = -1 if designer else 1
+    scale, x = cand.scale, cand.cells
+    points, cdf = _integer_grid(inst)
+    grid = _grid_ints(points, cdf)
+    if sign * scale < 0:
+        return "the dual of IC[0,1] has the wrong sign"
+    if scale:
+        bad = next((i for i, v in enumerate(grid.d2, start=1) if v < 0), None)
+        if bad is not None:
+            return f"the dual of IC[{bad},0] has the wrong sign"
+    if any(p < 0 for p in cand.pos):
+        return "the dual of a POS row has the wrong sign"
+    if any(v < 0 for v in (*x, *cand.extra)):
+        return "a variable is negative"
+    unit, budget = (inst.d, ONE) if designer else (ONE, cand.extra[0])
+    if sum(x, ZERO) > budget:
+        return "row AGE[0] is violated"
+    mass = [unit * fk * xk for fk, xk in zip(cdf, x)]  # POS[k] at x
+    for k, (m, b) in enumerate(zip(mass, cand.rhs)):
+        if (m > b) if designer else (m < b):
+            return f"row POS[{k}] is violated"
+    for k, (xk, fk, w, p) in enumerate(zip(x, cdf, cand.weights, cand.pos)):
+        d = unit * (w - p) + scale / fk
+        if sign * d < 0 or (d and xk):
+            return f"the reduced cost of a cell of row {k} has the wrong sign"
+    if not designer:
+        d = 1 - scale
+        if d < 0 or (d and budget):
+            return "the reduced cost of D has the wrong sign"
+    c_x = sum(map(mul, cand.weights, mass), ZERO) + sum(cand.extra, ZERO)
+    if c_x != cand.objective:
+        return "c.x differs from the objective"
+    age = scale if designer else ZERO  # AGE[0] prices -scale against rhs 1 or 0
+    if sum(map(mul, cand.pos, cand.rhs), ZERO) - age != cand.objective:
+        return "the dual objective differs from the objective"
+    _check_mu_identity(grid)
+    return None
+
+
+def _common_lottery_solution(inst: Instance, cand: _Candidate) -> LpSolution:
+    """The candidate as a solution of its program's LP (see `_Candidate`),
+    with the names of `_program_names`."""
+    n = inst.n
+    var_names, con_names = _program_names(n, cand.sense)
+    local_up, rows = _grid_weights(_grid_ints(*_integer_grid(inst)))
+    ic = cand.scale * (n - 1)
+    duals = []
+    for i, r in enumerate(rows):
+        # IC[i, j] over j != i: j < i, then j = i + 1, then j > i + 1
+        if r:
+            icr = ic * r
+            duals += [icr * fj for fj in inst.f[:i]]
+        else:
+            duals += [ZERO] * i
+        if i < n - 1:
+            duals.append(ic * local_up[i])
+        duals += [ZERO] * (n - i - 2)
+    duals += cand.pos
+    duals.append(-cand.scale)
+    duals += [ZERO] * (n - 1)
+    cells = [xk for k, xk in enumerate(cand.cells) for _ in range(k + 1)]
+    primal = dict(zip(var_names, [*cells, *cand.extra]))
+    return LpSolution("optimal", cand.objective, primal, dict(zip(con_names, duals)))
+
+
+def _simplex_optimum(lp: LinearProgram) -> LpSolution:
+    """The simplex's answer, whose optimum must pass its exact certificate."""
+    sol = simplex_solve(lp)
+    if sol.status == "optimal":
+        _check_certificate(lp, sol)
+    return sol
 
 
 def solve_designer(inst: Instance, obj: Objective):
     """Optimal feasible mechanism and value for a linear objective: the
-    certified greedy common lottery, which always certifies when 1/F is
-    convex, or else the simplex's certified optimum."""
-    lp = build_designer_lp(inst, obj)
-    sol = _certified_solve(lp, _designer_candidate(inst, lp, obj))
+    greedy common lottery when its certificate passes, which it always does
+    when 1/F is convex or the budget is slack, or else the simplex's
+    certified optimum."""
+    cand = _designer_candidate(inst, obj)
+    if _common_lottery_fault(inst, cand) is None:
+        return expand_common_lottery(inst, CommonLottery(c=cand.cells)), cand.objective
+    sol = _simplex_optimum(build_designer_lp(inst, obj))
     if sol.status != "optimal":
         raise LotbenchError(f"designer LP ended with status {sol.status}")
     return DirectMechanism(a=_cell_matrix(sol, "a", inst.n)), sol.objective
@@ -566,9 +704,11 @@ class MinMassSolution:
     optimal mass so that the position-target prices read D/F(theta_k) and
     the agent-budget price reads D, with all entries nonnegative.
 
-    When the common lottery that hits the targets certifies (always when
-    1/F is convex), it is the solution, with solution.pivots == (0, 0): no
-    simplex ran.  Otherwise the solution is the simplex's optimal vertex.
+    When the common lottery that hits the targets passes its certificate
+    over the decomposition (always when 1/F is convex), it is the
+    solution, with the LP's variable and constraint names and
+    solution.pivots == (0, 0): no LP was built and no simplex ran.
+    Otherwise the solution is the simplex's optimal vertex.
     """
 
     status: str
@@ -578,35 +718,29 @@ class MinMassSolution:
     solution: LpSolution
 
 
-def _min_mass_candidate(
-    inst: Instance, lp: LinearProgram, targets: PositionMasses
-) -> LpSolution:
-    """The common lottery that hits the targets as a min-mass solution:
-    y[k][i] = s_k/F_k for i <= k and D = sum_k s_k/F_k (see
-    `_common_lottery_solution`)."""
-    cdf = [inst.cdf(k) for k in range(inst.n)]
-    y = [sk / fk for sk, fk in zip(targets.s, cdf)]
-    d = sum(y, ZERO)
-    return _common_lottery_solution(inst, lp, y, d, ONE, [ONE / fk for fk in cdf], d)
-
-
 def solve_min_mass(inst: Instance, targets: PositionMasses) -> MinMassSolution:
     """Minimum agent mass for the targets: the certified common lottery
-    (see MinMassSolution) or else the simplex's certified optimum."""
-    lp = build_min_mass_lp(inst, targets)
-    sol = _certified_solve(lp, _min_mass_candidate(inst, lp, targets))
+    (see MinMassSolution) or else the simplex's certified optimum.  A
+    refused candidate fails on an IC dual's sign, which no vertex changes,
+    so the simplex's vertex keeps its own duals."""
+    cand = _min_mass_candidate(inst, targets)
+    if _common_lottery_fault(inst, cand) is None:
+        sol = _common_lottery_solution(inst, cand)
+    else:
+        sol = _simplex_optimum(build_min_mass_lp(inst, targets))
     if sol.status != "optimal":
         return MinMassSolution(sol.status, None, None, None, sol)
     d_star = sol.objective
-    # a = y / D; at D = 0 every y is 0 and so is the mechanism.
+    # a = y / D; at D = 0 every y is 0 and so is the mechanism.  A zero
+    # (a ZERO) scales to itself.
     rows = _cell_matrix(sol, "y", inst.n)
     if d_star != 0:
-        rows = tuple(tuple(y / d_star for y in row) for row in rows)
+        rows = tuple(tuple(y / d_star if y else y for y in row) for row in rows)
     raw = dual_certificate(sol)
     mult = {
         "POS": {k: d_star * v for k, v in raw["POS"].items()},
         "AGE": {i: -d_star * v for i, v in raw["AGE"].items()},
-        "IC": {pair: d_star * v for pair, v in raw["IC"].items()},
+        "IC": {pair: d_star * v if v else v for pair, v in raw["IC"].items()},
     }
     return MinMassSolution("optimal", d_star, DirectMechanism(a=rows), mult, sol)
 

@@ -255,14 +255,20 @@ def _constraint_sums(mech: DirectMechanism, f) -> _ConstraintSums:
 
 
 def _is_feasible(inst: Instance, sums: _ConstraintSums) -> bool:
-    """Every constraint of the direct-mechanism program holds."""
+    """Every constraint of the direct-mechanism program holds.
+
+    A position row D m / mass_scale <= g_k is compared cross-multiplied by
+    the positive denominators of D and g_k, all in ints.
+    """
+    d, cap = inst.d.numerator, inst.d.denominator * sums.mass_scale
     return (
         sums.lower_triangular
         and not any(sums.negative)
         and sums.ic_holds
         and all(p <= sums.scale for p in sums.participation)
         and all(
-            inst.d * m <= gk * sums.mass_scale for gk, m in zip(inst.g, sums.row_mass)
+            d * m * gk.denominator <= gk.numerator * cap
+            for gk, m in zip(inst.g, sums.row_mass)
         )
     )
 

@@ -150,8 +150,24 @@ def mu_coefficients(inst: Instance) -> tuple[tuple[Fraction, ...], ...]:
 
 
 def _grid_mu(x, F) -> tuple[tuple[Fraction, ...], ...]:
-    """mu on an increasing grid x with cdf F from its weights; raises
-    AssertionError when a coefficient differs from its closed form.
+    """mu on an increasing grid x with cdf F: the closed forms, once
+    `_check_mu_identity` has proved them the aggregate of the weighted
+    constraint rows."""
+    grid = _grid_ints(x, F)
+    _check_mu_identity(grid)
+    n, cdf = len(x), grid.ps
+    pmf = _grid_pmf(cdf)
+    return tuple(
+        (Fraction(fk - pmf[0], fk),)
+        + tuple(Fraction(-p, fk) for p in pmf[1:k + 1])
+        + (ZERO,) * (n - k - 1)
+        for k, fk in enumerate(cdf)
+    )
+
+
+def _check_mu_identity(grid: _GridInts):
+    """Raise AssertionError unless the constraint rows, weighted by
+    `_grid_weights`, aggregate to the closed forms of mu on the grid.
 
     The aggregated coefficient of cell (k, i), i <= k, is
         (x_k - x_i)(up_i + sum_j down[i][j]) - (x_k - x_{i-1}) up_{i-1}
@@ -159,12 +175,8 @@ def _grid_mu(x, F) -> tuple[tuple[Fraction, ...], ...]:
     where, as k rises, A takes off down[k][i] = f_i r_k and B takes off
     x_k f_i r_k: running sums, O(N^2) in all.  The sums run in ints over
     one common denominator for the weights times one for the cdf, and one
-    for the grid, and each row is compared with its closed form times
-    F_k; the closed forms, equal to the aggregate once checked, are what
-    is returned.
+    for the grid, and each row is compared with its closed form times F_k.
     """
-    n = len(x)
-    grid = _grid_ints(x, F)
     wscale, (up, rows) = to_common_denominator(_grid_weights(grid))
     xscale, xs, fscale, cdf = grid.xscale, grid.xs, grid.fscale, grid.ps
     pmf = _grid_pmf(cdf)
@@ -174,7 +186,6 @@ def _grid_mu(x, F) -> tuple[tuple[Fraction, ...], ...]:
     unit = wscale * fscale * xscale
     target = [-p * unit for p in pmf]  # unit * F_k * mu[k][i] for i >= 1
     a, b = [], []
-    mu = []
     for k, (xk, rk) in enumerate(zip(xs, rows)):
         own = up[k]
         if rk:
@@ -188,9 +199,3 @@ def _grid_mu(x, F) -> tuple[tuple[Fraction, ...], ...]:
         got = [(xk * va - vb) * fk for va, vb in zip(a, b)]
         if got != [target[0] + fk * unit] + target[1:k + 1]:
             raise AssertionError(f"mu row {k} differs from its closed form")
-        mu.append(
-            (Fraction(fk - pmf[0], fk),)
-            + tuple(Fraction(-p, fk) for p in pmf[1:k + 1])
-            + (ZERO,) * (n - k - 1)
-        )
-    return tuple(mu)

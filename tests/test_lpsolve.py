@@ -37,10 +37,12 @@ from lotbench import (
     uniform_instance,
 )
 
-from lotbench import lpsolve
+from lotbench import lpsolve, transform
 from lotbench.lpsolve import (
     _certificate_fault,
     _check_certificate,
+    _common_lottery_fault,
+    _common_lottery_solution,
     _designer_candidate,
     _min_mass_candidate,
 )
@@ -563,8 +565,8 @@ def test_designer_candidate_duals_are_the_closed_form():
                 F(rng.randint(-2, 5), rng.randint(1, 3)) for _ in range(inst.n)
             ))
         want, binds = _closed_form_designer_duals(inst, obj)
-        lp = build_designer_lp(inst, obj)
-        assert _designer_candidate(inst, lp, obj).duals == want, (inst, obj)
+        sol = _common_lottery_solution(inst, _designer_candidate(inst, obj))
+        assert sol.duals == want, (inst, obj)
         seen["convex" if convexity_report(inst).is_convex else "non-convex"] += 1
         seen["binding" if binds else "slack"] += 1
         if isinstance(obj, Fill):
@@ -799,12 +801,10 @@ def test_lp_certificate_survives_optimize_flag():
 
     inst = new_instance(3, ["1/3", "1/12", "7/12"], ["1/3", "1/3", "1/3"], 1)
     targets = PositionMasses.from_values(["1/6", "1/3", "1/3"])
-    designer = lpsolve.build_designer_lp(inst, Fill())
-    min_mass = lpsolve.build_min_mass_lp(inst, targets)
-    print(lpsolve._certificate_fault(
-        designer, lpsolve._designer_candidate(inst, designer, Fill())))
-    print(lpsolve._certificate_fault(
-        min_mass, lpsolve._min_mass_candidate(inst, min_mass, targets)))
+    print(lpsolve._common_lottery_fault(
+        inst, lpsolve._designer_candidate(inst, Fill())))
+    print(lpsolve._common_lottery_fault(
+        inst, lpsolve._min_mass_candidate(inst, targets)))
 
     exact = lpsolve.simplex_solve
 
@@ -883,11 +883,21 @@ def test_min_mass_returns_the_common_lottery_on_convex_instances(monkeypatch):
 
 
 def test_fig4_falls_back_to_the_simplex(monkeypatch):
+    """The refused candidate goes straight to the simplex: the LP
+    certificate runs once, on the simplex's optimum."""
     calls = _counting_simplex(monkeypatch)
-    lp = build_designer_lp(FIG4, Fill())
-    assert _certificate_fault(lp, _designer_candidate(FIG4, lp, Fill())) is not None
+    certified = []
+    exact = lpsolve._certificate_fault
+
+    def counted(lp, sol):
+        certified.append(sol)
+        return exact(lp, sol)
+
+    monkeypatch.setattr(lpsolve, "_certificate_fault", counted)
+    assert _common_lottery_fault(FIG4, _designer_candidate(FIG4, Fill())) is not None
     mech, value = solve_designer(FIG4, Fill())
     assert len(calls) == 1
+    assert len(certified) == 1 and certified[0].pivots != (0, 0)
     assert value == F(2, 3) > optimal_masses(FIG4, Fill()).value
     assert feasibility_report(FIG4, mech).is_feasible
 
@@ -915,14 +925,18 @@ def test_closed_form_certifies_exactly_when_budget_slack_or_convex():
             seen["non-convex, slack" if slack else "non-convex, binding"] += 1
 
         lp = build_designer_lp(inst, obj)
-        fault = _certificate_fault(lp, _designer_candidate(inst, lp, obj))
+        fault = _certificate_fault(
+            lp, _common_lottery_solution(inst, _designer_candidate(inst, obj))
+        )
         assert (fault is None) == (slack or convex), (inst, obj, fault)
         assert fault is None or fault.startswith("the dual of IC["), fault
 
         shares = [F(rng.randint(0, 3), 4) for _ in range(inst.n)]
         targets = PositionMasses(s=tuple(g * c for g, c in zip(inst.g, shares)))
         lp = build_min_mass_lp(inst, targets)
-        fault = _certificate_fault(lp, _min_mass_candidate(inst, lp, targets))
+        fault = _certificate_fault(
+            lp, _common_lottery_solution(inst, _min_mass_candidate(inst, targets))
+        )
         assert (fault is None) == convex, (inst, targets, fault)
         assert fault is None or fault.startswith("the dual of IC["), fault
     assert min(seen.values()) >= 30, seen
@@ -963,3 +977,115 @@ def test_corrupted_candidate_is_refused_under_optimize_flag():
     print(len(calls), mm.solution.pivots != (0, 0))
     """
     assert _run_optimized(script) == ["True None", "True None", "2 True"]
+
+
+def _corruptions(cand, rng):
+    """The candidate as built, then with its value off by 1/7, one mass
+    off, lam off (the scale of its IC and AGE[0] prices), and one POS
+    price off (below 0 where it is 0)."""
+    cells = list(cand.cells)
+    cells[rng.randrange(len(cells))] += F(rng.choice((-1, 1)), 7 * rng.randint(1, 3))
+    pos = list(cand.pos)
+    k = rng.randrange(len(pos))
+    pos[k] += F(-1 if pos[k] == 0 else rng.choice((-1, 1)), 7)
+    return {
+        "as built": cand,
+        "value": replace(cand, objective=cand.objective + F(1, 7)),
+        "mass": replace(cand, cells=tuple(cells)),
+        "lam": replace(cand, scale=cand.scale + F(rng.choice((-1, 1)), 7)),
+        "pos": replace(cand, pos=tuple(pos)),
+    }
+
+
+def test_decomposition_certificate_agrees_with_the_lp_certificate():
+    """For N <= 10 the certificate over the decomposition accepts exactly
+    the candidates that `_certificate_fault` accepts on the full LP:
+    convex and non-convex instances, Fill and Linear objectives with zero
+    and negative weights, binding and slack budgets, and candidates
+    corrupted in their value, one mass, lam or one POS price."""
+    rng = random.Random(2424)
+    seen = dict.fromkeys(
+        ["convex", "non-convex", "binding", "slack", "zero weight", "negative weight"], 0
+    )
+    decided = {}
+    for t in range(120):
+        inst = random_convex_instance(rng, 2, 10) if t % 2 else random_instance(rng, 2, 10)
+        if t % 3 == 0:
+            obj, weights = Fill(), (1,) * inst.n
+        else:
+            weights = tuple(F(rng.randint(-2, 5), rng.randint(1, 3)) for _ in range(inst.n))
+            obj = Linear(weights=weights)
+        shares = [F(rng.randint(0, 3), 4) for _ in range(inst.n)]
+        targets = PositionMasses(s=tuple(g * c for g, c in zip(inst.g, shares)))
+        masses = optimal_masses(inst, obj).masses.s
+        binds = sum((s / inst.cdf(k) for k, s in enumerate(masses)), ZERO) == inst.d
+        seen["convex" if convexity_report(inst).is_convex else "non-convex"] += 1
+        seen["binding" if binds else "slack"] += 1
+        seen["zero weight"] += 0 in weights
+        seen["negative weight"] += any(w < 0 for w in weights)
+        for program, cand, lp in (
+            ("designer", _designer_candidate(inst, obj), build_designer_lp(inst, obj)),
+            ("min-mass", _min_mass_candidate(inst, targets), build_min_mass_lp(inst, targets)),
+        ):
+            for how, bent in _corruptions(cand, rng).items():
+                ours = _common_lottery_fault(inst, bent)
+                oracle = _certificate_fault(lp, _common_lottery_solution(inst, bent))
+                assert (ours is None) == (oracle is None), (inst, obj, program, how, ours, oracle)
+                key = (program, how, ours is None)
+                decided[key] = decided.get(key, 0) + 1
+    assert min(seen.values()) >= 15, seen
+    for program in ("designer", "min-mass"):
+        assert decided[program, "as built", True] >= 15, decided
+        assert decided[program, "as built", False] >= 10, decided
+        assert (program, "value", True) not in decided, decided
+        assert decided[program, "mass", False] >= 60, decided
+        assert decided[program, "lam", False] >= 60, decided
+        assert decided[program, "pos", False] >= 60, decided
+    # lam < 0 with the dual value kept by one POS price, on a lottery that
+    # offers nothing: only the sign of the IC and AGE[0] duals refuses it
+    inst, obj = uniform_instance(3), Linear(weights=(F(-1),) * 3)
+    bent = replace(_designer_candidate(inst, obj), scale=F(1, 10), pos=(F(3, 10), ZERO, ZERO))
+    lp = build_designer_lp(inst, obj)
+    assert _certificate_fault(lp, _common_lottery_solution(inst, bent)) is not None
+    assert _common_lottery_fault(inst, bent) == "the dual of IC[0,1] has the wrong sign"
+
+
+def test_convex_optima_at_n_200_build_no_lp(monkeypatch):
+    """At N = 200 the dense LP would not fit in memory; with 1/F convex
+    both solvers certify the closed form without building it."""
+
+    def refuse(*args):
+        raise AssertionError("no LP may be built or solved here")
+
+    for name in ("build_designer_lp", "build_min_mass_lp", "simplex_solve"):
+        monkeypatch.setattr(lpsolve, name, refuse)
+    rng = random.Random(200)
+    n = 200
+    weights = sorted((rng.randint(1, 9) for _ in range(n)), reverse=True)
+    inst = Instance(
+        n=n, f=tuple(F(w, sum(weights)) for w in weights), g=random_pmf(rng, n), d=F(3, 2)
+    )
+    assert convexity_report(inst).is_convex
+    closed = optimal_masses(inst, Fill())
+    expanded = expand_common_lottery(inst, lottery_from_masses(inst, closed.masses))
+    # the budget binds, so the sign test reads every second difference
+    assert sum((s / inst.cdf(k) for k, s in enumerate(closed.masses.s)), ZERO) == inst.d
+    assert solve_designer(inst, Fill()) == (expanded, closed.value)
+    mm = solve_min_mass(inst, closed.masses)
+    assert mm.d_star == inst.d and mm.solution.pivots == (0, 0)
+    assert mm.mechanism == expanded
+
+
+def test_decomposition_certificate_rests_on_the_checked_identity(monkeypatch):
+    """The reduced costs are read from mu's closed forms, so a wrong
+    weight must break the checked aggregation identity: the certificate
+    raises instead of certifying."""
+    exact = transform._grid_weights
+
+    def bent(grid):
+        up, rows = exact(grid)
+        return (up[0] + F(1, 7),) + up[1:], rows
+
+    monkeypatch.setattr(transform, "_grid_weights", bent)
+    with pytest.raises(AssertionError, match="mu row 1 differs from its closed form"):
+        solve_designer(uniform_instance(4), Fill())

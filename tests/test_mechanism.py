@@ -132,6 +132,19 @@ def test_is_feasible_iff_no_violation():
         assert report.is_feasible == (not failed)
         seen.add(failed)
     assert seen == {frozenset(), frozenset({"IC"}), frozenset({"POS"}), frozenset({"IC", "POS"})}
+    # POS[1] binds exactly (D F_1 c_1 = g_1), then fails by the smallest
+    # step of a cell over 10^40; D and g carry unlike denominators
+    inst = new_instance(3, ["2/7", "3/7", "2/7"], ["1/3", "5/11", "7/33"], "9/5")
+    c1 = inst.g[1] / (inst.d * inst.cdf(1))
+    binding = expand_common_lottery(inst, CommonLottery(c=(Fraction(0), c1, Fraction(0))))
+    report = feasibility_report(inst, binding)
+    assert report.is_feasible and report.position_slack[1] == 0
+    step = Fraction(1, 10**40)
+    a = [list(row) for row in binding.a]
+    a[1][0] += step
+    report = feasibility_report(inst, DirectMechanism(a=tuple(map(tuple, a))))
+    assert not report.is_feasible and report.violations() == ["POS[1]"]
+    assert report.position_slack[1] == -inst.d * inst.f[0] * step
 
 
 def _row_masses(inst, a):
