@@ -36,7 +36,6 @@ from .lpsolve import (
     MinMassSolution,
     build_designer_lp,
     build_min_mass_lp,
-    dual_certificate,
     simplex_solve,
     solve_designer,
     solve_min_mass,

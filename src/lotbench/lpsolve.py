@@ -6,17 +6,18 @@ never round, optimal values and dual prices are exact, and strong duality /
 complementary slackness can be asserted with equality.  Bland's
 smallest-index rule is used throughout, so the solver terminates even on
 degenerate inputs.
-The mechanism solvers try the paper's answer first, the common lottery,
-and return it only when it passes an exact weak-duality certificate over
-the participation decomposition (`_common_lottery_fault`), which builds no
-LP: O(N) in the candidate plus the O(N^2) integer check of the
-decomposition's aggregation identity.  Otherwise they build the LP and run
-the simplex, and its optimum must pass the exact certificate against the
-LP's own data (`_certificate_fault`), which is also the test oracle for
-the decomposition's certificate.
-`fractions.Fraction` appears only in the LP's data, in the common
-lottery's O(N) certificate, and in the solution: its primal values, duals
-and objective.
+The mechanism solvers try the paper's answer first, the common lottery.
+The decomposition's IC prices reduce a mechanism program to its program
+over the common lottery: N columns (and min-mass's D) on the POS rows and
+AGE[0], the budget problem.  The lottery is returned when the IC prices
+pass their sign test, read from the ints of 1/F's second differences, and
+it passes the exact certificate of that small program, which rests on
+the O(N^2) integer check of the decomposition's aggregation identity
+(`_common_lottery_fault`).  Otherwise they build the LP and run the
+simplex, and its optimum must pass the same certificate against the LP's
+own data (`_certificate_fault`).
+`fractions.Fraction` appears only in the LP's data and in the solution:
+its primal values, duals and objective.
 
 Reported dual prices follow the shadow-price convention: the dual of a
 constraint is the exact derivative of the optimal value (in the LP's own
@@ -27,7 +28,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import compress
+from itertools import compress, islice
 from math import gcd, lcm
 from operator import mul
 
@@ -502,53 +503,49 @@ def build_min_mass_lp(inst: Instance, targets: PositionMasses) -> LinearProgram:
     )
 
 
-def _cell_matrix(sol: LpSolution, var: str, n: int):
-    """The N x N matrix var[k][i] read from the solution's cells."""
-    return tuple(
-        tuple(sol.primal.get(f"{var}[{k}][{i}]", ZERO) for i in range(n))
-        for k in range(n)
-    )
+def _cell_matrix(sol: LpSolution, n: int):
+    """The N x N matrix of a mechanism program's cells, read in the column
+    order of `_program_names`; every cell above the diagonal is 0."""
+    values = iter(sol.primal.values())
+    return tuple(tuple(islice(values, k + 1)) + (ZERO,) * (n - k - 1) for k in range(n))
 
 
 # --- the common lottery, certified over the decomposition ---------------------
 
 
-# Only __init__ is generated: the class is built on every import of
-# lotbench, and a candidate is never compared, hashed or printed.
-@dataclass(repr=False, eq=False)
-class _Candidate:
-    """The common lottery as a solution of a mechanism program, priced by
-    the participation decomposition.
+def _lottery_program(sense: str, c, pos, rhs) -> LinearProgram:
+    """A mechanism program summed over types: the program over the common
+    lottery x_k = a[k][i] (i <= k), which is the budget problem.
 
-    Primal: cells[k] at every cell (k, i), i <= k, then the values extra
-    (the min-mass program's D).  Duals: the IC rows carry scale * (N - 1)
-    times the decomposition's weights of `transform._grid_weights` (the
-    LP's IC rows are the transform's over N - 1): IC[i, i+1] the upward
-    weight up_i and IC[i, j], j < i, the downward weight f_j r_i.  POS[k]
-    prices pos[k], AGE[0] prices -scale, and every other row 0.
-
-    The program's data that the certificate reads rides along: the cost of
-    cell (k, i) is weights[k] times its POS coefficient, and rhs[k] is the
-    right-hand side of POS[k].
+    Column x_k is the sum of the cells (k, i), i <= k: it costs c[k] and
+    has coefficient pos[k] in POS[k] and 1 in AGE[0].  The min-mass
+    program ("min") keeps its D, in c's last entry and with -1 in AGE[0].
+    The other rows drop: every IC row holds at a common lottery, and AGE[0]
+    is the largest AGE row.  Its zeros are int 0, which the certificate
+    skips at C speed.
     """
+    n = len(pos)
+    designer = sense == "max"
+    rows = [[0] * k + [a] + [0] * (len(c) - k - 1) for k, a in enumerate(pos)]
+    rows.append([ONE] * n + ([] if designer else [-ONE]))
+    return LinearProgram(
+        sense=sense,
+        c=c,
+        rows=rows,
+        rels=[LE if designer else GE] * n + [LE],
+        rhs=[*rhs, ONE if designer else ZERO],
+        var_names=[f"x[{k}]" for k in range(n)] + ([] if designer else ["D"]),
+        con_names=[f"POS[{k}]" for k in range(n)] + ["AGE[0]"],
+    )
 
-    sense: str  # "max": the designer program; "min": the min-mass program
-    cells: tuple[Fraction, ...]
-    extra: tuple[Fraction, ...]
-    objective: Fraction
-    scale: Fraction
-    pos: tuple[Fraction, ...]
-    weights: tuple
-    rhs: tuple[Fraction, ...]
 
-
-def _designer_candidate(inst: Instance, obj: Objective) -> _Candidate:
-    """The greedy common lottery a[k][i] = s_k/(D F_k), from the greedy
-    masses s.  With lam = min w_k F_k over s_k > 0 when the budget binds,
-    else 0, it is priced by scale = -lam D and pos_k = max(0, w_k - lam/F_k).
-    The reduced cost of cell (k, i) is then D f_i (w_k - pos_k - lam/F_k)
-    <= 0, and the dual value sum_k pos_k g_k + lam D is the greedy value
-    sum_k w_k s_k."""
+def _designer_candidate(inst: Instance, obj: Objective):
+    """The greedy common lottery x_k = s_k/(D F_k), from the greedy masses
+    s, as (lottery program, priced solution).  With lam = min w_k F_k over
+    s_k > 0 when the budget binds, else 0, POS[k] prices
+    pos_k = max(0, w_k - lam/F_k) and AGE[0] lam D: the reduced cost of x_k
+    is D F_k (w_k - pos_k - lam/F_k) <= 0, and the dual value
+    sum_k pos_k g_k + lam D is the greedy value sum_k w_k s_k."""
     n, d = inst.n, inst.d
     weights = _designer_weights(obj, n)
     masses = _budget_masses(inst, obj)
@@ -557,102 +554,80 @@ def _designer_candidate(inst: Instance, obj: Objective) -> _Candidate:
     lam = ZERO
     if sum((sk / fk for sk, fk in zip(s, cdf)), ZERO) == d:
         lam = min(w * fk for w, sk, fk in zip(weights, s, cdf) if sk)
-    pos = tuple(max(ZERO, w - lam / fk) for w, fk in zip(weights, cdf))
+    pos = [max(ZERO, w - lam / fk) for w, fk in zip(weights, cdf)]
     value = sum((w * sk for w, sk in zip(weights, s)), ZERO)
+    mass = [d * fk for fk in cdf]
+    lp = _lottery_program("max", [w * m for w, m in zip(weights, mass)], mass, inst.g)
     lottery = lottery_from_masses(inst, masses).c
-    return _Candidate("max", lottery, (), value, -lam * d, pos, weights, inst.g)
+    primal = dict(zip(lp.var_names, lottery))
+    return lp, LpSolution("optimal", value, primal, dict(zip(lp.con_names, [*pos, lam * d])))
 
 
-def _min_mass_candidate(inst: Instance, targets: PositionMasses) -> _Candidate:
-    """The common lottery that hits the targets: y[k][i] = s_k/F_k for
-    i <= k and D = sum_k s_k/F_k, priced by scale = 1 and pos_k = 1/F_k.
-    Every reduced cost is then 0, the decomposition identity, and the dual
-    value sum_k s_k/F_k is the candidate's D."""
+def _min_mass_candidate(inst: Instance, targets: PositionMasses):
+    """The common lottery that hits the targets, x_k = s_k/F_k and
+    D = sum_k x_k, as (lottery program, priced solution): POS[k] prices
+    1/F_k and AGE[0] -1.  Every reduced cost is then 0, the decomposition
+    identity, and the dual value sum_k s_k/F_k is D."""
     _check_targets(inst, targets)
     cdf = [inst.cdf(k) for k in range(inst.n)]
-    y = tuple(sk / fk for sk, fk in zip(targets.s, cdf))
-    d = sum(y, ZERO)
-    pos = tuple(ONE / fk for fk in cdf)
-    return _Candidate("min", y, (d,), d, ONE, pos, (0,) * inst.n, targets.s)
+    x = [sk / fk for sk, fk in zip(targets.s, cdf)]
+    d = sum(x, ZERO)
+    lp = _lottery_program("min", [ZERO] * inst.n + [ONE], cdf, targets.s)
+    duals = [ONE / fk for fk in cdf] + [-ONE]
+    return lp, LpSolution(
+        "optimal", d, dict(zip(lp.var_names, [*x, d])), dict(zip(lp.con_names, duals))
+    )
 
 
-def _common_lottery_fault(inst: Instance, cand: _Candidate) -> str | None:
-    """The first condition of the candidate's optimality certificate that
-    fails, or None when it is proved optimal.  It is weak duality over the
-    decomposition, and no LP is built.
+def _common_lottery_fault(inst: Instance, lp: LinearProgram, sol: LpSolution) -> str | None:
+    """The first condition that fails in the proof that the common lottery
+    sol is optimal in its mechanism program, or None when it is proved.
 
-    Read in the min sense (sign = -1 for the designer's max, +1 for
-    min-mass), a >= row prices sign*y >= 0, a <= row sign*y <= 0, and every
-    reduced cost d has sign*d >= 0, with d = 0 where its variable is
-    positive.  With x_k the lottery's cells, and cell (k, i) weighted
-    u f_i in POS[k] (u = D for the designer, 1 for min-mass):
-
-    - Primal, O(N): x >= 0, and D >= 0.  The IC rows then hold by
-      construction: the slack of (i, j) is sum_{i<k<j} (k-i) x_k / (N-1)
-      for j > i and 0 for j < i.  The largest AGE row, AGE[0], is
-      sum_k x_k <= 1 (designer) or <= D (min-mass), and POS[k] is
-      u F_k x_k <= g_k (designer) or >= s_k (min-mass).
-    - Dual signs, O(N), from the int numerators d2 of `_grid_ints`: the
-      upward weights are positive and r_i has the sign of d2_i, so the IC
-      duals (and AGE[0]'s -scale) have their sign exactly when
-      sign*scale >= 0 and either scale = 0 or every d2 >= 0.  Every pos_k
-      is >= 0.
-    - Reduced costs: the IC rows, priced by the weights, sum to
-      scale * mu[k][i] on cell (k, i), the aggregation identity that
-      `transform._check_mu_identity` checks in ints.  By mu's closed forms
-      the reduced cost of (k, i) is then f_i (u (w_k - pos_k) + scale/F_k),
-      and that of the min-mass D is 1 - scale.
-    - Value: c.x = sum_k w_k u F_k x_k (+ D) and the dual value
-      sum_k pos_k rhs_k - scale * (AGE[0]'s right-hand side: 1 or 0) each
-      equal the objective.
+    sol extends to the mechanism program (`_common_lottery_solution`) with
+    the IC rows priced by scale times the decomposition's weights, where
+    -scale is AGE[0]'s price; every other AGE row prices 0.  There:
+    - the upward weights are positive and r_i has the sign of the int
+      numerator d2_i of `_grid_ints`, so the IC duals have their sign
+      exactly when sense * scale >= 0 and either scale = 0 or every
+      d2 >= 0;
+    - the weighted IC rows aggregate to scale * mu[k][i] on cell (k, i),
+      the identity that `transform._check_mu_identity` checks in ints, so
+      by mu's closed forms the reduced cost of cell (k, i) is f_i/F_k
+      times that of x_k in the lottery program, and D's is D's;
+    - the IC rows hold at a common lottery, AGE[0] bounds every AGE row,
+      and the rows, c.x and the dual value of the other rows are the
+      lottery program's.
+    So sol is optimal there exactly when the IC signs hold and
+    `_certificate_fault` proves sol optimal in the lottery program.
     """
-    designer = cand.sense == "max"
-    sign = -1 if designer else 1
-    scale, x = cand.scale, cand.cells
-    points, cdf = _integer_grid(inst)
-    grid = _grid_ints(points, cdf)
+    sign = 1 if lp.sense == "min" else -1
+    scale = -sol.duals["AGE[0]"]
+    grid = _grid_ints(*_integer_grid(inst))
     if sign * scale < 0:
         return "the dual of IC[0,1] has the wrong sign"
     if scale:
         bad = next((i for i, v in enumerate(grid.d2, start=1) if v < 0), None)
         if bad is not None:
             return f"the dual of IC[{bad},0] has the wrong sign"
-    if any(p < 0 for p in cand.pos):
-        return "the dual of a POS row has the wrong sign"
-    if any(v < 0 for v in (*x, *cand.extra)):
-        return "a variable is negative"
-    unit, budget = (inst.d, ONE) if designer else (ONE, cand.extra[0])
-    if sum(x, ZERO) > budget:
-        return "row AGE[0] is violated"
-    mass = [unit * fk * xk for fk, xk in zip(cdf, x)]  # POS[k] at x
-    for k, (m, b) in enumerate(zip(mass, cand.rhs)):
-        if (m > b) if designer else (m < b):
-            return f"row POS[{k}] is violated"
-    for k, (xk, fk, w, p) in enumerate(zip(x, cdf, cand.weights, cand.pos)):
-        d = unit * (w - p) + scale / fk
-        if sign * d < 0 or (d and xk):
-            return f"the reduced cost of a cell of row {k} has the wrong sign"
-    if not designer:
-        d = 1 - scale
-        if d < 0 or (d and budget):
-            return "the reduced cost of D has the wrong sign"
-    c_x = sum(map(mul, cand.weights, mass), ZERO) + sum(cand.extra, ZERO)
-    if c_x != cand.objective:
-        return "c.x differs from the objective"
-    age = scale if designer else ZERO  # AGE[0] prices -scale against rhs 1 or 0
-    if sum(map(mul, cand.pos, cand.rhs), ZERO) - age != cand.objective:
-        return "the dual objective differs from the objective"
-    _check_mu_identity(grid)
-    return None
+    fault = _certificate_fault(lp, sol)
+    if fault is None:
+        _check_mu_identity(grid)
+    return fault
 
 
-def _common_lottery_solution(inst: Instance, cand: _Candidate) -> LpSolution:
-    """The candidate as a solution of its program's LP (see `_Candidate`),
-    with the names of `_program_names`."""
+def _common_lottery_solution(inst: Instance, lp: LinearProgram, sol: LpSolution) -> LpSolution:
+    """The lottery program's solution sol as a solution of its mechanism
+    program, with the names of `_program_names`: every cell (k, i) at x_k,
+    and the duals of `_common_lottery_fault`.  The IC rows carry
+    scale * (N - 1) times the weights of `transform._grid_weights` (the
+    LP's IC rows are the transform's over N - 1): IC[i, i+1] the upward
+    weight up_i and IC[i, j], j < i, the downward weight f_j r_i."""
     n = inst.n
-    var_names, con_names = _program_names(n, cand.sense)
+    var_names, con_names = _program_names(n, lp.sense)
     local_up, rows = _grid_weights(_grid_ints(*_integer_grid(inst)))
-    ic = cand.scale * (n - 1)
+    xs = list(sol.primal.values())
+    *pos, age = sol.duals.values()
+    ic = -age * (n - 1)
     duals = []
     for i, r in enumerate(rows):
         # IC[i, j] over j != i: j < i, then j = i + 1, then j > i + 1
@@ -664,19 +639,21 @@ def _common_lottery_solution(inst: Instance, cand: _Candidate) -> LpSolution:
         if i < n - 1:
             duals.append(ic * local_up[i])
         duals += [ZERO] * (n - i - 2)
-    duals += cand.pos
-    duals.append(-cand.scale)
+    duals += pos
+    duals.append(age)
     duals += [ZERO] * (n - 1)
-    cells = [xk for k, xk in enumerate(cand.cells) for _ in range(k + 1)]
-    primal = dict(zip(var_names, [*cells, *cand.extra]))
-    return LpSolution("optimal", cand.objective, primal, dict(zip(con_names, duals)))
+    cells = [xk for k, xk in enumerate(xs[:n]) for _ in range(k + 1)]
+    primal = dict(zip(var_names, [*cells, *xs[n:]]))
+    return LpSolution("optimal", sol.objective, primal, dict(zip(con_names, duals)))
 
 
 def _simplex_optimum(lp: LinearProgram) -> LpSolution:
-    """The simplex's answer, whose optimum must pass its exact certificate."""
+    """The simplex's optimum of a mechanism program, which must pass its
+    exact certificate.  Both programs have one: the zero mechanism is
+    feasible for the designer, whose cells AGE bounds, and the common
+    lottery that hits the targets for min-mass, whose D is >= 0."""
     sol = simplex_solve(lp)
-    if sol.status == "optimal":
-        _check_certificate(lp, sol)
+    _check_certificate(lp, sol)
     return sol
 
 
@@ -685,13 +662,12 @@ def solve_designer(inst: Instance, obj: Objective):
     greedy common lottery when its certificate passes, which it always does
     when 1/F is convex or the budget is slack, or else the simplex's
     certified optimum."""
-    cand = _designer_candidate(inst, obj)
-    if _common_lottery_fault(inst, cand) is None:
-        return expand_common_lottery(inst, CommonLottery(c=cand.cells)), cand.objective
+    lp, sol = _designer_candidate(inst, obj)
+    if _common_lottery_fault(inst, lp, sol) is None:
+        lottery = CommonLottery(c=tuple(sol.primal.values()))
+        return expand_common_lottery(inst, lottery), sol.objective
     sol = _simplex_optimum(build_designer_lp(inst, obj))
-    if sol.status != "optimal":
-        raise LotbenchError(f"designer LP ended with status {sol.status}")
-    return DirectMechanism(a=_cell_matrix(sol, "a", inst.n)), sol.objective
+    return DirectMechanism(a=_cell_matrix(sol, inst.n)), sol.objective
 
 
 @dataclass(frozen=True)
@@ -704,17 +680,18 @@ class MinMassSolution:
     optimal mass so that the position-target prices read D/F(theta_k) and
     the agent-budget price reads D, with all entries nonnegative.
 
-    When the common lottery that hits the targets passes its certificate
-    over the decomposition (always when 1/F is convex), it is the
-    solution, with the LP's variable and constraint names and
-    solution.pivots == (0, 0): no LP was built and no simplex ran.
-    Otherwise the solution is the simplex's optimal vertex.
+    The program is always feasible and bounded, so status is always
+    "optimal".  When the common lottery that hits the targets passes its
+    certificate over the decomposition (always when 1/F is convex), it is
+    the solution, with the LP's variable and constraint names and
+    solution.pivots == (0, 0): no mechanism LP was built and no simplex
+    ran.  Otherwise the solution is the simplex's optimal vertex.
     """
 
     status: str
-    d_star: Fraction | None
-    mechanism: DirectMechanism | None
-    multipliers: dict | None
+    d_star: Fraction
+    mechanism: DirectMechanism
+    multipliers: dict
     solution: LpSolution
 
 
@@ -723,41 +700,25 @@ def solve_min_mass(inst: Instance, targets: PositionMasses) -> MinMassSolution:
     (see MinMassSolution) or else the simplex's certified optimum.  A
     refused candidate fails on an IC dual's sign, which no vertex changes,
     so the simplex's vertex keeps its own duals."""
-    cand = _min_mass_candidate(inst, targets)
-    if _common_lottery_fault(inst, cand) is None:
-        sol = _common_lottery_solution(inst, cand)
+    n = inst.n
+    lp, sol = _min_mass_candidate(inst, targets)
+    if _common_lottery_fault(inst, lp, sol) is None:
+        sol = _common_lottery_solution(inst, lp, sol)
     else:
         sol = _simplex_optimum(build_min_mass_lp(inst, targets))
-    if sol.status != "optimal":
-        return MinMassSolution(sol.status, None, None, None, sol)
     d_star = sol.objective
     # a = y / D; at D = 0 every y is 0 and so is the mechanism.  A zero
     # (a ZERO) scales to itself.
-    rows = _cell_matrix(sol, "y", inst.n)
+    rows = _cell_matrix(sol, n)
     if d_star != 0:
         rows = tuple(tuple(y / d_star if y else y for y in row) for row in rows)
-    raw = dual_certificate(sol)
+    # the duals in the row order of `_program_names`: IC, POS, then AGE
+    duals = list(sol.duals.values())
+    n_ic = n * (n - 1)
+    pairs = [(i, j) for i in range(n) for j in range(n) if i != j]
     mult = {
-        "POS": {k: d_star * v for k, v in raw["POS"].items()},
-        "AGE": {i: -d_star * v for i, v in raw["AGE"].items()},
-        "IC": {pair: d_star * v if v else v for pair, v in raw["IC"].items()},
+        "POS": {k: d_star * v for k, v in enumerate(duals[n_ic : n_ic + n])},
+        "AGE": {i: -d_star * v for i, v in enumerate(duals[n_ic + n :])},
+        "IC": {pair: d_star * v if v else v for pair, v in zip(pairs, duals)},
     }
     return MinMassSolution("optimal", d_star, DirectMechanism(a=rows), mult, sol)
-
-
-def dual_certificate(solution: LpSolution) -> dict:
-    """Multiplier report keyed by constraint family for an optimal solution."""
-    if solution.status != "optimal":
-        raise LotbenchError(f"cannot certify a solution with status {solution.status}")
-    report = {"POS": {}, "AGE": {}, "IC": {}, "other": {}}
-    for name, value in solution.duals.items():
-        if name.startswith("POS["):
-            report["POS"][int(name[4:-1])] = value
-        elif name.startswith("AGE["):
-            report["AGE"][int(name[4:-1])] = value
-        elif name.startswith("IC["):
-            i, j = name[3:-1].split(",")
-            report["IC"][(int(i), int(j))] = value
-        else:
-            report["other"][name] = value
-    return report

@@ -24,7 +24,6 @@ from lotbench import (
     build_designer_lp,
     build_min_mass_lp,
     convexity_report,
-    dual_certificate,
     expand_common_lottery,
     feasibility_report,
     lottery_from_masses,
@@ -155,13 +154,6 @@ def test_designer_lp_rejects_concave():
     obj = SeparableConcave(weights=(F(1),) * 4, rho=F(1, 2))
     with pytest.raises(LotbenchError, match="the designer LP requires a linear objective"):
         build_designer_lp(uniform_instance(4), obj)
-
-
-def test_dual_certificate_requires_optimal():
-    lp = LinearProgram("max", [F(1)], [[F(1)]], [">="], [F(0)], ["x"], ["a"])
-    sol = simplex_solve(lp)
-    with pytest.raises(LotbenchError, match="cannot certify a solution with status unbounded"):
-        dual_certificate(sol)
 
 
 def test_min_mass_uniform_targets():
@@ -565,7 +557,7 @@ def test_designer_candidate_duals_are_the_closed_form():
                 F(rng.randint(-2, 5), rng.randint(1, 3)) for _ in range(inst.n)
             ))
         want, binds = _closed_form_designer_duals(inst, obj)
-        sol = _common_lottery_solution(inst, _designer_candidate(inst, obj))
+        sol = _common_lottery_solution(inst, *_designer_candidate(inst, obj))
         assert sol.duals == want, (inst, obj)
         seen["convex" if convexity_report(inst).is_convex else "non-convex"] += 1
         seen["binding" if binds else "slack"] += 1
@@ -802,9 +794,9 @@ def test_lp_certificate_survives_optimize_flag():
     inst = new_instance(3, ["1/3", "1/12", "7/12"], ["1/3", "1/3", "1/3"], 1)
     targets = PositionMasses.from_values(["1/6", "1/3", "1/3"])
     print(lpsolve._common_lottery_fault(
-        inst, lpsolve._designer_candidate(inst, Fill())))
+        inst, *lpsolve._designer_candidate(inst, Fill())))
     print(lpsolve._common_lottery_fault(
-        inst, lpsolve._min_mass_candidate(inst, targets)))
+        inst, *lpsolve._min_mass_candidate(inst, targets)))
 
     exact = lpsolve.simplex_solve
 
@@ -894,12 +886,64 @@ def test_fig4_falls_back_to_the_simplex(monkeypatch):
         return exact(lp, sol)
 
     monkeypatch.setattr(lpsolve, "_certificate_fault", counted)
-    assert _common_lottery_fault(FIG4, _designer_candidate(FIG4, Fill())) is not None
+    assert _common_lottery_fault(FIG4, *_designer_candidate(FIG4, Fill())) is not None
     mech, value = solve_designer(FIG4, Fill())
     assert len(calls) == 1
     assert len(certified) == 1 and certified[0].pivots != (0, 0)
     assert value == F(2, 3) > optimal_masses(FIG4, Fill()).value
     assert feasibility_report(FIG4, mech).is_feasible
+
+
+def _summed_over_types(n, lp, small):
+    """lp's costs, and its rows, relations and right-hand sides on small's
+    rows (POS[k] and AGE[0]), with every cell (k, i) added into column k;
+    a column after the cells (min-mass's D) keeps its own."""
+    n_cells = n * (n + 1) // 2
+    column = [k for k in range(n) for _ in range(k + 1)]
+    column += range(n, n + len(lp.var_names) - n_cells)
+    at = [lp.con_names.index(name) for name in small.con_names]
+    summed = []
+    for values in [lp.c] + [lp.rows[r] for r in at]:
+        out = [ZERO] * len(small.var_names)
+        for j, v in zip(column, values):
+            out[j] += v
+        summed.append(out)
+    return summed[0], summed[1:], [lp.rels[r] for r in at], [lp.rhs[r] for r in at]
+
+
+def test_lottery_program_is_the_mechanism_program_summed_over_types():
+    """The reduction the certificate rests on: each column of the lottery
+    program, its cost and the right-hand sides are the sums of the
+    mechanism program's cells (k, i), i <= k, on the POS rows and AGE[0];
+    its optimum is the best common lottery's value for the designer and
+    sum_k s_k/F_k for min-mass, whether or not 1/F is convex."""
+    rng = random.Random(2525)
+    seen = dict.fromkeys(["convex", "non-convex", "Fill", "Linear"], 0)
+    for t in range(200):
+        inst = random_convex_instance(rng, 2, 8) if t % 2 else random_instance(rng, 2, 8)
+        if t % 3 == 0:
+            obj = Fill()
+        else:
+            obj = Linear(weights=tuple(
+                F(rng.randint(-2, 5), rng.randint(1, 3)) for _ in range(inst.n)
+            ))
+        shares = [F(rng.randint(0, 3), 4) for _ in range(inst.n)]
+        targets = PositionMasses(s=tuple(g * c for g, c in zip(inst.g, shares)))
+        (designer, _), (min_mass, _) = (
+            _designer_candidate(inst, obj), _min_mass_candidate(inst, targets)
+        )
+        for small, lp in ((designer, build_designer_lp(inst, obj)),
+                          (min_mass, build_min_mass_lp(inst, targets))):
+            assert small.sense == lp.sense
+            assert (small.c, small.rows, small.rels, small.rhs) == _summed_over_types(
+                inst.n, lp, small
+            ), (inst, obj, targets)
+        assert simplex_solve(designer).objective == optimal_masses(inst, obj).value
+        spend = sum((s / inst.cdf(k) for k, s in enumerate(targets.s)), ZERO)
+        assert simplex_solve(min_mass).objective == spend
+        seen["convex" if convexity_report(inst).is_convex else "non-convex"] += 1
+        seen["Fill" if isinstance(obj, Fill) else "Linear"] += 1
+    assert min(seen.values()) >= 40, seen
 
 
 def test_closed_form_certifies_exactly_when_budget_slack_or_convex():
@@ -926,7 +970,7 @@ def test_closed_form_certifies_exactly_when_budget_slack_or_convex():
 
         lp = build_designer_lp(inst, obj)
         fault = _certificate_fault(
-            lp, _common_lottery_solution(inst, _designer_candidate(inst, obj))
+            lp, _common_lottery_solution(inst, *_designer_candidate(inst, obj))
         )
         assert (fault is None) == (slack or convex), (inst, obj, fault)
         assert fault is None or fault.startswith("the dual of IC["), fault
@@ -935,7 +979,7 @@ def test_closed_form_certifies_exactly_when_budget_slack_or_convex():
         targets = PositionMasses(s=tuple(g * c for g, c in zip(inst.g, shares)))
         lp = build_min_mass_lp(inst, targets)
         fault = _certificate_fault(
-            lp, _common_lottery_solution(inst, _min_mass_candidate(inst, targets))
+            lp, _common_lottery_solution(inst, *_min_mass_candidate(inst, targets))
         )
         assert (fault is None) == convex, (inst, targets, fault)
         assert fault is None or fault.startswith("the dual of IC["), fault
@@ -953,8 +997,8 @@ def test_corrupted_candidate_is_refused_under_optimize_flag():
 
     def corrupted(make):
         def candidate(*args):
-            sol = make(*args)
-            return replace(sol, objective=sol.objective + Fraction(1, 7))
+            lp, sol = make(*args)
+            return lp, replace(sol, objective=sol.objective + Fraction(1, 7))
         return candidate
 
     calls = []
@@ -979,21 +1023,21 @@ def test_corrupted_candidate_is_refused_under_optimize_flag():
     assert _run_optimized(script) == ["True None", "True None", "2 True"]
 
 
-def _corruptions(cand, rng):
-    """The candidate as built, then with its value off by 1/7, one mass
-    off, lam off (the scale of its IC and AGE[0] prices), and one POS
-    price off (below 0 where it is 0)."""
-    cells = list(cand.cells)
-    cells[rng.randrange(len(cells))] += F(rng.choice((-1, 1)), 7 * rng.randint(1, 3))
-    pos = list(cand.pos)
-    k = rng.randrange(len(pos))
-    pos[k] += F(-1 if pos[k] == 0 else rng.choice((-1, 1)), 7)
+def _corruptions(sol, n, rng):
+    """The candidate's priced solution as built, then with its value off
+    by 1/7, one mass off, lam off (AGE[0]'s price, which scales the IC
+    prices), and one POS price off (below 0 where it is 0)."""
+    def moved(field, name, step):
+        return replace(sol, **{field: {**getattr(sol, field), name: getattr(sol, field)[name] + step}})
+
+    pos = f"POS[{rng.randrange(n)}]"
     return {
-        "as built": cand,
-        "value": replace(cand, objective=cand.objective + F(1, 7)),
-        "mass": replace(cand, cells=tuple(cells)),
-        "lam": replace(cand, scale=cand.scale + F(rng.choice((-1, 1)), 7)),
-        "pos": replace(cand, pos=tuple(pos)),
+        "as built": sol,
+        "value": replace(sol, objective=sol.objective + F(1, 7)),
+        "mass": moved("primal", f"x[{rng.randrange(n)}]",
+                      F(rng.choice((-1, 1)), 7 * rng.randint(1, 3))),
+        "lam": moved("duals", "AGE[0]", F(rng.choice((-1, 1)), 7)),
+        "pos": moved("duals", pos, F(-1 if sol.duals[pos] == 0 else rng.choice((-1, 1)), 7)),
     }
 
 
@@ -1023,13 +1067,13 @@ def test_decomposition_certificate_agrees_with_the_lp_certificate():
         seen["binding" if binds else "slack"] += 1
         seen["zero weight"] += 0 in weights
         seen["negative weight"] += any(w < 0 for w in weights)
-        for program, cand, lp in (
+        for program, (small, sol), lp in (
             ("designer", _designer_candidate(inst, obj), build_designer_lp(inst, obj)),
             ("min-mass", _min_mass_candidate(inst, targets), build_min_mass_lp(inst, targets)),
         ):
-            for how, bent in _corruptions(cand, rng).items():
-                ours = _common_lottery_fault(inst, bent)
-                oracle = _certificate_fault(lp, _common_lottery_solution(inst, bent))
+            for how, bent in _corruptions(sol, inst.n, rng).items():
+                ours = _common_lottery_fault(inst, small, bent)
+                oracle = _certificate_fault(lp, _common_lottery_solution(inst, small, bent))
                 assert (ours is None) == (oracle is None), (inst, obj, program, how, ours, oracle)
                 key = (program, how, ours is None)
                 decided[key] = decided.get(key, 0) + 1
@@ -1044,10 +1088,12 @@ def test_decomposition_certificate_agrees_with_the_lp_certificate():
     # lam < 0 with the dual value kept by one POS price, on a lottery that
     # offers nothing: only the sign of the IC and AGE[0] duals refuses it
     inst, obj = uniform_instance(3), Linear(weights=(F(-1),) * 3)
-    bent = replace(_designer_candidate(inst, obj), scale=F(1, 10), pos=(F(3, 10), ZERO, ZERO))
+    small, sol = _designer_candidate(inst, obj)
+    prices = {"POS[0]": F(3, 10), "POS[1]": ZERO, "POS[2]": ZERO, "AGE[0]": F(-1, 10)}
+    bent = replace(sol, duals=prices)
     lp = build_designer_lp(inst, obj)
-    assert _certificate_fault(lp, _common_lottery_solution(inst, bent)) is not None
-    assert _common_lottery_fault(inst, bent) == "the dual of IC[0,1] has the wrong sign"
+    assert _certificate_fault(lp, _common_lottery_solution(inst, small, bent)) is not None
+    assert _common_lottery_fault(inst, small, bent) == "the dual of IC[0,1] has the wrong sign"
 
 
 def test_convex_optima_at_n_200_build_no_lp(monkeypatch):

@@ -40,7 +40,6 @@ SURFACE = [
     "caps_from_lottery",
     "continuum_crp",
     "convexity_report",
-    "dual_certificate",
     "evaluate_objective",
     "expand_common_lottery",
     "feasibility_report",
