@@ -264,9 +264,15 @@ def _cmd_simulate_crp(args) -> int:
     return OK
 
 
+@functools.cache
+def _fixture_text(name: str) -> str:
+    """A shipped fixture's text, read from the package once per process."""
+    return resources.files("lotbench.fixtures").joinpath(name).read_text(encoding="utf-8")
+
+
 def _fixture(name: str) -> dict:
-    ref = resources.files("lotbench.fixtures").joinpath(name)
-    return json.loads(ref.read_text(encoding="utf-8"))
+    """A fresh dict per call, so no caller shares a mutable fixture."""
+    return json.loads(_fixture_text(name))
 
 
 def _cmd_reproduce(args) -> int:

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import PreconditionViolation
-from .instance import Instance, convexity_report
+from .instance import Instance, _second_difference
 from .mechanism import (
     CommonLottery,
     DirectMechanism,
@@ -27,7 +27,7 @@ from .mechanism import (
     expand_common_lottery,
     feasibility_report,
 )
-from .optimizer import _greedy, _ranking, lottery_from_masses
+from .optimizer import _costs, _greedy, _ranking, lottery_from_masses
 
 ZERO = Fraction(0)
 
@@ -63,7 +63,7 @@ def perturb(
     _require(len(c) == n, "lottery length must equal N")
     for r in (k - 1, k, k + 1):
         _require(c[r] > 0, f"base lottery must offer position {r}: c_{r} = {c[r]}")
-    eps_prime = -epsilon * inst.f[i] * convexity_report(inst).second_differences[k - 1]
+    eps_prime = -epsilon * inst.f[i] * _second_difference(inst._grid, k)
     _require(
         delta <= eps_prime,
         f"delta = {delta} exceeds the released slack eps_prime = {eps_prime}",
@@ -122,22 +122,23 @@ def auto_improve(inst: Instance, obj: Objective = Fill(), search_d: bool = True)
         raise TypeError("improvement search supports mass-increasing objectives only")
     if isinstance(obj, Linear) and any(w <= 0 for w in obj.weights):
         raise TypeError("improvement search needs strictly positive weights")
-    report = convexity_report(inst)
-    if report.is_convex:
+    k = next((i for i, v in enumerate(inst._grid.d2, start=1) if v < 0), None)
+    if k is None:
         return None, "convex"
     weights = _linear_weights(obj, inst.n)
     order = _ranking(inst, weights)  # the same at every D
-    k = report.violation_indices[0]
-    d2 = report.second_differences[k - 1]  # F alone: the same at every D
+    d2 = _second_difference(inst._grid, k)  # F alone: the same at every D
 
     # The greedy reaches position r with max(D - before[r], 0) of budget and
     # fills it at cost g_r / F_r, so s_r > 0 exactly when g_r > 0 and
-    # before[r] < D, and budget is left over exactly when D > spent.
-    before = [ZERO] * inst.n
-    spent = ZERO
-    for r in order:
+    # before[r] < D, and budget is left over exactly when D > spent.  The
+    # table is in the greedy's int costs, over scale.
+    scale, costs = _costs(inst, order, inst.g)
+    before = [0] * inst.n
+    spent = 0
+    for r, cost in zip(order, costs):
         before[r] = spent
-        spent += inst.g[r] / inst.cdf(r)
+        spent += cost
     # so the window k-1, k, k+1 is offered exactly when D > threshold
     window = (k - 1, k, k + 1)
     if all(inst.g[r] > 0 for r in window):
@@ -151,15 +152,16 @@ def auto_improve(inst: Instance, obj: Objective = Fill(), search_d: bool = True)
         # search tries one mass inside each piece of (threshold, spent),
         # an empty window when threshold == spent
         cuts = sorted({threshold, spent, *(b for b in before if threshold < b < spent)})
-        candidates += [(lo + hi) / 2 for lo, hi in zip(cuts, cuts[1:])]
+        candidates += [Fraction(lo + hi, 2 * scale) for lo, hi in zip(cuts, cuts[1:])]
     for d in candidates:
-        if threshold < d <= spent:
+        # threshold < d <= spent, over scale
+        if threshold * d.denominator < d.numerator * scale <= spent * d.denominator:
             trial = Instance(n=inst.n, f=inst.f, g=inst.g, d=d)
             found = _improve_at(trial, weights, order, k, d2)
             if found is not None:
                 return found, "improved"
     # g sums to 1, so spent > 0: a search always covers masses that bind
-    if search_d or inst.d <= spent:
+    if search_d or inst.d.numerator * scale <= spent * inst.d.denominator:
         return None, "no supported window"
     return None, "full-fill feasible"
 

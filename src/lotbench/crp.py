@@ -25,9 +25,8 @@ from .mechanism import (
     _check_lottery,
     expand_common_lottery,
 )
-from .optimizer import _greedy, lottery_from_masses, masses_from_lottery
-
-ZERO = Fraction(0)
+from .optimizer import _scan, lottery_from_masses, masses_from_lottery
+from .rationals import require_exact
 
 
 @dataclass(frozen=True)
@@ -48,7 +47,8 @@ class CrpResult:
 
 
 def _check_caps(inst: Instance, caps: PositionMasses):
-    """One cap per position, each within 0 <= s_k <= g_k."""
+    """One exact cap per position, each within 0 <= s_k <= g_k."""
+    require_exact(("caps", caps.s))
     if len(caps.s) != inst.n:
         raise LotbenchError("caps length must equal N")
     for k, sk in enumerate(caps.s):
@@ -72,17 +72,17 @@ def continuum_crp(inst: Instance, caps: PositionMasses) -> CrpResult:
     """
     _check_caps(inst, caps)
     scan = [k for k in range(inst.n - 1, -1, -1) if caps.s[k] != 0]
-    taken = _greedy(inst, scan, caps.s)
-    thresholds = []
-    cutoff = ZERO
-    for step, k in enumerate(scan, 1):
-        cutoff += taken.s[k] / inst.cdf(k)
-        thresholds.append(Threshold(step, k, cutoff, taken.s[k] == caps.s[k]))
-        if cutoff == inst.d:
-            break
+    # used[j]: the agent mass consumed after step j + 1, over scale
+    taken, scale, used = _scan(inst, scan, caps.s)
+    thresholds = tuple(
+        Threshold(step, k, Fraction(u, scale), taken[k] == caps.s[k])
+        for step, (k, u) in enumerate(zip(scan, used), 1)
+    )
     return CrpResult(
-        thresholds=tuple(thresholds),
-        allocation=expand_common_lottery(inst, lottery_from_masses(inst, taken)),
+        thresholds=thresholds,
+        allocation=expand_common_lottery(
+            inst, lottery_from_masses(inst, PositionMasses(s=tuple(taken)))
+        ),
         caps=caps,
     )
 

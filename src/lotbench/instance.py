@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from itertools import accumulate
 from typing import NamedTuple
 
@@ -60,6 +61,18 @@ class Instance:
         if self.d <= 0:
             raise LotbenchError(f"agent mass must be positive, got {self.d}")
         object.__setattr__(self, "_cdf", cdf)
+
+    @cached_property
+    def _grid(self) -> "_GridInts":
+        """The even grid scaled by (N-1), points 0..N-1, with the type cdf,
+        in the ints of `_grid_ints`; built on first read and kept.
+
+        Every even-grid formula is its grid formula evaluated here, which
+        turns the utility gaps (x_k - theta_i) into the integers (k - i).
+        The view is not a field, so `==`, `hash` and `repr` ignore it, and
+        `dataclasses.replace` builds a new one.  Callers must not mutate it.
+        """
+        return _grid_ints(range(self.n), self._cdf)
 
     # -- grid geometry ------------------------------------------------
 
@@ -134,16 +147,7 @@ def convexity_report(inst: Instance) -> ConvexityReport:
 
     For N=2 there is no interior point and the report is vacuously convex.
     """
-    return _grid_convexity(*_integer_grid(inst))
-
-
-def _integer_grid(inst: Instance):
-    """The even grid scaled by (N-1): points 0..N-1 with the type cdf.
-
-    Every even-grid formula is its grid formula evaluated here, which
-    turns the utility gaps (x_k - theta_i) into the integers (k - i).
-    """
-    return tuple(range(inst.n)), inst._cdf
+    return _grid_convexity(inst._grid)
 
 
 class _GridInts(NamedTuple):
@@ -152,10 +156,10 @@ class _GridInts(NamedTuple):
     interior i, over the positive xscale P_{i-1} P_i P_{i+1} / fscale."""
 
     xscale: int
-    xs: list[int]
+    xs: tuple[int, ...]
     fscale: int
-    ps: list[int]
-    d2: list[int]
+    ps: tuple[int, ...]
+    d2: tuple[int, ...]
 
 
 def _grid_ints(x, F) -> _GridInts:
@@ -167,24 +171,26 @@ def _grid_ints(x, F) -> _GridInts:
     """
     xscale, (xs,) = to_common_denominator([x])
     fscale, (ps,) = to_common_denominator([F])
-    d2 = [
+    d2 = tuple(
         (xs[i + 1] - xs[i]) * ps[i] * ps[i + 1]
         - (xs[i + 1] - xs[i - 1]) * ps[i - 1] * ps[i + 1]
         + (xs[i] - xs[i - 1]) * ps[i - 1] * ps[i]
         for i in range(1, len(xs) - 1)
-    ]
-    return _GridInts(xscale, xs, fscale, ps, d2)
-
-
-def _grid_convexity(x, F) -> ConvexityReport:
-    """Convexity of 1/F along an increasing grid x with cdf F; the signs
-    are read from the int numerators of `_grid_ints`."""
-    grid = _grid_ints(x, F)
-    ps = grid.ps
-    diffs = tuple(
-        Fraction(grid.fscale * num, grid.xscale * ps[i - 1] * ps[i] * ps[i + 1])
-        for i, num in enumerate(grid.d2, start=1)
     )
+    return _GridInts(xscale, tuple(xs), fscale, tuple(ps), d2)
+
+
+def _second_difference(grid: _GridInts, i: int) -> Fraction:
+    """The second difference of 1/F at interior index i, from its int
+    numerator d2[i-1]."""
+    ps = grid.ps
+    return Fraction(grid.fscale * grid.d2[i - 1], grid.xscale * ps[i - 1] * ps[i] * ps[i + 1])
+
+
+def _grid_convexity(grid: _GridInts) -> ConvexityReport:
+    """Convexity of 1/F along the grid of `_grid_ints`; the signs are read
+    from its int numerators."""
+    diffs = tuple(_second_difference(grid, i) for i in range(1, len(grid.xs) - 1))
     violations = tuple(i for i, num in enumerate(grid.d2, start=1) if num < 0)
     return ConvexityReport(
         second_differences=diffs,

@@ -33,7 +33,7 @@ from math import gcd, lcm
 from operator import mul
 
 from .errors import LotbenchError
-from .instance import Instance, _grid_ints, _integer_grid
+from .instance import Instance
 from .mechanism import (
     CommonLottery,
     DirectMechanism,
@@ -602,7 +602,7 @@ def _common_lottery_fault(inst: Instance, lp: LinearProgram, sol: LpSolution) ->
     """
     sign = 1 if lp.sense == "min" else -1
     scale = -sol.duals["AGE[0]"]
-    grid = _grid_ints(*_integer_grid(inst))
+    grid = inst._grid
     if sign * scale < 0:
         return "the dual of IC[0,1] has the wrong sign"
     if scale:
@@ -615,30 +615,40 @@ def _common_lottery_fault(inst: Instance, lp: LinearProgram, sol: LpSolution) ->
     return fault
 
 
+def _ic_prices(inst: Instance, unit: Fraction) -> list:
+    """The IC rows' prices in the row order of `_program_names`: unit * (N - 1)
+    times the weights of `transform._grid_weights` (the LP's IC rows are
+    the transform's over N - 1), so IC[i, i+1] carries the upward weight
+    up_i and IC[i, j], j < i, the downward weight f_j r_i.  The row factor
+    unit * (N - 1) * r_i is formed once per row, and each downward price is
+    one product of it with f_j."""
+    n = inst.n
+    local_up, rows = _grid_weights(inst._grid)
+    scale = unit * (n - 1)
+    prices = []
+    for i, r in enumerate(rows):
+        # IC[i, j] over j != i: j < i, then j = i + 1, then j > i + 1
+        factor = scale * r
+        if factor:
+            prices += [factor * fj for fj in inst.f[:i]]
+        else:
+            prices += [ZERO] * i
+        if i < n - 1:
+            prices.append(scale * local_up[i])
+        prices += [ZERO] * (n - i - 2)
+    return prices
+
+
 def _common_lottery_solution(inst: Instance, lp: LinearProgram, sol: LpSolution) -> LpSolution:
     """The lottery program's solution sol as a solution of its mechanism
     program, with the names of `_program_names`: every cell (k, i) at x_k,
-    and the duals of `_common_lottery_fault`.  The IC rows carry
-    scale * (N - 1) times the weights of `transform._grid_weights` (the
-    LP's IC rows are the transform's over N - 1): IC[i, i+1] the upward
-    weight up_i and IC[i, j], j < i, the downward weight f_j r_i."""
+    and the duals of `_common_lottery_fault`, the IC rows at `_ic_prices`
+    with unit -AGE[0]'s price."""
     n = inst.n
     var_names, con_names = _program_names(n, lp.sense)
-    local_up, rows = _grid_weights(_grid_ints(*_integer_grid(inst)))
     xs = list(sol.primal.values())
     *pos, age = sol.duals.values()
-    ic = -age * (n - 1)
-    duals = []
-    for i, r in enumerate(rows):
-        # IC[i, j] over j != i: j < i, then j = i + 1, then j > i + 1
-        if r:
-            icr = ic * r
-            duals += [icr * fj for fj in inst.f[:i]]
-        else:
-            duals += [ZERO] * i
-        if i < n - 1:
-            duals.append(ic * local_up[i])
-        duals += [ZERO] * (n - i - 2)
+    duals = _ic_prices(inst, -age)
     duals += pos
     duals.append(age)
     duals += [ZERO] * (n - 1)
@@ -701,24 +711,32 @@ def solve_min_mass(inst: Instance, targets: PositionMasses) -> MinMassSolution:
     refused candidate fails on an IC dual's sign, which no vertex changes,
     so the simplex's vertex keeps its own duals."""
     n = inst.n
+    n_ic = n * (n - 1)
     lp, sol = _min_mass_candidate(inst, targets)
     if _common_lottery_fault(inst, lp, sol) is None:
+        d_star = sol.objective
+        # AGE[0] prices -1, so the IC multipliers are the prices at unit D*
+        ic = _ic_prices(inst, d_star)
+        # every cell of row k is x_k, divided once; at D = 0 every x_k is 0
+        c = [x / d_star if x else x for x in islice(sol.primal.values(), n)]
+        mech = expand_common_lottery(inst, CommonLottery(c=tuple(c)))
         sol = _common_lottery_solution(inst, lp, sol)
     else:
         sol = _simplex_optimum(build_min_mass_lp(inst, targets))
-    d_star = sol.objective
-    # a = y / D; at D = 0 every y is 0 and so is the mechanism.  A zero
-    # (a ZERO) scales to itself.
-    rows = _cell_matrix(sol, n)
-    if d_star != 0:
-        rows = tuple(tuple(y / d_star if y else y for y in row) for row in rows)
+        d_star = sol.objective
+        ic = [d_star * v if v else v for v in islice(sol.duals.values(), n_ic)]
+        # a = y / D; at D = 0 every y is 0 and so is the mechanism.  A zero
+        # (a ZERO) scales to itself.
+        rows = _cell_matrix(sol, n)
+        if d_star != 0:
+            rows = tuple(tuple(y / d_star if y else y for y in row) for row in rows)
+        mech = DirectMechanism(a=rows)
     # the duals in the row order of `_program_names`: IC, POS, then AGE
     duals = list(sol.duals.values())
-    n_ic = n * (n - 1)
     pairs = [(i, j) for i in range(n) for j in range(n) if i != j]
     mult = {
         "POS": {k: d_star * v for k, v in enumerate(duals[n_ic : n_ic + n])},
         "AGE": {i: -d_star * v for i, v in enumerate(duals[n_ic + n :])},
-        "IC": {pair: d_star * v if v else v for pair, v in zip(pairs, duals)},
+        "IC": dict(zip(pairs, ic)),
     }
-    return MinMassSolution("optimal", d_star, DirectMechanism(a=rows), mult, sol)
+    return MinMassSolution("optimal", d_star, mech, mult, sol)

@@ -9,6 +9,11 @@ objectives spend the budget in one ranked scan, and the concave objective
 walks the breakpoints of its budget multiplier, with no iteration and no
 tolerance.  Only the KKT certificate takes a tolerance.
 
+The ranked scan and the maps between masses and lotteries run in ints on
+the instance's cached grid (`Instance._grid`, F_k = P_k / Q): prices are
+compared as P_k w_k, budget costs are ints over one common denominator,
+and each reported value is one Fraction built from ints.
+
 When 1/F is discretely convex the optimal common lottery is optimal among
 all mechanisms; otherwise the results here are still the best common
 lottery, and improvement search lives elsewhere.
@@ -20,9 +25,10 @@ import math
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 
 from .errors import LotbenchError
-from .instance import Instance, convexity_report
+from .instance import Instance
 from .mechanism import (
     CommonLottery,
     Fill,
@@ -33,6 +39,7 @@ from .mechanism import (
     _linear_weights,
     evaluate_objective,
 )
+from .rationals import require_exact, to_common_denominator
 
 ZERO = Fraction(0)
 
@@ -58,30 +65,51 @@ class BudgetSolution:
     convexity_warning: bool
 
 
+def _exact_entries(inst: Instance, values, what: str):
+    """Check an N-vector for the int kernels: exact entries (see
+    `rationals.require_exact`), one per position."""
+    require_exact((what, values))
+    if len(values) != inst.n:
+        raise LotbenchError(f"{what} has length {len(values)}, need {inst.n}")
+
+
 def lottery_from_masses(inst: Instance, masses: PositionMasses) -> CommonLottery:
-    """The common lottery whose position masses are the given vector."""
-    return CommonLottery(
-        c=tuple(sk / (inst.d * inst.cdf(k)) for k, sk in enumerate(masses.s))
-    )
+    """The common lottery whose position masses are the given vector:
+    c_k = s_k / (D F_k), each one Fraction of ints over the cdf's
+    denominator."""
+    _exact_entries(inst, masses.s, "masses")
+    grid = inst._grid
+    num, den = inst.d.denominator * grid.fscale, inst.d.numerator
+    return CommonLottery(c=tuple(
+        Fraction(num * sk.numerator, den * sk.denominator * pk) if sk else ZERO
+        for sk, pk in zip(masses.s, grid.ps)
+    ))
 
 
 def masses_from_lottery(inst: Instance, cl: CommonLottery) -> PositionMasses:
-    return PositionMasses(
-        s=tuple(inst.d * ck * inst.cdf(k) for k, ck in enumerate(cl.c))
-    )
+    """The position masses s_k = D c_k F_k of a common lottery, each one
+    Fraction of ints over the cdf's denominator."""
+    _exact_entries(inst, cl.c, "lottery")
+    grid = inst._grid
+    num, den = inst.d.numerator, inst.d.denominator * grid.fscale
+    return PositionMasses(s=tuple(
+        Fraction(num * ck.numerator * pk, den * ck.denominator) if ck else ZERO
+        for ck, pk in zip(cl.c, grid.ps)
+    ))
 
 
 def optimal_masses(inst: Instance, obj: Objective) -> BudgetSolution:
     """Best position masses achievable by a common lottery.
 
     The convexity_warning flag signals that 1/F is not convex, in which
-    case a non-common mechanism may do strictly better.
+    case a non-common mechanism may do strictly better; it is read from
+    the signs of the instance's second differences.
     """
     masses = _budget_masses(inst, obj)
     return BudgetSolution(
         masses=masses,
         value=evaluate_objective(obj, masses),
-        convexity_warning=not convexity_report(inst).is_convex,
+        convexity_warning=any(v < 0 for v in inst._grid.d2),
     )
 
 
@@ -96,29 +124,56 @@ def _budget_masses(inst: Instance, obj: Objective) -> PositionMasses:
 
 
 def _ranking(inst: Instance, weights) -> list[int]:
-    """The positions of positive weight, best price F_k * w_k first; the
-    sort is stable, so ties keep ascending k.  It does not depend on D."""
-    return sorted(
-        (k for k in range(inst.n) if weights[k] > 0),
-        key=lambda k: inst.cdf(k) * weights[k],
-        reverse=True,
-    )
+    """The positions of positive weight, best price F_k * w_k first, compared
+    as the ints P_k W_k with F = P/Q and w = W/V; the sort is stable, so
+    ties keep ascending k.  It does not depend on D."""
+    _, (ws,) = to_common_denominator([weights])
+    key = list(map(mul, inst._grid.ps, ws))
+    return sorted((k for k in range(inst.n) if ws[k] > 0), key=key.__getitem__, reverse=True)
+
+
+def _costs(inst: Instance, order, caps, *dens):
+    """(L, cost): the budget cost caps[k] / F_k of filling each position of
+    order, as ints over one common denominator L, which the extra
+    denominators dens divide too."""
+    fscale, ps = inst._grid.fscale, inst._grid.ps
+    own = [caps[k].denominator * ps[k] for k in order]
+    scale = math.lcm(*own, *dens)
+    return scale, [
+        caps[k].numerator * fscale * (scale // den) for k, den in zip(order, own)
+    ]
+
+
+def _scan(inst: Instance, order, caps):
+    """The budget scan of `_greedy`, as (s, scale, used): the masses as a
+    list, and used[j] the budget spent once the j-th position of order is
+    filled, an int over scale, for the positions the budget reached."""
+    d, grid = inst.d, inst._grid
+    scale, costs = _costs(inst, order, caps, d.denominator)
+    budget = d.numerator * (scale // d.denominator)
+    s, used, spent = [ZERO] * inst.n, [], 0
+    for k, cost in zip(order, costs):
+        if cost <= budget - spent:
+            s[k] = caps[k]  # filled: the cap itself
+            spent += cost
+        else:
+            # the last position reached takes what is left: (D - spent) F_k
+            s[k] = Fraction((budget - spent) * grid.ps[k], scale * grid.fscale)
+            spent = budget
+        used.append(spent)
+        if spent == budget:
+            break
+    return s, scale, used
 
 
 def _greedy(inst: Instance, order, caps) -> PositionMasses:
     """Spend the agent budget D on positions in the given order: position k
     takes min(caps[k], budget * F_k) of mass, at budget cost mass / F_k.
     Positions outside the order, or reached after the budget is spent,
-    get zero mass."""
-    s = [ZERO] * inst.n
-    budget = inst.d
-    for k in order:
-        take = min(caps[k], budget * inst.cdf(k))
-        s[k] = take
-        budget -= take / inst.cdf(k)
-        if budget == 0:
-            break
-    return PositionMasses(s=tuple(s))
+    get zero mass.  The budget and the costs are ints over one common
+    denominator (`_costs`), so only the one partly filled position gets a
+    new Fraction; a filled position keeps its cap."""
+    return PositionMasses(s=tuple(_scan(inst, order, caps)[0]))
 
 
 def _floats(values, what: str, least: float = math.ulp(0.0)) -> list[float]:

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .errors import ConvexityHypothesisFailed, LotbenchError
-from .instance import ConvexityReport, Instance, _grid_convexity
+from .instance import ConvexityReport, Instance, _grid_convexity, _grid_ints
 from .mechanism import CommonLottery, Fill, Linear, PositionMasses, _check_lottery
 from .optimizer import _budget_masses, lottery_from_masses, masses_from_lottery
 from .rationals import (
@@ -152,13 +152,13 @@ def normalize_gamma(oi: OrdinalInstance, gamma: str) -> UnevenGridView:
 
 def uneven_convexity(view: UnevenGridView) -> ConvexityReport:
     """Discrete convexity of 1/F along the (possibly uneven) utility grid."""
-    return _grid_convexity(view.x, view.F)
+    return _grid_convexity(_grid_ints(view.x, view.F))
 
 
 def uneven_mu_coefficients(view: UnevenGridView) -> tuple[tuple[Fraction, ...], ...]:
     """Cell coefficients of the multiplier-weighted constraint sum on an
     uneven grid, checked against the same closed forms as the baseline."""
-    return _grid_mu(view.x, view.F)
+    return _grid_mu(_grid_ints(view.x, view.F))
 
 
 def optimal_common_lottery_ordinal(oi: OrdinalInstance, obj) -> CommonLottery:

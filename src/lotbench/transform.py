@@ -25,7 +25,7 @@ from fractions import Fraction
 from operator import mul
 
 from .errors import LotbenchError
-from .instance import Instance, _GridInts, _grid_ints, _integer_grid
+from .instance import Instance, _GridInts
 from .mechanism import (
     CommonLottery,
     DirectMechanism,
@@ -119,7 +119,7 @@ def verify_decomposition(inst: Instance, mech: DirectMechanism) -> Decomposition
     sums = _constraint_sums(mech, inst.f)
     # info = sum_i up_i slack[i][i+1] + sum_i r_i sum_{j<i} f_j slack[i][j],
     # in ints over the weights' and the cdf's denominators
-    grid = _grid_ints(*_integer_grid(inst))
+    grid = inst._grid
     wscale, (up, rows) = to_common_denominator(_grid_weights(grid))
     fscale, pmf = grid.fscale, _grid_pmf(grid.ps)
     scaled = sums.slack  # scale * (the (N-1)-scaled slacks)
@@ -146,16 +146,15 @@ def mu_coefficients(inst: Instance) -> tuple[tuple[Fraction, ...], ...]:
     mu[k][i] = -f_i/F_k for i >= 1.  Cells with k < i never appear and
     are reported as zero.
     """
-    return _grid_mu(*_integer_grid(inst))
+    return _grid_mu(inst._grid)
 
 
-def _grid_mu(x, F) -> tuple[tuple[Fraction, ...], ...]:
-    """mu on an increasing grid x with cdf F: the closed forms, once
+def _grid_mu(grid: _GridInts) -> tuple[tuple[Fraction, ...], ...]:
+    """mu on the grid of `instance._grid_ints`: the closed forms, once
     `_check_mu_identity` has proved them the aggregate of the weighted
     constraint rows."""
-    grid = _grid_ints(x, F)
     _check_mu_identity(grid)
-    n, cdf = len(x), grid.ps
+    n, cdf = len(grid.xs), grid.ps
     pmf = _grid_pmf(cdf)
     return tuple(
         (Fraction(fk - pmf[0], fk),)

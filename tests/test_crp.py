@@ -75,6 +75,20 @@ def test_caps_validation():
         continuum_crp(U4, PositionMasses.from_values(["0", "1/2", "0", "0"]))
 
 
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: continuum_crp(U4, PositionMasses(s=(F(0), 0.125, F(0), F(0)))), "caps"),
+        (lambda: simulate_finite(U4, PositionMasses(s=(F(0), 0.125, F(0), F(0))), 10, 1, 1), "caps"),
+        (lambda: caps_from_lottery(U4, CommonLottery(c=(F(0), F(5, 12), 0.125, F(1, 4)))), "lottery"),
+    ],
+    ids=["continuum_crp", "simulate_finite", "caps_from_lottery"],
+)
+def test_caps_and_lotteries_reject_float_entries(call, message):
+    with pytest.raises(LotbenchError, match=f"{message} entries must be Fraction or int, got 0.125"):
+        call()
+
+
 def test_simulation_validation():
     caps = caps_from_lottery(U4, OPT)
     with pytest.raises(LotbenchError, match="need at least one agent, got 0"):

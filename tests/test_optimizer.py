@@ -1,14 +1,18 @@
+import dataclasses
 import random
 from fractions import Fraction
 
 import pytest
 
 from lotbench import (
+    CommonLottery,
     Fill,
+    Instance,
     Linear,
     LotbenchError,
     PositionMasses,
     SeparableConcave,
+    continuum_crp,
     expand_common_lottery,
     feasibility_report,
     kkt_check,
@@ -21,8 +25,9 @@ from lotbench import (
     solve_designer,
     uniform_instance,
 )
+from lotbench.optimizer import _budget_masses
 
-from util import random_convex_instance, random_instance, simplex_vertex
+from util import random_convex_instance, random_instance, random_pmf, simplex_vertex
 
 F = Fraction
 U3 = uniform_instance(3)
@@ -227,3 +232,140 @@ def test_kkt_rejects_wrong_mass_count():
     masses = PositionMasses.from_values(["1/8", "1/8", "1/8", "1/8"])
     with pytest.raises(LotbenchError, match="need 3 position masses, got 4"):
         kkt_check(U3, obj, masses)
+
+
+def _reference_ranking(inst, weights):
+    """The budget scan's order in Fractions: positive weights, best F_k w_k
+    first, ties in ascending k."""
+    return sorted(
+        (k for k in range(inst.n) if weights[k] > 0),
+        key=lambda k: inst.cdf(k) * weights[k],
+        reverse=True,
+    )
+
+
+def _reference_greedy(inst, order, caps):
+    """The budget scan in Fractions, step by step: (masses, cutoffs), with
+    cutoffs[j] the budget spent after the j-th position reached."""
+    s, budget, cutoffs = [F(0)] * inst.n, inst.d, []
+    for k in order:
+        take = min(caps[k], budget * inst.cdf(k))
+        s[k] = take
+        budget -= take / inst.cdf(k)
+        cutoffs.append(inst.d - budget)
+        if budget == 0:
+            break
+    return tuple(s), cutoffs
+
+
+def _reference_instances(rng, count):
+    """Instances at N = 2-24 whose budgets are random, spent exactly at the
+    end of a position, slack, or 10^400 and 10^-400; about one capacity in
+    four is zero."""
+    for trial in range(count):
+        n = rng.randint(2, 24)
+        f = random_pmf(rng, n)
+        g = list(random_pmf(rng, n, full_support=False))
+        for k in rng.sample(range(n), n // 4):
+            if sum(g) > g[k]:  # keep a positive capacity
+                g[k] = F(0)
+        g = [gk / sum(g) for gk in g]
+        inst = Instance(n=n, f=f, g=tuple(g), d=F(1))
+        order = _reference_ranking(inst, (1,) * n)
+        costs = [g[k] / inst.cdf(k) for k in order]
+        kind = trial % 5
+        if kind == 0:
+            d = F(rng.randint(1, 12), rng.randint(1, 6))
+        elif kind == 1:
+            d = sum(costs[: rng.randint(1, n)])
+            d = d or sum(costs)
+        elif kind == 2:
+            d = sum(costs) * F(rng.randint(5, 9), 4)
+        else:
+            d = F(10) ** (400 if kind == 3 else -400)
+        yield kind, dataclasses.replace(inst, d=d)
+
+
+def _reference_weights(rng, inst, trial):
+    """Fill, or Linear weights with zeros, negatives and ties of F_k w_k."""
+    if trial % 3 == 0:
+        return Fill(), (1,) * inst.n
+    if trial % 3 == 1:
+        weights = tuple(F(rng.randint(-2, 3), rng.randint(1, 3)) for _ in range(inst.n))
+    else:
+        # w_k = m_k / F_k: positions of equal m_k tie on price
+        weights = tuple(F(rng.randint(-1, 2)) / inst.cdf(k) for k in range(inst.n))
+    return Linear(weights=weights), weights
+
+
+def test_int_budget_scan_matches_the_fraction_reference():
+    rng = random.Random(2026)
+    seen = {"exact": 0, "slack": 0, "huge": 0, "tiny": 0, "zero cap": 0, "tie": 0, "negative": 0}
+    for trial, (kind, inst) in enumerate(_reference_instances(rng, 330)):
+        obj, weights = _reference_weights(rng, inst, trial)
+        order = _reference_ranking(inst, weights)
+        masses, _ = _reference_greedy(inst, order, inst.g)
+        assert _budget_masses(inst, obj).s == masses
+        assert optimal_masses(inst, obj).masses.s == masses
+
+        fill, spent = _reference_greedy(inst, _reference_ranking(inst, (1,) * inst.n), inst.g)
+        lottery = tuple(sk / (inst.d * inst.cdf(k)) for k, sk in enumerate(fill))
+        assert optimal_lottery_fill(inst).lottery.c == lottery
+
+        caps = tuple(
+            F(0) if r < 0.25 else gk if r < 0.5 else gk * F(rng.randint(1, 5), 6)
+            for gk, r in zip(inst.g, (rng.random() for _ in inst.g))
+        )
+        scan = [k for k in reversed(range(inst.n)) if caps[k] != 0]
+        taken, scan_cutoffs = _reference_greedy(inst, scan, caps)
+        result = continuum_crp(inst, PositionMasses(s=caps))
+        assert [(t.step, t.position, t.cutoff, t.position_exhausted) for t in result.thresholds] == [
+            (step, k, cut, taken[k] == caps[k])
+            for step, (k, cut) in enumerate(zip(scan, scan_cutoffs), 1)
+        ]
+        allocation = expand_common_lottery(inst, CommonLottery(
+            c=tuple(sk / (inst.d * inst.cdf(k)) for k, sk in enumerate(taken))
+        ))
+        assert result.allocation == allocation
+
+        seen["exact"] += kind == 1 and spent[-1] == inst.d and fill != inst.g
+        seen["slack"] += spent[-1] < inst.d
+        seen["huge"] += kind == 3
+        seen["tiny"] += kind == 4
+        seen["zero cap"] += 0 in inst.g
+        prices = [inst.cdf(k) * weights[k] for k in order]
+        seen["tie"] += len(set(prices)) < len(prices)
+        seen["negative"] += any(w < 0 for w in weights)
+    assert min(seen.values()) >= 30, seen
+
+
+def test_grid_view_is_cached_and_invisible():
+    inst = new_instance(4, ["1/3", "1/12", "1/4", "1/3"], ["1/4"] * 4, "3/2")
+    twin = new_instance(4, ["1/3", "1/12", "1/4", "1/3"], ["1/4"] * 4, "3/2")
+    before = (repr(inst), hash(inst))
+    grid = inst._grid
+    assert inst._grid is grid
+    assert (repr(inst), hash(inst)) == before
+    assert inst == twin and hash(inst) == hash(twin)
+    moved = dataclasses.replace(inst, d=F(2))
+    assert moved._grid is not grid and moved._grid == grid
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: lottery_from_masses(U3, PositionMasses(s=(F(0), 0.25, F(1, 3)))), "masses"),
+        (lambda: masses_from_lottery(U3, CommonLottery(c=(F(0), F(1, 2), 0.25))), "lottery"),
+    ],
+    ids=["lottery_from_masses", "masses_from_lottery"],
+)
+def test_mass_lottery_maps_reject_float_entries(call, message):
+    with pytest.raises(LotbenchError, match=f"{message} entries must be Fraction or int, got 0.25"):
+        call()
+
+
+def test_mass_lottery_maps_reject_wrong_length():
+    with pytest.raises(LotbenchError, match="masses has length 2, need 3"):
+        lottery_from_masses(U3, PositionMasses(s=(F(0), F(1, 3))))
+    with pytest.raises(LotbenchError, match="lottery has length 4, need 3"):
+        masses_from_lottery(U3, CommonLottery(c=(F(0),) * 4))
