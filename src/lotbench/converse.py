@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import PreconditionViolation
-from .instance import Instance, _second_difference
+from .instance import Instance, _second_difference, _with_mass
 from .mechanism import (
     CommonLottery,
     DirectMechanism,
@@ -156,7 +156,7 @@ def auto_improve(inst: Instance, obj: Objective = Fill(), search_d: bool = True)
     for d in candidates:
         # threshold < d <= spent, over scale
         if threshold * d.denominator < d.numerator * scale <= spent * d.denominator:
-            trial = Instance(n=inst.n, f=inst.f, g=inst.g, d=d)
+            trial = _with_mass(inst, d)
             found = _improve_at(trial, weights, order, k, d2)
             if found is not None:
                 return found, "improved"

@@ -110,6 +110,18 @@ class Instance:
         }
 
 
+def _with_mass(inst: Instance, d) -> Instance:
+    """inst at agent mass d.  Only d is checked (exact and positive): f and
+    g were checked when inst was built, and the cdf and its grid ints,
+    which depend on f alone, are shared with inst."""
+    require_exact(("D", (d,)))
+    if d <= 0:
+        raise LotbenchError(f"agent mass must be positive, got {d}")
+    trial = object.__new__(Instance)
+    trial.__dict__.update(n=inst.n, f=inst.f, g=inst.g, d=d, _cdf=inst._cdf, _grid=inst._grid)
+    return trial
+
+
 def new_instance(n, f, g, d) -> Instance:
     """Validated constructor accepting any rational-like entries."""
     return Instance(
@@ -178,6 +190,11 @@ def _grid_ints(x, F) -> _GridInts:
         for i in range(1, len(xs) - 1)
     )
     return _GridInts(xscale, tuple(xs), fscale, tuple(ps), d2)
+
+
+def _grid_pmf(F) -> list:
+    """The pmf of a cdf, in Fractions or in the ints of `_grid_ints`."""
+    return [F[0]] + [F[i] - F[i - 1] for i in range(1, len(F))]
 
 
 def _second_difference(grid: _GridInts, i: int) -> Fraction:

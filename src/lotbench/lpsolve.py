@@ -419,23 +419,24 @@ def _mechanism_rows(inst: Instance, pos_weights):
     loss = [-g for g in gain]
     rows = []
     # Cells (k, i) and (k, j), i != j, are different columns, so each entry
-    # is assigned once; at k = i the gain is 0 and the row keeps its ZERO.
+    # is assigned once; at k = i the gain is 0 and the row keeps its 0.  The
+    # zeros are int 0, which `_nonzeros` skips at C speed.
     for i in range(n):
         for j in range(n):
             if i == j:
                 continue
-            row = [ZERO] * len(cells)
+            row = [0] * len(cells)
             for k in range(i + 1, n):
                 row[first[k] + i] = gain[k - i]
                 if k >= j:
                     row[first[k] + j] = loss[k - i]
             rows.append(row)
     for k in range(n):
-        row = [ZERO] * len(cells)
+        row = [0] * len(cells)
         row[first[k] : first[k] + k + 1] = pos_weights[: k + 1]
         rows.append(row)
     for i in range(n):
-        row = [ZERO] * len(cells)
+        row = [0] * len(cells)
         for k in range(i, n):
             row[first[k] + i] = ONE
         rows.append(row)
@@ -465,7 +466,7 @@ def build_designer_lp(inst: Instance, obj: Objective) -> LinearProgram:
         c=[weights[k] * mass[i] for k, i in cells],
         rows=rows,
         rels=[GE] * n_ic + [LE] * (2 * n),
-        rhs=[ZERO] * n_ic + list(inst.g) + [ONE] * n,
+        rhs=[0] * n_ic + list(inst.g) + [ONE] * n,
         var_names=var_names,
         con_names=con_names,
     )
@@ -491,13 +492,13 @@ def build_min_mass_lp(inst: Instance, targets: PositionMasses) -> LinearProgram:
     cells, rows = _mechanism_rows(inst, inst.f)
     var_names, con_names = _program_names(n, "min")
     n_ic = n * (n - 1)
-    d_col = [ZERO] * (n_ic + n) + [-ONE] * n
+    d_col = [0] * (n_ic + n) + [-ONE] * n
     return LinearProgram(
         sense="min",
-        c=[ZERO] * len(cells) + [ONE],
+        c=[0] * len(cells) + [ONE],
         rows=[row + [v] for row, v in zip(rows, d_col)],
         rels=[GE] * (n_ic + n) + [LE] * n,
-        rhs=[ZERO] * n_ic + list(targets.s) + [ZERO] * n,
+        rhs=[0] * n_ic + list(targets.s) + [0] * n,
         var_names=var_names,
         con_names=con_names,
     )

@@ -9,7 +9,6 @@ assumes feasibility unless stated.
 
 from __future__ import annotations
 
-import weakref
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
@@ -17,8 +16,9 @@ from operator import add, mul
 from typing import NamedTuple, Union
 
 from .errors import LotbenchError
-from .instance import Instance
+from .instance import Instance, _grid_pmf
 from .rationals import (
+    exact_sum,
     format_rational_matrix,
     parse_rational_vector,
     require_exact,
@@ -43,6 +43,20 @@ class DirectMechanism:
     @property
     def n(self) -> int:
         return len(self.a)
+
+    def _view(self) -> "_ConstraintSums":
+        """The f-free sweep of a (`_sweep`), built on first read.  It is kept on
+        the mechanism when a is a tuple of tuples; a matrix of lists can
+        change in place, so its sweep is built on every read.  It is not a
+        field, so `==`, `hash` and `repr` ignore it.  Callers must not
+        mutate it."""
+        view = self.__dict__.get("_kept_view")
+        if view is None:
+            a = self.a
+            view = _sweep(a, self.__dict__.get("_entries"))
+            if type(a) is tuple and all(type(row) is tuple for row in a):
+                self.__dict__["_kept_view"] = view
+        return view
 
     @classmethod
     def from_rows(cls, rows) -> "DirectMechanism":
@@ -165,51 +179,35 @@ def _check_dims(inst: Instance, mech: DirectMechanism):
         raise LotbenchError(f"mechanism is {mech.n}x{mech.n}, instance has N={inst.n}")
 
 
-def _row_mass(row, f, k: int):
-    """sum_{i<=k} row[i] f_i: row k's offers weighted by the types that
-    accept them (offers below the outside option are never counted).
-    Exact for Fractions and for ints alike."""
-    return sum(map(mul, row[:k + 1], f))
-
-
 class _ConstraintSums(NamedTuple):
     """The constraint sums of a matrix a, in ints over common denominators.
 
-    With L = scale: slack[i][j] = L * (N-1) * (IC slack of type i against
-    report j), participation[i] = L * sum_k a[k][i], and
-    row_mass[k] = mass_scale * sum_{i<=k} a[k][i] f_i.  negative[k] lists
-    the columns of row k's negative cells, and ic_holds says that no slack
-    is negative.
+    With L = scale: rows[k] = L * a[k], slack[i][j] = L * (N-1) * (IC
+    slack of type i against report j), participation[i] = L * sum_k a[k][i].
+    negative[k] lists the columns of row k's negative cells, and ic_holds
+    says that no slack is negative.  Under a type pmf f, with Q the
+    denominator of the instance's cdf ints (`Instance._grid`) and
+    mass_scale = L * Q, row_mass[k] = mass_scale * sum_{i<=k} a[k][i] f_i;
+    the sweep kept on a mechanism is f-free, and holds None for both.
     """
 
     scale: int
+    rows: list[list[int]]
     slack: list[list[int]]
     participation: list[int]
-    row_mass: list[int]
-    mass_scale: int
     negative: list[tuple[int, ...]]
     lower_triangular: bool
     ic_holds: bool
+    row_mass: list[int] | None = None
+    mass_scale: int | None = None
 
 
-# The last kernel computed, as (weak reference to its mechanism, the f it
-# was computed with, the kernel), or None.  One entry: a feasibility report
-# followed by the collapse of the same mechanism sweeps it once, and no
-# other mechanism's kernel is kept.
-_last_sums = None
+def _sweep(a, entries=None) -> _ConstraintSums:
+    """Every IC slack and participation of the matrix a in one O(N^2) sweep.
 
-
-def _forget_sums(ref):
-    """Weak-reference callback: drop the memo when its mechanism is freed."""
-    global _last_sums
-    entry = _last_sums
-    if entry is not None and entry[0] is ref:
-        _last_sums = None
-
-
-def _constraint_sums(mech: DirectMechanism, f) -> _ConstraintSums:
-    """Every IC slack, participation and row mass of mech.a in one O(N^2)
-    sweep.
+    The int rows come from a's cells, or, for the expansion of a common
+    lottery, from its N entries: row k is c_k's int repeated k+1 times,
+    then zeros.  Either way the entries are checked to be exact first.
 
     The (N-1)-scaled slack of type i against report j is
     sum_{k>i} (k-i) (a[k][i] - a[k][j]) = G_i[i] - G_i[j] with
@@ -217,41 +215,45 @@ def _constraint_sums(mech: DirectMechanism, f) -> _ConstraintSums:
     suffix sums S0 = sum_{k>=i} a[k][c] and S1 = sum_{k>=i} k a[k][c].
     Sweeping i down from N-1, G_i = G_{i+1} + (column sums of the rows
     below i), so each row costs O(N) integer additions.
-
-    The last kernel is kept, keyed by the identity of mech and of f, with
-    mech held only weakly; callers must not mutate it.  It is kept only
-    when mech.a is a tuple of tuples, because a matrix of lists can change
-    in place.
     """
-    global _last_sums
-    entry = _last_sums
-    if entry is not None and entry[0]() is mech and entry[1] is f:
-        return entry[2]
-    a = mech.a
     n = len(a)
-    scale, rows = to_common_denominator(a[::-1])
-    fscale, (fs,) = to_common_denominator([f])
+    if entries is None:
+        require_exact(*((f"mechanism row {k}", row) for k, row in enumerate(a)))
+        scale, rows = to_common_denominator(a)
+        rows = list(rows)
+    else:
+        scale, (ints,) = to_common_denominator([entries])
+        rows = [[c] * (k + 1) + [0] * (n - k - 1) for k, c in enumerate(ints)]
     below = [0] * n  # column sums of the rows k > i
     gap = [0] * n  # G_i
     slack = [None] * n
-    row_mass = [0] * n
     negative = [()] * n
     lower_triangular = ic_holds = True
-    for i, row in zip(range(n - 1, -1, -1), rows):
+    for i in range(n - 1, -1, -1):
+        row = rows[i]
         gap = list(map(add, gap, below))
-        own = gap[i]
-        slack[i] = [own - g for g in gap]
+        slack[i] = list(map(gap[i].__sub__, gap))
         ic_holds = ic_holds and min(slack[i]) >= 0
         below = list(map(add, below, row))
-        row_mass[i] = _row_mass(row, fs, i)
-        negative[i] = tuple(c for c, v in enumerate(row) if v < 0)
+        if min(row) < 0:
+            negative[i] = tuple(c for c, v in enumerate(row) if v < 0)
         lower_triangular = lower_triangular and not any(row[i + 1:])
-    sums = _ConstraintSums(
-        scale, slack, below, row_mass, scale * fscale, negative, lower_triangular, ic_holds
-    )
-    if type(a) is tuple and all(type(row) is tuple for row in a):
-        _last_sums = (weakref.ref(mech, _forget_sums), f, sums)
-    return sums
+    return _ConstraintSums(scale, rows, slack, below, negative, lower_triangular, ic_holds)
+
+
+def _constraint_sums(inst: Instance, mech: DirectMechanism) -> _ConstraintSums:
+    """The sweep of mech.a (kept on mech, see `DirectMechanism._view`) and
+    its row masses under inst's pmf, which are computed on every call.  The
+    row k of an expanded lottery is c_k on the types i <= k, whose pmf sums
+    to F_k, so its row mass is one product."""
+    sweep = mech._view()
+    grid = inst._grid
+    if "_entries" in mech.__dict__:
+        row_mass = [row[0] * p for row, p in zip(sweep.rows, grid.ps)]
+    else:
+        fs = _grid_pmf(grid.ps)
+        row_mass = [sum(map(mul, row[:k + 1], fs)) for k, row in enumerate(sweep.rows)]
+    return sweep._replace(row_mass=row_mass, mass_scale=sweep.scale * grid.fscale)
 
 
 def _is_feasible(inst: Instance, sums: _ConstraintSums) -> bool:
@@ -274,10 +276,12 @@ def _is_feasible(inst: Instance, sums: _ConstraintSums) -> bool:
 
 
 def position_masses(inst: Instance, mech: DirectMechanism) -> PositionMasses:
-    """s_k = D * sum_{i<=k} a[k][i] f_i."""
+    """s_k = D * sum_{i<=k} a[k][i] f_i, each one Fraction of the kernel's
+    int row masses."""
     _check_dims(inst, mech)
-    s = tuple(inst.d * _row_mass(row, inst.f, k) for k, row in enumerate(mech.a))
-    return PositionMasses(s=s)
+    sums = _constraint_sums(inst, mech)
+    d, den = inst.d.numerator, inst.d.denominator * sums.mass_scale
+    return PositionMasses(s=tuple(Fraction(d * m, den) if m else ZERO for m in sums.row_mass))
 
 
 @dataclass(frozen=True)
@@ -332,13 +336,16 @@ class FeasibilityReport:
 
 def feasibility_report(inst: Instance, mech: DirectMechanism) -> FeasibilityReport:
     """Evaluate every constraint of the direct-mechanism program exactly,
-    in O(N^2) integer operations; each reported value is divided once, the
-    IC slacks on first read."""
+    in O(N^2) integer operations; each reported value is one Fraction of
+    the kernel's ints, the IC slacks built on first read."""
     _check_dims(inst, mech)
-    sums = _constraint_sums(mech, inst.f)
-    participation = tuple(Fraction(p, sums.scale) for p in sums.participation)
+    sums = _constraint_sums(inst, mech)
+    scale = sums.scale
+    participation = tuple(Fraction(p, scale) for p in sums.participation)
+    # g_k - D m / mass_scale over the denominators of g_k and D
+    d, cap = inst.d.numerator, inst.d.denominator * sums.mass_scale
     position_slack = tuple(
-        gk - inst.d * Fraction(m, sums.mass_scale)
+        Fraction(gk.numerator * cap - d * m * gk.denominator, gk.denominator * cap)
         for gk, m in zip(inst.g, sums.row_mass)
     )
     binding = frozenset(
@@ -349,10 +356,10 @@ def feasibility_report(inst: Instance, mech: DirectMechanism) -> FeasibilityRepo
     )
     return FeasibilityReport(
         _slack=sums.slack,
-        _slack_scale=sums.scale * (inst.n - 1),
+        _slack_scale=scale * (inst.n - 1),
         participation=participation,
         position_slack=position_slack,
-        agent_slack=tuple(1 - p for p in participation),
+        agent_slack=tuple(Fraction(scale - p, scale) for p in sums.participation),
         ex_post_ir_ok=sums.lower_triangular,
         negative_cells=tuple((k, i) for k, cols in enumerate(sums.negative) for i in cols),
         is_feasible=_is_feasible(inst, sums),
@@ -361,11 +368,13 @@ def feasibility_report(inst: Instance, mech: DirectMechanism) -> FeasibilityRepo
 
 
 def _check_lottery(cl: CommonLottery, n: int, what: str = "lottery"):
-    """A valid offer distribution over N positions: length N, total at
-    most 1, nonnegative entries."""
+    """A valid offer distribution over N positions: exact entries (see
+    `rationals.require_exact`), length N, total at most 1, nonnegative
+    entries."""
+    require_exact((what, cl.c))
     if len(cl.c) != n:
         raise LotbenchError(f"{what} has length {len(cl.c)}, need {n}")
-    total = cl.total()
+    total = exact_sum(cl.c)
     if total > 1:
         raise LotbenchError(f"{what}: offer probabilities total {total} > 1")
     if any(ck < 0 for ck in cl.c):
@@ -374,10 +383,15 @@ def _check_lottery(cl: CommonLottery, n: int, what: str = "lottery"):
 
 def expand_common_lottery(inst: Instance, cl: CommonLottery) -> DirectMechanism:
     """Direct representation: each type sees the lottery truncated below its
-    outside option.  The result is IC and ex-post IR by construction."""
+    outside option.  The result is IC and ex-post IR by construction.
+
+    The mechanism records a snapshot of the lottery's entries, from which
+    its kernel is scaled on first read: N denominators, not N^2 cells."""
     _check_lottery(cl, inst.n)
     n = inst.n
-    rows = tuple(
-        tuple(cl.c[k] if i <= k else ZERO for i in range(n)) for k in range(n)
+    entries = tuple(cl.c)
+    mech = DirectMechanism(
+        a=tuple((c,) * (k + 1) + (ZERO,) * (n - k - 1) for k, c in enumerate(entries))
     )
-    return DirectMechanism(a=rows)
+    object.__setattr__(mech, "_entries", entries)
+    return mech

@@ -90,6 +90,14 @@ def to_common_denominator(rows):
     return scale, ([v.numerator * factor[v.denominator] for v in row] for row in rows)
 
 
+def exact_sum(values) -> Fraction:
+    """The sum of exact entries (Fraction or int) as one Fraction: summed in
+    ints over the lcm of their denominators, not one Fraction addition per
+    entry.  values must be a sequence."""
+    scale, (ints,) = to_common_denominator([values])
+    return Fraction(sum(ints), scale)
+
+
 def format_rational_vector(values) -> list[str]:
     return [format_rational(v) for v in values]
 

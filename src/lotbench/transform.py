@@ -25,7 +25,7 @@ from fractions import Fraction
 from operator import mul
 
 from .errors import LotbenchError
-from .instance import Instance, _GridInts
+from .instance import Instance, _grid_pmf, _GridInts
 from .mechanism import (
     CommonLottery,
     DirectMechanism,
@@ -34,13 +34,9 @@ from .mechanism import (
     _constraint_sums,
     _is_feasible,
 )
-from .rationals import format_rational, to_common_denominator
+from .rationals import exact_sum, format_rational, to_common_denominator
 
 ZERO = Fraction(0)
-
-
-def _grid_pmf(F) -> list:
-    return [F[0]] + [F[i] - F[i - 1] for i in range(1, len(F))]
 
 
 def _grid_weights(grid: _GridInts) -> tuple[tuple[Fraction, ...], tuple[Fraction, ...]]:
@@ -77,17 +73,20 @@ def to_common_lottery(inst: Instance, mech: DirectMechanism):
     feasible input.
     """
     _check_dims(inst, mech)
-    sums = _constraint_sums(mech, inst.f)
+    sums = _constraint_sums(inst, mech)
     if not _is_feasible(inst, sums):
         raise LotbenchError("the collapse guarantee is stated for feasible input")
-    lottery = CommonLottery(c=_row_averages(inst, sums))
-    return lottery, lottery.total() > 1
+    c = _row_averages(inst, sums)
+    return CommonLottery(c=c), exact_sum(c) > 1
 
 
 def _row_averages(inst: Instance, sums: _ConstraintSums) -> tuple[Fraction, ...]:
-    """Row mass over F_k, read from the kernel's integer row masses."""
+    """Row mass over F_k, each one Fraction of the kernel's int row masses:
+    with F_k = P_k / Q from `inst._grid` and mass_scale = L Q, the average
+    m_k Q / (mass_scale P_k) is m_k / (L P_k)."""
+    scale = sums.scale
     return tuple(
-        Fraction(m, sums.mass_scale) / inst.cdf(k) for k, m in enumerate(sums.row_mass)
+        Fraction(m, scale * p) if m else ZERO for m, p in zip(sums.row_mass, inst._grid.ps)
     )
 
 
@@ -116,7 +115,7 @@ class DecompositionReport:
 
 def verify_decomposition(inst: Instance, mech: DirectMechanism) -> DecompositionReport:
     _check_dims(inst, mech)
-    sums = _constraint_sums(mech, inst.f)
+    sums = _constraint_sums(inst, mech)
     # info = sum_i up_i slack[i][i+1] + sum_i r_i sum_{j<i} f_j slack[i][j],
     # in ints over the weights' and the cdf's denominators
     grid = inst._grid
@@ -128,7 +127,7 @@ def verify_decomposition(inst: Instance, mech: DirectMechanism) -> Decomposition
         r * sum(map(mul, pmf[:i], row)) for i, (r, row) in enumerate(zip(rows, scaled)) if r
     )
     info = Fraction(info, wscale * fscale * sums.scale)
-    common = sum(_row_averages(inst, sums), ZERO)
+    common = exact_sum(_row_averages(inst, sums))
     p0 = Fraction(sums.participation[0], sums.scale)
     return DecompositionReport(
         common_term=common,

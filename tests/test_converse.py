@@ -25,6 +25,7 @@ from lotbench import (
 
 from lotbench import converse
 from lotbench.converse import _improve_at
+from lotbench.instance import _with_mass
 from lotbench.optimizer import _ranking
 
 from util import random_convex_instance, random_instance, random_pmf
@@ -377,3 +378,35 @@ def test_auto_improve_screen_boundaries(monkeypatch):
     assert built[-1] == spent
     assert auto_improve(at(spent + tiny), search_d=False) == (None, "full-fill feasible")
     assert built[-1] == spent
+
+
+def test_trial_instance_shares_the_checked_instance():
+    rng = random.Random(83)
+    for _ in range(60):
+        inst = random_instance(rng, 2, 16)
+        d = F(rng.randint(1, 40), rng.randint(1, 9))
+        trial = _with_mass(inst, d)
+        checked = Instance(n=inst.n, f=inst.f, g=inst.g, d=d)
+        assert trial == checked and hash(trial) == hash(checked) and repr(trial) == repr(checked)
+        assert trial._grid is inst._grid and trial._grid == checked._grid
+        assert [trial.cdf(k) for k in range(inst.n)] == [checked.cdf(k) for k in range(inst.n)]
+    with pytest.raises(LotbenchError, match="agent mass must be positive, got 0"):
+        _with_mass(FIG4, F(0))
+    with pytest.raises(LotbenchError, match="D entries must be Fraction or int, got 0.5"):
+        _with_mass(FIG4, 0.5)
+
+
+def test_auto_improve_is_unchanged_by_shared_trial_instances(monkeypatch):
+    # the reference builds every trial mass as a fully validated Instance
+    rng = random.Random(89)
+    cases = []
+    for _ in range(220):
+        inst, _ = _random_nonconvex_instance(rng, 3, 12)
+        weights = tuple(F(rng.randint(1, 9), rng.randint(1, 3)) for _ in range(inst.n))
+        cases += [(inst, Fill()), (inst, Linear(weights=weights))]
+    got = [auto_improve(inst, obj=obj) for inst, obj in cases]
+    monkeypatch.setattr(
+        converse, "_with_mass", lambda inst, d: Instance(n=inst.n, f=inst.f, g=inst.g, d=d)
+    )
+    assert got == [auto_improve(inst, obj=obj) for inst, obj in cases]
+    assert sum(found is not None for found, _ in got) >= 100

@@ -629,7 +629,8 @@ def test_designer_lp_pivot_path_is_pinned(n, pivots):
 
 def _reference_rows(inst, pos_scale):
     """The mechanism rows straight from their definition, cell by cell:
-    the gain x_k - x_i added into a (k, i) -> column dict."""
+    the gain x_k - x_i added into a (k, i) -> column dict.  Zeros are int
+    0 and nonzeros Fraction."""
     n = inst.n
     cells = [(k, i) for k in range(n) for i in range(k + 1)]
     index_of = {cell: t for t, cell in enumerate(cells)}
@@ -658,7 +659,7 @@ def _reference_rows(inst, pos_scale):
             row[index_of[(k, i)]] = F(1)
         rows.append(row)
         names.append(f"AGE[{i}]")
-    return cells, rows, names
+    return cells, [[v if v else 0 for v in row] for row in rows], names
 
 
 def _reference_designer_lp(inst, weights):
@@ -669,7 +670,7 @@ def _reference_designer_lp(inst, weights):
         [weights[k] * inst.d * inst.f[i] for k, i in cells],
         rows,
         [">="] * (n * (n - 1)) + ["<="] * (2 * n),
-        [ZERO] * (n * (n - 1)) + list(inst.g) + [F(1)] * n,
+        [0] * (n * (n - 1)) + list(inst.g) + [F(1)] * n,
         [f"a[{k}][{i}]" for k, i in cells],
         names,
     )
@@ -678,13 +679,13 @@ def _reference_designer_lp(inst, weights):
 def _reference_min_mass_lp(inst, s):
     n = inst.n
     cells, rows, names = _reference_rows(inst, F(1))
-    d_col = [ZERO] * (n * n) + [F(-1)] * n
+    d_col = [0] * (n * n) + [F(-1)] * n
     return LinearProgram(
         "min",
-        [ZERO] * len(cells) + [F(1)],
+        [0] * len(cells) + [F(1)],
         [row + [v] for row, v in zip(rows, d_col)],
         [">="] * (n * n) + ["<="] * n,
-        [ZERO] * (n * (n - 1)) + list(s) + [ZERO] * n,
+        [0] * (n * (n - 1)) + list(s) + [0] * n,
         [f"y[{k}][{i}]" for k, i in cells] + ["D"],
         names,
     )

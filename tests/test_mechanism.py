@@ -22,7 +22,10 @@ from lotbench import (
     new_instance,
     to_common_lottery,
     uniform_instance,
+    verify_decomposition,
 )
+from lotbench import mechanism
+from lotbench.mechanism import _constraint_sums
 
 from util import random_instance, random_raw_matrix, random_supported_matrix
 
@@ -153,7 +156,7 @@ def _row_masses(inst, a):
 
 def test_kernel_memo_never_serves_a_stale_kernel():
     # (a) a matrix of lists changed in place between the report and the
-    # collapse: both read the changed matrix
+    # collapse: its kernel is never kept, so both read the changed matrix
     lottery = CommonLottery.from_values(["0", "5/12", "1/3", "1/4"])
     mech = DirectMechanism(a=[list(row) for row in expand_common_lottery(U4, lottery).a])
     assert feasibility_report(U4, mech).participation[3] == Fraction(1, 4)
@@ -161,7 +164,8 @@ def test_kernel_memo_never_serves_a_stale_kernel():
     assert to_common_lottery(U4, mech)[0].c == (0, Fraction(5, 12), Fraction(1, 3), Fraction(1, 8))
     assert feasibility_report(U4, mech).participation[3] == Fraction(1, 8)
 
-    # (b) one mechanism under two instances whose f differ, interleaved
+    # (b) one mechanism under two instances whose f differ, interleaved:
+    # the mechanism keeps only its f-free sweep, and the row masses follow f
     other = new_instance(4, ["1/8", "1/8", "1/4", "1/2"], ["1/4"] * 4, 1)
     menu = DirectMechanism.from_json_dict(FIG2["menu"])
     for inst in (U4, other, other, U4, other):
@@ -170,9 +174,11 @@ def test_kernel_memo_never_serves_a_stale_kernel():
         assert report.position_slack == tuple(g - inst.d * m for g, m in zip(inst.g, masses))
         collapsed, _ = to_common_lottery(inst, menu)
         assert collapsed.c == tuple(m / inst.cdf(k) for k, m in enumerate(masses))
+        assert position_masses(inst, menu).s == tuple(inst.d * m for m in masses)
     assert feasibility_report(U4, menu).position_slack != feasibility_report(other, menu).position_slack
 
-    # (c) the memo holds the mechanism weakly: once freed, it is gone
+    # (c) the kernel lives on its mechanism and nowhere else: once the
+    # mechanism is freed, so is its kernel
     mech = expand_common_lottery(U4, lottery)
     assert feasibility_report(U4, mech).is_feasible
     to_common_lottery(U4, mech)
@@ -180,6 +186,114 @@ def test_kernel_memo_never_serves_a_stale_kernel():
     del mech
     gc.collect()
     assert ref() is None
+
+
+def _random_lottery(rng, n):
+    """Entries over a few denominators, with zeros and repeats, total <= 1."""
+    pool = [Fraction(0)] + [Fraction(rng.randint(1, 9), rng.choice((1, 3, 7, 12))) for _ in range(3)]
+    raw = [rng.choice(pool) for _ in range(n)]
+    total = sum(raw)
+    return tuple(v / (total + rng.randint(0, 2)) if total else v for v in raw)
+
+
+def test_kernel_of_an_expansion_equals_the_kernel_of_its_matrix():
+    rng = random.Random(2027)
+    zeros = repeats = 0
+    for _ in range(240):
+        n = rng.randint(2, 40)
+        inst = random_instance(rng, n, n)
+        c = _random_lottery(rng, n)
+        zeros += 0 in c
+        repeats += len(set(c)) < n
+        expanded = expand_common_lottery(inst, CommonLottery(c=c))
+        plain = DirectMechanism(a=expanded.a)
+        assert plain == expanded and "_entries" not in plain.__dict__
+        assert _constraint_sums(inst, expanded) == _constraint_sums(inst, plain)
+    assert zeros >= 50 and repeats >= 100
+
+
+def test_position_masses_match_the_cell_sums():
+    # negative cells and cells above the diagonal included; a list matrix
+    # changed in place is read afresh on every call
+    rng = random.Random(2028)
+    for _ in range(150):
+        inst = random_instance(rng, 2, 12)
+        a = random_raw_matrix(rng, inst.n).a
+        want = tuple(inst.d * m for m in _row_masses(inst, a))
+        assert position_masses(inst, DirectMechanism(a=a)).s == want
+        rows = [list(row) for row in a]
+        mech = DirectMechanism(a=rows)
+        assert position_masses(inst, mech).s == want
+        k = rng.randrange(inst.n)
+        rows[k][rng.randint(0, k)] += Fraction(rng.randint(-9, 9), 11)
+        assert position_masses(inst, mech).s == tuple(inst.d * m for m in _row_masses(inst, rows))
+
+
+def test_one_sweep_serves_every_reader_of_a_tuple_mechanism(monkeypatch):
+    swept = []
+
+    def counted(a, entries=None):
+        swept.append(entries is not None)
+        return sweep(a, entries)
+
+    sweep = mechanism._sweep
+    monkeypatch.setattr(mechanism, "_sweep", counted)
+    for mech in (
+        expand_common_lottery(U4, CommonLottery.from_values(["0", "5/12", "1/3", "1/4"])),
+        DirectMechanism.from_json_dict(FIG2["menu"]),
+    ):
+        swept.clear()
+        report = feasibility_report(U4, mech)
+        lottery, _ = to_common_lottery(U4, mech)
+        masses = position_masses(U4, mech)
+        verify_decomposition(U4, mech)
+        assert len(swept) == 1
+        assert report.is_feasible and masses.total() == sum(
+            m * U4.d * U4.cdf(k) for k, m in enumerate(lottery.c)
+        )
+    # an expansion is scaled from its entries, and only when first read
+    assert swept == [False]
+    mech = expand_common_lottery(U4, CommonLottery.from_values(["0", "1/2", "0", "1/4"]))
+    assert swept == [False]
+    feasibility_report(U4, mech)
+    assert swept == [False, True]
+
+
+def test_expansion_keeps_a_snapshot_of_the_lottery():
+    entries = [Fraction(0), Fraction(5, 12), Fraction(1, 3), Fraction(1, 4)]
+    mech = expand_common_lottery(U4, CommonLottery(c=entries))
+    entries[1] = Fraction(2, 3)
+    entries[3] = Fraction(-1)
+    fresh = expand_common_lottery(U4, CommonLottery.from_values(["0", "5/12", "1/3", "1/4"]))
+    assert mech == fresh
+    assert feasibility_report(U4, mech) == feasibility_report(U4, fresh)
+    assert position_masses(U4, mech) == position_masses(U4, fresh)
+    assert to_common_lottery(U4, mech) == to_common_lottery(U4, fresh)
+
+
+FLOAT_CELLS = DirectMechanism(a=((Fraction(1, 2), 0, 0), (0.25, 0.25, 0), (Fraction(1, 4),) * 3))
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: feasibility_report(uniform_instance(3), FLOAT_CELLS), "mechanism row 1"),
+        (lambda: position_masses(uniform_instance(3), FLOAT_CELLS), "mechanism row 1"),
+        (lambda: to_common_lottery(uniform_instance(3), FLOAT_CELLS), "mechanism row 1"),
+        (lambda: verify_decomposition(uniform_instance(3), FLOAT_CELLS), "mechanism row 1"),
+        (
+            lambda: expand_common_lottery(
+                uniform_instance(3), CommonLottery(c=(Fraction(1, 2), 0.25, Fraction(1, 4)))
+            ),
+            "lottery",
+        ),
+    ],
+    ids=["feasibility_report", "position_masses", "to_common_lottery",
+         "verify_decomposition", "expand_common_lottery"],
+)
+def test_kernel_readers_reject_inexact_entries(call, message):
+    with pytest.raises(LotbenchError, match=f"^{message} entries must be Fraction or int, got 0.25$"):
+        call()
 
 
 def test_feasibility_menu_and_ceei():
