@@ -124,6 +124,12 @@ def simulate_finite(
     agent takes the best open position at or above its outside option.
     Sizes are bounded before anything is allocated: at most 10^6 agents
     and 10^4 replications.
+
+    Each replication keeps a line of the agents still waiting, in arrival
+    order, which shrinks as positions fill from the top, and stops when it
+    is empty.  Every agent left on the line accepts the position at hand,
+    so this is the serial dictatorship, and the line draws nothing from
+    the random stream.
     """
     if n_agents < 1:
         raise LotbenchError(f"need at least one agent, got {n_agents}")
@@ -134,9 +140,15 @@ def simulate_finite(
     if replications > 10**4:
         raise LotbenchError(f"need at most {10**4} replications, got {replications}")
     _check_caps(inst, caps)
-    n = inst.n
-    quotas = tuple(int(n_agents * sk / inst.d) for sk in caps.s)
-    cdf = np.array([float(inst.cdf(i)) for i in range(n)])
+    n, d, grid = inst.n, inst.d, inst._grid
+    # floor(n_agents * s_k / D) in ints; the caps are nonnegative
+    quotas = tuple(
+        n_agents * sk.numerator * d.denominator // (sk.denominator * d.numerator)
+        for sk in caps.s
+    )
+    # F_k = P_k / Q, each correctly rounded, as float(F_k) is
+    cdf = np.array([p / grid.fscale for p in grid.ps])
+    open_positions = [k for k in range(n - 1, -1, -1) if quotas[k]]
 
     counts = np.zeros((n, n), dtype=np.int64)
     type_totals = np.zeros(n, dtype=np.int64)
@@ -146,15 +158,16 @@ def simulate_finite(
         # i.i.d. types in arrival order; arrival order is the priority order
         types = np.searchsorted(cdf, rng.random(n_agents), side="right")
         type_totals += np.bincount(types, minlength=n)
-        unassigned = np.ones(n_agents, dtype=bool)
-        for k in range(n - 1, -1, -1):
-            if quotas[k] == 0:
-                continue
-            eligible = np.flatnonzero(unassigned & (types <= k))
-            winners = eligible[: quotas[k]]
-            if winners.size:
-                unassigned[winners] = False
-                counts[k] += np.bincount(types[winners], minlength=n)
+        # the types of the agents still waiting, in arrival order: from the
+        # top, a position drops the types above it, which no lower position
+        # accepts either, and its quota goes to the first agents left
+        line = types
+        for k in open_positions:
+            line = line[line <= k]
+            if not line.size:
+                break
+            counts[k] += np.bincount(line[: quotas[k]], minlength=n)
+            line = line[quotas[k]:]
 
     with np.errstate(divide="ignore", invalid="ignore"):
         empirical = np.where(type_totals > 0, counts / type_totals, 0.0)

@@ -12,10 +12,10 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from itertools import accumulate
-from typing import NamedTuple
 
 from .errors import LotbenchError
 from .rationals import (
+    exact_sum,
     format_rational,
     parse_rational,
     parse_rational_vector,
@@ -55,12 +55,14 @@ class Instance:
             raise LotbenchError("type pmf must have full support")
         if any(gk < 0 for gk in self.g):
             raise LotbenchError("position capacities must be >= 0")
-        cdf = tuple(accumulate(self.f))
-        if cdf[-1] != 1 or sum(self.g) != 1:
+        # F_k = P_k / Q from the int prefix sums of f over one denominator Q
+        scale, (ints,) = to_common_denominator([self.f])
+        prefix = list(accumulate(ints))
+        if prefix[-1] != scale or exact_sum(self.g) != 1:
             raise LotbenchError("f and g must each sum to 1")
         if self.d <= 0:
             raise LotbenchError(f"agent mass must be positive, got {self.d}")
-        object.__setattr__(self, "_cdf", cdf)
+        object.__setattr__(self, "_cdf", tuple(Fraction(p, scale) for p in prefix))
 
     @cached_property
     def _grid(self) -> "_GridInts":
@@ -162,10 +164,15 @@ def convexity_report(inst: Instance) -> ConvexityReport:
     return _grid_convexity(inst._grid)
 
 
-class _GridInts(NamedTuple):
+@dataclass(frozen=True)
+class _GridInts:
     """An increasing grid x with cdf F in ints: x = xs/xscale, F = ps/fscale,
     and d2[i-1] the int numerator of the second difference of 1/F at
-    interior i, over the positive xscale P_{i-1} P_i P_{i+1} / fscale."""
+    interior i, over the positive xscale P_{i-1} P_i P_{i+1} / fscale.
+
+    Values that depend on the grid alone may be kept in its `__dict__`
+    (`transform._kept_weights` keeps the decomposition's weights there);
+    they are not fields, so `==` and `repr` ignore them."""
 
     xscale: int
     xs: tuple[int, ...]

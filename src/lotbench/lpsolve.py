@@ -44,7 +44,7 @@ from .mechanism import (
 )
 from .optimizer import _budget_masses, lottery_from_masses
 from .rationals import require_exact, to_common_denominator
-from .transform import _check_mu_identity, _grid_weights
+from .transform import _check_mu_identity, _kept_weights
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -621,21 +621,22 @@ def _ic_prices(inst: Instance, unit: Fraction) -> list:
     times the weights of `transform._grid_weights` (the LP's IC rows are
     the transform's over N - 1), so IC[i, i+1] carries the upward weight
     up_i and IC[i, j], j < i, the downward weight f_j r_i.  The row factor
-    unit * (N - 1) * r_i is formed once per row, and each downward price is
+    unit * (N - 1) * r_i is formed once per row, one Fraction of the kept
+    weights' ints (`transform._kept_weights`), and each downward price is
     one product of it with f_j."""
     n = inst.n
-    local_up, rows = _grid_weights(inst._grid)
-    scale = unit * (n - 1)
+    wscale, up, rows = _kept_weights(inst._grid)
+    num, den = unit.numerator * (n - 1), unit.denominator * wscale
     prices = []
     for i, r in enumerate(rows):
         # IC[i, j] over j != i: j < i, then j = i + 1, then j > i + 1
-        factor = scale * r
+        factor = Fraction(num * r, den)
         if factor:
             prices += [factor * fj for fj in inst.f[:i]]
         else:
             prices += [ZERO] * i
         if i < n - 1:
-            prices.append(scale * local_up[i])
+            prices.append(Fraction(num * up[i], den))
         prices += [ZERO] * (n - i - 2)
     return prices
 

@@ -18,6 +18,7 @@ from typing import NamedTuple, Union
 from .errors import LotbenchError
 from .instance import Instance, _grid_pmf
 from .rationals import (
+    exact_dot,
     exact_sum,
     format_rational_matrix,
     parse_rational_vector,
@@ -79,7 +80,10 @@ class CommonLottery:
     c: tuple[Rat, ...]
 
     def total(self) -> Rat:
-        return sum(self.c, Fraction(0))
+        """The offer probabilities' sum, exact: the entries must be Fraction
+        or int (see `rationals.require_exact`)."""
+        require_exact(("lottery", self.c))
+        return exact_sum(self.c)
 
     @classmethod
     def from_values(cls, values) -> "CommonLottery":
@@ -93,7 +97,10 @@ class PositionMasses:
     s: tuple[Rat, ...]
 
     def total(self) -> Rat:
-        return sum(self.s, Fraction(0))
+        """The masses' sum, exact: the entries must be Fraction or int (see
+        `rationals.require_exact`)."""
+        require_exact(("masses", self.s))
+        return exact_sum(self.s)
 
     @classmethod
     def from_values(cls, values) -> "PositionMasses":
@@ -120,7 +127,10 @@ class Linear:
 
 @dataclass(frozen=True)
 class SeparableConcave:
-    """sum_k alpha_k * s_k**rho with 0 < rho < 1 and positive weights."""
+    """sum_k alpha_k * s_k**rho with 0 < rho < 1 and positive weights.
+
+    Its value is a float (`evaluate_objective`), so float masses are
+    accepted for it, unlike for Fill and Linear."""
 
     weights: tuple[Rat, ...]
     rho: Rat
@@ -156,10 +166,17 @@ def _linear_weights(obj: Objective, n: int):
 
 
 def evaluate_objective(obj: Objective, masses: PositionMasses):
-    """Objective value at a mass vector; exact for Fill/Linear, float otherwise."""
+    """Objective value at a mass vector.
+
+    Fill and Linear are exact: the value is one Fraction of an int dot
+    product (`rationals.exact_dot`), and a mass that is not a Fraction or
+    an int, such as a float, raises LotbenchError.  The concave objective
+    is a float, and takes float masses too.
+    """
     weights = _linear_weights(obj, len(masses.s))
     if weights is not None:
-        return sum(map(mul, masses.s, weights), ZERO)
+        require_exact(("masses", masses.s))
+        return exact_dot(masses.s, weights)
     if isinstance(obj, SeparableConcave):
         _check_weights(obj, len(masses.s))
         for k, s in enumerate(masses.s):

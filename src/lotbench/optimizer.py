@@ -218,13 +218,16 @@ def _water_fill(inst: Instance, obj: SeparableConcave) -> PositionMasses:
     order of g_k / b_k.  With a prefix of that order capped, the rest
     split the budget left in proportion to b_k / F_k; the walk stops at the
     first position whose share fits under its cap.  Budget and costs are
-    exact; the shares are floats, from logs so no power of a price overflows.
-    The largest share takes the exact budget the others leave, so the
-    masses never overspend D."""
+    exact, as ints over one common denominator (`_costs`); the shares are
+    floats, from logs so no power of a price overflows.  The largest share
+    takes the exact budget the others leave, so the masses never overspend
+    D."""
     n = inst.n
     alpha, rho, cdf, g, _ = _float_problem(inst, obj)
-    cost = [inst.g[k] / inst.cdf(k) for k in range(n)]
-    if sum(cost) <= inst.d:
+    d = inst.d
+    scale, cost = _costs(inst, range(n), inst.g, d.denominator)
+    remaining = d.numerator * (scale // d.denominator)
+    if sum(cost) <= remaining:
         return PositionMasses(s=tuple(inst.g))
     p = 1 / (1 - rho)
     log_b = [p * (math.log(a) + math.log(rho) + math.log(c)) for a, c in zip(alpha, cdf)]
@@ -236,13 +239,15 @@ def _water_fill(inst: Instance, obj: SeparableConcave) -> PositionMasses:
     for j in reversed(range(n)):
         lo, hi = sorted((acc, log_w[order[j]]))
         tail[j] = acc = hi + math.log1p(math.exp(lo - hi))
-    remaining = inst.d
-    # exact, so the budget left never goes negative; a binding one always stops
+    # exact, so the budget left never goes negative; a binding one always
+    # stops.  cost > remaining * e is compared over e's integer ratio.
     for j, k in enumerate(order):
-        if cost[k] > remaining * Fraction(math.exp(log_w[k] - tail[j])):
+        num, den = math.exp(log_w[k] - tail[j]).as_integer_ratio()
+        if cost[k] * den > remaining * num:
             break
         remaining -= cost[k]
-    s, rem, left = list(inst.g), float(remaining), remaining
+    # remaining / scale is correctly rounded, as float(Fraction) is
+    s, rem, left = list(inst.g), remaining / scale, Fraction(remaining, scale)
     top = max(order[j:], key=log_w.__getitem__)  # the largest share
     for k in order[j:]:
         if k != top:

@@ -13,9 +13,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 
 from .errors import ConvexityHypothesisFailed, LotbenchError
-from .instance import ConvexityReport, Instance, _grid_convexity, _grid_ints
+from .instance import ConvexityReport, Instance, _grid_convexity, _grid_ints, _GridInts
 from .mechanism import CommonLottery, Fill, Linear, PositionMasses, _check_lottery
 from .optimizer import _budget_masses, lottery_from_masses, masses_from_lottery
 from .rationals import (
@@ -83,6 +84,15 @@ class OrdinalInstance:
     def cdf(self, k: int) -> Fraction:
         return self._baseline.cdf(k)
 
+    @cached_property
+    def _grids(self) -> tuple[_GridInts, ...]:
+        """Each taste's utility grid with the shared cdf, in the ints of
+        `_grid_ints`, in the order of gamma_labels; built on first read and
+        kept, as `Instance._grid` is.  It is not a field, so `==`, `hash`
+        and `repr` ignore it.  Callers must not mutate it."""
+        cdf = self._baseline._cdf
+        return tuple(_grid_ints(row, cdf) for row in self.utility)
+
     @classmethod
     def from_json_dict(cls, data: dict) -> "OrdinalInstance":
         labels = data["Gamma"]
@@ -141,24 +151,37 @@ class UnevenGridView:
     def pmf(self, i: int) -> Fraction:
         return self.F[i] - (self.F[i - 1] if i > 0 else ZERO)
 
+    @cached_property
+    def _grid(self) -> _GridInts:
+        """The grid and cdf in the ints of `_grid_ints`, built on first read
+        and kept; not a field, so `==`, `hash` and `repr` ignore it."""
+        return _grid_ints(self.x, self.F)
+
 
 def normalize_gamma(oi: OrdinalInstance, gamma: str) -> UnevenGridView:
-    """Utility-space view for one taste: grid u(q; gamma), cdf H(q)."""
+    """Utility-space view for one taste: grid u(q; gamma), cdf H(q).
+
+    The row and the cdf were checked when oi was built, so the view is not
+    checked again, and it shares the taste's grid ints kept on oi."""
     if gamma not in oi.gamma_labels:
         raise LotbenchError(f"unknown taste label {gamma!r}")
-    row = oi.utility[oi.gamma_labels.index(gamma)]
-    return UnevenGridView(x=tuple(row), F=tuple(oi.cdf(k) for k in range(oi.n)))
+    index = oi.gamma_labels.index(gamma)
+    view = object.__new__(UnevenGridView)
+    view.__dict__.update(
+        x=tuple(oi.utility[index]), F=oi._baseline._cdf, _grid=oi._grids[index]
+    )
+    return view
 
 
 def uneven_convexity(view: UnevenGridView) -> ConvexityReport:
     """Discrete convexity of 1/F along the (possibly uneven) utility grid."""
-    return _grid_convexity(_grid_ints(view.x, view.F))
+    return _grid_convexity(view._grid)
 
 
 def uneven_mu_coefficients(view: UnevenGridView) -> tuple[tuple[Fraction, ...], ...]:
     """Cell coefficients of the multiplier-weighted constraint sum on an
     uneven grid, checked against the same closed forms as the baseline."""
-    return _grid_mu(_grid_ints(view.x, view.F))
+    return _grid_mu(view._grid)
 
 
 def optimal_common_lottery_ordinal(oi: OrdinalInstance, obj) -> CommonLottery:
@@ -166,14 +189,15 @@ def optimal_common_lottery_ordinal(oi: OrdinalInstance, obj) -> CommonLottery:
 
     Requires every taste's utility grid to pass the convexity test; the
     budget problem itself only involves the shared outside-option cdf, so
-    the solution does not depend on the taste at all.
+    the solution does not depend on the taste at all.  The test reads the
+    signs of each taste's second differences (`OrdinalInstance._grids`).
     """
     if not isinstance(obj, (Fill, Linear)):
         raise TypeError("ordinal optimum is defined for Fill/Linear objectives")
     failing = [
         label
-        for label in oi.gamma_labels
-        if not uneven_convexity(normalize_gamma(oi, label)).is_convex
+        for label, grid in zip(oi.gamma_labels, oi._grids)
+        if any(v < 0 for v in grid.d2)
     ]
     if failing:
         raise ConvexityHypothesisFailed(failing)

@@ -11,6 +11,7 @@ import math
 import re
 from fractions import Fraction
 from itertools import chain
+from operator import mul
 
 from .errors import LotbenchError
 
@@ -96,6 +97,15 @@ def exact_sum(values) -> Fraction:
     entry.  values must be a sequence."""
     scale, (ints,) = to_common_denominator([values])
     return Fraction(sum(ints), scale)
+
+
+def exact_dot(values, weights) -> Fraction:
+    """sum_k values[k] * weights[k] of exact entries as one Fraction: each
+    sequence over the lcm of its own denominators, the products summed in
+    ints.  Both must be sequences of one length."""
+    vscale, (vs,) = to_common_denominator([values])
+    wscale, (ws,) = to_common_denominator([weights])
+    return Fraction(sum(map(mul, vs, ws)), vscale * wscale)
 
 
 def format_rational_vector(values) -> list[str]:

@@ -64,6 +64,20 @@ def _grid_weights(grid: _GridInts) -> tuple[tuple[Fraction, ...], tuple[Fraction
     return local_up, (ZERO, *rows, ZERO)[: len(xs)]
 
 
+def _kept_weights(grid: _GridInts):
+    """(wscale, up, rows): the weights of `_grid_weights(grid)` as ints over
+    their common denominator wscale.  They depend on the grid alone, so
+    they are computed on its first read and kept in the grid's `__dict__`,
+    where every reader of that grid (the decomposition, the mu check,
+    `lpsolve`'s IC prices) finds them; ints, not Fractions, so that a
+    kept grid stays small."""
+    kept = grid.__dict__.get("_weights")
+    if kept is None:
+        wscale, (up, rows) = to_common_denominator(_grid_weights(grid))
+        kept = grid.__dict__["_weights"] = (wscale, tuple(up), tuple(rows))
+    return kept
+
+
 def to_common_lottery(inst: Instance, mech: DirectMechanism):
     """Average each row over acceptable types; returns (lottery, overflow).
 
@@ -119,7 +133,7 @@ def verify_decomposition(inst: Instance, mech: DirectMechanism) -> Decomposition
     # info = sum_i up_i slack[i][i+1] + sum_i r_i sum_{j<i} f_j slack[i][j],
     # in ints over the weights' and the cdf's denominators
     grid = inst._grid
-    wscale, (up, rows) = to_common_denominator(_grid_weights(grid))
+    wscale, up, rows = _kept_weights(grid)
     fscale, pmf = grid.fscale, _grid_pmf(grid.ps)
     scaled = sums.slack  # scale * (the (N-1)-scaled slacks)
     info = fscale * sum(map(mul, up, [row[i + 1] for i, row in enumerate(scaled[:-1])]))
@@ -175,7 +189,7 @@ def _check_mu_identity(grid: _GridInts):
     one common denominator for the weights times one for the cdf, and one
     for the grid, and each row is compared with its closed form times F_k.
     """
-    wscale, (up, rows) = to_common_denominator(_grid_weights(grid))
+    wscale, up, rows = _kept_weights(grid)
     xscale, xs, fscale, cdf = grid.xscale, grid.xs, grid.fscale, grid.ps
     pmf = _grid_pmf(cdf)
     # up_i and down[k][i] = pmf_i r_k, both over wscale * fscale; up[N-1] = 0,

@@ -214,3 +214,55 @@ def test_scan_matches_the_cell_by_cell_reference():
         kinds["tie"] += bool(got) and got[-1][3] and got[-1][2] == inst.d
         kinds["zero"] += len(scan) < inst.n
     assert min(kinds.values()) >= 30, kinds
+
+
+def _reference_simulation(inst, caps, n_agents, replications, seed):
+    """The Monte Carlo as a masked scan over all agents, with quotas and
+    cdf from Fractions: (counts, type_totals, quotas)."""
+    n = inst.n
+    quotas = tuple(int(n_agents * sk / inst.d) for sk in caps.s)
+    cdf = np.array([float(inst.cdf(i)) for i in range(n)])
+    counts = np.zeros((n, n), dtype=np.int64)
+    type_totals = np.zeros(n, dtype=np.int64)
+    for stream in np.random.SeedSequence(seed).spawn(replications):
+        rng = np.random.default_rng(stream)
+        types = np.searchsorted(cdf, rng.random(n_agents), side="right")
+        type_totals += np.bincount(types, minlength=n)
+        unassigned = np.ones(n_agents, dtype=bool)
+        for k in range(n - 1, -1, -1):
+            if quotas[k] == 0:
+                continue
+            eligible = np.flatnonzero(unassigned & (types <= k))
+            winners = eligible[: quotas[k]]
+            if winners.size:
+                unassigned[winners] = False
+                counts[k] += np.bincount(types[winners], minlength=n)
+    return counts, type_totals, quotas
+
+
+def test_simulation_line_matches_the_masked_scan():
+    """The shrinking line is the serial dictatorship of the masked scan,
+    on the same random stream: identical counts, totals and quotas."""
+    rng = random.Random(53)
+    sizes = (1, 2, 7, 50, 4000)
+    seen = {"zero quota": 0, "runs out": 0, "fills": 0}
+    for trial in range(250):
+        inst = random_instance(rng, n_min=2, n_max=10)
+        d = inst.d if trial % 2 else F(rng.randint(1, 6), rng.randint(4, 12))
+        inst = Instance(n=inst.n, f=inst.f, g=inst.g, d=d)
+        caps = PositionMasses(s=tuple(
+            F(0) if r < 0.2 else gk if r < 0.6 else gk * F(rng.randint(0, 5), 5)
+            for gk, r in zip(inst.g, (rng.random() for _ in inst.g))
+        ))
+        n_agents, reps = sizes[trial % len(sizes)], rng.randint(1, 3)
+        seed = rng.randrange(2**32)
+        counts, totals, quotas = _reference_simulation(inst, caps, n_agents, reps, seed)
+        sim = simulate_finite(inst, caps, n_agents, reps, seed)
+        assert sim.quotas == quotas
+        assert np.array_equal(sim.counts, counts) and sim.counts.dtype == counts.dtype
+        assert np.array_equal(sim.type_totals, totals)
+        filled = counts.sum(axis=1)
+        seen["zero quota"] += 0 in quotas
+        seen["runs out"] += any(0 < f < reps * q for f, q in zip(filled, quotas))
+        seen["fills"] += any(f == reps * q > 0 for f, q in zip(filled, quotas))
+    assert min(seen.values()) >= 30, seen

@@ -35,6 +35,29 @@ def test_cdf_values():
     ]
 
 
+def test_cdf_matches_the_fraction_sums():
+    rng = random.Random(2030)
+    for trial in range(400):
+        n = rng.randint(2, 24)
+        weights = [Fraction(rng.randint(1, 9), rng.choice((1, 2, 3, 7, 10**20))) for _ in range(n)]
+        f = tuple(w / sum(weights) for w in weights)
+        g = [0] * n
+        g[rng.randrange(n)] = 1  # int entries are exact too
+        inst = Instance(n=n, f=f, g=tuple(g), d=Fraction(1))
+        expected, run = [], Fraction(0)
+        for fi in f:
+            run += fi
+            expected.append(run)
+        assert inst._cdf == tuple(expected)
+        assert all(type(v) is Fraction for v in inst._cdf)
+        # off by the smallest step from a sum of 1, in f or in g
+        bent = f[:-1] + (f[-1] + Fraction(1, 10**30),)
+        with pytest.raises(LotbenchError, match="f and g must each sum to 1"):
+            Instance(n=n, f=bent, g=tuple(g), d=Fraction(1))
+        with pytest.raises(LotbenchError, match="f and g must each sum to 1"):
+            Instance(n=n, f=f, g=tuple(g[:-1]) + (g[-1] + Fraction(1, 10**30),), d=Fraction(1))
+
+
 def test_index_bounds():
     inst = uniform_instance(3)
     with pytest.raises(LotbenchError, match="index 3 out of range for N=3"):

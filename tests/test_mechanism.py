@@ -343,6 +343,29 @@ def test_objectives():
     assert evaluate_objective(conc, s) == pytest.approx(2 * 0.25**0.5 + 0.125**0.5)
 
 
+FLOAT_MASSES = PositionMasses(s=(0.5, Fraction(1, 4)))
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: evaluate_objective(Fill(), FLOAT_MASSES), "masses"),
+        (lambda: evaluate_objective(Linear(weights=(1, Fraction(2))), FLOAT_MASSES), "masses"),
+        (lambda: FLOAT_MASSES.total(), "masses"),
+        (lambda: CommonLottery(c=(0.5, Fraction(1, 4))).total(), "lottery"),
+    ],
+    ids=["fill", "linear", "masses_total", "lottery_total"],
+)
+def test_exact_values_reject_float_entries(call, message):
+    with pytest.raises(LotbenchError, match=f"^{message} entries must be Fraction or int, got 0.5$"):
+        call()
+
+
+def test_concave_objective_takes_float_masses():
+    conc = SeparableConcave(weights=(Fraction(1), Fraction(2)), rho=Fraction(1, 2))
+    assert evaluate_objective(conc, FLOAT_MASSES) == 0.5**0.5 + 2 * 0.25**0.5
+
+
 def test_concave_objective_rejects_negative_mass():
     conc = SeparableConcave(weights=(Fraction(1),) * 2, rho=Fraction(1, 2))
     with pytest.raises(LotbenchError, match="mass at position 0 is negative"):

@@ -1,4 +1,5 @@
 import dataclasses
+import math
 import random
 from fractions import Fraction
 
@@ -25,7 +26,8 @@ from lotbench import (
     solve_designer,
     uniform_instance,
 )
-from lotbench.optimizer import _budget_masses
+from lotbench.mechanism import evaluate_objective
+from lotbench.optimizer import _budget_masses, _float_problem, _water_fill
 
 from util import random_convex_instance, random_instance, random_pmf, simplex_vertex
 
@@ -369,3 +371,104 @@ def test_mass_lottery_maps_reject_wrong_length():
         lottery_from_masses(U3, PositionMasses(s=(F(0), F(1, 3))))
     with pytest.raises(LotbenchError, match="lottery has length 4, need 3"):
         masses_from_lottery(U3, CommonLottery(c=(F(0),) * 4))
+
+
+def _reference_walk(inst, obj):
+    """(cost, order, log_w, tail) of the breakpoint scan: the Fraction costs
+    g_k / F_k, the order in which the positions reach their caps, and the
+    logs of b_k / F_k and of their sums over each suffix of the order.
+    None of them depends on D."""
+    n = inst.n
+    alpha, rho, cdf, g, _ = _float_problem(inst, obj)
+    cost = [inst.g[k] / inst.cdf(k) for k in range(n)]
+    p = 1 / (1 - rho)
+    log_b = [p * (math.log(a) + math.log(rho) + math.log(c)) for a, c in zip(alpha, cdf)]
+    log_w = [lb - math.log(c) for lb, c in zip(log_b, cdf)]
+    order = sorted(range(n), key=lambda k: math.log(g[k]) - log_b[k] if g[k] else -math.inf)
+    tail, acc = [0.0] * n, -math.inf
+    for j in reversed(range(n)):
+        lo, hi = sorted((acc, log_w[order[j]]))
+        tail[j] = acc = hi + math.log1p(math.exp(lo - hi))
+    return cost, order, log_w, tail
+
+
+def _reference_water_fill(inst, obj):
+    """The breakpoint scan with its budget walk in Fractions, one cost and
+    one comparison at a time."""
+    cdf = _float_problem(inst, obj)[2]
+    cost, order, log_w, tail = _reference_walk(inst, obj)
+    if sum(cost) <= inst.d:
+        return tuple(inst.g)
+    remaining = inst.d
+    for j, k in enumerate(order):
+        if cost[k] > remaining * F(math.exp(log_w[k] - tail[j])):
+            break
+        remaining -= cost[k]
+    s, rem, left = list(inst.g), float(remaining), remaining
+    top = max(order[j:], key=log_w.__getitem__)
+    for k in order[j:]:
+        if k != top:
+            s[k] = min(inst.g[k], F(rem * cdf[k] * math.exp(log_w[k] - tail[j])))
+            left -= s[k] / inst.cdf(k)
+    s[top] = min(inst.g[top], max(F(0), left * inst.cdf(top)))
+    return tuple(s)
+
+
+def test_int_water_fill_matches_the_fraction_reference():
+    rng = random.Random(2028)
+    seen = {"slack": 0, "zero cap": 0, "tie": 0, "binding": 0, "breakpoint": 0}
+    rhos = (F(1, 4), F(1, 2), F(3, 5), F(9, 10))
+    for trial in range(3000):
+        n = rng.randint(2, 12)
+        f = random_pmf(rng, n)
+        g = list(random_pmf(rng, n, full_support=False))
+        if trial % 4 == 1:
+            # equal caps and equal alpha_k F_k tie on g_k / b_k
+            g = [F(1, n)] * n
+        inst = Instance(n=n, f=f, g=tuple(g), d=F(1))
+        if trial % 4 == 1:
+            weights = tuple(F(rng.randint(1, 2)) / inst.cdf(k) for k in range(n))
+        else:
+            weights = tuple(F(rng.randint(1, 7), rng.randint(1, 3)) for _ in range(n))
+        obj = SeparableConcave(weights=weights, rho=rhos[trial % len(rhos)])
+        cost, order, log_w, tail = _reference_walk(inst, obj)
+        if trial % 4 == 3:
+            # the budget left at step j meets the j-th cost exactly: the
+            # walk's test holds with equality, so that position is capped
+            j = rng.randrange(n - 1)
+            k = order[j]
+            d = sum(cost[i] for i in order[:j]) + cost[k] / F(math.exp(log_w[k] - tail[j]))
+        else:
+            d = sum(cost) * F(rng.randint(1, 15), 12)  # slack when the factor is >= 1
+        if d <= 0:
+            d = sum(cost) / 2
+        inst = dataclasses.replace(inst, d=d)
+        expected = _reference_water_fill(inst, obj)
+        assert _water_fill(inst, obj).s == expected
+        seen["slack"] += d >= sum(cost)
+        seen["binding"] += d < sum(cost)
+        seen["breakpoint"] += trial % 4 == 3 and d < sum(cost) and cost[k] > 0
+        seen["zero cap"] += 0 in inst.g
+        marks = [(gk, w * inst.cdf(k)) for k, (gk, w) in enumerate(zip(inst.g, weights)) if gk]
+        seen["tie"] += len(set(marks)) < len(marks)
+    assert min(seen.values()) >= 300, seen
+
+
+def test_exact_objectives_match_the_fraction_sums():
+    rng = random.Random(2029)
+    for _ in range(400):
+        n = rng.randint(1, 24)
+        masses = PositionMasses(s=tuple(
+            rng.choice((0, F(0), F(rng.randint(0, 9), rng.randint(1, 40)), rng.randint(0, 3)))
+            for _ in range(n)
+        ))
+        weights = tuple(
+            rng.choice((F(rng.randint(-9, 9), rng.randint(1, 12)), rng.randint(-2, 2)))
+            for _ in range(n)
+        )
+        fill = evaluate_objective(Fill(), masses)
+        linear = evaluate_objective(Linear(weights=weights), masses)
+        assert type(fill) is F and fill == sum(masses.s, F(0))
+        assert type(linear) is F
+        assert linear == sum((w * s for w, s in zip(weights, masses.s)), F(0))
+        assert type(masses.total()) is F and masses.total() == fill

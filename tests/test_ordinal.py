@@ -7,6 +7,7 @@ from lotbench import (
     CommonLottery,
     ConvexityHypothesisFailed,
     Fill,
+    Instance,
     LotbenchError,
     OrdinalInstance,
     UnevenGridView,
@@ -241,6 +242,73 @@ def test_aggregation_mass_preservation_randomized():
             for k in range(n):
                 expected[k] += w * s[k]
         assert mm.s == tuple(expected)
+
+
+def _random_ordinal(rng):
+    """1-4 tastes with random increasing utility rows over a random pmf,
+    so that some tastes' grids are convex and some are not."""
+    n = rng.randint(2, 8)
+    labels = tuple(f"t{k}" for k in range(rng.randint(1, 4)))
+    rows = []
+    for _ in labels:
+        steps = [F(rng.randint(1, 9), rng.randint(1, 3)) for _ in range(n - 1)]
+        rows.append(tuple(F(sum(steps[:k])) for k in range(n)))
+    return OrdinalInstance(
+        qualities=tuple(F(k) for k in range(n)),
+        gamma_labels=labels,
+        gamma_pmf=random_pmf(rng, len(labels)),
+        outside_pmf=random_pmf(rng, n),
+        utility=tuple(rows),
+        g=random_pmf(rng, n, full_support=False),
+        d=F(rng.randint(1, 8), rng.randint(1, 4)),
+    )
+
+
+def _convex_along(x, cdf):
+    """1/F convex along the grid x: its slopes never fall."""
+    slopes = [(1 / cdf[i + 1] - 1 / cdf[i]) / (x[i + 1] - x[i]) for i in range(len(x) - 1)]
+    return all(a <= b for a, b in zip(slopes, slopes[1:]))
+
+
+def test_views_share_the_cached_grid_of_each_taste():
+    rng = random.Random(47)
+    for _ in range(150):
+        oi = _random_ordinal(rng)
+        before = (repr(oi), hash(oi))
+        for index, label in enumerate(oi.gamma_labels):
+            view = normalize_gamma(oi, label)
+            checked = UnevenGridView(
+                x=oi.utility[index], F=tuple(oi.cdf(k) for k in range(oi.n))
+            )
+            assert view == checked and hash(view) == hash(checked)
+            assert repr(view) == repr(checked)
+            assert view._grid is oi._grids[index] and view._grid == checked._grid
+            assert uneven_convexity(view) == uneven_convexity(checked)
+            assert uneven_mu_coefficients(view) == uneven_mu_coefficients(checked)
+        assert (repr(oi), hash(oi)) == before
+        assert oi == OrdinalInstance.from_json_dict(oi.to_json_dict())
+
+
+def test_failing_tastes_are_the_non_convex_grids():
+    rng = random.Random(59)
+    seen = {"all convex": 0, "some fail": 0}
+    for _ in range(300):
+        oi = _random_ordinal(rng)
+        cdf = [oi.cdf(k) for k in range(oi.n)]
+        failing = [
+            label for label, row in zip(oi.gamma_labels, oi.utility)
+            if not _convex_along(row, cdf)
+        ]
+        if failing:
+            with pytest.raises(ConvexityHypothesisFailed) as exc:
+                optimal_common_lottery(oi)
+            assert exc.value.failing == failing
+            seen["some fail"] += 1
+        else:
+            base = Instance(n=oi.n, f=oi.outside_pmf, g=oi.g, d=oi.d)
+            assert optimal_common_lottery(oi) == optimal_lottery_fill(base).lottery
+            seen["all convex"] += 1
+    assert min(seen.values()) >= 60, seen
 
 
 def test_empty_grid_rejected():

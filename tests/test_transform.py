@@ -35,6 +35,7 @@ from lotbench.instance import _grid_ints
 from lotbench.transform import _grid_weights
 from util import (
     random_convex_instance,
+    random_feasible_lottery,
     random_instance,
     random_pmf,
     random_raw_matrix,
@@ -308,3 +309,34 @@ def test_collapse_total_at_most_one_on_convex_instances():
         assert position_masses(
             inst, expand_common_lottery(inst, lottery)
         ).s == position_masses(inst, mech).s
+
+
+def test_grid_weights_are_built_once_per_grid(monkeypatch):
+    """The decomposition, the mu check and the LP's IC prices read one copy
+    of the weights, kept on the grid: a trial instance at another agent
+    mass shares it, and a new instance builds its own."""
+    from lotbench import lpsolve, solve_designer, transform
+    from lotbench.instance import _with_mass
+
+    calls = []
+
+    def counted(grid):
+        calls.append(grid)
+        return _grid_weights(grid)
+
+    monkeypatch.setattr(transform, "_grid_weights", counted)
+    rng = random.Random(61)
+    inst = random_convex_instance(rng, n_min=4, n_max=7)
+    mech = expand_common_lottery(inst, CommonLottery(c=random_feasible_lottery(rng, inst.n)))
+    assert verify_decomposition(inst, mech).residual == 0
+    mu_coefficients(inst)
+    lpsolve._ic_prices(inst, F(1))
+    solve_designer(_with_mass(inst, inst.d * 2), Fill())
+    assert calls == [inst._grid]
+    twin = new_instance(inst.n, list(inst.f), list(inst.g), inst.d)
+    mu_coefficients(twin)
+    assert calls == [inst._grid, twin._grid] and calls[1] is not calls[0]
+    wscale, up, rows = transform._kept_weights(inst._grid)
+    local_up, row_weights = _grid_weights(inst._grid)
+    assert [F(v, wscale) for v in up] == list(local_up)
+    assert [F(v, wscale) for v in rows] == list(row_weights)
