@@ -76,7 +76,6 @@ from .ordinal import (
     masses_over_qualities,
     normalize_gamma,
     optimal_common_lottery_ordinal,
-    uneven_convexity,
     uneven_mu_coefficients,
 )
 

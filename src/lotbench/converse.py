@@ -122,10 +122,11 @@ def auto_improve(inst: Instance, obj: Objective = Fill(), search_d: bool = True)
         raise TypeError("improvement search supports mass-increasing objectives only")
     if isinstance(obj, Linear) and any(w <= 0 for w in obj.weights):
         raise TypeError("improvement search needs strictly positive weights")
-    k = next((i for i, v in enumerate(inst._grid.d2, start=1) if v < 0), None)
-    if k is None:
-        return None, "convex"
     weights = _linear_weights(obj, inst.n)
+    violations = inst._grid.violations
+    if not violations:
+        return None, "convex"
+    k = violations[0]
     order = _ranking(inst, weights)  # the same at every D
     d2 = _second_difference(inst._grid, k)  # F alone: the same at every D
 

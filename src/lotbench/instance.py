@@ -12,6 +12,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from itertools import accumulate
+from typing import TYPE_CHECKING
 
 from .errors import LotbenchError
 from .rationals import (
@@ -22,6 +23,9 @@ from .rationals import (
     require_exact,
     to_common_denominator,
 )
+
+if TYPE_CHECKING:
+    from .ordinal import UnevenGridView
 
 
 @dataclass(frozen=True)
@@ -40,6 +44,8 @@ class Instance:
     g: tuple[Fraction, ...]
     d: Fraction
     _cdf: tuple[Fraction, ...] = field(init=False, repr=False, compare=False)
+    # (Q, (P_0, ..., P_{N-1})): F_k = P_k / Q, the prefix sums of f over Q
+    _prefix: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not isinstance(self.n, int) or isinstance(self.n, bool):
@@ -63,18 +69,19 @@ class Instance:
         if self.d <= 0:
             raise LotbenchError(f"agent mass must be positive, got {self.d}")
         object.__setattr__(self, "_cdf", tuple(Fraction(p, scale) for p in prefix))
+        object.__setattr__(self, "_prefix", (scale, tuple(prefix)))
 
     @cached_property
     def _grid(self) -> "_GridInts":
-        """The even grid scaled by (N-1), points 0..N-1, with the type cdf,
-        in the ints of `_grid_ints`; built on first read and kept.
+        """The even grid scaled by (N-1), points 0..N-1, with the type cdf's
+        prefix sums, in the ints of `_grid_ints`; built on first read and kept.
 
         Every even-grid formula is its grid formula evaluated here, which
         turns the utility gaps (x_k - theta_i) into the integers (k - i).
         The view is not a field, so `==`, `hash` and `repr` ignore it, and
         `dataclasses.replace` builds a new one.  Callers must not mutate it.
         """
-        return _grid_ints(range(self.n), self._cdf)
+        return _grid_ints(range(self.n), *self._prefix)
 
     # -- grid geometry ------------------------------------------------
 
@@ -120,7 +127,7 @@ def _with_mass(inst: Instance, d) -> Instance:
     if d <= 0:
         raise LotbenchError(f"agent mass must be positive, got {d}")
     trial = object.__new__(Instance)
-    trial.__dict__.update(n=inst.n, f=inst.f, g=inst.g, d=d, _cdf=inst._cdf, _grid=inst._grid)
+    trial.__dict__.update(inst.__dict__, d=d, _grid=inst._grid)
     return trial
 
 
@@ -156,12 +163,19 @@ class ConvexityReport:
     violation_indices: tuple[int, ...]
 
 
-def convexity_report(inst: Instance) -> ConvexityReport:
-    """Test discrete convexity of 1/F on the type grid.
+def convexity_report(inst: Instance | UnevenGridView) -> ConvexityReport:
+    """Test discrete convexity of 1/F along the grid of an instance or of
+    one taste's view (`ordinal.normalize_gamma`), read from its `_grid`.
 
     For N=2 there is no interior point and the report is vacuously convex.
     """
-    return _grid_convexity(inst._grid)
+    grid = inst._grid
+    return ConvexityReport(
+        second_differences=tuple(_second_difference(grid, i) for i in range(1, len(grid.xs) - 1)),
+        is_convex=not grid.violations,
+        is_strictly_convex=all(num > 0 for num in grid.d2),
+        violation_indices=grid.violations,
+    )
 
 
 @dataclass(frozen=True)
@@ -170,6 +184,7 @@ class _GridInts:
     and d2[i-1] the int numerator of the second difference of 1/F at
     interior i, over the positive xscale P_{i-1} P_i P_{i+1} / fscale.
 
+    `pmf` and `violations` are read from these ints on first use and kept.
     Values that depend on the grid alone may be kept in its `__dict__`
     (`transform._kept_weights` keeps the decomposition's weights there);
     they are not fields, so `==` and `repr` ignore them."""
@@ -180,28 +195,33 @@ class _GridInts:
     ps: tuple[int, ...]
     d2: tuple[int, ...]
 
+    @cached_property
+    def pmf(self) -> tuple[int, ...]:
+        """The pmf f_i = (P_i - P_{i-1}) / fscale, as its ints over fscale."""
+        ps = self.ps
+        return (ps[0], *(b - a for a, b in zip(ps, ps[1:])))
 
-def _grid_ints(x, F) -> _GridInts:
-    """x and F each over one common denominator, and the second differences'
-    int numerators: with x = X/S and F = P/Q, the second difference at i is
-    Q/S times
+    @cached_property
+    def violations(self) -> tuple[int, ...]:
+        """The interior indices i where 1/F is not convex: d2[i-1] < 0."""
+        return tuple(i for i, num in enumerate(self.d2, start=1) if num < 0)
+
+
+def _grid_ints(x, fscale: int, ps: tuple[int, ...]) -> _GridInts:
+    """The grid x over one common denominator, the cdf already in ints
+    (F = ps/fscale, kept as given), and the second differences' int
+    numerators: with x = X/S, the second difference at i is fscale/S times
         ((X_{i+1} - X_i) P_i P_{i+1} - (X_{i+1} - X_{i-1}) P_{i-1} P_{i+1}
          + (X_i - X_{i-1}) P_{i-1} P_i) / (P_{i-1} P_i P_{i+1}).
     """
     xscale, (xs,) = to_common_denominator([x])
-    fscale, (ps,) = to_common_denominator([F])
     d2 = tuple(
         (xs[i + 1] - xs[i]) * ps[i] * ps[i + 1]
         - (xs[i + 1] - xs[i - 1]) * ps[i - 1] * ps[i + 1]
         + (xs[i] - xs[i - 1]) * ps[i - 1] * ps[i]
         for i in range(1, len(xs) - 1)
     )
-    return _GridInts(xscale, tuple(xs), fscale, tuple(ps), d2)
-
-
-def _grid_pmf(F) -> list:
-    """The pmf of a cdf, in Fractions or in the ints of `_grid_ints`."""
-    return [F[0]] + [F[i] - F[i - 1] for i in range(1, len(F))]
+    return _GridInts(xscale, tuple(xs), fscale, ps, d2)
 
 
 def _second_difference(grid: _GridInts, i: int) -> Fraction:
@@ -209,16 +229,3 @@ def _second_difference(grid: _GridInts, i: int) -> Fraction:
     numerator d2[i-1]."""
     ps = grid.ps
     return Fraction(grid.fscale * grid.d2[i - 1], grid.xscale * ps[i - 1] * ps[i] * ps[i + 1])
-
-
-def _grid_convexity(grid: _GridInts) -> ConvexityReport:
-    """Convexity of 1/F along the grid of `_grid_ints`; the signs are read
-    from its int numerators."""
-    diffs = tuple(_second_difference(grid, i) for i in range(1, len(grid.xs) - 1))
-    violations = tuple(i for i, num in enumerate(grid.d2, start=1) if num < 0)
-    return ConvexityReport(
-        second_differences=diffs,
-        is_convex=not violations,
-        is_strictly_convex=all(num > 0 for num in grid.d2),
-        violation_indices=violations,
-    )

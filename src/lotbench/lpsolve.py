@@ -40,9 +40,10 @@ from .mechanism import (
     Objective,
     PositionMasses,
     _linear_weights,
+    evaluate_objective,
     expand_common_lottery,
 )
-from .optimizer import _budget_masses, lottery_from_masses
+from .optimizer import _ranking, _scan, lottery_from_masses
 from .rationals import require_exact, to_common_denominator
 from .transform import _check_mu_identity, _kept_weights
 
@@ -546,22 +547,24 @@ def _designer_candidate(inst: Instance, obj: Objective):
     s_k > 0 when the budget binds, else 0, POS[k] prices
     pos_k = max(0, w_k - lam/F_k) and AGE[0] lam D: the reduced cost of x_k
     is D F_k (w_k - pos_k - lam/F_k) <= 0, and the dual value
-    sum_k pos_k g_k + lam D is the greedy value sum_k w_k s_k."""
-    n, d = inst.n, inst.d
-    weights = _designer_weights(obj, n)
-    masses = _budget_masses(inst, obj)
-    s = masses.s
-    cdf = [inst.cdf(k) for k in range(n)]
+    sum_k pos_k g_k + lam D is the greedy value sum_k w_k s_k.  The budget
+    binds when the scan (`optimizer._scan`) spent all of D, and then lam is
+    w_k F_k at the last position it reached, the cheapest in its order."""
+    d, cdf = inst.d, inst._cdf
+    weights = _designer_weights(obj, inst.n)
+    order = _ranking(inst, weights)
+    s, scale, used = _scan(inst, order, inst.g)
+    masses = PositionMasses(s=tuple(s))
     lam = ZERO
-    if sum((sk / fk for sk, fk in zip(s, cdf)), ZERO) == d:
-        lam = min(w * fk for w, sk, fk in zip(weights, s, cdf) if sk)
+    if used and used[-1] * d.denominator == d.numerator * scale:
+        last = order[len(used) - 1]
+        lam = weights[last] * cdf[last]
     pos = [max(ZERO, w - lam / fk) for w, fk in zip(weights, cdf)]
-    value = sum((w * sk for w, sk in zip(weights, s)), ZERO)
     mass = [d * fk for fk in cdf]
     lp = _lottery_program("max", [w * m for w, m in zip(weights, mass)], mass, inst.g)
-    lottery = lottery_from_masses(inst, masses).c
-    primal = dict(zip(lp.var_names, lottery))
-    return lp, LpSolution("optimal", value, primal, dict(zip(lp.con_names, [*pos, lam * d])))
+    primal = dict(zip(lp.var_names, lottery_from_masses(inst, masses).c))
+    duals = dict(zip(lp.con_names, [*pos, lam * d]))
+    return lp, LpSolution("optimal", evaluate_objective(obj, masses), primal, duals)
 
 
 def _min_mass_candidate(inst: Instance, targets: PositionMasses):
@@ -570,7 +573,7 @@ def _min_mass_candidate(inst: Instance, targets: PositionMasses):
     1/F_k and AGE[0] -1.  Every reduced cost is then 0, the decomposition
     identity, and the dual value sum_k s_k/F_k is D."""
     _check_targets(inst, targets)
-    cdf = [inst.cdf(k) for k in range(inst.n)]
+    cdf = inst._cdf
     x = [sk / fk for sk, fk in zip(targets.s, cdf)]
     d = sum(x, ZERO)
     lp = _lottery_program("min", [ZERO] * inst.n + [ONE], cdf, targets.s)
@@ -589,8 +592,8 @@ def _common_lottery_fault(inst: Instance, lp: LinearProgram, sol: LpSolution) ->
     -scale is AGE[0]'s price; every other AGE row prices 0.  There:
     - the upward weights are positive and r_i has the sign of the int
       numerator d2_i of `_grid_ints`, so the IC duals have their sign
-      exactly when sense * scale >= 0 and either scale = 0 or every
-      d2 >= 0;
+      exactly when sense * scale >= 0 and either scale = 0 or the grid has
+      no violations (no d2 < 0);
     - the weighted IC rows aggregate to scale * mu[k][i] on cell (k, i),
       the identity that `transform._check_mu_identity` checks in ints, so
       by mu's closed forms the reduced cost of cell (k, i) is f_i/F_k
@@ -606,10 +609,8 @@ def _common_lottery_fault(inst: Instance, lp: LinearProgram, sol: LpSolution) ->
     grid = inst._grid
     if sign * scale < 0:
         return "the dual of IC[0,1] has the wrong sign"
-    if scale:
-        bad = next((i for i, v in enumerate(grid.d2, start=1) if v < 0), None)
-        if bad is not None:
-            return f"the dual of IC[{bad},0] has the wrong sign"
+    if scale and grid.violations:
+        return f"the dual of IC[{grid.violations[0]},0] has the wrong sign"
     fault = _certificate_fault(lp, sol)
     if fault is None:
         _check_mu_identity(grid)
@@ -717,8 +718,6 @@ def solve_min_mass(inst: Instance, targets: PositionMasses) -> MinMassSolution:
     lp, sol = _min_mass_candidate(inst, targets)
     if _common_lottery_fault(inst, lp, sol) is None:
         d_star = sol.objective
-        # AGE[0] prices -1, so the IC multipliers are the prices at unit D*
-        ic = _ic_prices(inst, d_star)
         # every cell of row k is x_k, divided once; at D = 0 every x_k is 0
         c = [x / d_star if x else x for x in islice(sol.primal.values(), n)]
         mech = expand_common_lottery(inst, CommonLottery(c=tuple(c)))
@@ -726,19 +725,19 @@ def solve_min_mass(inst: Instance, targets: PositionMasses) -> MinMassSolution:
     else:
         sol = _simplex_optimum(build_min_mass_lp(inst, targets))
         d_star = sol.objective
-        ic = [d_star * v if v else v for v in islice(sol.duals.values(), n_ic)]
         # a = y / D; at D = 0 every y is 0 and so is the mechanism.  A zero
         # (a ZERO) scales to itself.
         rows = _cell_matrix(sol, n)
         if d_star != 0:
             rows = tuple(tuple(y / d_star if y else y for y in row) for row in rows)
         mech = DirectMechanism(a=rows)
-    # the duals in the row order of `_program_names`: IC, POS, then AGE
+    # the duals in the row order of `_program_names`: IC, POS, then AGE,
+    # each multiplier D* times its dual
     duals = list(sol.duals.values())
     pairs = [(i, j) for i in range(n) for j in range(n) if i != j]
     mult = {
         "POS": {k: d_star * v for k, v in enumerate(duals[n_ic : n_ic + n])},
         "AGE": {i: -d_star * v for i, v in enumerate(duals[n_ic + n :])},
-        "IC": dict(zip(pairs, ic)),
+        "IC": dict(zip(pairs, [d_star * v if v else v for v in duals[:n_ic]])),
     }
     return MinMassSolution("optimal", d_star, mech, mult, sol)

@@ -16,7 +16,7 @@ from operator import add, mul
 from typing import NamedTuple, Union
 
 from .errors import LotbenchError
-from .instance import Instance, _grid_pmf
+from .instance import Instance
 from .rationals import (
     exact_dot,
     exact_sum,
@@ -268,8 +268,7 @@ def _constraint_sums(inst: Instance, mech: DirectMechanism) -> _ConstraintSums:
     if "_entries" in mech.__dict__:
         row_mass = [row[0] * p for row, p in zip(sweep.rows, grid.ps)]
     else:
-        fs = _grid_pmf(grid.ps)
-        row_mass = [sum(map(mul, row[:k + 1], fs)) for k, row in enumerate(sweep.rows)]
+        row_mass = [sum(map(mul, row[:k + 1], grid.pmf)) for k, row in enumerate(sweep.rows)]
     return sweep._replace(row_mass=row_mass, mass_scale=sweep.scale * grid.fscale)
 
 

@@ -103,13 +103,13 @@ def optimal_masses(inst: Instance, obj: Objective) -> BudgetSolution:
 
     The convexity_warning flag signals that 1/F is not convex, in which
     case a non-common mechanism may do strictly better; it is read from
-    the signs of the instance's second differences.
+    the instance grid's violations.
     """
     masses = _budget_masses(inst, obj)
     return BudgetSolution(
         masses=masses,
         value=evaluate_objective(obj, masses),
-        convexity_warning=any(v < 0 for v in inst._grid.d2),
+        convexity_warning=bool(inst._grid.violations),
     )
 
 
@@ -202,13 +202,13 @@ def _float_problem(inst: Instance, obj: SeparableConcave):
     keeps too few bits to solve with, so it counts as out of range."""
     _check_weights(obj, inst.n)
     normal = sys.float_info.min
-    return (
-        _floats(obj.weights, "an objective weight", normal),
-        _float_exponent(obj),
-        _floats([inst.cdf(k) for k in range(inst.n)], "a type cdf value", normal),
-        _floats(inst.g, "a capacity", normal),
-        _floats([inst.d], "the agent mass", normal)[0],
-    )
+    alpha, rho = _floats(obj.weights, "an objective weight", normal), _float_exponent(obj)
+    # P_k / Q is correctly rounded, as float(F_k) is; F increases, so F_0 is least
+    cdf = [p / inst._grid.fscale for p in inst._grid.ps]
+    if cdf[0] < normal:
+        raise LotbenchError("a type cdf value lies outside the float range")
+    g = _floats(inst.g, "a capacity", normal)
+    return alpha, rho, cdf, g, _floats([inst.d], "the agent mass", normal)[0]
 
 
 def _water_fill(inst: Instance, obj: SeparableConcave) -> PositionMasses:

@@ -16,8 +16,8 @@ from fractions import Fraction
 from functools import cached_property
 
 from .errors import ConvexityHypothesisFailed, LotbenchError
-from .instance import ConvexityReport, Instance, _grid_convexity, _grid_ints, _GridInts
-from .mechanism import CommonLottery, Fill, Linear, PositionMasses, _check_lottery
+from .instance import Instance, _grid_ints, _GridInts
+from .mechanism import CommonLottery, Fill, Linear, PositionMasses, _check_lottery, _check_weights
 from .optimizer import _budget_masses, lottery_from_masses, masses_from_lottery
 from .rationals import (
     format_rational,
@@ -26,6 +26,7 @@ from .rationals import (
     parse_rational,
     parse_rational_vector,
     require_exact,
+    to_common_denominator,
 )
 from .transform import _grid_mu
 
@@ -86,12 +87,12 @@ class OrdinalInstance:
 
     @cached_property
     def _grids(self) -> tuple[_GridInts, ...]:
-        """Each taste's utility grid with the shared cdf, in the ints of
-        `_grid_ints`, in the order of gamma_labels; built on first read and
-        kept, as `Instance._grid` is.  It is not a field, so `==`, `hash`
-        and `repr` ignore it.  Callers must not mutate it."""
-        cdf = self._baseline._cdf
-        return tuple(_grid_ints(row, cdf) for row in self.utility)
+        """Each taste's utility grid with the baseline's cdf ints (Q, P), in
+        the ints of `_grid_ints`, in the order of gamma_labels; built on
+        first read and kept, as `Instance._grid` is.  It is not a field, so
+        `==`, `hash` and `repr` ignore it.  Callers must not mutate it."""
+        prefix = self._baseline._prefix
+        return tuple(_grid_ints(row, *prefix) for row in self.utility)
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "OrdinalInstance":
@@ -153,9 +154,11 @@ class UnevenGridView:
 
     @cached_property
     def _grid(self) -> _GridInts:
-        """The grid and cdf in the ints of `_grid_ints`, built on first read
-        and kept; not a field, so `==`, `hash` and `repr` ignore it."""
-        return _grid_ints(self.x, self.F)
+        """The grid and cdf in the ints of `_grid_ints`, F put over its
+        common denominator, built on first read and kept; not a field, so
+        `==`, `hash` and `repr` ignore it."""
+        fscale, (ps,) = to_common_denominator([self.F])
+        return _grid_ints(self.x, fscale, tuple(ps))
 
 
 def normalize_gamma(oi: OrdinalInstance, gamma: str) -> UnevenGridView:
@@ -173,11 +176,6 @@ def normalize_gamma(oi: OrdinalInstance, gamma: str) -> UnevenGridView:
     return view
 
 
-def uneven_convexity(view: UnevenGridView) -> ConvexityReport:
-    """Discrete convexity of 1/F along the (possibly uneven) utility grid."""
-    return _grid_convexity(view._grid)
-
-
 def uneven_mu_coefficients(view: UnevenGridView) -> tuple[tuple[Fraction, ...], ...]:
     """Cell coefficients of the multiplier-weighted constraint sum on an
     uneven grid, checked against the same closed forms as the baseline."""
@@ -189,16 +187,14 @@ def optimal_common_lottery_ordinal(oi: OrdinalInstance, obj) -> CommonLottery:
 
     Requires every taste's utility grid to pass the convexity test; the
     budget problem itself only involves the shared outside-option cdf, so
-    the solution does not depend on the taste at all.  The test reads the
-    signs of each taste's second differences (`OrdinalInstance._grids`).
+    the solution does not depend on the taste at all.  The test reads each
+    taste's grid violations (`OrdinalInstance._grids`), once the objective
+    is checked against N.
     """
     if not isinstance(obj, (Fill, Linear)):
         raise TypeError("ordinal optimum is defined for Fill/Linear objectives")
-    failing = [
-        label
-        for label, grid in zip(oi.gamma_labels, oi._grids)
-        if any(v < 0 for v in grid.d2)
-    ]
+    _check_weights(obj, oi.n)
+    failing = [label for label, grid in zip(oi.gamma_labels, oi._grids) if grid.violations]
     if failing:
         raise ConvexityHypothesisFailed(failing)
     return lottery_from_masses(oi._baseline, _budget_masses(oi._baseline, obj))

@@ -25,7 +25,7 @@ from fractions import Fraction
 from operator import mul
 
 from .errors import LotbenchError
-from .instance import Instance, _grid_pmf, _GridInts
+from .instance import Instance, _GridInts
 from .mechanism import (
     CommonLottery,
     DirectMechanism,
@@ -134,7 +134,7 @@ def verify_decomposition(inst: Instance, mech: DirectMechanism) -> Decomposition
     # in ints over the weights' and the cdf's denominators
     grid = inst._grid
     wscale, up, rows = _kept_weights(grid)
-    fscale, pmf = grid.fscale, _grid_pmf(grid.ps)
+    fscale, pmf = grid.fscale, grid.pmf
     scaled = sums.slack  # scale * (the (N-1)-scaled slacks)
     info = fscale * sum(map(mul, up, [row[i + 1] for i, row in enumerate(scaled[:-1])]))
     info += sum(
@@ -167,8 +167,7 @@ def _grid_mu(grid: _GridInts) -> tuple[tuple[Fraction, ...], ...]:
     `_check_mu_identity` has proved them the aggregate of the weighted
     constraint rows."""
     _check_mu_identity(grid)
-    n, cdf = len(grid.xs), grid.ps
-    pmf = _grid_pmf(cdf)
+    n, cdf, pmf = len(grid.xs), grid.ps, grid.pmf
     return tuple(
         (Fraction(fk - pmf[0], fk),)
         + tuple(Fraction(-p, fk) for p in pmf[1:k + 1])
@@ -190,8 +189,7 @@ def _check_mu_identity(grid: _GridInts):
     for the grid, and each row is compared with its closed form times F_k.
     """
     wscale, up, rows = _kept_weights(grid)
-    xscale, xs, fscale, cdf = grid.xscale, grid.xs, grid.fscale, grid.ps
-    pmf = _grid_pmf(cdf)
+    xscale, xs, fscale, cdf, pmf = grid.xscale, grid.xs, grid.fscale, grid.ps, grid.pmf
     # up_i and down[k][i] = pmf_i r_k, both over wscale * fscale; up[N-1] = 0,
     # and up[-1] = 0 stands for up_{-1}
     up = [u * fscale for u in up] + [0]

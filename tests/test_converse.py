@@ -140,11 +140,17 @@ def test_auto_improve_rejects_bad_objectives():
         auto_improve(FIG4, obj=SeparableConcave(weights=(F(1),) * 3, rho=F(1, 2)))
     with pytest.raises(TypeError):
         auto_improve(FIG4, obj=Linear(weights=(F(1), F(0), F(1))))
-    # the weights are checked against N once the instance is known non-convex
-    short = Linear(weights=(F(1), F(1)))
-    assert auto_improve(uniform_instance(3), obj=short) == (None, "convex")
     with pytest.raises(LotbenchError, match="objective has 2 weights, instance has N=3"):
-        auto_improve(FIG4, obj=short)
+        auto_improve(FIG4, obj=Linear(weights=(F(1), F(1))))
+
+
+def test_auto_improve_checks_the_objective_before_the_convexity_verdict():
+    # a convex instance answers "convex" only for an objective that fits it
+    short = Linear(weights=(F(1), F(1)))
+    assert convexity_report(uniform_instance(3)).is_convex
+    with pytest.raises(LotbenchError, match="objective has 2 weights, instance has N=3"):
+        auto_improve(uniform_instance(3), obj=short)
+    assert auto_improve(uniform_instance(3), obj=Linear(weights=(F(1),) * 3)) == (None, "convex")
 
 
 def test_auto_improve_slack_budget_diagnostic():

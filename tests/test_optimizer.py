@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -234,6 +235,23 @@ def test_kkt_rejects_wrong_mass_count():
     masses = PositionMasses.from_values(["1/8", "1/8", "1/8", "1/8"])
     with pytest.raises(LotbenchError, match="need 3 position masses, got 4"):
         kkt_check(U3, obj, masses)
+
+
+def test_float_cdf_is_rounded_from_the_grid_down_to_the_normal_minimum():
+    rng = random.Random(31)
+    for _ in range(100):
+        inst = random_instance(rng)
+        obj = SeparableConcave(weights=(F(1),) * inst.n, rho=F(1, 2))
+        assert _float_problem(inst, obj)[2] == [float(inst.cdf(k)) for k in range(inst.n)]
+    obj = SeparableConcave(weights=(F(1),) * 3, rho=F(1, 2))
+    normal = F(sys.float_info.min)
+    for f0 in (normal, normal * F(10**6 - 1, 10**6)):
+        inst = Instance(n=3, f=(f0, F(1, 2) - f0, F(1, 2)), g=(F(1, 3),) * 3, d=F(1))
+        if f0 == normal:
+            assert _float_problem(inst, obj)[2][0] == sys.float_info.min
+        else:
+            with pytest.raises(LotbenchError, match="a type cdf value lies outside the float"):
+                optimal_masses(inst, obj)
 
 
 def _reference_ranking(inst, weights):

@@ -8,21 +8,24 @@ from lotbench import (
     ConvexityHypothesisFailed,
     Fill,
     Instance,
+    Linear,
     LotbenchError,
     OrdinalInstance,
     UnevenGridView,
     aggregate_per_gamma,
+    auto_improve,
     convexity_report,
+    lottery_from_masses,
     masses_over_qualities,
     normalize_gamma,
+    optimal_common_lottery_ordinal,
     optimal_lottery_fill,
     optimal_masses,
-    uneven_convexity,
     uneven_mu_coefficients,
     uniform_instance,
 )
 
-from util import random_convex_instance, random_feasible_lottery, random_pmf
+from util import random_convex_instance, random_feasible_lottery, random_instance, random_pmf
 
 F = Fraction
 
@@ -93,7 +96,7 @@ def test_even_grid_view_matches_baseline():
         x=tuple(inst.x(k) for k in range(4)), F=tuple(inst.cdf(k) for k in range(4))
     )
     base = convexity_report(inst)
-    uneven = uneven_convexity(view)
+    uneven = convexity_report(view)
     assert uneven.is_convex == base.is_convex
     # spacing 1/(N-1) scales every second difference by (N-1)
     assert uneven.second_differences == tuple(
@@ -123,8 +126,8 @@ def test_monotone_rescaling_preserves_convexity():
     cdf = (F(1, 3), F(2, 3), F(1))
     before = UnevenGridView(x=(F(0), F(1), F(2)), F=cdf)
     after = UnevenGridView(x=(F(0), F(1), F(4)), F=cdf)
-    assert uneven_convexity(before).is_convex
-    assert uneven_convexity(after).is_convex
+    assert convexity_report(before).is_convex
+    assert convexity_report(after).is_convex
 
 
 def test_normalize_gamma():
@@ -183,6 +186,9 @@ def test_convexity_hypothesis_failure_names_labels():
         optimal_common_lottery(oi)
     assert "bad" in exc.value.failing
     assert "ok" not in exc.value.failing
+    # a malformed objective is refused before any taste's verdict is read
+    with pytest.raises(LotbenchError, match="objective has 2 weights, instance has N=3"):
+        optimal_common_lottery_ordinal(oi, Linear(weights=(F(1), F(1))))
 
 
 def test_aggregate_per_gamma():
@@ -283,7 +289,7 @@ def test_views_share_the_cached_grid_of_each_taste():
             assert view == checked and hash(view) == hash(checked)
             assert repr(view) == repr(checked)
             assert view._grid is oi._grids[index] and view._grid == checked._grid
-            assert uneven_convexity(view) == uneven_convexity(checked)
+            assert convexity_report(view) == convexity_report(checked)
             assert uneven_mu_coefficients(view) == uneven_mu_coefficients(checked)
         assert (repr(oi), hash(oi)) == before
         assert oi == OrdinalInstance.from_json_dict(oi.to_json_dict())
@@ -314,3 +320,46 @@ def test_failing_tastes_are_the_non_convex_grids():
 def test_empty_grid_rejected():
     with pytest.raises(LotbenchError, match="grid must have at least one point"):
         UnevenGridView(x=(), F=())
+
+
+def test_every_taste_grid_shares_the_baseline_cdf_ints():
+    rng = random.Random(29)
+    for _ in range(100):
+        oi = _random_ordinal(rng)
+        base = oi._baseline._grid
+        for grid in oi._grids:
+            assert grid.ps is base.ps and grid.fscale == base.fscale
+            assert grid.pmf == base.pmf
+        assert tuple(F(p, base.fscale) for p in base.pmf) == oi.outside_pmf
+
+
+def test_one_convexity_verdict_everywhere():
+    # the report, the optimum's warning, the improvement search and the
+    # ordinal optimum on the even grid all read the one verdict of the grid
+    rng = random.Random(2029)
+    seen = {"convex": 0, "non-convex": 0}
+    for _ in range(200):
+        inst = random_instance(rng, n_min=3, n_max=9)
+        violations = convexity_report(inst).violation_indices
+        best = optimal_masses(inst, Fill())
+        assert best.convexity_warning == bool(violations)
+        assert (auto_improve(inst, search_d=False)[1] == "convex") == (not violations)
+        oi = OrdinalInstance(
+            qualities=tuple(F(k) for k in range(inst.n)),
+            gamma_labels=("even",),
+            gamma_pmf=(F(1),),
+            outside_pmf=inst.f,
+            utility=(tuple(F(k, inst.n - 1) for k in range(inst.n)),),
+            g=inst.g,
+            d=inst.d,
+        )
+        if violations:
+            with pytest.raises(ConvexityHypothesisFailed) as exc:
+                optimal_common_lottery_ordinal(oi, Fill())
+            assert exc.value.failing == ["even"]
+            seen["non-convex"] += 1
+        else:
+            lottery = optimal_common_lottery_ordinal(oi, Fill())
+            assert lottery == lottery_from_masses(inst, best.masses)
+            seen["convex"] += 1
+    assert min(seen.values()) >= 20, seen

@@ -60,7 +60,6 @@ SURFACE = [
     "solve_designer",
     "solve_min_mass",
     "to_common_lottery",
-    "uneven_convexity",
     "uneven_mu_coefficients",
     "uniform_instance",
     "verify_decomposition",

@@ -17,6 +17,7 @@ from lotbench import (
     Fill,
     LotbenchError,
     OrdinalInstance,
+    UnevenGridView,
     convexity_report,
     expand_common_lottery,
     feasibility_report,
@@ -25,13 +26,11 @@ from lotbench import (
     normalize_gamma,
     position_masses,
     to_common_lottery,
-    uneven_convexity,
     uneven_mu_coefficients,
     uniform_instance,
     verify_decomposition,
 )
 
-from lotbench.instance import _grid_ints
 from lotbench.transform import _grid_weights
 from util import (
     random_convex_instance,
@@ -65,7 +64,7 @@ def _cdf(inst):
 def _checked_weights(x, cdf):
     """The library's weights (up, r) on the grid, once checked against
     the closed-form reference: the same up, and down[i][j] = f_j r_i."""
-    up, rows = _grid_weights(_grid_ints(x, cdf))
+    up, rows = _grid_weights(UnevenGridView(x=tuple(x), F=tuple(cdf))._grid)
     f = [cdf[0]] + [b - a for a, b in zip(cdf, cdf[1:])]
     assert (up, tuple(tuple(fj * r for fj in f[:i]) for i, r in enumerate(rows))) == (
         reference_weights(x, cdf)
@@ -228,7 +227,7 @@ def test_mu_matches_the_aggregation():
         )
         view = normalize_gamma(oi, "bent")
         assert uneven_mu_coefficients(view) == _reference_mu(view.x, view.F)
-        assert uneven_convexity(view).second_differences == reference_second_differences(
+        assert convexity_report(view).second_differences == reference_second_differences(
             view.x, view.F
         )
         _checked_weights(view.x, view.F)
