@@ -112,6 +112,36 @@ class SimulationResult:
     seed: int
 
 
+def _guide_table(cdf: np.ndarray) -> np.ndarray:
+    """The guide table of an increasing cdf that ends at 1, over B buckets,
+    B = 2**e the least power of two >= 64 N.  Entry b is the one type of
+    every u in [b/B, (b+1)/B), lo[b] = searchsorted(cdf, b/B, "right"),
+    or N where lo[b+1] != lo[b], a bucket that some F_k may split.  At
+    most N of the B buckets are split, so at most 1/64 of uniform draws
+    fall back to the search.  Entries take the least int type that holds
+    N, which keeps the line of waiting agents small."""
+    n = len(cdf)
+    buckets = 1 << (64 * n - 1).bit_length()
+    # F_k B is exact and F_k <= b/B iff b >= ceil(F_k B): first[b] counts
+    # the F_k that b/B is the first edge at or above, so lo is its running sum
+    first = np.bincount(np.ceil(cdf * buckets).astype(np.intp), minlength=buckets + 1)
+    table = np.cumsum(first[:-1], dtype=np.min_scalar_type(n))
+    table[first[1:] > 0] = n
+    return table
+
+
+def _lookup_types(cdf: np.ndarray, table: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """searchsorted(cdf, u, side="right") for draws 0 <= u < 1, read from
+    the guide table of cdf; u is scaled in place.  B is a power of two, so
+    u * B is exact, floor(u * B) is u's bucket, and (u * B) / B is u."""
+    buckets = len(table)
+    u *= buckets
+    types = table[u.astype(np.intp)]
+    split = np.flatnonzero(types == len(cdf))
+    types[split] = np.searchsorted(cdf, u[split] / buckets, side="right")
+    return types
+
+
 def simulate_finite(
     inst: Instance,
     caps: PositionMasses,
@@ -123,7 +153,13 @@ def simulate_finite(
     integer quotas floor(n_agents * s_k / D), serial dictatorship where an
     agent takes the best open position at or above its outside option.
     Sizes are bounded before anything is allocated: at most 10^6 agents
-    and 10^4 replications.
+    and 10^4 replications; the seed is an int >= 0.
+
+    Each draw's type is read from a guide table (`_guide_table`) and is
+    the type that `np.searchsorted(cdf, u, side="right")` gives: a draw u
+    lies in one bucket of width 1/B, and only the draws in a bucket that
+    some F_k splits fall back to the binary search.  The table is built
+    per call, with O(N) entries.
 
     Each replication keeps a line of the agents still waiting, in arrival
     order, which shrinks as positions fill from the top, and stops when it
@@ -139,6 +175,8 @@ def simulate_finite(
         raise LotbenchError(f"need at least one replication, got {replications}")
     if replications > 10**4:
         raise LotbenchError(f"need at most {10**4} replications, got {replications}")
+    if isinstance(seed, bool) or not isinstance(seed, int) or seed < 0:
+        raise LotbenchError(f"seed must be a nonnegative integer, got {seed!r}")
     _check_caps(inst, caps)
     n, d, grid = inst.n, inst.d, inst._grid
     # floor(n_agents * s_k / D) in ints; the caps are nonnegative
@@ -146,8 +184,8 @@ def simulate_finite(
         n_agents * sk.numerator * d.denominator // (sk.denominator * d.numerator)
         for sk in caps.s
     )
-    # F_k = P_k / Q, each correctly rounded, as float(F_k) is
-    cdf = np.array([p / grid.fscale for p in grid.ps])
+    cdf = grid.float_cdf
+    table = _guide_table(cdf)
     open_positions = [k for k in range(n - 1, -1, -1) if quotas[k]]
 
     counts = np.zeros((n, n), dtype=np.int64)
@@ -156,7 +194,7 @@ def simulate_finite(
     for stream in streams:
         rng = np.random.default_rng(stream)
         # i.i.d. types in arrival order; arrival order is the priority order
-        types = np.searchsorted(cdf, rng.random(n_agents), side="right")
+        types = _lookup_types(cdf, table, rng.random(n_agents))
         type_totals += np.bincount(types, minlength=n)
         # the types of the agents still waiting, in arrival order: from the
         # top, a position drops the types above it, which no lower position

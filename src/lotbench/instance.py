@@ -14,6 +14,8 @@ from functools import cached_property
 from itertools import accumulate
 from typing import TYPE_CHECKING
 
+import numpy as np
+
 from .errors import LotbenchError
 from .rationals import (
     exact_sum,
@@ -184,7 +186,8 @@ class _GridInts:
     and d2[i-1] the int numerator of the second difference of 1/F at
     interior i, over the positive xscale P_{i-1} P_i P_{i+1} / fscale.
 
-    `pmf` and `violations` are read from these ints on first use and kept.
+    `pmf`, `float_cdf` and `violations` are read from these ints on first
+    use and kept.
     Values that depend on the grid alone may be kept in its `__dict__`
     (`transform._kept_weights` keeps the decomposition's weights there);
     they are not fields, so `==` and `repr` ignore them."""
@@ -200,6 +203,14 @@ class _GridInts:
         """The pmf f_i = (P_i - P_{i-1}) / fscale, as its ints over fscale."""
         ps = self.ps
         return (ps[0], *(b - a for a, b in zip(ps, ps[1:])))
+
+    @cached_property
+    def float_cdf(self) -> np.ndarray:
+        """F_k = P_k / fscale as a read-only float array, each entry
+        correctly rounded, as float(F_k) is."""
+        cdf = np.array([p / self.fscale for p in self.ps])
+        cdf.flags.writeable = False
+        return cdf
 
     @cached_property
     def violations(self) -> tuple[int, ...]:

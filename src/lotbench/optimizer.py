@@ -203,8 +203,8 @@ def _float_problem(inst: Instance, obj: SeparableConcave):
     _check_weights(obj, inst.n)
     normal = sys.float_info.min
     alpha, rho = _floats(obj.weights, "an objective weight", normal), _float_exponent(obj)
-    # P_k / Q is correctly rounded, as float(F_k) is; F increases, so F_0 is least
-    cdf = [p / inst._grid.fscale for p in inst._grid.ps]
+    # the grid's correctly rounded floats; F increases, so F_0 is least
+    cdf = inst._grid.float_cdf.tolist()
     if cdf[0] < normal:
         raise LotbenchError("a type cdf value lies outside the float range")
     g = _floats(inst.g, "a capacity", normal)

@@ -1,4 +1,6 @@
+import math
 import random
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -18,7 +20,8 @@ from lotbench import (
     uniform_instance,
 )
 
-from util import random_convex_instance, random_feasible_lottery, random_instance
+from lotbench.crp import _guide_table, _lookup_types
+from util import random_convex_instance, random_feasible_lottery, random_instance, random_pmf
 
 F = Fraction
 U4 = uniform_instance(4)
@@ -100,6 +103,11 @@ def test_simulation_validation():
         simulate_finite(U4, caps, 10**15, 1, 1)
     with pytest.raises(LotbenchError, match="need at most 10000 replications"):
         simulate_finite(U4, caps, 1, 10**4 + 1, 1)
+    # a seed numpy would refuse, or one that is no int, is named before any
+    # stream is built
+    for seed in (-1, -(2**70), 1.0, True, "1"):
+        with pytest.raises(LotbenchError, match=f"seed must be a nonnegative integer, got {seed!r}"):
+            simulate_finite(U4, caps, 10, 1, seed)
 
 
 @pytest.mark.parametrize(
@@ -266,3 +274,91 @@ def test_simulation_line_matches_the_masked_scan():
         seen["runs out"] += any(0 < f < reps * q for f, q in zip(filled, quotas))
         seen["fills"] += any(f == reps * q > 0 for f, q in zip(filled, quotas))
     assert min(seen.values()) >= 30, seen
+
+
+def _dyadic_pmf(rng, n, bits):
+    """A full-support pmf over 2**bits >= n, so every F_k is k' / 2**bits."""
+    cuts = sorted(rng.sample(range(1, 2**bits), n - 1))
+    ps = [0, *cuts, 2**bits]
+    return tuple(F(b - a, 2**bits) for a, b in zip(ps, ps[1:]))
+
+
+def test_simulation_line_matches_the_masked_scan_at_larger_n():
+    """N = 20-80 with dyadic cdfs, whose F_k lie on the guide table's
+    bucket edges: identical counts, totals and quotas to the masked scan."""
+    rng = random.Random(59)
+    sizes = (1, 3, 64, 4000)
+    for trial in range(200):
+        n = rng.randint(20, 80)
+        f = _dyadic_pmf(rng, n, rng.randint(n.bit_length(), 12))
+        d = F(rng.randint(1, 6), rng.randint(1, 12))
+        inst = Instance(n=n, f=f, g=random_pmf(rng, n, full_support=False), d=d)
+        caps = PositionMasses(s=tuple(
+            F(0) if r < 0.2 else gk if r < 0.6 else gk * F(rng.randint(0, 5), 5)
+            for gk, r in zip(inst.g, (rng.random() for _ in inst.g))
+        ))
+        n_agents, reps = sizes[trial % len(sizes)], rng.randint(1, 2)
+        seed = rng.randrange(2**32)
+        counts, totals, quotas = _reference_simulation(inst, caps, n_agents, reps, seed)
+        sim = simulate_finite(inst, caps, n_agents, reps, seed)
+        assert sim.quotas == quotas
+        assert np.array_equal(sim.counts, counts)
+        assert np.array_equal(sim.type_totals, totals)
+
+
+def _edge_draws(cdf, buckets):
+    """0.0, each F_k and its two float neighbours, and the bucket edges b/B
+    around each F_k with their lower neighbours: every such u below 1."""
+    points = [0.0]
+    for fk in cdf:
+        b = math.floor(fk * buckets)
+        edges = (b / buckets, (b + 1) / buckets)
+        points += [fk, np.nextafter(fk, 0), np.nextafter(fk, 2)]
+        points += [*edges, *(np.nextafter(e, 0) for e in edges)]
+    return np.array([u for u in points if 0 <= u < 1])
+
+
+def test_guide_table_lookup_is_exact_at_its_edges():
+    """The lookup is searchsorted(cdf, u, "right") at every draw where the
+    two could part: at and next to each F_k and each bucket edge, on
+    dyadic cdfs whose F_k are bucket edges, and on cdfs up to N = 200
+    where one bucket holds several F_k."""
+    rng = random.Random(61)
+    seen = {"dyadic": 0, "crowded bucket": 0, "split": 0, "table": 0}
+    for trial in range(120):
+        n = rng.choice((2, 3, 5, 16, 24, 64, 200))
+        if trial % 3 == 0:
+            f = _dyadic_pmf(rng, n, rng.randint(n.bit_length(), 16))
+        else:
+            weights = [rng.randint(1, 10 ** rng.randint(0, 8)) for _ in range(n)]
+            f = tuple(F(w, sum(weights)) for w in weights)
+        cdf = Instance(n=n, f=f, g=f, d=F(1))._grid.float_cdf
+        table = _guide_table(cdf)
+        buckets = len(table)
+        assert buckets & (buckets - 1) == 0 and 64 * n <= buckets < 128 * n
+        lo = np.searchsorted(cdf, np.arange(buckets + 1) / buckets, side="right")
+        assert np.array_equal(table, np.where(lo[1:] == lo[:-1], lo[:-1], n))
+        u = np.concatenate([_edge_draws(cdf, buckets), np.random.default_rng(trial).random(500)])
+        expected = np.searchsorted(cdf, u, side="right")
+        assert np.array_equal(_lookup_types(cdf, table, u.copy()), expected)
+        split = table[np.floor(u * buckets).astype(np.intp)] == n
+        seen["dyadic"] += trial % 3 == 0
+        seen["crowded bucket"] += len(set(np.floor(cdf * buckets).tolist())) < n
+        seen["split"] += bool(split.any())
+        seen["table"] += bool((~split).any())
+    assert min(seen.values()) >= 30, seen
+
+
+def test_simulation_memory_stays_linear_in_the_agents():
+    """At N = 200 and 2 * 10^5 agents the call's traced peak stays under
+    40 bytes an agent: an N x M bool matrix alone would add 200."""
+    inst = uniform_instance(200)
+    caps = PositionMasses(s=inst.g)
+    n_agents = 2 * 10**5
+    tracemalloc.start()
+    try:
+        simulate_finite(inst, caps, n_agents, 1, 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 40 * n_agents, peak / n_agents

@@ -27,6 +27,7 @@ from lotbench import (
     solve_designer,
     uniform_instance,
 )
+from lotbench.instance import _with_mass
 from lotbench.mechanism import evaluate_objective
 from lotbench.optimizer import _budget_masses, _float_problem, _water_fill
 
@@ -235,6 +236,21 @@ def test_kkt_rejects_wrong_mass_count():
     masses = PositionMasses.from_values(["1/8", "1/8", "1/8", "1/8"])
     with pytest.raises(LotbenchError, match="need 3 position masses, got 4"):
         kkt_check(U3, obj, masses)
+
+
+def test_float_cdf_is_formed_once_per_grid():
+    """The water-fill, the KKT check and the Monte Carlo read one read-only
+    float cdf, kept on the grid that an instance at another mass shares."""
+    inst = random_instance(random.Random(37), n_min=4, n_max=8)
+    cdf = inst._grid.float_cdf
+    assert cdf.tolist() == [float(inst.cdf(k)) for k in range(inst.n)]
+    assert not cdf.flags.writeable
+    obj = SeparableConcave(weights=(F(1),) * inst.n, rho=F(1, 2))
+    masses = optimal_masses(inst, obj).masses
+    kkt_check(inst, obj, masses)
+    assert inst._grid.float_cdf is cdf
+    assert dataclasses.replace(inst)._grid.float_cdf is not cdf
+    assert _with_mass(inst, F(1, 3))._grid.float_cdf is cdf
 
 
 def test_float_cdf_is_rounded_from_the_grid_down_to_the_normal_minimum():
