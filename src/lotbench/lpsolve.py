@@ -1,7 +1,12 @@
 """Exact-rational two-phase simplex and builders for the designer's LPs.
 
 The simplex tableau holds each column as Python ints over one positive
-denominator, built straight from the nonzeros of the LP's rows.  Pivots
+denominator, built straight from the nonzeros of the LP's rows.  A row
+with no nonzero and rhs 0 (the IC[N-1, j] rows of both mechanism programs)
+holds at every point: it never enters the tableau, and its dual is 0.  A
+pivot updates only the columns that are nonbasic or leave the basis, and
+rescales a column, then brings it to lowest terms, only when the pivot
+entry does not divide its pivot-row entry.  Pivots
 never round, optimal values and dual prices are exact, and strong duality /
 complementary slackness can be asserted with equality.  Bland's
 smallest-index rule is used throughout, so the solver terminates even on
@@ -26,6 +31,7 @@ sense) with respect to that constraint's right-hand side.
 
 from __future__ import annotations
 
+from bisect import insort
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import compress, islice
@@ -93,6 +99,11 @@ class LinearProgram:
 
 @dataclass(frozen=True)
 class LpSolution:
+    """A solved LP: status, and at an optimum the exact objective, the value
+    of every variable and the dual price of every row, by name.  A row with
+    no nonzero coefficient and rhs 0 holds at every point and never enters
+    the tableau; its dual is 0."""
+
     status: str  # "optimal" | "infeasible" | "unbounded"
     objective: Fraction | None
     primal: dict[str, Fraction]
@@ -107,10 +118,14 @@ class _Tableau:
     Column j is the Python ints num[j] over one denominator den[j] > 0:
     its m constraint entries, then its phase-2 reduced cost (row m) and its
     phase-1 reduced cost (row m + 1).  The right-hand side is the last
-    column, whose last two entries are -z of each phase.  One pivot updates
-    all of it, so no reduced cost is ever recomputed.  A positive column
-    scale changes no sign and no ratio order, so the pivots are those of
-    the same tableau over Fractions.
+    column, whose last two entries are -z of each phase.  A basic column is
+    the unit column of its row and stays one until it leaves, so a pivot
+    updates only the nonbasic columns, the leaving one and the rhs, and no
+    reduced cost is ever recomputed.  A column is brought to lowest terms
+    only after a pivot rescales it; one whose pivot-row entry the pivot
+    divides keeps its denominator.  A positive column scale changes no sign
+    and no ratio order, so the pivots are those of the same tableau over
+    Fractions.
     """
 
     def __init__(self, num, den, basis):
@@ -118,10 +133,14 @@ class _Tableau:
         self.den = den
         self.m = len(basis)
         self.basis = basis
+        # ascending, so that Bland's entering column is the first that prices
+        basic = set(basis)
+        self.nonbasic = [j for j in range(len(num) - 1) if j not in basic]
         self.pivots = 0
 
     def pivot(self, row: int, col: int):
-        num, den = self.num, self.den
+        num, den, nonbasic = self.num, self.den, self.nonbasic
+        leaving = self.basis[row]
         pivot_col = num[col]
         # Over the pivot column's denominator: entry p in the pivot row,
         # signs flipped so that p > 0 and every new denominator stays > 0.
@@ -132,17 +151,24 @@ class _Tableau:
         factors = [
             (r, sign * f) for r, f in enumerate(pivot_col) if f and r != row
         ]
-        for j, c in enumerate(num):
+        # Every other basic column is 0 in the pivot row.
+        for j in (*nonbasic, leaving, len(num) - 1):
+            c = num[j]
             v = c[row]
             if not v or j == col:
                 continue
             # Over den[j]·p, row r becomes c_r·p − f_r·v and the pivot row
-            # v·dp.  gcd(p, v) is divided out first and the column's gcd
-            # last, so each column is stored in lowest terms.
+            # v·dp.  gcd(p, v) is divided out first; when it is p the
+            # column keeps den[j] and only its factor rows change.
             k = gcd(p, v)
+            if k == p:
+                v //= p
+                for r, f in factors:
+                    c[r] -= f * v
+                c[row] = v * dp
+                continue
             pk, v = p // k, v // k
-            if pk != 1:
-                c = [x * pk for x in c]
+            c = [x * pk for x in c]
             for r, f in factors:
                 c[r] -= f * v
             c[row] = v * dp
@@ -158,13 +184,17 @@ class _Tableau:
         num[col] = unit
         den[col] = 1
         self.basis[row] = col
+        nonbasic.remove(col)
+        insort(nonbasic, leaving)
         self.pivots += 1
 
-    def run(self, obj_row: int, allowed):
-        """Minimize the objective row over allowed entering columns."""
+    def run(self, obj_row: int, limit: int):
+        """Minimize the objective row over entering columns below limit."""
         num, m, basis = self.num, self.m, self.basis
         while True:
-            enter = next((j for j in allowed if num[j][obj_row] < 0), -1)
+            enter = next(
+                (j for j in self.nonbasic if j < limit and num[j][obj_row] < 0), -1
+            )
             if enter < 0:
                 return "optimal"
             col, rhs = num[enter], num[-1]
@@ -197,19 +227,20 @@ def _nonzeros(values):
     return den, at, [v.numerator * (den // d) for v, d in zip(nonzero, dens)]
 
 
-def _int_column(values, flip, phase1_rows):
-    """One tableau column over the lcm of its entries' denominators: the
-    constraint entries and the phase-2 entry (those in flip negated), then
-    the phase-1 entry, minus the sum over phase1_rows.  Only the nonzeros
-    are scaled; the zeros stay int 0."""
-    den, at, ints = _nonzeros(values)
-    col = [0] * (len(values) + 1)
+def _int_column(nonzeros, place, height):
+    """One tableau column of the given height from `_nonzeros` of an LP
+    column: entry t goes to tableau row place[at[t]][0], negated where
+    place[at[t]][1] is set, and is subtracted from the phase-1 entry (the
+    last) where place[at[t]][2] is set.  The zeros stay int 0."""
+    den, at, ints = nonzeros
+    col = [0] * height
     phase1 = 0
     for r, a in zip(at, ints):
-        if r in flip:
+        q, negate, artificial = place[r]
+        if negate:
             a = -a
-        col[r] = a
-        if r in phase1_rows:
+        col[q] = a
+        if artificial:
             phase1 -= a
     col[-1] = phase1
     return col, den
@@ -218,13 +249,20 @@ def _int_column(values, flip, phase1_rows):
 def simplex_solve(lp: LinearProgram) -> LpSolution:
     """Exact optimum of an LP over x >= 0; status encodes infeasible/unbounded."""
     minimize = lp.sense == "min"
-    rels = lp.rels
-    m = len(lp.rows)
+    # Each variable's nonzeros over one denominator, its cost after the rows.
+    columns = [_nonzeros(values) for values in zip(*lp.rows, lp.c)]
+    # A row with no nonzero and rhs 0 holds at every x >= 0: it stays out of
+    # the tableau and prices 0.  Dropping rows shifts the later slack and
+    # artificial columns down in order, so every Bland choice is kept.
+    touched = set().union(*(at for _, at, _ in columns))
+    kept = [r for r, b in enumerate(lp.rhs) if b or r in touched]
+    m = len(kept)
+    rels = [lp.rels[r] for r in kept]
 
     # Make rhs nonnegative, and turn each >= 0 row into <= 0, whose slack
     # can start basic at 0: the IC rows of the mechanism LPs then need no
     # artificial, and the designer LP no phase 1 at all.
-    negated = [b < 0 or (b == 0 and rel == GE) for b, rel in zip(lp.rhs, rels)]
+    negated = [lp.rhs[r] < 0 or (lp.rhs[r] == 0 and rel == GE) for r, rel in zip(kept, rels)]
     # Slack/surplus signs once the rows are flipped; a row whose slack is
     # not +1 starts on an artificial.
     slack_sign = [
@@ -236,14 +274,15 @@ def simplex_solve(lp: LinearProgram) -> LpSolution:
     # Variable j is column j.  The objective, in the min sense, is row m
     # (negated to maximize); phase 1 minimizes the sum of the artificials,
     # so its row m + 1 starts priced out: minus each column's sum over the
-    # rows that start on an artificial.
-    flip = {r for r in range(m) if negated[r]}
-    if not minimize:
-        flip.add(m)
-    phase1_rows = set(art_rows)
+    # rows that start on an artificial.  place[r] is (tableau row, negated,
+    # starts on an artificial) for LP row r, and the cost's entry is last.
+    place = [None] * len(lp.rows)
+    for q, r in enumerate(kept):
+        place[r] = (q, negated[q], slack_sign[q] != 1)
+    place.append((m, not minimize, False))
     num, den = [], []
-    for values in zip(*lp.rows, lp.c):
-        col, d = _int_column(values, flip, phase1_rows)
+    for nonzeros in columns:
+        col, d = _int_column(nonzeros, place, m + 2)
         num.append(col)
         den.append(d)
 
@@ -269,13 +308,13 @@ def simplex_solve(lp: LinearProgram) -> LpSolution:
         den.append(1)
     unit = list(basis)
     n_cols = len(num)
-    rhs, rhs_den = _int_column([*lp.rhs, 0], flip, phase1_rows)
+    rhs, rhs_den = _int_column(_nonzeros(lp.rhs), place, m + 2)
     num.append(rhs)
     den.append(rhs_den)
     tab = _Tableau(num, den, basis)
 
     if n_cols > n_real:
-        status = tab.run(m + 1, allowed=range(n_cols))
+        status = tab.run(m + 1, limit=n_cols)
         if status != "optimal":  # phase 1 is always bounded below by 0
             raise AssertionError(f"phase 1 ended {status!r}")
         if num[-1][m + 1] != 0:
@@ -283,35 +322,34 @@ def simplex_solve(lp: LinearProgram) -> LpSolution:
         # Pivot artificials out of the basis where a real column allows it.
         for r in range(m):
             if tab.basis[r] >= n_real:
-                enter = next((j for j in range(n_real) if num[j][r] != 0), None)
+                enter = next((j for j in tab.nonbasic if j < n_real and num[j][r]), None)
                 if enter is not None:
                     tab.pivot(r, enter)
     phase1 = tab.pivots
 
-    status = tab.run(m, allowed=range(n_real))
+    status = tab.run(m, limit=n_real)
     pivots = (phase1, tab.pivots - phase1)
     if status == "unbounded":
         return LpSolution("unbounded", None, {}, {}, pivots)
 
     rhs, rhs_den = num[-1], den[-1]
-    n_vars = len(lp.var_names)
     xs = [ZERO] * n_cols
     for r in range(m):
-        xs[tab.basis[r]] = Fraction(rhs[r], rhs_den)
+        if rhs[r]:
+            xs[tab.basis[r]] = Fraction(rhs[r], rhs_den)
     primal = dict(zip(lp.var_names, xs))
-    # c.x over the basic variables: every other one is 0
-    objective = sum((lp.c[j] * xs[j] for j in tab.basis if j < n_vars), ZERO)
+    # row m of the rhs is -z in the min sense
+    objective = Fraction(-rhs[m] if minimize else rhs[m], rhs_den)
 
-    # Duals y = c_B B^-1 straight from the phase-2 row: unit[r] started as
-    # e_r and costs 0, so its reduced cost is -y_r.
+    # Duals y = c_B B^-1 straight from the phase-2 row: unit[q] started as
+    # e_q and costs 0, so its reduced cost is -y of LP row kept[q].
     sign = 1 if minimize else -1
-    duals = {
-        lp.con_names[r]: Fraction(
-            sign * (1 if negated[r] else -1) * num[unit[r]][m], den[unit[r]]
-        )
-        for r in range(m)
-    }
-    return LpSolution("optimal", objective, primal, duals, pivots)
+    ys = [ZERO] * len(lp.rows)
+    for q, r in enumerate(kept):
+        y = num[unit[q]][m]
+        if y:
+            ys[r] = Fraction(sign * (1 if negated[q] else -1) * y, den[unit[q]])
+    return LpSolution("optimal", objective, primal, dict(zip(lp.con_names, ys)), pivots)
 
 
 def _certificate_fault(lp: LinearProgram, sol: LpSolution) -> str | None:

@@ -247,13 +247,17 @@ def _water_fill(inst: Instance, obj: SeparableConcave) -> PositionMasses:
             break
         remaining -= cost[k]
     # remaining / scale is correctly rounded, as float(Fraction) is
-    s, rem, left = list(inst.g), remaining / scale, Fraction(remaining, scale)
+    s, rem = list(inst.g), remaining / scale
     top = max(order[j:], key=log_w.__getitem__)  # the largest share
-    for k in order[j:]:
-        if k != top:
-            s[k] = min(inst.g[k], Fraction(rem * cdf[k] * math.exp(log_w[k] - tail[j])))
-            left -= s[k] / inst.cdf(k)
-    s[top] = min(inst.g[top], max(ZERO, left * inst.cdf(top)))
+    others = [k for k in order[j:] if k != top]
+    for k in others:
+        s[k] = min(inst.g[k], Fraction(rem * cdf[k] * math.exp(log_w[k] - tail[j])))
+    # the budget left once the others cost s_k / F_k, an int over a common
+    # denominator that scale divides; the top share is left * F_top
+    scale_left, spent = _costs(inst, others, s, scale)
+    left = max(0, remaining * (scale_left // scale) - sum(spent))
+    grid = inst._grid
+    s[top] = min(inst.g[top], Fraction(left * grid.ps[top], scale_left * grid.fscale))
     return PositionMasses(s=tuple(s))
 
 

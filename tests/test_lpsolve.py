@@ -612,6 +612,58 @@ def test_mixed_denominator_optima_pass_the_certificate():
     assert statuses["optimal"] >= 150 and min(statuses.values()) > 0, statuses
 
 
+def _with_zero_row(lp, at, rel, b, name):
+    """lp with the row 0 (rel) b inserted before row at."""
+    return replace(
+        lp,
+        rows=lp.rows[:at] + [[ZERO] * len(lp.c)] + lp.rows[at:],
+        rels=lp.rels[:at] + [rel] + lp.rels[at:],
+        rhs=lp.rhs[:at] + [b] + lp.rhs[at:],
+        con_names=lp.con_names[:at] + [name] + lp.con_names[at:],
+    )
+
+
+def test_zero_rows_change_no_pivot_and_price_zero():
+    """An all-zero row with rhs 0 holds at every point, under any relation:
+    adding it moves no status, pivot, primal value, objective or dual of
+    the other rows, and it prices 0.  With a nonzero rhs it is a real
+    constraint on nothing: the answer is kept where 0 satisfies it, and
+    phase 1 finds the program infeasible where 0 violates it."""
+    rng = random.Random(2718)
+    statuses = {"optimal": 0, "infeasible": 0, "unbounded": 0}
+    violated = 0
+    for _ in range(400):
+        lp = _random_rational_lp(rng)
+        sol = simplex_solve(lp)
+        statuses[sol.status] += 1
+        padded, added = lp, []
+        for t, rel in enumerate(rng.sample(["<=", "=", ">="], rng.randint(1, 3))):
+            added.append(f"zero{t}")
+            at = rng.randint(0, len(padded.rows))
+            padded = _with_zero_row(padded, at, rel, ZERO, added[-1])
+        got = simplex_solve(padded)
+        assert (got.status, got.pivots, got.primal, got.objective) == (
+            sol.status, sol.pivots, sol.primal, sol.objective
+        )
+        assert {name: got.duals[name] for name in sol.duals} == sol.duals
+        if got.status == "optimal":
+            assert all(got.duals[name] == 0 for name in added)
+            _check_certificate(padded, got)
+
+        rel, b = rng.choice(["<=", "=", ">="]), F(rng.choice([-1, 1]) * rng.randint(1, 5), 3)
+        got = simplex_solve(_with_zero_row(lp, rng.randint(0, len(lp.rows)), rel, b, "nonzero"))
+        if (rel != ">=" and b < 0) or (rel != "<=" and b > 0):
+            violated += 1
+            assert got.status == "infeasible"
+        else:
+            assert (got.status, got.pivots, got.primal, got.objective) == (
+                sol.status, sol.pivots, sol.primal, sol.objective
+            )
+            if got.status == "optimal":
+                assert got.duals["nonzero"] == 0
+    assert min(statuses.values()) > 0 and 0 < violated < 400, (statuses, violated)
+
+
 @pytest.mark.parametrize("n, pivots", [(10, (0, 165)), (12, (0, 122))])
 def test_designer_lp_pivot_path_is_pinned(n, pivots):
     """Bland's rule fixes the pivot sequence, and with it which optimal
@@ -622,6 +674,22 @@ def test_designer_lp_pivot_path_is_pinned(n, pivots):
     f = random_pmf(rng, n)
     inst = Instance(n=n, f=f, g=random_pmf(rng, n), d=F(3, 2))
     lp = build_designer_lp(inst, Fill())
+    sol = simplex_solve(lp)
+    assert sol.pivots == pivots
+    assert _certificate_fault(lp, sol) is None
+
+
+@pytest.mark.parametrize("n, pivots", [(8, (66, 14)), (10, (145, 41))])
+def test_min_mass_lp_pivot_path_is_pinned(n, pivots):
+    """The min-mass LP starts on artificials, so its pin covers phase 1
+    and the pass that drives artificials out as well as phase 2.  Its
+    common lottery is refused, so this vertex is `solve_min_mass`'s
+    answer."""
+    rng = random.Random(1)
+    inst = Instance(n=n, f=random_pmf(rng, n), g=random_pmf(rng, n), d=F(3, 2))
+    targets = PositionMasses(s=tuple(F(rng.randint(0, 5), 7) for _ in range(n)))
+    assert _common_lottery_fault(inst, *_min_mass_candidate(inst, targets)) is not None
+    lp = build_min_mass_lp(inst, targets)
     sol = simplex_solve(lp)
     assert sol.pivots == pivots
     assert _certificate_fault(lp, sol) is None
