@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import isqrt
 
 import numpy as np
 
@@ -47,17 +48,16 @@ class CrpResult:
 
 
 def _check_caps(inst: Instance, caps: PositionMasses):
-    """One exact cap per position, each within 0 <= s_k <= g_k."""
+    """One exact cap per position, each within 0 <= s_k <= g_k, compared
+    as int cross products: the denominators are positive."""
     require_exact(("caps", caps.s))
     if len(caps.s) != inst.n:
         raise LotbenchError("caps length must equal N")
-    for k, sk in enumerate(caps.s):
-        if sk < 0:
+    for k, (sk, gk) in enumerate(zip(caps.s, inst.g)):
+        if sk.numerator < 0:
             raise LotbenchError(f"cap at position {k} is negative")
-        if sk > inst.g[k]:
-            raise LotbenchError(
-                f"cap {sk} at position {k} exceeds capacity {inst.g[k]}"
-            )
+        if sk.numerator * gk.denominator > gk.numerator * sk.denominator:
+            raise LotbenchError(f"cap {sk} at position {k} exceeds capacity {gk}")
 
 
 def continuum_crp(inst: Instance, caps: PositionMasses) -> CrpResult:
@@ -137,9 +137,59 @@ def _lookup_types(cdf: np.ndarray, table: np.ndarray, u: np.ndarray) -> np.ndarr
     buckets = len(table)
     u *= buckets
     types = table[u.astype(np.intp)]
-    split = np.flatnonzero(types == len(cdf))
-    types[split] = np.searchsorted(cdf, u[split] / buckets, side="right")
+    split = (types == len(cdf)).nonzero()[0]
+    types[split] = cdf.searchsorted(u[split] / buckets, side="right")
     return types
+
+
+def _first_window(quota: int, p: int, scale: int, n_agents: int) -> int:
+    """A first window for a quota of agents of type <= k, F_k = p / scale:
+    the mean number of agents read to find them, quota / F_k, plus two
+    standard deviations of that count and 16, in ints, so that an F_k too
+    small for a float still sizes a window; n_agents where the mean alone
+    reaches it."""
+    mean = quota * scale // p
+    if mean >= n_agents:
+        return n_agents
+    return mean + 2 * isqrt(mean * (scale - p) // p) + 16
+
+
+def _serve_line(
+    types: np.ndarray, positions: list[int], quotas: list[int], windows: list[int]
+) -> list[int]:
+    """The serial dictatorship of one line of types, in arrival order, by
+    cutoffs: the positions in `positions`, from the top, each with its
+    quota q > 0 and a first window size w > 0.  Position k takes the first
+    q agents of type <= k at or after the previous cutoff t, and its
+    window ends just after the last of them, or at the end of the line.
+    Returns the widths of the windows, one per position served; they tile
+    the line from its start, and the list stops at the window that
+    reaches the end of the line.
+
+    The scan reads types[t:t + w] and, while that holds fewer than q such
+    agents, reads on past it with a window twice as wide, so a short
+    window is not read again.
+    """
+    m = len(types)
+    t = 0
+    widths = []
+    for k, q, w in zip(positions, quotas, windows):
+        start = t
+        while True:
+            hits = (types[t : t + w] <= k).nonzero()[0]
+            if len(hits) >= q:
+                t += int(hits[q - 1]) + 1
+                break
+            q -= len(hits)
+            t += w
+            if t >= m:
+                t = m
+                break
+            w *= 2
+        widths.append(t - start)
+        if t == m:
+            break
+    return widths
 
 
 def simulate_finite(
@@ -152,8 +202,8 @@ def simulate_finite(
     """Monte Carlo of the finite market: i.i.d. types, uniform priorities,
     integer quotas floor(n_agents * s_k / D), serial dictatorship where an
     agent takes the best open position at or above its outside option.
-    Sizes are bounded before anything is allocated: at most 10^6 agents
-    and 10^4 replications; the seed is an int >= 0.
+    Sizes are ints, bounded before anything is allocated: at most 10^6
+    agents and 10^4 replications; the seed is an int >= 0.
 
     Each draw's type is read from a guide table (`_guide_table`) and is
     the type that `np.searchsorted(cdf, u, side="right")` gives: a draw u
@@ -161,12 +211,24 @@ def simulate_finite(
     some F_k splits fall back to the binary search.  The table is built
     per call, with O(N) entries.
 
-    Each replication keeps a line of the agents still waiting, in arrival
-    order, which shrinks as positions fill from the top, and stops when it
-    is empty.  Every agent left on the line accepts the position at hand,
-    so this is the serial dictatorship, and the line draws nothing from
-    the random stream.
+    Each replication serves its line of agents by cutoffs
+    (`_serve_line`), from the top position down.  An agent of type above
+    k whom position k passes over accepts no lower position either, so it
+    leaves the line, and every agent after position k's cutoff is still
+    waiting.  So position k's winners are the first q_k agents of type
+    <= k after the previous cutoff, exactly the serial dictatorship's,
+    and the line is read about once, one window per position: a first
+    window of q_k / F_k agents and some slack, sized from the grid's
+    ints, usually holds the quota.  One `bincount` over the codes
+    k * N + type, k the position whose window holds the agent, then
+    counts the replication; the codes with type above k are the agents
+    passed over, and are dropped from the counts.  The scan draws nothing
+    from the random stream, and memory stays O(n_agents) whatever the
+    replications.
     """
+    for name, size in (("n_agents", n_agents), ("replications", replications)):
+        if isinstance(size, bool) or not isinstance(size, int):
+            raise LotbenchError(f"{name} must be an integer, got {size!r}")
     if n_agents < 1:
         raise LotbenchError(f"need at least one agent, got {n_agents}")
     if n_agents > 10**6:
@@ -186,9 +248,15 @@ def simulate_finite(
     )
     cdf = grid.float_cdf
     table = _guide_table(cdf)
-    open_positions = [k for k in range(n - 1, -1, -1) if quotas[k]]
+    positions = [k for k in range(n - 1, -1, -1) if quotas[k]]
+    open_quotas = [quotas[k] for k in positions]
+    windows = [
+        _first_window(q, grid.ps[k], grid.fscale, n_agents)
+        for k, q in zip(positions, open_quotas)
+    ]
+    labels = np.array([k * n for k in positions], dtype=np.min_scalar_type(n * n))
 
-    counts = np.zeros((n, n), dtype=np.int64)
+    flat_counts = np.zeros(n * n, dtype=np.int64)
     type_totals = np.zeros(n, dtype=np.int64)
     streams = np.random.SeedSequence(seed).spawn(replications)
     for stream in streams:
@@ -196,24 +264,19 @@ def simulate_finite(
         # i.i.d. types in arrival order; arrival order is the priority order
         types = _lookup_types(cdf, table, rng.random(n_agents))
         type_totals += np.bincount(types, minlength=n)
-        # the types of the agents still waiting, in arrival order: from the
-        # top, a position drops the types above it, which no lower position
-        # accepts either, and its quota goes to the first agents left
-        line = types
-        for k in open_positions:
-            line = line[line <= k]
-            if not line.size:
-                break
-            counts[k] += np.bincount(line[: quotas[k]], minlength=n)
-            line = line[quotas[k]:]
-
-    with np.errstate(divide="ignore", invalid="ignore"):
-        empirical = np.where(type_totals > 0, counts / type_totals, 0.0)
-        stderr = np.where(
-            type_totals > 0,
-            np.sqrt(empirical * (1 - empirical) / np.maximum(type_totals, 1)),
-            0.0,
-        )
+        widths = _serve_line(types, positions, open_quotas, windows)
+        if widths:
+            # unnamed, so that the codes do not outlive their replication
+            flat_counts += np.bincount(
+                labels[: len(widths)].repeat(widths) + types[: sum(widths)],
+                minlength=n * n,
+            )
+    # the codes k * N + i with i > k are the agents position k passed over
+    counts = np.tril(flat_counts.reshape(n, n))
+    # a type never drawn has no agent in any position: 0 / 1 = 0
+    drawn = np.maximum(type_totals, 1)
+    empirical = counts / drawn
+    stderr = np.sqrt(empirical * (1 - empirical) / drawn)
     return SimulationResult(
         empirical=empirical,
         stderr=stderr,

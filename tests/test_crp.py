@@ -1,5 +1,6 @@
 import math
 import random
+import re
 import tracemalloc
 from fractions import Fraction
 
@@ -20,6 +21,7 @@ from lotbench import (
     uniform_instance,
 )
 
+from lotbench import crp
 from lotbench.crp import _guide_table, _lookup_types
 from util import random_convex_instance, random_feasible_lottery, random_instance, random_pmf
 
@@ -108,6 +110,12 @@ def test_simulation_validation():
     for seed in (-1, -(2**70), 1.0, True, "1"):
         with pytest.raises(LotbenchError, match=f"seed must be a nonnegative integer, got {seed!r}"):
             simulate_finite(U4, caps, 10, 1, seed)
+    # so is a size that is no int, or a bool, which numpy would take as 1
+    for size in (4000.0, True, False, "10", None, np.int64(10)):
+        with pytest.raises(LotbenchError, match=f"n_agents must be an integer, got {re.escape(repr(size))}"):
+            simulate_finite(U4, caps, size, 1, 1)
+        with pytest.raises(LotbenchError, match=f"replications must be an integer, got {re.escape(repr(size))}"):
+            simulate_finite(U4, caps, 10, size, 1)
 
 
 @pytest.mark.parametrize(
@@ -276,6 +284,56 @@ def test_simulation_line_matches_the_masked_scan():
     assert min(seen.values()) >= 30, seen
 
 
+def test_simulation_cutoff_scan_branches_match_the_masked_scan(monkeypatch):
+    """Each branch of the cutoff scan gives the masked scan's counts,
+    totals and quotas: a first window of one agent, too short for its
+    quota; a line that runs out in the middle of a position; quotas that
+    sum to M (caps = g, D = 1); M = 1 at N = 2; and an F_k whose float is
+    0.0, whose window is sized from the grid's ints."""
+    rng = random.Random(67)
+    first_window = crp._first_window
+    seen = {"short window": 0, "runs out": 0, "quotas sum to M": 0, "M = 1, N = 2": 0, "F_k float 0.0": 0}
+    for trial in range(200):
+        case = trial % 4
+        if case == 0:
+            inst = random_instance(rng, n_min=2, n_max=10)
+            caps = PositionMasses(s=tuple(gk * F(rng.randint(0, 5), 5) for gk in inst.g))
+            n_agents = rng.choice((2, 7, 50, 400))
+        elif case == 1:
+            n = rng.randint(2, 10)
+            weights = [rng.randint(0, 3) for _ in range(n - 1)] + [rng.randint(1, 3)]
+            inst = Instance(n=n, f=random_pmf(rng, n), g=tuple(F(w, sum(weights)) for w in weights), d=F(1))
+            caps = PositionMasses(s=inst.g)
+            n_agents = sum(weights) * rng.randint(1, 50)
+        elif case == 2:
+            inst = Instance(n=2, f=random_pmf(rng, 2), g=random_pmf(rng, 2, full_support=False),
+                            d=F(1, rng.randint(1, 4)))
+            caps = PositionMasses(s=tuple(gk * F(rng.randint(0, 2), 2) for gk in inst.g))
+            n_agents = 1
+        else:
+            n = rng.randint(2, 6)
+            tiny = F(1, 10 ** rng.randint(330, 400))
+            f = (tiny, *(w * (1 - tiny) for w in random_pmf(rng, n - 1)))
+            inst = Instance(n=n, f=f, g=random_pmf(rng, n, full_support=False), d=F(rng.randint(1, 4), 4))
+            caps = PositionMasses(s=tuple(gk * F(rng.randint(0, 4), 4) for gk in inst.g))
+            n_agents = rng.choice((1, 50, 400))
+        reps, seed = rng.randint(1, 3), rng.randrange(2**32)
+        short = trial % 3 == 0
+        monkeypatch.setattr(crp, "_first_window", (lambda *args: 1) if short else first_window)
+        counts, totals, quotas = _reference_simulation(inst, caps, n_agents, reps, seed)
+        sim = simulate_finite(inst, caps, n_agents, reps, seed)
+        assert sim.quotas == quotas
+        assert np.array_equal(sim.counts, counts)
+        assert np.array_equal(sim.type_totals, totals)
+        filled = counts.sum(axis=1)
+        seen["short window"] += short and max(quotas) > 1
+        seen["runs out"] += any(0 < f < reps * q for f, q in zip(filled, quotas))
+        seen["quotas sum to M"] += case == 1 and sum(quotas) == n_agents
+        seen["M = 1, N = 2"] += case == 2 and any(quotas)
+        seen["F_k float 0.0"] += bool(inst._grid.float_cdf[0] == 0.0) and quotas[0] > 0
+    assert min(seen.values()) >= 20, seen
+
+
 def _dyadic_pmf(rng, n, bits):
     """A full-support pmf over 2**bits >= n, so every F_k is k' / 2**bits."""
     cuts = sorted(rng.sample(range(1, 2**bits), n - 1))
@@ -362,3 +420,22 @@ def test_simulation_memory_stays_linear_in_the_agents():
     finally:
         tracemalloc.stop()
     assert peak < 40 * n_agents, peak / n_agents
+
+
+def test_simulation_memory_does_not_grow_with_the_replications():
+    """At N = 200 and 10^5 agents the traced peak at 16 replications stays
+    within 10% of the peak at one: the replications share no buffer, so
+    memory is O(n_agents) whatever R is."""
+    inst = uniform_instance(200)
+    caps = PositionMasses(s=inst.g)
+    n_agents = 10**5
+    simulate_finite(inst, caps, 100, 1, 1)  # first-use allocations
+    peaks = []
+    for reps in (1, 16):
+        tracemalloc.start()
+        try:
+            simulate_finite(inst, caps, n_agents, reps, 1)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] <= 1.1 * peaks[0], [peak / n_agents for peak in peaks]
