@@ -17,10 +17,10 @@ over the common lottery: N columns (and min-mass's D) on the POS rows and
 AGE[0], the budget problem.  The lottery is returned when the IC prices
 pass their sign test, read from the ints of 1/F's second differences, and
 it passes the exact certificate of that small program, which rests on
-the O(N^2) integer check of the decomposition's aggregation identity
-(`_common_lottery_fault`).  Otherwise they build the LP and run the
-simplex, and its optimum must pass the same certificate against the LP's
-own data (`_certificate_fault`).
+the O(N) integer check of the decomposition's aggregation identity, three
+cells per row (`_common_lottery_fault`).  Otherwise they build the LP and
+run the simplex, and its optimum must pass the same certificate against
+the LP's own data (`_certificate_fault`).
 `fractions.Fraction` appears only in the LP's data and in the solution:
 its primal values, duals and objective.
 
@@ -34,6 +34,7 @@ from __future__ import annotations
 from bisect import insort
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from itertools import compress, islice
 from math import gcd, lcm
 from operator import mul
@@ -426,11 +427,14 @@ def _check_certificate(lp: LinearProgram, sol: LpSolution):
 # --- designer problem builders ----------------------------------------------
 
 
-def _program_names(n: int, sense: str) -> tuple[list[str], list[str]]:
+@cache
+def _program_names(n: int, sense: str) -> tuple[tuple[str, ...], tuple[str, ...]]:
     """(variable names, constraint names) of a mechanism program, in column
     and row order.  The designer program (sense "max") has the cells
     a[k][i], the min-mass program ("min") the cells y[k][i] and then D,
-    over k >= i; both have the rows IC[i,j] (i != j), POS[k], then AGE[i]."""
+    over k >= i; both have the rows IC[i,j] (i != j), POS[k], then AGE[i].
+    They are formed once per (N, sense) and kept for the process, as
+    tuples: an LP gets lists of its own."""
     var = "a" if sense == "max" else "y"
     variables = [f"{var}[{k}][{i}]" for k in range(n) for i in range(k + 1)]
     if sense == "min":
@@ -438,7 +442,7 @@ def _program_names(n: int, sense: str) -> tuple[list[str], list[str]]:
     rows = [f"IC[{i},{j}]" for i in range(n) for j in range(n) if i != j]
     rows += [f"POS[{k}]" for k in range(n)]
     rows += [f"AGE[{i}]" for i in range(n)]
-    return variables, rows
+    return tuple(variables), tuple(rows)
 
 
 def _mechanism_rows(inst: Instance, pos_weights):
@@ -506,8 +510,8 @@ def build_designer_lp(inst: Instance, obj: Objective) -> LinearProgram:
         rows=rows,
         rels=[GE] * n_ic + [LE] * (2 * n),
         rhs=[0] * n_ic + list(inst.g) + [ONE] * n,
-        var_names=var_names,
-        con_names=con_names,
+        var_names=list(var_names),
+        con_names=list(con_names),
     )
 
 
@@ -538,8 +542,8 @@ def build_min_mass_lp(inst: Instance, targets: PositionMasses) -> LinearProgram:
         rows=[row + [v] for row, v in zip(rows, d_col)],
         rels=[GE] * (n_ic + n) + [LE] * n,
         rhs=[0] * n_ic + list(targets.s) + [0] * n,
-        var_names=var_names,
-        con_names=con_names,
+        var_names=list(var_names),
+        con_names=list(con_names),
     )
 
 
@@ -633,7 +637,9 @@ def _common_lottery_fault(inst: Instance, lp: LinearProgram, sol: LpSolution) ->
       exactly when sense * scale >= 0 and either scale = 0 or the grid has
       no violations (no d2 < 0);
     - the weighted IC rows aggregate to scale * mu[k][i] on cell (k, i),
-      the identity that `transform._check_mu_identity` checks in ints, so
+      the identity that `transform._check_mu_identity` checks in ints, in
+      O(N): each row at the cells 0, k-1 and k, which raises on the same
+      first row as a check of every cell, so
       by mu's closed forms the reduced cost of cell (k, i) is f_i/F_k
       times that of x_k in the lottery program, and D's is D's;
     - the IC rows hold at a common lottery, AGE[0] bounds every AGE row,

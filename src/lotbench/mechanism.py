@@ -12,6 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
+from itertools import accumulate
 from operator import add, mul
 from typing import NamedTuple, Union
 
@@ -231,16 +232,15 @@ def _sweep(a, entries=None) -> _ConstraintSums:
     G_i[c] = sum_{k>i} (k-i) a[k][c], which is S1 - i*S0 over the column
     suffix sums S0 = sum_{k>=i} a[k][c] and S1 = sum_{k>=i} k a[k][c].
     Sweeping i down from N-1, G_i = G_{i+1} + (column sums of the rows
-    below i), so each row costs O(N) integer additions.
+    below i), so each row costs O(N) integer additions.  An expansion's
+    sums are read from its entries e_k instead (`_expansion_sweep`).
     """
+    if entries is not None:
+        return _expansion_sweep(entries)
     n = len(a)
-    if entries is None:
-        require_exact(*((f"mechanism row {k}", row) for k, row in enumerate(a)))
-        scale, rows = to_common_denominator(a)
-        rows = list(rows)
-    else:
-        scale, (ints,) = to_common_denominator([entries])
-        rows = [[c] * (k + 1) + [0] * (n - k - 1) for k, c in enumerate(ints)]
+    require_exact(*((f"mechanism row {k}", row) for k, row in enumerate(a)))
+    scale, rows = to_common_denominator(a)
+    rows = list(rows)
     below = [0] * n  # column sums of the rows k > i
     gap = [0] * n  # G_i
     slack = [None] * n
@@ -256,6 +256,33 @@ def _sweep(a, entries=None) -> _ConstraintSums:
             negative[i] = tuple(c for c, v in enumerate(row) if v < 0)
         lower_triangular = lower_triangular and not any(row[i + 1:])
     return _ConstraintSums(scale, rows, slack, below, negative, lower_triangular, ic_holds)
+
+
+def _expansion_sweep(entries) -> _ConstraintSums:
+    """The sweep of the expansion of the lottery with these entries, equal
+    field for field to `_sweep` of its matrix, from the prefix sums of the
+    entries' ints e_k over one denominator.
+
+    Type i takes every position k >= i, so its participation is
+    sum_{k>=i} e_k.  Against report j <= i it sees the same offers, slack 0;
+    against j > i it loses the positions i < k < j, slack
+    sum_{i<k<j} (k-i) e_k = (T_j - T_{i+1}) - i (S_j - S_{i+1}) over the
+    prefix sums S_m = sum_{k<m} e_k and T_m = sum_{k<m} k e_k.  So a slack
+    is negative only when an e_k with 0 < k < N-1 is.
+    """
+    n = len(entries)
+    scale, (ints,) = to_common_denominator([entries])
+    rows = [[c] * (k + 1) + [0] * (n - k - 1) for k, c in enumerate(ints)]
+    s0 = [0, *accumulate(ints)]
+    s1 = [0, *accumulate(map(mul, range(n), ints))]
+    slack = []
+    for i in range(n):
+        base = s1[i + 1] - i * s0[i + 1]
+        slack.append([0] * (i + 1) + [t - i * s - base for s, t in zip(s0[i + 1:n], s1[i + 1:n])])
+    participation = [s0[n] - s for s in s0[:n]]
+    negative = [tuple(range(k + 1)) if c < 0 else () for k, c in enumerate(ints)]
+    ic_holds = min(ints[1:-1], default=0) >= 0
+    return _ConstraintSums(scale, rows, slack, participation, negative, True, ic_holds)
 
 
 def _constraint_sums(inst: Instance, mech: DirectMechanism) -> _ConstraintSums:

@@ -182,30 +182,61 @@ def _check_mu_identity(grid: _GridInts):
 
     The aggregated coefficient of cell (k, i), i <= k, is
         (x_k - x_i)(up_i + sum_j down[i][j]) - (x_k - x_{i-1}) up_{i-1}
-        - sum_{i<j<=k} (x_k - x_j) down[j][i]  =  x_k A_k[i] - B_k[i],
-    where, as k rises, A takes off down[k][i] = f_i r_k and B takes off
-    x_k f_i r_k: running sums, O(N^2) in all.  The sums run in ints over
-    one common denominator for the weights times one for the cdf, and one
-    for the grid, and each row is compared with its closed form times F_k.
+        - sum_{i<j<=k} (x_k - x_j) down[j][i],
+    with down[j][i] = f_i r_j.  Over the prefix sums R_k = sum_{j<=k} r_j
+    and X_k = sum_{j<=k} x_j r_j it is x_k A_i - B_i - f_i g_k, where
+    g_k = x_k R_k - X_k depends on k alone, and A_i = a_i + f_i R_i and
+    B_i = b_i + f_i X_i on i alone (cell (i, i) is x_k a_i - b_i).  So with
+    y_k = g_k - 1/F_k, the closed form mu[k][i] = -f_i/F_k (i >= 1) holds
+    exactly when the point (x_k, y_k) lies on the line f_i y = A_i x - B_i,
+    and mu[k][0] = 1 - f_0/F_k exactly when it lies on the line
+    f_0 y = A_0 x - B_0 - 1.  `_scan_mu_rows` checks row k only at the
+    cells 0, k-1 and k, which decides the same rows as checking every
+    cell: if rows 0..k pass there, column 0 puts the points 0..k on line
+    0, and the cells (i, i) and (i+1, i) put the points i and i+1 on line
+    i, which is therefore line 0.  That needs two preconditions, which
+    `Instance` and `UnevenGridView` enforce: every f_i > 0, so that each
+    line is the graph of a function of x, and a strictly increasing grid,
+    so that two points fix it.  O(N) in all, in ints over one common
+    denominator for the weights times one for the cdf, and one for the grid.
     """
+    _scan_mu_rows(grid, *_mu_table(grid))
+
+
+def _mu_table(grid: _GridInts):
+    """(unit, A, B, g) of `_check_mu_identity`, each scaled by unit, the
+    weights' and the cdf's and the grid's common denominators; B_0 carries
+    column 0's closed-form 1, as unit."""
     wscale, up, rows = _kept_weights(grid)
     xscale, xs, fscale, cdf, pmf = grid.xscale, grid.xs, grid.fscale, grid.ps, grid.pmf
     # up_i and down[k][i] = pmf_i r_k, both over wscale * fscale; up[N-1] = 0,
     # and up[-1] = 0 stands for up_{-1}
     up = [u * fscale for u in up] + [0]
     unit = wscale * fscale * xscale
-    target = [-p * unit for p in pmf]  # unit * F_k * mu[k][i] for i >= 1
-    a, b = [], []
+    big_a, big_b, g = [], [], []
+    r_sum = xr_sum = 0  # R_k and X_k
     for k, (xk, rk) in enumerate(zip(xs, rows)):
-        own = up[k]
-        if rk:
-            own += rk * (cdf[k - 1] if k else 0)  # sum_{j<k} down[k][j]
-            xr = xk * rk
-            a = [v - p * rk for v, p in zip(a, pmf)]
-            b = [v - p * xr for v, p in zip(b, pmf)]
-        a.append(own - up[k - 1])
-        b.append(xk * own - xs[k - 1] * up[k - 1])
-        fk = cdf[k]
-        got = [(xk * va - vb) * fk for va, vb in zip(a, b)]
-        if got != [target[0] + fk * unit] + target[1:k + 1]:
-            raise AssertionError(f"mu row {k} differs from its closed form")
+        # own = up_k + sum_{j<k} down[k][j], and cell (k, k) is x_k a_k - b_k
+        # with a_k = own - up_{k-1} and b_k = x_k own - x_{k-1} up_{k-1}
+        own = up[k] + rk * (cdf[k - 1] if k else 0)
+        r_sum += rk
+        xr_sum += xk * rk
+        big_a.append(own - up[k - 1] + pmf[k] * r_sum)
+        big_b.append(xk * own - xs[k - 1] * up[k - 1] + pmf[k] * xr_sum)
+        g.append(xk * r_sum - xr_sum)
+    big_b[0] += unit
+    return unit, big_a, big_b, g
+
+
+def _scan_mu_rows(grid: _GridInts, unit: int, big_a, big_b, g):
+    """Raise AssertionError at the first row k whose cells 0, k-1 and k
+    miss their closed forms, in the terms of `_check_mu_identity` scaled by
+    unit: F_k (x_k A_i - B_i - f_i g_k) = -f_i unit, where B_0 includes
+    column 0's extra unit.  Any A, B and g may be given, which lets a test
+    hold the scan against a check of every cell of the same table."""
+    xs, cdf, pmf = grid.xs, grid.ps, grid.pmf
+    for k, (xk, fk, gk) in enumerate(zip(xs, cdf, g)):
+        height = fk * gk - unit  # F_k y_k
+        for i in (0, k - 1, k) if k > 1 else range(k + 1):
+            if fk * (xk * big_a[i] - big_b[i]) != pmf[i] * height:
+                raise AssertionError(f"mu row {k} differs from its closed form")

@@ -199,17 +199,39 @@ def _random_lottery(rng, n):
 def test_kernel_of_an_expansion_equals_the_kernel_of_its_matrix():
     rng = random.Random(2027)
     zeros = repeats = 0
+    cases = []
     for _ in range(240):
         n = rng.randint(2, 40)
         inst = random_instance(rng, n, n)
         c = _random_lottery(rng, n)
         zeros += 0 in c
         repeats += len(set(c)) < n
+        cases.append((inst, c))
+    # edge cases: N = 2, the all-zero lottery, only the top entry nonzero,
+    # and entries that total exactly 1
+    for n in (2, 3, 17):
+        inst = random_instance(rng, n, n)
+        top = (Fraction(0),) * (n - 1)
+        weights = [rng.randint(1, 9) for _ in range(n)]
+        cases += [
+            (inst, _random_lottery(rng, n)),
+            (inst, (Fraction(0),) * n),
+            (inst, top + (Fraction(1, 3),)),
+            (inst, top + (Fraction(1),)),
+            (inst, tuple(Fraction(w, sum(weights)) for w in weights)),
+        ]
+    for inst, c in cases:
         expanded = expand_common_lottery(inst, CommonLottery(c=c))
         plain = DirectMechanism(a=expanded.a)
         assert plain == expanded and "_entries" not in plain.__dict__
         assert _constraint_sums(inst, expanded) == _constraint_sums(inst, plain)
     assert zeros >= 50 and repeats >= 100
+    # no lottery has a negative entry, but the sweep from entries still
+    # reports one as the matrix's sweep does, at either end and inside
+    for c in ((-1, 0, 2), (0, 0, -1), (1, -1, 1, 3), (Fraction(1, 2), Fraction(-1, 3))):
+        n = len(c)
+        a = tuple((v,) * (k + 1) + (0,) * (n - k - 1) for k, v in enumerate(c))
+        assert mechanism._sweep(a, c) == mechanism._sweep(a)
 
 
 def test_position_masses_match_the_cell_sums():

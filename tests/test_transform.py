@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import random
@@ -6,6 +7,7 @@ import sys
 import textwrap
 from fractions import Fraction
 from importlib import resources
+from itertools import accumulate
 from pathlib import Path
 
 import pytest
@@ -31,6 +33,7 @@ from lotbench import (
     verify_decomposition,
 )
 
+from lotbench import transform
 from lotbench.transform import _grid_weights
 from util import (
     random_convex_instance,
@@ -285,6 +288,119 @@ def test_mu_closed_form_check_survives_optimize_flag():
     )
     assert out.returncode == 0, out.stderr
     assert out.stdout.split() == ["caught", "caught"]
+
+
+def _reference_mu_check(grid):
+    """The aggregation identity checked at every cell, row by row: the
+    running sums of each row's k+1 coefficients, O(N^2) ints."""
+    wscale, up, rows = transform._kept_weights(grid)
+    xscale, xs, fscale, cdf, pmf = grid.xscale, grid.xs, grid.fscale, grid.ps, grid.pmf
+    up = [u * fscale for u in up] + [0]
+    unit = wscale * fscale * xscale
+    target = [-p * unit for p in pmf]
+    a, b = [], []
+    for k, (xk, rk) in enumerate(zip(xs, rows)):
+        own = up[k]
+        if rk:
+            own += rk * (cdf[k - 1] if k else 0)
+            xr = xk * rk
+            a = [v - p * rk for v, p in zip(a, pmf)]
+            b = [v - p * xr for v, p in zip(b, pmf)]
+        a.append(own - up[k - 1])
+        b.append(xk * own - xs[k - 1] * up[k - 1])
+        fk = cdf[k]
+        got = [(xk * va - vb) * fk for va, vb in zip(a, b)]
+        if got != [target[0] + fk * unit] + target[1:k + 1]:
+            raise AssertionError(f"mu row {k} differs from its closed form")
+
+
+def _all_cells_scan(grid, unit, big_a, big_b, g):
+    """`transform._scan_mu_rows`'s test at every cell (k, i), i <= k."""
+    for k, (xk, fk, gk) in enumerate(zip(grid.xs, grid.ps, g)):
+        for i, p in enumerate(grid.pmf[:k + 1]):
+            if fk * (xk * big_a[i] - big_b[i] - p * gk) != -p * unit:
+                raise AssertionError(f"mu row {k} differs from its closed form")
+
+
+def _raised(check, *args):
+    try:
+        check(*args)
+    except AssertionError as exc:
+        return str(exc)
+    return None
+
+
+def test_mu_scan_decides_like_the_all_cells_check():
+    """The check at the cells 0, k-1 and k of each row raises exactly when
+    the check of every cell does, and names the same row: (a) on the
+    weights of even and uneven grids, exact, each bent in turn and all
+    random; (b) on tables that no weight vector produces, held against a
+    check of every cell of the same table."""
+    rng = random.Random(3301)
+    # every even N = 2..40 once, then small grids, so that each weight can
+    # be bent in turn within the time of a unit test
+    sizes = [*range(2, 41), *(2 + t % 7 for t in range(961)), *(-1 - t % 12 for t in range(1000))]
+    grids, raised, turned, kinks = [], 0, 0, 0
+    for n in sizes:
+        if n < 0:  # an uneven grid of -n points
+            n = -n
+            den = rng.choice((1, 2, 3, 7))
+            x = tuple(F(v, den) for v in accumulate(rng.randint(1, 9) for _ in range(n)))
+            view = UnevenGridView(x=x, F=tuple(accumulate(random_pmf(rng, n))))
+            uneven_mu_coefficients(view)
+            grid = view._grid
+        else:
+            inst = random_instance(rng, n, n)
+            mu_coefficients(inst)
+            grid = inst._grid
+        assert _raised(_reference_mu_check, grid) is None
+        grids.append(grid)
+        wscale, up, rows = transform._kept_weights(grid)
+        bends = [(wscale, tuple(rng.randint(-9, 9) for _ in up), tuple(
+            rng.randint(-9, 9) for _ in rows
+        ))]
+        for i in range(len(up) + len(rows)):
+            bent = [*up, *rows]
+            bent[i] += rng.choice((-1, 1)) * rng.randint(1, 3)
+            bends.append((wscale, tuple(bent[:len(up)]), tuple(bent[len(up):])))
+        trial = dataclasses.replace(grid)
+        for weights in bends:
+            trial.__dict__["_weights"] = weights
+            want = _raised(_reference_mu_check, trial)
+            assert _raised(transform._check_mu_identity, trial) == want
+            raised += want is not None
+    # (b) crafted tables on the same grids
+    for grid in grids[::3]:
+        n = len(grid.xs)
+        unit, big_a, big_b, g = transform._mu_table(grid)
+        assert _raised(_all_cells_scan, grid, unit, big_a, big_b, g) is None
+        crafted = [(big_a, big_b, g)]
+        i, k = rng.randrange(n), rng.randrange(n)
+        delta = rng.choice((-1, 1)) * rng.randint(1, unit)
+        # line i turned about its own point keeps cell (i, i)
+        crafted.append((
+            [*big_a[:i], big_a[i] + delta, *big_a[i + 1:]],
+            [*big_b[:i], big_b[i] + grid.xs[i] * delta, *big_b[i + 1:]],
+            g,
+        ))
+        # line i moved off its own point, parallel to itself
+        crafted.append((big_a, [*big_b[:i], big_b[i] + delta, *big_b[i + 1:]], g))
+        # the points kinked at point k - 1 onto another slope, and the lines
+        # from k - 1 on turned with them, so only column 0 sees the kink
+        if k > 1:
+            x0, pmf = grid.xs[k - 1], grid.pmf
+            crafted.append((
+                [v + pmf[j] * delta if j >= k - 1 else v for j, v in enumerate(big_a)],
+                [v + pmf[j] * delta * x0 if j >= k - 1 else v for j, v in enumerate(big_b)],
+                [v + delta * max(x - x0, 0) for v, x in zip(g, grid.xs)],
+            ))
+            kinks += 1
+        crafted.append((big_a, big_b, [*g[:k], g[k] + delta, *g[k + 1:]]))
+        for a, b, rows in crafted:
+            want = _raised(_all_cells_scan, grid, unit, a, b, rows)
+            assert _raised(transform._scan_mu_rows, grid, unit, a, b, rows) == want
+        turned += i < n - 1
+    assert raised > 20000 and turned > 400 and kinks > 300, (raised, turned, kinks)
 
 
 def test_vertex_collapse_preserves_masses():
