@@ -177,9 +177,9 @@ def _improve_at(inst: Instance, weights, order, k: int, d2: Fraction):
     base = lottery_from_masses(inst, s)
     c = base.c
 
+    # > 0: c_{k-1}, c_k, c_{k+1} > 0 and sum(c) <= 1 keep each c_r and
+    # p_above below 1, so every bound of _max_epsilon is positive
     epsilon = _max_epsilon(inst, c, k, i) / 2
-    if epsilon <= 0:
-        return None
     eps_prime = -epsilon * inst.f[i] * d2  # > 0: epsilon, f_i > 0 > d2
 
     # lowest position with spare capacity among those every offered-to type

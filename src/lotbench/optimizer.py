@@ -280,9 +280,10 @@ def kkt_check(
     Finds a budget multiplier such that every position satisfies its
     marginal condition within tol: interior positions (0 < s_k < g_k - tol,
     however small s_k is) have marginal value exactly the multiplier-weighted
-    price, zero positions (s_k <= 0) at most it, and capacity-capped
-    positions at least it.  Raises LotbenchError when the input is not
-    even feasible for the budget set or lies outside the float range.
+    price and capacity-capped positions at least it; a zero position
+    (s_k <= 0) with spare capacity never holds, as its marginal value is
+    infinite.  Raises LotbenchError when the input is not even feasible
+    for the budget set or lies outside the float range.
     """
     n = inst.n
     alpha, rho, cdf, g, d = _float_problem(inst, obj)
@@ -328,8 +329,6 @@ def kkt_check(
             resid = abs(marginal(k) - price_val)
             if resid > tol:
                 violations.append((k, "interior", resid))
-    if slack > tol and lam > tol:
-        violations.append((-1, "complementary-slackness", lam))
     return KktReport(
         ok=not violations,
         multiplier=lam,

@@ -23,10 +23,7 @@ from .rationals import (
     format_rational,
     format_rational_matrix,
     format_rational_vector,
-    parse_rational,
-    parse_rational_vector,
     require_exact,
-    to_common_denominator,
 )
 from .transform import _grid_mu
 
@@ -94,24 +91,6 @@ class OrdinalInstance:
         prefix = self._baseline._prefix
         return tuple(_grid_ints(row, *prefix) for row in self.utility)
 
-    @classmethod
-    def from_json_dict(cls, data: dict) -> "OrdinalInstance":
-        labels = data["Gamma"]
-        if not isinstance(labels, (list, tuple)):
-            raise LotbenchError(f"not a list of taste labels: {labels!r}")
-        utility = data["u"]
-        if not isinstance(utility, (list, tuple)):
-            raise LotbenchError(f"not a list of utility rows: {utility!r}")
-        return cls(
-            qualities=parse_rational_vector(data["Q"]),
-            gamma_labels=tuple(str(s) for s in labels),
-            gamma_pmf=parse_rational_vector(data["hGamma"]),
-            outside_pmf=parse_rational_vector(data["hQ"]),
-            utility=tuple(parse_rational_vector(row) for row in utility),
-            g=parse_rational_vector(data["g"]),
-            d=parse_rational(data["D"]),
-        )
-
     def to_json_dict(self) -> dict:
         return {
             "Q": format_rational_vector(self.qualities),
@@ -126,24 +105,13 @@ class OrdinalInstance:
 
 @dataclass(frozen=True)
 class UnevenGridView:
-    """One taste's utility grid with the shared outside-option cdf."""
+    """One taste's utility grid with the shared outside-option cdf, as
+    `normalize_gamma` builds it from a checked `OrdinalInstance`."""
 
     x: tuple[Fraction, ...]
     F: tuple[Fraction, ...]
-
-    def __post_init__(self):
-        require_exact(("x", self.x), ("F", self.F))
-        n = len(self.x)
-        if n == 0:
-            raise LotbenchError("grid must have at least one point")
-        if len(self.F) != n:
-            raise LotbenchError("grid and cdf must have the same length")
-        if any(self.x[k] >= self.x[k + 1] for k in range(n - 1)):
-            raise LotbenchError("grid must be strictly increasing")
-        if self.F[-1] != 1 or any(
-            self.F[k] >= self.F[k + 1] for k in range(n - 1)
-        ) or self.F[0] <= 0:
-            raise LotbenchError("cdf must be strictly increasing to 1")
+    # the taste's grid ints, kept on the instance (`OrdinalInstance._grids`)
+    _grid: _GridInts = field(repr=False, compare=False, kw_only=True)
 
     @property
     def n(self) -> int:
@@ -152,28 +120,16 @@ class UnevenGridView:
     def pmf(self, i: int) -> Fraction:
         return self.F[i] - (self.F[i - 1] if i > 0 else ZERO)
 
-    @cached_property
-    def _grid(self) -> _GridInts:
-        """The grid and cdf in the ints of `_grid_ints`, F put over its
-        common denominator, built on first read and kept; not a field, so
-        `==`, `hash` and `repr` ignore it."""
-        fscale, (ps,) = to_common_denominator([self.F])
-        return _grid_ints(self.x, fscale, tuple(ps))
-
 
 def normalize_gamma(oi: OrdinalInstance, gamma: str) -> UnevenGridView:
     """Utility-space view for one taste: grid u(q; gamma), cdf H(q).
 
-    The row and the cdf were checked when oi was built, so the view is not
-    checked again, and it shares the taste's grid ints kept on oi."""
+    The row and the cdf were checked when oi was built, and the view
+    shares the taste's grid ints kept on oi."""
     if gamma not in oi.gamma_labels:
         raise LotbenchError(f"unknown taste label {gamma!r}")
     index = oi.gamma_labels.index(gamma)
-    view = object.__new__(UnevenGridView)
-    view.__dict__.update(
-        x=tuple(oi.utility[index]), F=oi._baseline._cdf, _grid=oi._grids[index]
-    )
-    return view
+    return UnevenGridView(x=tuple(oi.utility[index]), F=oi._baseline._cdf, _grid=oi._grids[index])
 
 
 def uneven_mu_coefficients(view: UnevenGridView) -> tuple[tuple[Fraction, ...], ...]:

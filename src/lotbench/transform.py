@@ -195,7 +195,7 @@ def _check_mu_identity(grid: _GridInts):
     cell: if rows 0..k pass there, column 0 puts the points 0..k on line
     0, and the cells (i, i) and (i+1, i) put the points i and i+1 on line
     i, which is therefore line 0.  That needs two preconditions, which
-    `Instance` and `UnevenGridView` enforce: every f_i > 0, so that each
+    `Instance` and `OrdinalInstance` enforce: every f_i > 0, so that each
     line is the graph of a function of x, and a strictly increasing grid,
     so that two points fix it.  O(N) in all, in ints over one common
     denominator for the weights times one for the cdf, and one for the grid.

@@ -401,10 +401,14 @@ def test_min_mass_rejects_wrong_length_targets(files, capsys):
         ("validate", {**FIG4, "n": [3]}),
         ("validate", {**FIG4, "n": 3.7}),
         ("check", {"a": 5}, "--instance", FIG4),
+        ("check", MENU, "--instance", FIG4),
+        ("transform", MENU, "--instance", FIG4),
+        ("min-mass", FIG4, "--targets", ["1/6", "-1/6", "1/6"]),
     ],
     ids=[
         "zero-denominator", "validate-list", "convexity-list", "scalar-pmf",
         "objective-list", "list-n", "float-n", "scalar-rows",
+        "check-wrong-size", "transform-wrong-size", "negative-targets",
     ],
 )
 def test_malformed_json_exits_2_without_traceback(files, argv):

@@ -12,7 +12,6 @@ from lotbench import (
     LotbenchError,
     OrdinalInstance,
     SeparableConcave,
-    UnevenGridView,
     convexity_report,
     new_instance,
     uniform_instance,
@@ -124,7 +123,6 @@ EXACT_INPUTS = {
         g=(HALF, HALF),
         d=Fraction(1),
     ),
-    UnevenGridView: dict(x=(Fraction(0), Fraction(1)), F=(HALF, Fraction(1))),
 }
 
 
@@ -137,8 +135,6 @@ EXACT_INPUTS = {
         (OrdinalInstance, "qualities"),
         (OrdinalInstance, "gamma_pmf"),
         (OrdinalInstance, "utility"),
-        (UnevenGridView, "x"),
-        (UnevenGridView, "F"),
     ],
     ids=lambda v: v if isinstance(v, str) else v.__name__,
 )

@@ -181,6 +181,20 @@ def test_min_mass_local_up_multipliers_match_closed_form():
         assert mm.multipliers["IC"][(i, i + 1)] == expected
 
 
+@pytest.mark.parametrize(
+    "targets, message",
+    [
+        (["1/6", "1/6"], "need 3 target masses, got 2"),
+        (["1/6", "-1/6", "1/6"], "targets must be nonnegative"),
+    ],
+    ids=["length", "negative"],
+)
+@pytest.mark.parametrize("call", [solve_min_mass, build_min_mass_lp], ids=lambda f: f.__name__)
+def test_min_mass_rejects_bad_targets(call, targets, message):
+    with pytest.raises(LotbenchError, match=message):
+        call(uniform_instance(3), PositionMasses.from_values(targets))
+
+
 def test_min_mass_zero_targets():
     inst = uniform_instance(3)
     mm = solve_min_mass(inst, PositionMasses.from_values(["0", "0", "0"]))
@@ -273,6 +287,21 @@ def test_bound_keywords_are_refused(bound):
     # every variable is >= 0; any other bound is written as a row
     with pytest.raises(TypeError, match=bound):
         _one_var_lp(**{bound: [F(0)]})
+
+
+@pytest.mark.parametrize(
+    "changes, message",
+    [
+        (dict(c=[F(1), F(2)]), "objective has 2 entries, need 1"),
+        (dict(rels=["<=", "<="]), "must align"),
+        (dict(rhs=[F(3), F(4)]), "must align"),
+        (dict(con_names=["cap", "cap2"]), "must align"),
+    ],
+    ids=["objective-length", "rels", "rhs", "con_names"],
+)
+def test_misshapen_program_rejected(changes, message):
+    with pytest.raises(LotbenchError, match=message):
+        _one_var_lp(**changes)
 
 
 def test_duplicate_names_rejected():

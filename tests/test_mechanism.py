@@ -318,6 +318,15 @@ def test_kernel_readers_reject_inexact_entries(call, message):
         call()
 
 
+@pytest.mark.parametrize(
+    "read", [feasibility_report, position_masses, to_common_lottery, verify_decomposition],
+    ids=lambda read: read.__name__,
+)
+def test_kernel_readers_reject_a_mechanism_of_another_size(read):
+    with pytest.raises(LotbenchError, match="^mechanism is 4x4, instance has N=3$"):
+        read(uniform_instance(3), MENU)
+
+
 def test_feasibility_menu_and_ceei():
     for mech in (MENU, CEEI):
         report = feasibility_report(U4, mech)

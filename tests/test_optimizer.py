@@ -201,6 +201,25 @@ def test_kkt_flags_perturbed_solution():
     assert {v[1] for v in report.violations} == {"interior"}
 
 
+@pytest.mark.parametrize(
+    "d, weights, masses, case",
+    [
+        # the budget binds at the interior position 1's price, which the
+        # capped position 0's small marginal value falls short of
+        ("5/4", (1, 100), ["1/2", "1/4"], "capped"),
+        # a position left empty with spare capacity is never stationary
+        ("1/2", (1, 1), ["0", "1/2"], "zero"),
+    ],
+    ids=["capped", "zero"],
+)
+def test_kkt_flags_each_position_case(d, weights, masses, case):
+    inst = new_instance(2, ["1/2", "1/2"], ["1/2", "1/2"], d)
+    obj = SeparableConcave(weights=tuple(F(w) for w in weights), rho=F(1, 2))
+    report = kkt_check(inst, obj, PositionMasses.from_values(masses))
+    assert not report.ok and report.budget_slack == 0
+    assert [v[:2] for v in report.violations] == [(0, case)]
+
+
 def test_optimal_masses_rejects_unknown_objective():
     with pytest.raises(TypeError):
         optimal_masses(U4, object())

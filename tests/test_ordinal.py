@@ -25,7 +25,13 @@ from lotbench import (
     uniform_instance,
 )
 
-from util import random_convex_instance, random_feasible_lottery, random_instance, random_pmf
+from util import (
+    grid_of,
+    random_convex_instance,
+    random_feasible_lottery,
+    random_instance,
+    random_pmf,
+)
 
 F = Fraction
 
@@ -40,6 +46,14 @@ def make_ordinal(qualities, labels, h_gamma, h_q, utility, g, d):
         g=tuple(F(gk) for gk in g),
         d=F(d),
     )
+
+
+def one_taste(x, cdf):
+    """The view of `normalize_gamma` on the grid x (N >= 2 points) with cdf
+    F, through a one-taste ordinal instance."""
+    n = len(x)
+    pmf = [cdf[0]] + [b - a for a, b in zip(cdf, cdf[1:])]
+    return normalize_gamma(make_ordinal(range(n), ["t"], [1], pmf, [x], [F(1, n)] * n, 1), "t")
 
 
 LINEAR4 = make_ordinal(
@@ -62,39 +76,35 @@ def test_validation():
     with pytest.raises(LotbenchError, match="utility rows must be strictly increasing"):
         # utility row not strictly increasing
         make_ordinal([0, 1], ["a"], [1], [F(1, 2)] * 2, [[1, 0]], [F(1, 2)] * 2, 1)
+    with pytest.raises(LotbenchError, match="taste labels and pmf must align"):
+        make_ordinal([0, 1], ["a", "b"], [1], [F(1, 2)] * 2, [[0, 1]] * 2, [F(1, 2)] * 2, 1)
+    with pytest.raises(LotbenchError, match="taste labels and pmf must align and be nonempty"):
+        make_ordinal([0, 1], [], [], [F(1, 2)] * 2, [], [F(1, 2)] * 2, 1)
+    for h_gamma in ([F(1, 2), F(1, 4)], [F(3, 2), F(-1, 2)]):
+        with pytest.raises(LotbenchError, match="taste pmf must be nonnegative and sum to 1"):
+            make_ordinal([0, 1], ["a", "b"], h_gamma, [F(1, 2)] * 2, [[0, 1]] * 2,
+                         [F(1, 2)] * 2, 1)
+    with pytest.raises(LotbenchError, match="one utility row per taste is required"):
+        make_ordinal([0, 1], ["a", "b"], [F(1, 2)] * 2, [F(1, 2)] * 2, [[0, 1]],
+                     [F(1, 2)] * 2, 1)
+    with pytest.raises(LotbenchError, match="utility rows must have length N"):
+        make_ordinal([0, 1], ["a"], [1], [F(1, 2)] * 2, [[0, 1, 2]], [F(1, 2)] * 2, 1)
 
 
 def test_json_round_trip():
-    oi = LINEAR4
-    assert OrdinalInstance.from_json_dict(oi.to_json_dict()) == oi
-
-
-def test_json_taste_labels_must_be_a_list():
-    doc = make_ordinal(
-        [0, 1], ["a", "b"], [F(1, 2)] * 2, [F(1, 2)] * 2,
-        [[0, 1], [0, 2]], [F(1, 2)] * 2, 1,
-    ).to_json_dict()
-    assert OrdinalInstance.from_json_dict(doc).gamma_labels == ("a", "b")
-    with pytest.raises(LotbenchError, match="not a list of taste labels"):
-        OrdinalInstance.from_json_dict({**doc, "Gamma": "ab"})
-
-
-def test_json_utility_must_be_a_list_of_lists():
+    # the document that benchmarks/gen.py digests reads back to the instance
     doc = LINEAR4.to_json_dict()
-    for bad in (5, None, "01"):
-        with pytest.raises(LotbenchError, match="not a list of utility rows"):
-            OrdinalInstance.from_json_dict({**doc, "u": bad})
-    # each row is a vector of rationals too
-    for row in (5, None):
-        with pytest.raises(LotbenchError, match="not a list of rationals"):
-            OrdinalInstance.from_json_dict({**doc, "u": [row] + doc["u"][1:]})
+    assert doc == {
+        "Q": ["0", "1/3", "2/3", "1"], "Gamma": ["lin"], "hGamma": ["1"], "hQ": ["1/4"] * 4,
+        "u": [["0", "1/3", "2/3", "1"]], "g": ["1/4"] * 4, "D": "1",
+    }
+    keys = ("Q", "Gamma", "hGamma", "hQ", "u", "g", "D")
+    assert make_ordinal(*(doc[key] for key in keys)) == LINEAR4
 
 
 def test_even_grid_view_matches_baseline():
     inst = uniform_instance(4)
-    view = UnevenGridView(
-        x=tuple(inst.x(k) for k in range(4)), F=tuple(inst.cdf(k) for k in range(4))
-    )
+    view = one_taste(tuple(inst.x(k) for k in range(4)), tuple(inst.cdf(k) for k in range(4)))
     base = convexity_report(inst)
     uneven = convexity_report(view)
     assert uneven.is_convex == base.is_convex
@@ -116,7 +126,7 @@ def test_uneven_mu_closed_forms():
         for p in pmf:
             run += p
             cdf.append(run)
-        uneven_mu_coefficients(UnevenGridView(x=x, F=tuple(cdf)))
+        uneven_mu_coefficients(one_taste(x, tuple(cdf)))
 
 
 def test_monotone_rescaling_preserves_convexity():
@@ -124,8 +134,8 @@ def test_monotone_rescaling_preserves_convexity():
     # uniform outside-option distribution
     h = (F(1, 3), F(1, 3), F(1, 3))
     cdf = (F(1, 3), F(2, 3), F(1))
-    before = UnevenGridView(x=(F(0), F(1), F(2)), F=cdf)
-    after = UnevenGridView(x=(F(0), F(1), F(4)), F=cdf)
+    before = one_taste((F(0), F(1), F(2)), cdf)
+    after = one_taste((F(0), F(1), F(4)), cdf)
     assert convexity_report(before).is_convex
     assert convexity_report(after).is_convex
 
@@ -283,16 +293,14 @@ def test_views_share_the_cached_grid_of_each_taste():
         before = (repr(oi), hash(oi))
         for index, label in enumerate(oi.gamma_labels):
             view = normalize_gamma(oi, label)
-            checked = UnevenGridView(
-                x=oi.utility[index], F=tuple(oi.cdf(k) for k in range(oi.n))
-            )
-            assert view == checked and hash(view) == hash(checked)
-            assert repr(view) == repr(checked)
-            assert view._grid is oi._grids[index] and view._grid == checked._grid
-            assert convexity_report(view) == convexity_report(checked)
-            assert uneven_mu_coefficients(view) == uneven_mu_coefficients(checked)
+            x, cdf = oi.utility[index], tuple(oi.cdf(k) for k in range(oi.n))
+            reference = UnevenGridView(x=x, F=cdf, _grid=grid_of(x, cdf))
+            assert view == reference and hash(view) == hash(reference)
+            assert repr(view) == repr(reference)
+            assert view._grid is oi._grids[index] and view._grid == reference._grid
+            assert convexity_report(view) == convexity_report(reference)
+            assert uneven_mu_coefficients(view) == uneven_mu_coefficients(reference)
         assert (repr(oi), hash(oi)) == before
-        assert oi == OrdinalInstance.from_json_dict(oi.to_json_dict())
 
 
 def test_failing_tastes_are_the_non_convex_grids():
@@ -318,8 +326,11 @@ def test_failing_tastes_are_the_non_convex_grids():
 
 
 def test_empty_grid_rejected():
-    with pytest.raises(LotbenchError, match="grid must have at least one point"):
-        UnevenGridView(x=(), F=())
+    # a taste's grid comes from a checked ordinal instance, which needs
+    # N >= 2: neither an empty nor a one-point grid has a view
+    for points in ([], [0]):
+        with pytest.raises(LotbenchError, match=f"need N >= 2, got {len(points)}"):
+            make_ordinal(points, ["a"], [1], [1] * len(points), [points], [1] * len(points), 1)
 
 
 def test_every_taste_grid_shares_the_baseline_cdf_ints():

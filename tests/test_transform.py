@@ -19,7 +19,6 @@ from lotbench import (
     Fill,
     LotbenchError,
     OrdinalInstance,
-    UnevenGridView,
     convexity_report,
     expand_common_lottery,
     feasibility_report,
@@ -36,6 +35,7 @@ from lotbench import (
 from lotbench import transform
 from lotbench.transform import _grid_weights
 from util import (
+    grid_of,
     random_convex_instance,
     random_feasible_lottery,
     random_instance,
@@ -67,7 +67,7 @@ def _cdf(inst):
 def _checked_weights(x, cdf):
     """The library's weights (up, r) on the grid, once checked against
     the closed-form reference: the same up, and down[i][j] = f_j r_i."""
-    up, rows = _grid_weights(UnevenGridView(x=tuple(x), F=tuple(cdf))._grid)
+    up, rows = _grid_weights(grid_of(tuple(x), tuple(cdf)))
     f = [cdf[0]] + [b - a for a, b in zip(cdf, cdf[1:])]
     assert (up, tuple(tuple(fj * r for fj in f[:i]) for i, r in enumerate(rows))) == (
         reference_weights(x, cdf)
@@ -346,9 +346,8 @@ def test_mu_scan_decides_like_the_all_cells_check():
             n = -n
             den = rng.choice((1, 2, 3, 7))
             x = tuple(F(v, den) for v in accumulate(rng.randint(1, 9) for _ in range(n)))
-            view = UnevenGridView(x=x, F=tuple(accumulate(random_pmf(rng, n))))
-            uneven_mu_coefficients(view)
-            grid = view._grid
+            grid = grid_of(x, tuple(accumulate(random_pmf(rng, n))))
+            transform._grid_mu(grid)
         else:
             inst = random_instance(rng, n, n)
             mu_coefficients(inst)

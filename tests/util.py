@@ -6,6 +6,8 @@ import random
 from fractions import Fraction
 
 from lotbench import DirectMechanism, Instance, build_designer_lp, simplex_solve
+from lotbench.instance import _grid_ints
+from lotbench.rationals import to_common_denominator
 
 
 def random_pmf(rng: random.Random, n: int, full_support: bool = True):
@@ -59,6 +61,14 @@ def random_raw_matrix(rng: random.Random, n: int) -> DirectMechanism:
         tuple(Fraction(rng.randint(-d, d), d) for d in (rng.choice(dens) for _ in range(n)))
         for _ in range(n)
     ))
+
+
+def grid_of(x, cdf):
+    """The grid ints of `instance._grid_ints` for any increasing grid x of
+    one or more points and cdf F, F put over its common denominator: the
+    reference for the grids that `OrdinalInstance` keeps per taste."""
+    fscale, (ps,) = to_common_denominator([cdf])
+    return _grid_ints(x, fscale, tuple(ps))
 
 
 def reference_second_differences(x, cdf):
