@@ -13,7 +13,6 @@ from .instance import (
     ConvexityReport,
     Instance,
     convexity_report,
-    new_instance,
     uniform_instance,
 )
 from .mechanism import (

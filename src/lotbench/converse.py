@@ -85,7 +85,7 @@ def perturb(
     # spend the released slack on the unfilled position
     shift(fill_index, delta)
 
-    result = DirectMechanism(a=tuple(tuple(r) for r in rows))
+    result = DirectMechanism(a=rows)
     report = feasibility_report(inst, result)
     if not report.is_feasible:
         raise PreconditionViolation(

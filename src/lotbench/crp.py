@@ -27,7 +27,6 @@ from .mechanism import (
     expand_common_lottery,
 )
 from .optimizer import _scan, lottery_from_masses, masses_from_lottery
-from .rationals import require_exact
 
 
 @dataclass(frozen=True)
@@ -48,9 +47,8 @@ class CrpResult:
 
 
 def _check_caps(inst: Instance, caps: PositionMasses):
-    """One exact cap per position, each within 0 <= s_k <= g_k, compared
-    as int cross products: the denominators are positive."""
-    require_exact(("caps", caps.s))
+    """One cap per position, each within 0 <= s_k <= g_k, compared as int
+    cross products: the denominators are positive."""
     if len(caps.s) != inst.n:
         raise LotbenchError("caps length must equal N")
     for k, (sk, gk) in enumerate(zip(caps.s, inst.g)):
@@ -81,7 +79,7 @@ def continuum_crp(inst: Instance, caps: PositionMasses) -> CrpResult:
     return CrpResult(
         thresholds=thresholds,
         allocation=expand_common_lottery(
-            inst, lottery_from_masses(inst, PositionMasses(s=tuple(taken)))
+            inst, lottery_from_masses(inst, PositionMasses(s=taken))
         ),
         caps=caps,
     )

@@ -46,8 +46,13 @@ class Instance:
     g: tuple[Fraction, ...]
     d: Fraction
     _cdf: tuple[Fraction, ...] = field(init=False, repr=False, compare=False)
-    # (Q, (P_0, ..., P_{N-1})): F_k = P_k / Q, the prefix sums of f over Q
-    _prefix: tuple = field(init=False, repr=False, compare=False)
+    # the even grid scaled by (N-1), points 0..N-1, with the type cdf's
+    # prefix sums F_k = P_k / Q, in the ints of `_grid_ints`.  Every
+    # even-grid formula is its grid formula evaluated here, which turns the
+    # utility gaps (x_k - theta_i) into the integers (k - i).  Built with
+    # the instance, so `dataclasses.replace` builds a new one.  Callers
+    # must not mutate it.
+    _grid: _GridInts = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not isinstance(self.n, int) or isinstance(self.n, bool):
@@ -71,19 +76,7 @@ class Instance:
         if self.d <= 0:
             raise LotbenchError(f"agent mass must be positive, got {self.d}")
         object.__setattr__(self, "_cdf", tuple(Fraction(p, scale) for p in prefix))
-        object.__setattr__(self, "_prefix", (scale, tuple(prefix)))
-
-    @cached_property
-    def _grid(self) -> "_GridInts":
-        """The even grid scaled by (N-1), points 0..N-1, with the type cdf's
-        prefix sums, in the ints of `_grid_ints`; built on first read and kept.
-
-        Every even-grid formula is its grid formula evaluated here, which
-        turns the utility gaps (x_k - theta_i) into the integers (k - i).
-        The view is not a field, so `==`, `hash` and `repr` ignore it, and
-        `dataclasses.replace` builds a new one.  Callers must not mutate it.
-        """
-        return _grid_ints(range(self.n), *self._prefix)
+        object.__setattr__(self, "_grid", _grid_ints(range(self.n), scale, tuple(prefix)))
 
     # -- grid geometry ------------------------------------------------
 
@@ -129,18 +122,8 @@ def _with_mass(inst: Instance, d) -> Instance:
     if d <= 0:
         raise LotbenchError(f"agent mass must be positive, got {d}")
     trial = object.__new__(Instance)
-    trial.__dict__.update(inst.__dict__, d=d, _grid=inst._grid)
+    trial.__dict__.update(inst.__dict__, d=d)
     return trial
-
-
-def new_instance(n, f, g, d) -> Instance:
-    """Validated constructor accepting any rational-like entries."""
-    return Instance(
-        n=n,
-        f=parse_rational_vector(f),
-        g=parse_rational_vector(g),
-        d=parse_rational(d),
-    )
 
 
 def uniform_instance(n: int, d=1) -> Instance:

@@ -596,7 +596,7 @@ def _designer_candidate(inst: Instance, obj: Objective):
     weights = _designer_weights(obj, inst.n)
     order = _ranking(inst, weights)
     s, scale, used = _scan(inst, order, inst.g)
-    masses = PositionMasses(s=tuple(s))
+    masses = PositionMasses(s=s)
     lam = ZERO
     if used and used[-1] * d.denominator == d.numerator * scale:
         last = order[len(used) - 1]
@@ -721,7 +721,7 @@ def solve_designer(inst: Instance, obj: Objective):
     certified optimum."""
     lp, sol = _designer_candidate(inst, obj)
     if _common_lottery_fault(inst, lp, sol) is None:
-        lottery = CommonLottery(c=tuple(sol.primal.values()))
+        lottery = CommonLottery(c=sol.primal.values())
         return expand_common_lottery(inst, lottery), sol.objective
     sol = _simplex_optimum(build_designer_lp(inst, obj))
     return DirectMechanism(a=_cell_matrix(sol, inst.n)), sol.objective
@@ -764,7 +764,7 @@ def solve_min_mass(inst: Instance, targets: PositionMasses) -> MinMassSolution:
         d_star = sol.objective
         # every cell of row k is x_k, divided once; at D = 0 every x_k is 0
         c = [x / d_star if x else x for x in islice(sol.primal.values(), n)]
-        mech = expand_common_lottery(inst, CommonLottery(c=tuple(c)))
+        mech = expand_common_lottery(inst, CommonLottery(c=c))
         sol = _common_lottery_solution(inst, lp, sol)
     else:
         sol = _simplex_optimum(build_min_mass_lp(inst, targets))

@@ -33,11 +33,20 @@ ZERO = Fraction(0)
 
 @dataclass(frozen=True)
 class DirectMechanism:
-    """Offer-probability matrix; rows are positions, columns are types."""
+    """Offer-probability matrix; rows are positions, columns are types.
+
+    The rows are fixed as tuples when the mechanism is built, so a matrix
+    built from lists equals and hashes like its tuple twin and does not
+    follow later changes to those lists.  Its cells are checked to be
+    exact on first read, by the kernel (`_sweep`)."""
 
     a: tuple[tuple[Rat, ...], ...]
+    # the lottery entries of an expansion (`expand_common_lottery`), set
+    # after construction: not a field, so `dataclasses.replace` drops them
+    _entries = None
 
     def __post_init__(self):
+        object.__setattr__(self, "a", tuple(map(tuple, self.a)))
         n = len(self.a)
         if any(len(row) != n for row in self.a):
             raise LotbenchError("mechanism matrix must be square")
@@ -46,19 +55,12 @@ class DirectMechanism:
     def n(self) -> int:
         return len(self.a)
 
+    @cached_property
     def _view(self) -> "_ConstraintSums":
-        """The f-free sweep of a (`_sweep`), built on first read.  It is kept on
-        the mechanism when a is a tuple of tuples; a matrix of lists can
-        change in place, so its sweep is built on every read.  It is not a
-        field, so `==`, `hash` and `repr` ignore it.  Callers must not
-        mutate it."""
-        view = self.__dict__.get("_kept_view")
-        if view is None:
-            a = self.a
-            view = _sweep(a, self.__dict__.get("_entries"))
-            if type(a) is tuple and all(type(row) is tuple for row in a):
-                self.__dict__["_kept_view"] = view
-        return view
+        """The f-free sweep of a (`_sweep`), built on first read and kept.
+        It is not a field, so `==`, `hash` and `repr` ignore it.  Callers
+        must not mutate it."""
+        return _sweep(self.a, self._entries)
 
     @classmethod
     def from_rows(cls, rows) -> "DirectMechanism":
@@ -80,10 +82,11 @@ class CommonLottery:
 
     c: tuple[Rat, ...]
 
-    def total(self) -> Rat:
-        """The offer probabilities' sum, exact: the entries must be Fraction
-        or int (see `rationals.require_exact`)."""
+    def __post_init__(self):
+        object.__setattr__(self, "c", tuple(self.c))
         require_exact(("lottery", self.c))
+
+    def total(self) -> Rat:
         return exact_sum(self.c)
 
     @classmethod
@@ -97,10 +100,11 @@ class PositionMasses:
 
     s: tuple[Rat, ...]
 
-    def total(self) -> Rat:
-        """The masses' sum, exact: the entries must be Fraction or int (see
-        `rationals.require_exact`)."""
+    def __post_init__(self):
+        object.__setattr__(self, "s", tuple(self.s))
         require_exact(("masses", self.s))
+
+    def total(self) -> Rat:
         return exact_sum(self.s)
 
     @classmethod
@@ -128,10 +132,8 @@ class Linear:
 
 @dataclass(frozen=True)
 class SeparableConcave:
-    """sum_k alpha_k * s_k**rho with 0 < rho < 1 and positive weights.
-
-    Its value is a float (`evaluate_objective`), so float masses are
-    accepted for it, unlike for Fill and Linear."""
+    """sum_k alpha_k * s_k**rho with 0 < rho < 1 and positive weights; its
+    value is a float (`evaluate_objective`)."""
 
     weights: tuple[Rat, ...]
     rho: Rat
@@ -170,13 +172,10 @@ def evaluate_objective(obj: Objective, masses: PositionMasses):
     """Objective value at a mass vector.
 
     Fill and Linear are exact: the value is one Fraction of an int dot
-    product (`rationals.exact_dot`), and a mass that is not a Fraction or
-    an int, such as a float, raises LotbenchError.  The concave objective
-    is a float, and takes float masses too.
+    product (`rationals.exact_dot`).  The concave objective is a float.
     """
     weights = _linear_weights(obj, len(masses.s))
     if weights is not None:
-        require_exact(("masses", masses.s))
         return exact_dot(masses.s, weights)
     if isinstance(obj, SeparableConcave):
         _check_weights(obj, len(masses.s))
@@ -223,9 +222,10 @@ class _ConstraintSums(NamedTuple):
 def _sweep(a, entries=None) -> _ConstraintSums:
     """Every IC slack and participation of the matrix a in one O(N^2) sweep.
 
-    The int rows come from a's cells, or, for the expansion of a common
-    lottery, from its N entries: row k is c_k's int repeated k+1 times,
-    then zeros.  Either way the entries are checked to be exact first.
+    The int rows come from a's cells, which are checked to be exact here,
+    on first read, or, for the expansion of a common lottery, from its N
+    entries, checked when the lottery was built: row k is c_k's int
+    repeated k+1 times, then zeros.
 
     The (N-1)-scaled slack of type i against report j is
     sum_{k>i} (k-i) (a[k][i] - a[k][j]) = G_i[i] - G_i[j] with
@@ -290,9 +290,9 @@ def _constraint_sums(inst: Instance, mech: DirectMechanism) -> _ConstraintSums:
     its row masses under inst's pmf, which are computed on every call.  The
     row k of an expanded lottery is c_k on the types i <= k, whose pmf sums
     to F_k, so its row mass is one product."""
-    sweep = mech._view()
+    sweep = mech._view
     grid = inst._grid
-    if "_entries" in mech.__dict__:
+    if mech._entries is not None:
         row_mass = [row[0] * p for row, p in zip(sweep.rows, grid.ps)]
     else:
         row_mass = [sum(map(mul, row[:k + 1], grid.pmf)) for k, row in enumerate(sweep.rows)]
@@ -411,13 +411,11 @@ def feasibility_report(inst: Instance, mech: DirectMechanism) -> FeasibilityRepo
 
 
 def _check_lottery(cl: CommonLottery, n: int, what: str = "lottery"):
-    """A valid offer distribution over N positions: exact entries (see
-    `rationals.require_exact`), length N, total at most 1, nonnegative
-    entries."""
-    require_exact((what, cl.c))
+    """A valid offer distribution over N positions: length N, total at
+    most 1, nonnegative entries."""
     if len(cl.c) != n:
         raise LotbenchError(f"{what} has length {len(cl.c)}, need {n}")
-    total = exact_sum(cl.c)
+    total = cl.total()
     if total > 1:
         raise LotbenchError(f"{what}: offer probabilities total {total} > 1")
     if any(ck < 0 for ck in cl.c):
@@ -428,13 +426,12 @@ def expand_common_lottery(inst: Instance, cl: CommonLottery) -> DirectMechanism:
     """Direct representation: each type sees the lottery truncated below its
     outside option.  The result is IC and ex-post IR by construction.
 
-    The mechanism records a snapshot of the lottery's entries, from which
-    its kernel is scaled on first read: N denominators, not N^2 cells."""
+    The mechanism records the lottery's entries, from which its kernel is
+    scaled on first read: N denominators, not N^2 cells."""
     _check_lottery(cl, inst.n)
     n = inst.n
-    entries = tuple(cl.c)
     mech = DirectMechanism(
-        a=tuple((c,) * (k + 1) + (ZERO,) * (n - k - 1) for k, c in enumerate(entries))
+        a=tuple((c,) * (k + 1) + (ZERO,) * (n - k - 1) for k, c in enumerate(cl.c))
     )
-    object.__setattr__(mech, "_entries", entries)
+    object.__setattr__(mech, "_entries", cl.c)
     return mech

@@ -39,7 +39,7 @@ from .mechanism import (
     _linear_weights,
     evaluate_objective,
 )
-from .rationals import require_exact, to_common_denominator
+from .rationals import to_common_denominator
 
 ZERO = Fraction(0)
 
@@ -65,10 +65,8 @@ class BudgetSolution:
     convexity_warning: bool
 
 
-def _exact_entries(inst: Instance, values, what: str):
-    """Check an N-vector for the int kernels: exact entries (see
-    `rationals.require_exact`), one per position."""
-    require_exact((what, values))
+def _check_length(inst: Instance, values, what: str):
+    """One entry per position."""
     if len(values) != inst.n:
         raise LotbenchError(f"{what} has length {len(values)}, need {inst.n}")
 
@@ -77,7 +75,7 @@ def lottery_from_masses(inst: Instance, masses: PositionMasses) -> CommonLottery
     """The common lottery whose position masses are the given vector:
     c_k = s_k / (D F_k), each one Fraction of ints over the cdf's
     denominator."""
-    _exact_entries(inst, masses.s, "masses")
+    _check_length(inst, masses.s, "masses")
     grid = inst._grid
     num, den = inst.d.denominator * grid.fscale, inst.d.numerator
     return CommonLottery(c=tuple(
@@ -89,7 +87,7 @@ def lottery_from_masses(inst: Instance, masses: PositionMasses) -> CommonLottery
 def masses_from_lottery(inst: Instance, cl: CommonLottery) -> PositionMasses:
     """The position masses s_k = D c_k F_k of a common lottery, each one
     Fraction of ints over the cdf's denominator."""
-    _exact_entries(inst, cl.c, "lottery")
+    _check_length(inst, cl.c, "lottery")
     grid = inst._grid
     num, den = inst.d.numerator, inst.d.denominator * grid.fscale
     return PositionMasses(s=tuple(
@@ -173,7 +171,7 @@ def _greedy(inst: Instance, order, caps) -> PositionMasses:
     get zero mass.  The budget and the costs are ints over one common
     denominator (`_costs`), so only the one partly filled position gets a
     new Fraction; a filled position keeps its cap."""
-    return PositionMasses(s=tuple(_scan(inst, order, caps)[0]))
+    return PositionMasses(s=_scan(inst, order, caps)[0])
 
 
 def _floats(values, what: str, least: float = math.ulp(0.0)) -> list[float]:
@@ -228,7 +226,7 @@ def _water_fill(inst: Instance, obj: SeparableConcave) -> PositionMasses:
     scale, cost = _costs(inst, range(n), inst.g, d.denominator)
     remaining = d.numerator * (scale // d.denominator)
     if sum(cost) <= remaining:
-        return PositionMasses(s=tuple(inst.g))
+        return PositionMasses(s=inst.g)
     p = 1 / (1 - rho)
     log_b = [p * (math.log(a) + math.log(rho) + math.log(c)) for a, c in zip(alpha, cdf)]
     log_w = [lb - math.log(c) for lb, c in zip(log_b, cdf)]  # log of b_k / F_k
@@ -258,7 +256,7 @@ def _water_fill(inst: Instance, obj: SeparableConcave) -> PositionMasses:
     left = max(0, remaining * (scale_left // scale) - sum(spent))
     grid = inst._grid
     s[top] = min(inst.g[top], Fraction(left * grid.ps[top], scale_left * grid.fscale))
-    return PositionMasses(s=tuple(s))
+    return PositionMasses(s=s)
 
 
 @dataclass(frozen=True)

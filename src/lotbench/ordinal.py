@@ -86,10 +86,10 @@ class OrdinalInstance:
     def _grids(self) -> tuple[_GridInts, ...]:
         """Each taste's utility grid with the baseline's cdf ints (Q, P), in
         the ints of `_grid_ints`, in the order of gamma_labels; built on
-        first read and kept, as `Instance._grid` is.  It is not a field, so
-        `==`, `hash` and `repr` ignore it.  Callers must not mutate it."""
-        prefix = self._baseline._prefix
-        return tuple(_grid_ints(row, *prefix) for row in self.utility)
+        first read and kept.  It is not a field, so `==`, `hash` and `repr`
+        ignore it.  Callers must not mutate it."""
+        grid = self._baseline._grid
+        return tuple(_grid_ints(row, grid.fscale, grid.ps) for row in self.utility)
 
     def to_json_dict(self) -> dict:
         return {
@@ -171,7 +171,7 @@ def aggregate_per_gamma(oi: OrdinalInstance, per_gamma: dict) -> CommonLottery:
         _check_lottery(lot, oi.n, f"lottery for taste {label!r}")
         for k in range(oi.n):
             c[k] += weight * lot.c[k]
-    return CommonLottery(c=tuple(c))
+    return CommonLottery(c=c)
 
 
 def masses_over_qualities(oi: OrdinalInstance, cl: CommonLottery) -> PositionMasses:

@@ -15,7 +15,6 @@ from lotbench import (
     evaluate_objective,
     feasibility_report,
     lottery_from_masses,
-    new_instance,
     optimal_lottery_fill,
     optimal_masses,
     perturb,
@@ -28,7 +27,7 @@ from lotbench.converse import _improve_at
 from lotbench.instance import _with_mass
 from lotbench.optimizer import _ranking
 
-from util import random_convex_instance, random_instance, random_pmf
+from util import new_instance, random_convex_instance, random_instance, random_pmf
 
 F = Fraction
 FIG4 = new_instance(3, ["1/3", "1/12", "7/12"], ["1/3", "1/3", "1/3"], 1)

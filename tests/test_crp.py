@@ -15,7 +15,6 @@ from lotbench import (
     caps_from_lottery,
     continuum_crp,
     expand_common_lottery,
-    new_instance,
     optimal_lottery_fill,
     simulate_finite,
     uniform_instance,
@@ -23,7 +22,13 @@ from lotbench import (
 
 from lotbench import crp
 from lotbench.crp import _guide_table, _lookup_types
-from util import random_convex_instance, random_feasible_lottery, random_instance, random_pmf
+from util import (
+    new_instance,
+    random_convex_instance,
+    random_feasible_lottery,
+    random_instance,
+    random_pmf,
+)
 
 F = Fraction
 U4 = uniform_instance(4)
@@ -83,8 +88,8 @@ def test_caps_validation():
 @pytest.mark.parametrize(
     "call, message",
     [
-        (lambda: continuum_crp(U4, PositionMasses(s=(F(0), 0.125, F(0), F(0)))), "caps"),
-        (lambda: simulate_finite(U4, PositionMasses(s=(F(0), 0.125, F(0), F(0))), 10, 1, 1), "caps"),
+        (lambda: continuum_crp(U4, PositionMasses(s=(F(0), 0.125, F(0), F(0)))), "masses"),
+        (lambda: simulate_finite(U4, PositionMasses(s=(F(0), 0.125, F(0), F(0))), 10, 1, 1), "masses"),
         (lambda: caps_from_lottery(U4, CommonLottery(c=(F(0), F(5, 12), 0.125, F(1, 4)))), "lottery"),
     ],
     ids=["continuum_crp", "simulate_finite", "caps_from_lottery"],

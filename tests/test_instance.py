@@ -7,15 +7,18 @@ import pytest
 from hypothesis import given, strategies as st
 
 from lotbench import (
+    CommonLottery,
     Instance,
     Linear,
     LotbenchError,
     OrdinalInstance,
+    PositionMasses,
     SeparableConcave,
     convexity_report,
-    new_instance,
     uniform_instance,
 )
+
+from util import new_instance
 
 
 def test_grid_points_are_exact():
@@ -112,6 +115,8 @@ HALF = Fraction(1, 2)
 # exact arguments of the other constructors that take rationals; one
 # entry of the named field is replaced by an inexact value
 EXACT_INPUTS = {
+    CommonLottery: dict(c=(Fraction(0), HALF, Fraction(1, 4))),
+    PositionMasses: dict(s=(HALF, Fraction(0))),
     Linear: dict(weights=(Fraction(1), Fraction(0), Fraction(2))),
     SeparableConcave: dict(weights=(Fraction(1), Fraction(2)), rho=HALF),
     OrdinalInstance: dict(
@@ -127,23 +132,27 @@ EXACT_INPUTS = {
 
 
 @pytest.mark.parametrize(
-    "make, field",
+    "make, field, name",
     [
-        (Linear, "weights"),
-        (SeparableConcave, "weights"),
-        (SeparableConcave, "rho"),
-        (OrdinalInstance, "qualities"),
-        (OrdinalInstance, "gamma_pmf"),
-        (OrdinalInstance, "utility"),
+        pytest.param(make, field, name, id=f"{make.__name__}-{field}")
+        for make, field, name in [
+            (CommonLottery, "c", "lottery"),
+            (PositionMasses, "s", "masses"),
+            (Linear, "weights", "weights"),
+            (SeparableConcave, "weights", "weights"),
+            (SeparableConcave, "rho", "rho"),
+            (OrdinalInstance, "qualities", "qualities"),
+            (OrdinalInstance, "gamma_pmf", "gamma_pmf"),
+            (OrdinalInstance, "utility", "utility"),
+        ]
     ],
-    ids=lambda v: v if isinstance(v, str) else v.__name__,
 )
 @pytest.mark.parametrize(
     "bad",
     [0.5, True, numpy.float64(0.5), "1/2"],
     ids=["float", "bool", "numpy-float64", "str"],
 )
-def test_inexact_inputs_of_other_constructors_rejected(make, field, bad):
+def test_inexact_inputs_of_other_constructors_rejected(make, field, name, bad):
     exact = EXACT_INPUTS[make]
     make(**exact)
     if field == "utility":
@@ -152,7 +161,7 @@ def test_inexact_inputs_of_other_constructors_rejected(make, field, bad):
         value = bad
     else:
         value = (*exact[field][:-1], bad)
-    shown = f"{field} entries must be Fraction or int, got {re.escape(repr(bad))}$"
+    shown = f"^{name} entries must be Fraction or int, got {re.escape(repr(bad))}$"
     with pytest.raises(LotbenchError, match=shown):
         make(**{**exact, field: value})
 

@@ -27,7 +27,6 @@ from lotbench import (
     expand_common_lottery,
     feasibility_report,
     lottery_from_masses,
-    new_instance,
     optimal_masses,
     position_masses,
     simplex_solve,
@@ -45,7 +44,13 @@ from lotbench.lpsolve import (
     _designer_candidate,
     _min_mass_candidate,
 )
-from util import random_convex_instance, random_instance, random_pmf, reference_weights
+from util import (
+    new_instance,
+    random_convex_instance,
+    random_instance,
+    random_pmf,
+    reference_weights,
+)
 
 F = Fraction
 ZERO = F(0)
@@ -193,6 +198,13 @@ def test_min_mass_local_up_multipliers_match_closed_form():
 def test_min_mass_rejects_bad_targets(call, targets, message):
     with pytest.raises(LotbenchError, match=message):
         call(uniform_instance(3), PositionMasses.from_values(targets))
+
+
+@pytest.mark.parametrize("call", [solve_min_mass, build_min_mass_lp], ids=lambda f: f.__name__)
+def test_min_mass_rejects_a_float_target(call):
+    # refused where the mass vector is built, before any LP is formed
+    with pytest.raises(LotbenchError, match="^masses entries must be Fraction or int, got 0.125$"):
+        call(uniform_instance(3), PositionMasses(s=(0.125, 0, 0)))
 
 
 def test_min_mass_zero_targets():
@@ -891,9 +903,11 @@ def test_lp_certificate_survives_optimize_flag():
     script = """
     from dataclasses import replace
     from fractions import Fraction
-    from lotbench import Fill, PositionMasses, lpsolve, new_instance
+    from lotbench import Fill, Instance, PositionMasses, lpsolve
 
-    inst = new_instance(3, ["1/3", "1/12", "7/12"], ["1/3", "1/3", "1/3"], 1)
+    inst = Instance.from_json_dict(
+        {"n": 3, "f": ["1/3", "1/12", "7/12"], "g": ["1/3", "1/3", "1/3"], "D": 1}
+    )
     targets = PositionMasses.from_values(["1/6", "1/3", "1/3"])
     print(lpsolve._common_lottery_fault(
         inst, *lpsolve._designer_candidate(inst, Fill())))

@@ -1,3 +1,4 @@
+import dataclasses
 import gc
 import json
 import random
@@ -19,7 +20,6 @@ from lotbench import (
     expand_common_lottery,
     feasibility_report,
     position_masses,
-    new_instance,
     to_common_lottery,
     uniform_instance,
     verify_decomposition,
@@ -27,7 +27,7 @@ from lotbench import (
 from lotbench import mechanism
 from lotbench.mechanism import _constraint_sums
 
-from util import random_instance, random_raw_matrix, random_supported_matrix
+from util import new_instance, random_instance, random_raw_matrix, random_supported_matrix
 
 
 def load_fixture(name):
@@ -155,16 +155,7 @@ def _row_masses(inst, a):
 
 
 def test_kernel_memo_never_serves_a_stale_kernel():
-    # (a) a matrix of lists changed in place between the report and the
-    # collapse: its kernel is never kept, so both read the changed matrix
-    lottery = CommonLottery.from_values(["0", "5/12", "1/3", "1/4"])
-    mech = DirectMechanism(a=[list(row) for row in expand_common_lottery(U4, lottery).a])
-    assert feasibility_report(U4, mech).participation[3] == Fraction(1, 4)
-    mech.a[3][:] = [Fraction(1, 8)] * 4
-    assert to_common_lottery(U4, mech)[0].c == (0, Fraction(5, 12), Fraction(1, 3), Fraction(1, 8))
-    assert feasibility_report(U4, mech).participation[3] == Fraction(1, 8)
-
-    # (b) one mechanism under two instances whose f differ, interleaved:
+    # (a) one mechanism under two instances whose f differ, interleaved:
     # the mechanism keeps only its f-free sweep, and the row masses follow f
     other = new_instance(4, ["1/8", "1/8", "1/4", "1/2"], ["1/4"] * 4, 1)
     menu = DirectMechanism.from_json_dict(FIG2["menu"])
@@ -177,8 +168,9 @@ def test_kernel_memo_never_serves_a_stale_kernel():
         assert position_masses(inst, menu).s == tuple(inst.d * m for m in masses)
     assert feasibility_report(U4, menu).position_slack != feasibility_report(other, menu).position_slack
 
-    # (c) the kernel lives on its mechanism and nowhere else: once the
+    # (b) the kernel lives on its mechanism and nowhere else: once the
     # mechanism is freed, so is its kernel
+    lottery = CommonLottery.from_values(["0", "5/12", "1/3", "1/4"])
     mech = expand_common_lottery(U4, lottery)
     assert feasibility_report(U4, mech).is_feasible
     to_common_lottery(U4, mech)
@@ -186,6 +178,15 @@ def test_kernel_memo_never_serves_a_stale_kernel():
     del mech
     gc.collect()
     assert ref() is None
+
+    # (c) a matrix put in place of an expansion's by `dataclasses.replace`
+    # keeps neither the lottery's entries nor the kept sweep
+    expanded = expand_common_lottery(U4, lottery)
+    assert feasibility_report(U4, expanded).is_feasible
+    moved = dataclasses.replace(expanded, a=MENU.a)
+    assert moved == MENU and moved._entries is None
+    assert feasibility_report(U4, moved) == feasibility_report(U4, MENU)
+    assert to_common_lottery(U4, moved) == to_common_lottery(U4, MENU)
 
 
 def _random_lottery(rng, n):
@@ -223,7 +224,7 @@ def test_kernel_of_an_expansion_equals_the_kernel_of_its_matrix():
     for inst, c in cases:
         expanded = expand_common_lottery(inst, CommonLottery(c=c))
         plain = DirectMechanism(a=expanded.a)
-        assert plain == expanded and "_entries" not in plain.__dict__
+        assert plain == expanded and plain._entries is None
         assert _constraint_sums(inst, expanded) == _constraint_sums(inst, plain)
     assert zeros >= 50 and repeats >= 100
     # no lottery has a negative entry, but the sweep from entries still
@@ -235,20 +236,40 @@ def test_kernel_of_an_expansion_equals_the_kernel_of_its_matrix():
 
 
 def test_position_masses_match_the_cell_sums():
-    # negative cells and cells above the diagonal included; a list matrix
-    # changed in place is read afresh on every call
+    # negative cells and cells above the diagonal included
     rng = random.Random(2028)
     for _ in range(150):
         inst = random_instance(rng, 2, 12)
         a = random_raw_matrix(rng, inst.n).a
         want = tuple(inst.d * m for m in _row_masses(inst, a))
         assert position_masses(inst, DirectMechanism(a=a)).s == want
-        rows = [list(row) for row in a]
-        mech = DirectMechanism(a=rows)
-        assert position_masses(inst, mech).s == want
-        k = rng.randrange(inst.n)
-        rows[k][rng.randint(0, k)] += Fraction(rng.randint(-9, 9), 11)
-        assert position_masses(inst, mech).s == tuple(inst.d * m for m in _row_masses(inst, rows))
+        assert position_masses(inst, DirectMechanism(a=[list(row) for row in a])).s == want
+
+
+def test_values_built_from_lists_are_fixed_as_tuples():
+    # a mechanism, a lottery and a mass vector built from lists equal, hash
+    # and report like their tuple twins, also once those lists change
+    rows = [list(row) for row in MENU.a]
+    mech = DirectMechanism(a=rows)
+    entries = [Fraction(0), Fraction(5, 12), Fraction(1, 3), Fraction(1, 4)]
+    lottery = CommonLottery(c=entries)
+    masses = PositionMasses(s=entries)
+    lottery_twin = CommonLottery.from_values(["0", "5/12", "1/3", "1/4"])
+    twins = (
+        (mech, MENU),
+        (lottery, lottery_twin),
+        (masses, PositionMasses.from_values(["0", "5/12", "1/3", "1/4"])),
+    )
+    for _ in range(2):  # before and after the lists change
+        for value, twin in twins:
+            assert value == twin and hash(value) == hash(twin) and repr(value) == repr(twin)
+        assert feasibility_report(U4, mech) == feasibility_report(U4, MENU)
+        assert position_masses(U4, mech) == position_masses(U4, MENU)
+        assert to_common_lottery(U4, mech) == to_common_lottery(U4, MENU)
+        assert expand_common_lottery(U4, lottery) == expand_common_lottery(U4, lottery_twin)
+        rows[3][:] = [Fraction(1, 8)] * 4
+        rows[0][0] = 0.5
+        entries[1] = 0.25
 
 
 def test_one_sweep_serves_every_reader_of_a_tuple_mechanism(monkeypatch):
@@ -374,15 +395,16 @@ def test_objectives():
     assert evaluate_objective(conc, s) == pytest.approx(2 * 0.25**0.5 + 0.125**0.5)
 
 
-FLOAT_MASSES = PositionMasses(s=(0.5, Fraction(1, 4)))
+def _float_masses():
+    return PositionMasses(s=(0.5, Fraction(1, 4)))
 
 
 @pytest.mark.parametrize(
     "call, message",
     [
-        (lambda: evaluate_objective(Fill(), FLOAT_MASSES), "masses"),
-        (lambda: evaluate_objective(Linear(weights=(1, Fraction(2))), FLOAT_MASSES), "masses"),
-        (lambda: FLOAT_MASSES.total(), "masses"),
+        (lambda: evaluate_objective(Fill(), _float_masses()), "masses"),
+        (lambda: evaluate_objective(Linear(weights=(1, Fraction(2))), _float_masses()), "masses"),
+        (lambda: _float_masses().total(), "masses"),
         (lambda: CommonLottery(c=(0.5, Fraction(1, 4))).total(), "lottery"),
     ],
     ids=["fill", "linear", "masses_total", "lottery_total"],
@@ -390,11 +412,6 @@ FLOAT_MASSES = PositionMasses(s=(0.5, Fraction(1, 4)))
 def test_exact_values_reject_float_entries(call, message):
     with pytest.raises(LotbenchError, match=f"^{message} entries must be Fraction or int, got 0.5$"):
         call()
-
-
-def test_concave_objective_takes_float_masses():
-    conc = SeparableConcave(weights=(Fraction(1), Fraction(2)), rho=Fraction(1, 2))
-    assert evaluate_objective(conc, FLOAT_MASSES) == 0.5**0.5 + 2 * 0.25**0.5
 
 
 def test_concave_objective_rejects_negative_mass():

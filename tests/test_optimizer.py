@@ -20,7 +20,6 @@ from lotbench import (
     kkt_check,
     lottery_from_masses,
     masses_from_lottery,
-    new_instance,
     optimal_lottery_fill,
     optimal_masses,
     position_masses,
@@ -31,7 +30,13 @@ from lotbench.instance import _with_mass
 from lotbench.mechanism import evaluate_objective
 from lotbench.optimizer import _budget_masses, _float_problem, _water_fill
 
-from util import random_convex_instance, random_instance, random_pmf, simplex_vertex
+from util import (
+    new_instance,
+    random_convex_instance,
+    random_instance,
+    random_pmf,
+    simplex_vertex,
+)
 
 F = Fraction
 U3 = uniform_instance(3)

@@ -48,7 +48,6 @@ SURFACE = [
     "masses_from_lottery",
     "masses_over_qualities",
     "mu_coefficients",
-    "new_instance",
     "normalize_gamma",
     "optimal_common_lottery_ordinal",
     "optimal_lottery_fill",

@@ -23,7 +23,6 @@ from lotbench import (
     expand_common_lottery,
     feasibility_report,
     mu_coefficients,
-    new_instance,
     normalize_gamma,
     position_masses,
     to_common_lottery,
@@ -36,6 +35,7 @@ from lotbench import transform
 from lotbench.transform import _grid_weights
 from util import (
     grid_of,
+    new_instance,
     random_convex_instance,
     random_feasible_lottery,
     random_instance,

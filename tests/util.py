@@ -7,7 +7,18 @@ from fractions import Fraction
 
 from lotbench import DirectMechanism, Instance, build_designer_lp, simplex_solve
 from lotbench.instance import _grid_ints
-from lotbench.rationals import to_common_denominator
+from lotbench.rationals import parse_rational, parse_rational_vector, to_common_denominator
+
+
+def new_instance(n, f, g, d) -> Instance:
+    """An instance from any rational-like entries ("p/q" strings, ints,
+    Fractions), parsed as the JSON reader parses them."""
+    return Instance(
+        n=n,
+        f=parse_rational_vector(f),
+        g=parse_rational_vector(g),
+        d=parse_rational(d),
+    )
 
 
 def random_pmf(rng: random.Random, n: int, full_support: bool = True):
