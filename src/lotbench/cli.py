@@ -12,7 +12,6 @@ import argparse
 import functools
 import json
 import sys
-from fractions import Fraction
 from importlib import resources
 
 from .converse import auto_improve
@@ -31,13 +30,7 @@ from .mechanism import (
     position_masses,
 )
 from .optimizer import optimal_masses, lottery_from_masses
-from .rationals import (
-    format_rational,
-    format_rational_matrix,
-    format_rational_vector,
-    parse_rational,
-    parse_rational_vector,
-)
+from .rationals import format_rational, parse_rational, parse_rational_vector
 from .transform import to_common_lottery, verify_decomposition
 
 OK, NEGATIVE, MALFORMED = 0, 1, 2
@@ -84,7 +77,8 @@ def _load_objective(path: str | None):
 
 
 def _emit(doc: dict):
-    json.dump(doc, sys.stdout, indent=2)
+    """Write doc as indented JSON: every exact value as "p" or "p/q"."""
+    json.dump(doc, sys.stdout, indent=2, default=format_rational)
     sys.stdout.write("\n")
 
 
@@ -110,10 +104,10 @@ def _cmd_check(args) -> int:
     doc = {
         "feasible": report.is_feasible,
         "violated": violated,
-        "ic_slack": format_rational_matrix(report.ic_slack),
-        "participation": format_rational_vector(report.participation),
-        "position_slack": format_rational_vector(report.position_slack),
-        "agent_slack": format_rational_vector(report.agent_slack),
+        "ic_slack": report.ic_slack,
+        "participation": report.participation,
+        "position_slack": report.position_slack,
+        "agent_slack": report.agent_slack,
     }
     _emit(doc)
     if not report.is_feasible:
@@ -127,10 +121,10 @@ def _cmd_convexity(args) -> int:
     report = convexity_report(inst)
     _emit(
         {
-            "second_differences": format_rational_vector(report.second_differences),
+            "second_differences": report.second_differences,
             "is_convex": report.is_convex,
             "is_strictly_convex": report.is_strictly_convex,
-            "violation_indices": list(report.violation_indices),
+            "violation_indices": report.violation_indices,
         }
     )
     return OK if report.is_convex else NEGATIVE
@@ -141,12 +135,11 @@ def _cmd_optimal_lottery(args) -> int:
     obj = _load_objective(args.objective)
     sol = optimal_masses(inst, obj)
     lottery = lottery_from_masses(inst, sol.masses)
-    value = sol.value
     _emit(
         {
-            "lottery": format_rational_vector(lottery.c),
-            "masses": format_rational_vector(sol.masses.s),
-            "value": format_rational(value) if isinstance(value, Fraction) else value,
+            "lottery": lottery.c,
+            "masses": sol.masses.s,
+            "value": sol.value,
             "convexity_warning": sol.convexity_warning,
         }
     )
@@ -163,14 +156,9 @@ def _cmd_solve_lp(args) -> int:
     obj = _load_objective(args.objective)
     mech, value = solve_designer(inst, obj)
     if args.format == "csv":
-        _emit_matrix_csv(format_rational_matrix(mech.a))
+        _emit_matrix_csv(mech.a)
     else:
-        _emit(
-            {
-                "mechanism": mech.to_json_dict(),
-                "value": format_rational(value),
-            }
-        )
+        _emit({"mechanism": mech.to_json_dict(), "value": value})
     return OK
 
 
@@ -181,8 +169,8 @@ def _cmd_transform(args) -> int:
     report = verify_decomposition(inst, mech)
     _emit(
         {
-            "lottery": format_rational_vector(lottery.c),
-            "total": format_rational(lottery.total()),
+            "lottery": lottery.c,
+            "total": lottery.total(),
             "overflow": overflow,
             "decomposition": report.to_json_dict(),
         }
@@ -197,12 +185,12 @@ def _cmd_min_mass(args) -> int:
     _emit(
         {
             "status": "optimal",
-            "d_star": format_rational(mm.d_star),
+            "d_star": mm.d_star,
             "mechanism": mm.mechanism.to_json_dict(),
             "multipliers": {
-                "POS": {str(k): format_rational(v) for k, v in mm.multipliers["POS"].items()},
-                "AGE": {str(i): format_rational(v) for i, v in mm.multipliers["AGE"].items()},
-                "IC": {f"{i},{j}": format_rational(v) for (i, j), v in mm.multipliers["IC"].items()},
+                "POS": mm.multipliers["POS"],
+                "AGE": mm.multipliers["AGE"],
+                "IC": {f"{i},{j}": v for (i, j), v in mm.multipliers["IC"].items()},
             },
         }
     )
@@ -221,15 +209,15 @@ def _cmd_perturb(args) -> int:
     _emit(
         {
             "improved": True,
-            "d": format_rational(improvement.d),
-            "base_lottery": format_rational_vector(improvement.base.c),
+            "d": improvement.d,
+            "base_lottery": improvement.base.c,
             "mechanism": improvement.mechanism.to_json_dict(),
-            "gain": format_rational(improvement.gain),
+            "gain": improvement.gain,
             "k": improvement.k,
             "i": improvement.i,
             "fill_index": improvement.fill_index,
-            "epsilon": format_rational(improvement.epsilon),
-            "delta": format_rational(improvement.delta),
+            "epsilon": improvement.epsilon,
+            "delta": improvement.delta,
         }
     )
     return OK
@@ -249,7 +237,7 @@ def _cmd_simulate_crp(args) -> int:
                     "i": i,
                     "empirical_prob": float(sim.empirical[k][i]),
                     "stderr": float(sim.stderr[k][i]),
-                    "analytic_prob": format_rational(analytic.allocation.a[k][i]),
+                    "analytic_prob": analytic.allocation.a[k][i],
                 }
             )
     if args.format == "csv":
@@ -260,7 +248,7 @@ def _cmd_simulate_crp(args) -> int:
                 f"{r['analytic_prob']}\n"
             )
     else:
-        _emit({"quotas": list(sim.quotas), "cells": rows})
+        _emit({"quotas": sim.quotas, "cells": rows})
     return OK
 
 
@@ -287,11 +275,9 @@ def _cmd_reproduce(args) -> int:
         sol = optimal_masses(inst, Fill())
         _emit(
             {
-                "uniform_lottery_mass": format_rational(uniform_mass),
-                "optimal_lottery": format_rational_vector(
-                    lottery_from_masses(inst, sol.masses).c
-                ),
-                "optimal_mass": format_rational(sol.value),
+                "uniform_lottery_mass": uniform_mass,
+                "optimal_lottery": lottery_from_masses(inst, sol.masses).c,
+                "optimal_mass": sol.value,
             }
         )
         return OK
@@ -303,7 +289,7 @@ def _cmd_reproduce(args) -> int:
             mech = DirectMechanism.from_json_dict(data[name])
             report = feasibility_report(inst, mech)
             out[name] = {
-                "mass": format_rational(position_masses(inst, mech).total()),
+                "mass": position_masses(inst, mech).total(),
                 "feasible": report.is_feasible,
             }
         _emit(out)
@@ -327,11 +313,9 @@ def _cmd_reproduce(args) -> int:
         mech_lp, lp_value = solve_designer(inst, Fill())
         _emit(
             {
-                "second_differences": format_rational_vector(
-                    convexity_report(inst).second_differences
-                ),
-                "best_common_lottery_value": format_rational(sol.value),
-                "lp_value": format_rational(lp_value),
+                "second_differences": convexity_report(inst).second_differences,
+                "best_common_lottery_value": sol.value,
+                "lp_value": lp_value,
                 "strict_gap": lp_value > sol.value,
             }
         )
@@ -347,8 +331,8 @@ def _cmd_reproduce(args) -> int:
             cases.append(
                 {
                     "epsilon": case["epsilon"],
-                    "menu_value": format_rational(menu_mass),
-                    "lottery_value": format_rational(sol.value),
+                    "menu_value": menu_mass,
+                    "lottery_value": sol.value,
                 }
             )
         _emit({"cases": cases})

@@ -29,6 +29,8 @@ from .rationals import (
 if TYPE_CHECKING:
     from .ordinal import UnevenGridView
 
+ZERO = Fraction(0)
+
 
 @dataclass(frozen=True)
 class Instance:
@@ -45,7 +47,6 @@ class Instance:
     f: tuple[Fraction, ...]
     g: tuple[Fraction, ...]
     d: Fraction
-    _cdf: tuple[Fraction, ...] = field(init=False, repr=False, compare=False)
     # the even grid scaled by (N-1), points 0..N-1, with the type cdf's
     # prefix sums F_k = P_k / Q, in the ints of `_grid_ints`.  Every
     # even-grid formula is its grid formula evaluated here, which turns the
@@ -57,6 +58,9 @@ class Instance:
     def __post_init__(self):
         if not isinstance(self.n, int) or isinstance(self.n, bool):
             raise LotbenchError(f"n must be an integer, got {self.n!r}")
+        # fixed as tuples, so that a value built from lists cannot change
+        object.__setattr__(self, "f", tuple(self.f))
+        object.__setattr__(self, "g", tuple(self.g))
         require_exact(("f", self.f), ("g", self.g), ("D", (self.d,)))
         if self.n < 2:
             raise LotbenchError(f"need N >= 2, got {self.n}")
@@ -75,8 +79,8 @@ class Instance:
             raise LotbenchError("f and g must each sum to 1")
         if self.d <= 0:
             raise LotbenchError(f"agent mass must be positive, got {self.d}")
-        object.__setattr__(self, "_cdf", tuple(Fraction(p, scale) for p in prefix))
-        object.__setattr__(self, "_grid", _grid_ints(range(self.n), scale, tuple(prefix)))
+        cdf = tuple(Fraction(p, scale) for p in prefix)
+        object.__setattr__(self, "_grid", _grid_ints(1, range(self.n), scale, tuple(prefix), cdf))
 
     # -- grid geometry ------------------------------------------------
 
@@ -88,7 +92,7 @@ class Instance:
     def cdf(self, i: int) -> Fraction:
         """F(theta_i) = sum of f over types 0..i."""
         self._check_index(i)
-        return self._cdf[i]
+        return self._grid.F[i]
 
     def _check_index(self, i: int):
         if not 0 <= i < self.n:
@@ -116,8 +120,8 @@ class Instance:
 
 def _with_mass(inst: Instance, d) -> Instance:
     """inst at agent mass d.  Only d is checked (exact and positive): f and
-    g were checked when inst was built, and the cdf and its grid ints,
-    which depend on f alone, are shared with inst."""
+    g were checked when inst was built, and the grid, which depends on f
+    alone, is shared with inst."""
     require_exact(("D", (d,)))
     if d <= 0:
         raise LotbenchError(f"agent mass must be positive, got {d}")
@@ -169,16 +173,17 @@ class _GridInts:
     and d2[i-1] the int numerator of the second difference of 1/F at
     interior i, over the positive xscale P_{i-1} P_i P_{i+1} / fscale.
 
-    `pmf`, `float_cdf` and `violations` are read from these ints on first
-    use and kept.
-    Values that depend on the grid alone may be kept in its `__dict__`
-    (`transform._kept_weights` keeps the decomposition's weights there);
-    they are not fields, so `==` and `repr` ignore them."""
+    The other values that depend on the grid alone (`pmf`, `float_cdf`,
+    `violations` and the decomposition's `weights`) are read from these
+    ints on first use and kept; they are not fields, so `==` and `repr`
+    ignore them."""
 
     xscale: int
     xs: tuple[int, ...]
     fscale: int
     ps: tuple[int, ...]
+    # the cdf F_k = P_k / fscale as Fractions, which follow from ps
+    F: tuple[Fraction, ...] = field(repr=False, compare=False)
     d2: tuple[int, ...]
 
     @cached_property
@@ -200,22 +205,34 @@ class _GridInts:
         """The interior indices i where 1/F is not convex: d2[i-1] < 0."""
         return tuple(i for i, num in enumerate(self.d2, start=1) if num < 0)
 
+    @cached_property
+    def weights(self) -> tuple[int, tuple[int, ...], tuple[int, ...]]:
+        """(wscale, up, rows): the decomposition's weights (`_grid_weights`)
+        as ints over their common denominator wscale, which the
+        decomposition, the mu check and `lpsolve`'s IC prices read; ints,
+        not Fractions, so that a kept grid stays small."""
+        wscale, (up, rows) = to_common_denominator(_grid_weights(self))
+        return wscale, tuple(up), tuple(rows)
 
-def _grid_ints(x, fscale: int, ps: tuple[int, ...]) -> _GridInts:
-    """The grid x over one common denominator, the cdf already in ints
-    (F = ps/fscale, kept as given), and the second differences' int
-    numerators: with x = X/S, the second difference at i is fscale/S times
+
+def _grid_ints(
+    xscale: int, xs, fscale: int, ps: tuple[int, ...], F: tuple[Fraction, ...]
+) -> _GridInts:
+    """The grid x = xs/xscale and the cdf F = ps/fscale, both already in
+    ints, and F as Fractions, all kept as given, with the second
+    differences' int numerators: the second difference at i is
+    fscale/xscale times
         ((X_{i+1} - X_i) P_i P_{i+1} - (X_{i+1} - X_{i-1}) P_{i-1} P_{i+1}
-         + (X_i - X_{i-1}) P_{i-1} P_i) / (P_{i-1} P_i P_{i+1}).
+         + (X_i - X_{i-1}) P_{i-1} P_i) / (P_{i-1} P_i P_{i+1}),
+    with X = xs and P = ps.
     """
-    xscale, (xs,) = to_common_denominator([x])
     d2 = tuple(
         (xs[i + 1] - xs[i]) * ps[i] * ps[i + 1]
         - (xs[i + 1] - xs[i - 1]) * ps[i - 1] * ps[i + 1]
         + (xs[i] - xs[i - 1]) * ps[i - 1] * ps[i]
         for i in range(1, len(xs) - 1)
     )
-    return _GridInts(xscale, tuple(xs), fscale, ps, d2)
+    return _GridInts(xscale, tuple(xs), fscale, ps, F, d2)
 
 
 def _second_difference(grid: _GridInts, i: int) -> Fraction:
@@ -223,3 +240,29 @@ def _second_difference(grid: _GridInts, i: int) -> Fraction:
     numerator d2[i-1]."""
     ps = grid.ps
     return Fraction(grid.fscale * grid.d2[i - 1], grid.xscale * ps[i - 1] * ps[i] * ps[i + 1])
+
+
+def _grid_weights(grid: _GridInts) -> tuple[tuple[Fraction, ...], tuple[Fraction, ...]]:
+    """(local_up, row weights r) of the participation decomposition on the
+    grid, which `_GridInts.weights` keeps in ints.
+
+    local_up[i] = f_{i+1} / F_{i+1} / (x_{i+1} - x_i), and for 0 < i < N-1
+    r_i = d2_i / ((x_{i+1} - x_i)(x_i - x_{i-1})), with d2 the convexity
+    report's second difference, so r_i has the sign of d2_i;
+    r_0 = r_{N-1} = 0, because the scaled constraints their rows would
+    weight are identically zero (the only surviving index has gap 0).
+    The downward multiplier of (i, j) is f_j r_i.  Each weight is one
+    Fraction built from the grid's ints.
+    """
+    xscale, xs, fscale, ps = grid.xscale, grid.xs, grid.fscale, grid.ps
+    steps = [b - a for a, b in zip(xs, xs[1:])]
+    local_up = tuple(
+        Fraction(xscale * (ps[i + 1] - ps[i]), ps[i + 1] * steps[i]) for i in range(len(xs) - 1)
+    )
+    rows = tuple(
+        Fraction(
+            fscale * xscale * num, ps[i - 1] * ps[i] * ps[i + 1] * steps[i - 1] * steps[i]
+        )
+        for i, num in enumerate(grid.d2, start=1)
+    )
+    return local_up, (ZERO, *rows, ZERO)[: len(xs)]

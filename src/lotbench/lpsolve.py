@@ -52,7 +52,7 @@ from .mechanism import (
 )
 from .optimizer import _ranking, _scan, lottery_from_masses
 from .rationals import require_exact, to_common_denominator
-from .transform import _check_mu_identity, _kept_weights
+from .transform import _check_mu_identity
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -592,7 +592,7 @@ def _designer_candidate(inst: Instance, obj: Objective):
     sum_k pos_k g_k + lam D is the greedy value sum_k w_k s_k.  The budget
     binds when the scan (`optimizer._scan`) spent all of D, and then lam is
     w_k F_k at the last position it reached, the cheapest in its order."""
-    d, cdf = inst.d, inst._cdf
+    d, cdf = inst.d, inst._grid.F
     weights = _designer_weights(obj, inst.n)
     order = _ranking(inst, weights)
     s, scale, used = _scan(inst, order, inst.g)
@@ -615,7 +615,7 @@ def _min_mass_candidate(inst: Instance, targets: PositionMasses):
     1/F_k and AGE[0] -1.  Every reduced cost is then 0, the decomposition
     identity, and the dual value sum_k s_k/F_k is D."""
     _check_targets(inst, targets)
-    cdf = inst._cdf
+    cdf = inst._grid.F
     x = [sk / fk for sk, fk in zip(targets.s, cdf)]
     d = sum(x, ZERO)
     lp = _lottery_program("min", [ZERO] * inst.n + [ONE], cdf, targets.s)
@@ -663,14 +663,14 @@ def _common_lottery_fault(inst: Instance, lp: LinearProgram, sol: LpSolution) ->
 
 def _ic_prices(inst: Instance, unit: Fraction) -> list:
     """The IC rows' prices in the row order of `_program_names`: unit * (N - 1)
-    times the weights of `transform._grid_weights` (the LP's IC rows are
+    times the weights of `instance._grid_weights` (the LP's IC rows are
     the transform's over N - 1), so IC[i, i+1] carries the upward weight
     up_i and IC[i, j], j < i, the downward weight f_j r_i.  The row factor
     unit * (N - 1) * r_i is formed once per row, one Fraction of the kept
-    weights' ints (`transform._kept_weights`), and each downward price is
+    weights' ints (the grid's `weights`), and each downward price is
     one product of it with f_j."""
     n = inst.n
-    wscale, up, rows = _kept_weights(inst._grid)
+    wscale, up, rows = inst._grid.weights
     num, den = unit.numerator * (n - 1), unit.denominator * wscale
     prices = []
     for i, r in enumerate(rows):

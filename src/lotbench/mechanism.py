@@ -21,7 +21,7 @@ from .instance import Instance
 from .rationals import (
     exact_dot,
     exact_sum,
-    format_rational_matrix,
+    format_rational,
     parse_rational_vector,
     require_exact,
     to_common_denominator,
@@ -73,7 +73,7 @@ class DirectMechanism:
         return cls.from_rows(data["a"])
 
     def to_json_dict(self) -> dict:
-        return {"a": format_rational_matrix(self.a)}
+        return {"a": [[format_rational(v) for v in row] for row in self.a]}
 
 
 @dataclass(frozen=True)
@@ -127,6 +127,7 @@ class Linear:
     weights: tuple[Rat, ...]
 
     def __post_init__(self):
+        object.__setattr__(self, "weights", tuple(self.weights))
         require_exact(("weights", self.weights))
 
 
@@ -139,6 +140,7 @@ class SeparableConcave:
     rho: Rat
 
     def __post_init__(self):
+        object.__setattr__(self, "weights", tuple(self.weights))
         require_exact(("weights", self.weights), ("rho", (self.rho,)))
         if not 0 < self.rho < 1:
             raise LotbenchError("exponent must lie strictly in (0, 1)")
@@ -267,8 +269,8 @@ def _expansion_sweep(entries) -> _ConstraintSums:
     sum_{k>=i} e_k.  Against report j <= i it sees the same offers, slack 0;
     against j > i it loses the positions i < k < j, slack
     sum_{i<k<j} (k-i) e_k = (T_j - T_{i+1}) - i (S_j - S_{i+1}) over the
-    prefix sums S_m = sum_{k<m} e_k and T_m = sum_{k<m} k e_k.  So a slack
-    is negative only when an e_k with 0 < k < N-1 is.
+    prefix sums S_m = sum_{k<m} e_k and T_m = sum_{k<m} k e_k.  The entries
+    are nonnegative (`_check_lottery`), so no cell and no slack is negative.
     """
     n = len(entries)
     scale, (ints,) = to_common_denominator([entries])
@@ -280,9 +282,7 @@ def _expansion_sweep(entries) -> _ConstraintSums:
         base = s1[i + 1] - i * s0[i + 1]
         slack.append([0] * (i + 1) + [t - i * s - base for s, t in zip(s0[i + 1:n], s1[i + 1:n])])
     participation = [s0[n] - s for s in s0[:n]]
-    negative = [tuple(range(k + 1)) if c < 0 else () for k, c in enumerate(ints)]
-    ic_holds = min(ints[1:-1], default=0) >= 0
-    return _ConstraintSums(scale, rows, slack, participation, negative, True, ic_holds)
+    return _ConstraintSums(scale, rows, slack, participation, [()] * n, True, True)
 
 
 def _constraint_sums(inst: Instance, mech: DirectMechanism) -> _ConstraintSums:
@@ -412,7 +412,9 @@ def feasibility_report(inst: Instance, mech: DirectMechanism) -> FeasibilityRepo
 
 def _check_lottery(cl: CommonLottery, n: int, what: str = "lottery"):
     """A valid offer distribution over N positions: length N, total at
-    most 1, nonnegative entries."""
+    most 1, nonnegative entries.  `expand_common_lottery` checks its
+    lottery here before it records the entries, so the sweep from entries
+    (`_expansion_sweep`) never sees a negative one."""
     if len(cl.c) != n:
         raise LotbenchError(f"{what} has length {len(cl.c)}, need {n}")
     total = cl.total()

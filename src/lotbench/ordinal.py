@@ -19,12 +19,7 @@ from .errors import ConvexityHypothesisFailed, LotbenchError
 from .instance import Instance, _grid_ints, _GridInts
 from .mechanism import CommonLottery, Fill, Linear, PositionMasses, _check_lottery, _check_weights
 from .optimizer import _budget_masses, lottery_from_masses, masses_from_lottery
-from .rationals import (
-    format_rational,
-    format_rational_matrix,
-    format_rational_vector,
-    require_exact,
-)
+from .rationals import format_rational, require_exact, to_common_denominator
 from .transform import _grid_mu
 
 ZERO = Fraction(0)
@@ -51,6 +46,10 @@ class OrdinalInstance:
     _baseline: Instance = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        # fixed as tuples, so that a value built from lists cannot change
+        for name in ("qualities", "gamma_labels", "gamma_pmf", "outside_pmf", "g"):
+            object.__setattr__(self, name, tuple(getattr(self, name)))
+        object.__setattr__(self, "utility", tuple(map(tuple, self.utility)))
         n = len(self.qualities)
         baseline = Instance(n=n, f=self.outside_pmf, g=self.g, d=self.d)
         require_exact(
@@ -84,21 +83,23 @@ class OrdinalInstance:
 
     @cached_property
     def _grids(self) -> tuple[_GridInts, ...]:
-        """Each taste's utility grid with the baseline's cdf ints (Q, P), in
-        the ints of `_grid_ints`, in the order of gamma_labels; built on
-        first read and kept.  It is not a field, so `==`, `hash` and `repr`
-        ignore it.  Callers must not mutate it."""
+        """Each taste's utility grid, the row over its own common
+        denominator, with the baseline's cdf (Q, P and F), in the ints of
+        `_grid_ints`, in the order of gamma_labels; built on first read and
+        kept.  It is not a field, so `==`, `hash` and `repr` ignore it.
+        Callers must not mutate it."""
         grid = self._baseline._grid
-        return tuple(_grid_ints(row, grid.fscale, grid.ps) for row in self.utility)
+        rows = (to_common_denominator([row]) for row in self.utility)
+        return tuple(_grid_ints(scale, xs, grid.fscale, grid.ps, grid.F) for scale, (xs,) in rows)
 
     def to_json_dict(self) -> dict:
         return {
-            "Q": format_rational_vector(self.qualities),
+            "Q": [format_rational(v) for v in self.qualities],
             "Gamma": list(self.gamma_labels),
-            "hGamma": format_rational_vector(self.gamma_pmf),
-            "hQ": format_rational_vector(self.outside_pmf),
-            "u": format_rational_matrix(self.utility),
-            "g": format_rational_vector(self.g),
+            "hGamma": [format_rational(v) for v in self.gamma_pmf],
+            "hQ": [format_rational(v) for v in self.outside_pmf],
+            "u": [[format_rational(v) for v in row] for row in self.utility],
+            "g": [format_rational(v) for v in self.g],
             "D": format_rational(self.d),
         }
 
@@ -129,7 +130,7 @@ def normalize_gamma(oi: OrdinalInstance, gamma: str) -> UnevenGridView:
     if gamma not in oi.gamma_labels:
         raise LotbenchError(f"unknown taste label {gamma!r}")
     index = oi.gamma_labels.index(gamma)
-    return UnevenGridView(x=tuple(oi.utility[index]), F=oi._baseline._cdf, _grid=oi._grids[index])
+    return UnevenGridView(x=oi.utility[index], F=oi._baseline._grid.F, _grid=oi._grids[index])
 
 
 def uneven_mu_coefficients(view: UnevenGridView) -> tuple[tuple[Fraction, ...], ...]:

@@ -67,12 +67,11 @@ def require_exact(*named):
         raise LotbenchError(f"{name} entries must be Fraction or int, got {bad!r}")
 
 
-def format_rational(value: Fraction) -> str:
-    """Render a Fraction as "p/q" (or "p" when the denominator is 1)."""
-    value = Fraction(value)
-    if value.denominator == 1:
-        return str(value.numerator)
-    return f"{value.numerator}/{value.denominator}"
+def format_rational(value) -> str:
+    """Render an exact value as "p/q" (or "p" when the denominator is 1).
+    The CLI passes it to `json.dump` as `default`, the one encoder of every
+    exact value it writes."""
+    return str(Fraction(value))
 
 
 def parse_rational_vector(values) -> tuple[Fraction, ...]:
@@ -107,10 +106,3 @@ def exact_dot(values, weights) -> Fraction:
     wscale, (ws,) = to_common_denominator([weights])
     return Fraction(sum(map(mul, vs, ws)), vscale * wscale)
 
-
-def format_rational_vector(values) -> list[str]:
-    return [format_rational(v) for v in values]
-
-
-def format_rational_matrix(rows) -> list[list[str]]:
-    return [format_rational_vector(row) for row in rows]

@@ -12,15 +12,16 @@ the utility gaps (x_k - theta_i) become the integers (k - i); the
 multiplier closed forms assume that scaling.
 
 The multipliers are N weights, not a table: the upward weights and one
-row weight r_i per type (`_grid_weights`).  The downward multiplier of the
-pair (i, j) is down[i][j] = f_j r_i, and that is how the code computes it:
-the decomposition and the coefficients form f_j r_i in ints inside their
+row weight r_i per type (`instance._grid_weights`), kept on each grid as
+its `weights`.  The downward multiplier of the pair (i, j) is
+down[i][j] = f_j r_i, and that is how the code computes it: the
+decomposition and the coefficients form f_j r_i in ints inside their
 sums, and `lpsolve` prices the IC rows of the common lottery with it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from fractions import Fraction
 from operator import mul
 
@@ -34,48 +35,9 @@ from .mechanism import (
     _constraint_sums,
     _is_feasible,
 )
-from .rationals import exact_sum, format_rational, to_common_denominator
+from .rationals import exact_sum, format_rational
 
 ZERO = Fraction(0)
-
-
-def _grid_weights(grid: _GridInts) -> tuple[tuple[Fraction, ...], tuple[Fraction, ...]]:
-    """(local_up, row weights r) on the grid of `instance._grid_ints`.
-
-    local_up[i] = f_{i+1} / F_{i+1} / (x_{i+1} - x_i), and for 0 < i < N-1
-    r_i = d2_i / ((x_{i+1} - x_i)(x_i - x_{i-1})), with d2 the convexity
-    report's second difference, so r_i has the sign of d2_i;
-    r_0 = r_{N-1} = 0, because the scaled constraints their rows would
-    weight are identically zero (the only surviving index has gap 0).
-    The downward multiplier of (i, j) is f_j r_i.  Each weight is one
-    Fraction built from the grid's ints.
-    """
-    xscale, xs, fscale, ps = grid.xscale, grid.xs, grid.fscale, grid.ps
-    steps = [b - a for a, b in zip(xs, xs[1:])]
-    local_up = tuple(
-        Fraction(xscale * (ps[i + 1] - ps[i]), ps[i + 1] * steps[i]) for i in range(len(xs) - 1)
-    )
-    rows = tuple(
-        Fraction(
-            fscale * xscale * num, ps[i - 1] * ps[i] * ps[i + 1] * steps[i - 1] * steps[i]
-        )
-        for i, num in enumerate(grid.d2, start=1)
-    )
-    return local_up, (ZERO, *rows, ZERO)[: len(xs)]
-
-
-def _kept_weights(grid: _GridInts):
-    """(wscale, up, rows): the weights of `_grid_weights(grid)` as ints over
-    their common denominator wscale.  They depend on the grid alone, so
-    they are computed on its first read and kept in the grid's `__dict__`,
-    where every reader of that grid (the decomposition, the mu check,
-    `lpsolve`'s IC prices) finds them; ints, not Fractions, so that a
-    kept grid stays small."""
-    kept = grid.__dict__.get("_weights")
-    if kept is None:
-        wscale, (up, rows) = to_common_denominator(_grid_weights(grid))
-        kept = grid.__dict__["_weights"] = (wscale, tuple(up), tuple(rows))
-    return kept
 
 
 def to_common_lottery(inst: Instance, mech: DirectMechanism):
@@ -119,12 +81,7 @@ class DecompositionReport:
     residual: Fraction
 
     def to_json_dict(self) -> dict:
-        return {
-            "common_term": format_rational(self.common_term),
-            "info_term": format_rational(self.info_term),
-            "p_theta0": format_rational(self.p_theta0),
-            "residual": format_rational(self.residual),
-        }
+        return {name: format_rational(v) for name, v in asdict(self).items()}
 
 
 def verify_decomposition(inst: Instance, mech: DirectMechanism) -> DecompositionReport:
@@ -133,7 +90,7 @@ def verify_decomposition(inst: Instance, mech: DirectMechanism) -> Decomposition
     # info = sum_i up_i slack[i][i+1] + sum_i r_i sum_{j<i} f_j slack[i][j],
     # in ints over the weights' and the cdf's denominators
     grid = inst._grid
-    wscale, up, rows = _kept_weights(grid)
+    wscale, up, rows = grid.weights
     fscale, pmf = grid.fscale, grid.pmf
     scaled = sums.slack  # scale * (the (N-1)-scaled slacks)
     info = fscale * sum(map(mul, up, [row[i + 1] for i, row in enumerate(scaled[:-1])]))
@@ -178,7 +135,7 @@ def _grid_mu(grid: _GridInts) -> tuple[tuple[Fraction, ...], ...]:
 
 def _check_mu_identity(grid: _GridInts):
     """Raise AssertionError unless the constraint rows, weighted by
-    `_grid_weights`, aggregate to the closed forms of mu on the grid.
+    `instance._grid_weights`, aggregate to the closed forms of mu on the grid.
 
     The aggregated coefficient of cell (k, i), i <= k, is
         (x_k - x_i)(up_i + sum_j down[i][j]) - (x_k - x_{i-1}) up_{i-1}
@@ -207,7 +164,7 @@ def _mu_table(grid: _GridInts):
     """(unit, A, B, g) of `_check_mu_identity`, each scaled by unit, the
     weights' and the cdf's and the grid's common denominators; B_0 carries
     column 0's closed-form 1, as unit."""
-    wscale, up, rows = _kept_weights(grid)
+    wscale, up, rows = grid.weights
     xscale, xs, fscale, cdf, pmf = grid.xscale, grid.xs, grid.fscale, grid.ps, grid.pmf
     # up_i and down[k][i] = pmf_i r_k, both over wscale * fscale; up[N-1] = 0,
     # and up[-1] = 0 stands for up_{-1}

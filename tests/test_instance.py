@@ -50,8 +50,8 @@ def test_cdf_matches_the_fraction_sums():
         for fi in f:
             run += fi
             expected.append(run)
-        assert inst._cdf == tuple(expected)
-        assert all(type(v) is Fraction for v in inst._cdf)
+        assert inst._grid.F == tuple(expected)
+        assert all(type(v) is Fraction for v in inst._grid.F)
         # off by the smallest step from a sum of 1, in f or in g
         bent = f[:-1] + (f[-1] + Fraction(1, 10**30),)
         with pytest.raises(LotbenchError, match="f and g must each sum to 1"):

@@ -19,6 +19,7 @@ from lotbench import (
     Linear,
     LinearProgram,
     LotbenchError,
+    LpSolution,
     PositionMasses,
     SeparableConcave,
     build_designer_lp,
@@ -35,7 +36,7 @@ from lotbench import (
     uniform_instance,
 )
 
-from lotbench import lpsolve, transform
+from lotbench import instance, lpsolve
 from lotbench.lpsolve import (
     _certificate_fault,
     _check_certificate,
@@ -847,6 +848,18 @@ def test_certificate_rejects_a_wrong_dual_objective():
     assert _certificate_fault(lp, broken) == "the dual objective differs from the objective"
 
 
+def test_certificate_rejects_a_dual_of_the_wrong_sign():
+    """max x s.t. R1: x <= 1, R2: x <= 1 at x = 1, priced (2, -1): the
+    reduced cost 1 - 2 + 1 = 0, c.x and y.b = 1 all hold, so only the sign
+    of R2's dual (a <= row of a max prices >= 0) refuses it."""
+    lp = LinearProgram(
+        "max", [F(1)], [[F(1)], [F(1)]], ["<=", "<="], [F(1), F(1)], ["x"], ["R1", "R2"]
+    )
+    sol = LpSolution("optimal", F(1), {"x": F(1)}, {"R1": F(2), "R2": F(-1)})
+    assert _certificate_fault(lp, sol) == "the dual of R2 has the wrong sign"
+    assert _certificate_fault(lp, replace(sol, duals={"R1": F(1), "R2": F(0)})) is None
+
+
 @pytest.mark.parametrize(
     "corrupt, fault",
     [
@@ -1242,12 +1255,12 @@ def test_decomposition_certificate_rests_on_the_checked_identity(monkeypatch):
     """The reduced costs are read from mu's closed forms, so a wrong
     weight must break the checked aggregation identity: the certificate
     raises instead of certifying."""
-    exact = transform._grid_weights
+    exact = instance._grid_weights
 
     def bent(grid):
         up, rows = exact(grid)
         return (up[0] + F(1, 7),) + up[1:], rows
 
-    monkeypatch.setattr(transform, "_grid_weights", bent)
+    monkeypatch.setattr(instance, "_grid_weights", bent)
     with pytest.raises(AssertionError, match="mu row 1 differs from its closed form"):
         solve_designer(uniform_instance(4), Fill())

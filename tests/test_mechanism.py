@@ -12,6 +12,7 @@ from lotbench import (
     CommonLottery,
     DirectMechanism,
     Fill,
+    Instance,
     Linear,
     LotbenchError,
     PositionMasses,
@@ -227,12 +228,6 @@ def test_kernel_of_an_expansion_equals_the_kernel_of_its_matrix():
         assert plain == expanded and plain._entries is None
         assert _constraint_sums(inst, expanded) == _constraint_sums(inst, plain)
     assert zeros >= 50 and repeats >= 100
-    # no lottery has a negative entry, but the sweep from entries still
-    # reports one as the matrix's sweep does, at either end and inside
-    for c in ((-1, 0, 2), (0, 0, -1), (1, -1, 1, 3), (Fraction(1, 2), Fraction(-1, 3))):
-        n = len(c)
-        a = tuple((v,) * (k + 1) + (0,) * (n - k - 1) for k, v in enumerate(c))
-        assert mechanism._sweep(a, c) == mechanism._sweep(a)
 
 
 def test_position_masses_match_the_cell_sums():
@@ -247,18 +242,25 @@ def test_position_masses_match_the_cell_sums():
 
 
 def test_values_built_from_lists_are_fixed_as_tuples():
-    # a mechanism, a lottery and a mass vector built from lists equal, hash
-    # and report like their tuple twins, also once those lists change
+    # a mechanism, a lottery, a mass vector, an instance and the weighted
+    # objectives built from lists equal, hash and report like their tuple
+    # twins, also once those lists change
     rows = [list(row) for row in MENU.a]
     mech = DirectMechanism(a=rows)
     entries = [Fraction(0), Fraction(5, 12), Fraction(1, 3), Fraction(1, 4)]
     lottery = CommonLottery(c=entries)
     masses = PositionMasses(s=entries)
+    pmf = [Fraction(1, 4)] * 4
+    inst = Instance(n=4, f=pmf, g=pmf, d=Fraction(1))
     lottery_twin = CommonLottery.from_values(["0", "5/12", "1/3", "1/4"])
+    half = Fraction(1, 2)
     twins = (
         (mech, MENU),
         (lottery, lottery_twin),
         (masses, PositionMasses.from_values(["0", "5/12", "1/3", "1/4"])),
+        (inst, U4),
+        (Linear(weights=entries), Linear(weights=lottery_twin.c)),
+        (SeparableConcave(weights=pmf, rho=half), SeparableConcave(weights=U4.f, rho=half)),
     )
     for _ in range(2):  # before and after the lists change
         for value, twin in twins:
@@ -267,9 +269,13 @@ def test_values_built_from_lists_are_fixed_as_tuples():
         assert position_masses(U4, mech) == position_masses(U4, MENU)
         assert to_common_lottery(U4, mech) == to_common_lottery(U4, MENU)
         assert expand_common_lottery(U4, lottery) == expand_common_lottery(U4, lottery_twin)
+        assert [inst.cdf(k) for k in range(4)] == [U4.cdf(k) for k in range(4)]
+        assert inst._grid == U4._grid
+        assert feasibility_report(inst, MENU) == feasibility_report(U4, MENU)
         rows[3][:] = [Fraction(1, 8)] * 4
         rows[0][0] = 0.5
         entries[1] = 0.25
+        pmf[0] = half
 
 
 def test_one_sweep_serves_every_reader_of_a_tuple_mechanism(monkeypatch):

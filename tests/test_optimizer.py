@@ -146,6 +146,19 @@ def test_kkt_accepts_every_position_capped_on_a_spent_budget():
     assert report.ok, report.violations
 
 
+def test_kkt_multiplier_is_the_least_capped_price_at_the_full_fill_cost():
+    # D = 11/6 is what filling every position of the uniform N = 3 market
+    # costs, so the masses g are all capped and the budget binds; the
+    # multiplier is min_k F_k alpha_k rho g_k^(rho - 1), at k = 0
+    inst = uniform_instance(3, d=F(11, 6))
+    obj = SeparableConcave(weights=(F(1),) * 3, rho=F(1, 2))
+    report = kkt_check(inst, obj, PositionMasses(s=inst.g))
+    assert report.ok and report.violations == ()
+    want = min(float(inst.cdf(k)) * 0.5 * (1 / 3) ** -0.5 for k in range(3))
+    assert report.multiplier == pytest.approx(want, rel=1e-12)
+    assert report.multiplier == pytest.approx(0.2887, abs=1e-4)
+
+
 def test_concave_randomized_kkt():
     # convex and non-convex draws up to explore's N = 24, zero capacities,
     # binding and slack budgets; every branch of the scan must occur

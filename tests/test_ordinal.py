@@ -333,6 +333,42 @@ def test_empty_grid_rejected():
             make_ordinal(points, ["a"], [1], [1] * len(points), [points], [1] * len(points), 1)
 
 
+def test_ordinal_instance_built_from_lists_is_fixed_as_tuples():
+    # an ordinal instance built from lists, its utility rows included,
+    # equals, hashes and reports like its tuple twin, also once those lists
+    # change after a view was read
+    row = [F(0), F(1, 2), F(1)]
+    lists = dict(
+        qualities=[F(0), F(1), F(2)],
+        gamma_labels=["lin", "half"],
+        gamma_pmf=[F(1, 2), F(1, 2)],
+        outside_pmf=[F(1, 3)] * 3,
+        utility=[[F(0), F(1), F(2)], row],
+        g=[F(1, 3)] * 3,
+        d=F(1),
+    )
+    oi = OrdinalInstance(**lists)
+    twin = make_ordinal(
+        [0, 1, 2], ["lin", "half"], [F(1, 2)] * 2, [F(1, 3)] * 3,
+        [[0, 1, 2], [0, F(1, 2), 1]], [F(1, 3)] * 3, 1,
+    )
+    for _ in range(2):  # before and after the lists change
+        assert oi == twin and hash(oi) == hash(twin) and repr(oi) == repr(twin)
+        for label in twin.gamma_labels:
+            view, other = normalize_gamma(oi, label), normalize_gamma(twin, label)
+            assert view == other and view._grid == other._grid
+            assert convexity_report(view) == convexity_report(other)
+        assert optimal_common_lottery_ordinal(oi, Fill()) == optimal_common_lottery_ordinal(
+            twin, Fill()
+        )
+        row[1] = F(3, 2)
+        lists["qualities"][0] = F(1, 2)
+        lists["gamma_labels"][0] = "other"
+        lists["outside_pmf"][0] = F(1, 2)
+        lists["utility"].append(row)
+        lists["g"][0] = 0.5
+
+
 def test_every_taste_grid_shares_the_baseline_cdf_ints():
     rng = random.Random(29)
     for _ in range(100):

@@ -31,8 +31,8 @@ from lotbench import (
     verify_decomposition,
 )
 
-from lotbench import transform
-from lotbench.transform import _grid_weights
+from lotbench import instance, transform
+from lotbench.instance import _grid_weights
 from util import (
     grid_of,
     new_instance,
@@ -256,9 +256,9 @@ def test_mu_closed_form_check_survives_optimize_flag():
     script = textwrap.dedent(
         """
         from fractions import Fraction
-        from lotbench import transform, uniform_instance
+        from lotbench import instance, transform, uniform_instance
 
-        exact = transform._grid_weights
+        exact = instance._grid_weights
 
         def bent(which):
             def weights(grid):
@@ -271,7 +271,7 @@ def test_mu_closed_form_check_survives_optimize_flag():
             return weights
 
         for which in ("up", "row"):
-            transform._grid_weights = bent(which)
+            instance._grid_weights = bent(which)
             try:
                 transform.mu_coefficients(uniform_instance(4))
             except AssertionError:
@@ -293,7 +293,7 @@ def test_mu_closed_form_check_survives_optimize_flag():
 def _reference_mu_check(grid):
     """The aggregation identity checked at every cell, row by row: the
     running sums of each row's k+1 coefficients, O(N^2) ints."""
-    wscale, up, rows = transform._kept_weights(grid)
+    wscale, up, rows = grid.weights
     xscale, xs, fscale, cdf, pmf = grid.xscale, grid.xs, grid.fscale, grid.ps, grid.pmf
     up = [u * fscale for u in up] + [0]
     unit = wscale * fscale * xscale
@@ -354,7 +354,7 @@ def test_mu_scan_decides_like_the_all_cells_check():
             grid = inst._grid
         assert _raised(_reference_mu_check, grid) is None
         grids.append(grid)
-        wscale, up, rows = transform._kept_weights(grid)
+        wscale, up, rows = grid.weights
         bends = [(wscale, tuple(rng.randint(-9, 9) for _ in up), tuple(
             rng.randint(-9, 9) for _ in rows
         ))]
@@ -364,7 +364,7 @@ def test_mu_scan_decides_like_the_all_cells_check():
             bends.append((wscale, tuple(bent[:len(up)]), tuple(bent[len(up):])))
         trial = dataclasses.replace(grid)
         for weights in bends:
-            trial.__dict__["_weights"] = weights
+            trial.__dict__["weights"] = weights
             want = _raised(_reference_mu_check, trial)
             assert _raised(transform._check_mu_identity, trial) == want
             raised += want is not None
@@ -429,7 +429,7 @@ def test_grid_weights_are_built_once_per_grid(monkeypatch):
     """The decomposition, the mu check and the LP's IC prices read one copy
     of the weights, kept on the grid: a trial instance at another agent
     mass shares it, and a new instance builds its own."""
-    from lotbench import lpsolve, solve_designer, transform
+    from lotbench import lpsolve, solve_designer
     from lotbench.instance import _with_mass
 
     calls = []
@@ -438,7 +438,7 @@ def test_grid_weights_are_built_once_per_grid(monkeypatch):
         calls.append(grid)
         return _grid_weights(grid)
 
-    monkeypatch.setattr(transform, "_grid_weights", counted)
+    monkeypatch.setattr(instance, "_grid_weights", counted)
     rng = random.Random(61)
     inst = random_convex_instance(rng, n_min=4, n_max=7)
     mech = expand_common_lottery(inst, CommonLottery(c=random_feasible_lottery(rng, inst.n)))
@@ -450,7 +450,7 @@ def test_grid_weights_are_built_once_per_grid(monkeypatch):
     twin = new_instance(inst.n, list(inst.f), list(inst.g), inst.d)
     mu_coefficients(twin)
     assert calls == [inst._grid, twin._grid] and calls[1] is not calls[0]
-    wscale, up, rows = transform._kept_weights(inst._grid)
+    wscale, up, rows = inst._grid.weights
     local_up, row_weights = _grid_weights(inst._grid)
     assert [F(v, wscale) for v in up] == list(local_up)
     assert [F(v, wscale) for v in rows] == list(row_weights)

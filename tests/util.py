@@ -76,10 +76,12 @@ def random_raw_matrix(rng: random.Random, n: int) -> DirectMechanism:
 
 def grid_of(x, cdf):
     """The grid ints of `instance._grid_ints` for any increasing grid x of
-    one or more points and cdf F, F put over its common denominator: the
-    reference for the grids that `OrdinalInstance` keeps per taste."""
+    one or more points and cdf F, each put over its own common
+    denominator: the reference for the grids that `OrdinalInstance` keeps
+    per taste."""
+    xscale, (xs,) = to_common_denominator([x])
     fscale, (ps,) = to_common_denominator([cdf])
-    return _grid_ints(x, fscale, tuple(ps))
+    return _grid_ints(xscale, xs, fscale, tuple(ps), tuple(cdf))
 
 
 def reference_second_differences(x, cdf):
